@@ -18,17 +18,48 @@
 //! # let _ = delta;
 //! ```
 //!
-//! Counting costs one relaxed atomic add per allocator call, so the
-//! allocator is cheap enough to leave installed in the `repro` harness
-//! binary: throughput numbers measured under it are representative.
+//! [`snapshot`] reads process-wide counters. [`thread_snapshot`] reads
+//! the calling thread's own share, which other threads of the process —
+//! such as concurrently running tests in the same test binary — cannot
+//! disturb; use it whenever the code under scrutiny runs on the calling
+//! thread.
+//!
+//! Counting costs one relaxed atomic add and one thread-local add per
+//! allocator call, so the allocator is cheap enough to leave installed in
+//! the `repro` harness binary: throughput numbers measured under it are
+//! representative.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static REALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
+
+/// One thread's counters, in [`Snapshot`] field order.
+type LocalCounts = [Cell<u64>; 4];
+
+thread_local! {
+    // Const-initialized and without a destructor, so touching it from
+    // inside the allocator never allocates or registers anything.
+    static LOCAL: LocalCounts = const {
+        [Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0)]
+    };
+}
+
+/// Count one allocator call in `global` and in the calling thread's
+/// counter `slot`, plus the `bytes` it requested in both byte counts.
+fn record(global: &AtomicU64, slot: usize, bytes: usize) {
+    global.fetch_add(1, Ordering::Relaxed);
+    BYTES_ALLOCATED.fetch_add(bytes as u64, Ordering::Relaxed);
+    // `try_with` fails only while the thread is being torn down.
+    let _ = LOCAL.try_with(|l| {
+        l[slot].set(l[slot].get() + 1);
+        l[3].set(l[3].get() + bytes as u64);
+    });
+}
 
 /// System allocator wrapper that counts every call. Zero-sized; install
 /// with `#[global_allocator]`.
@@ -38,25 +69,22 @@ pub struct CountingAllocator;
 // are metadata only and never influence the returned pointers.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES_ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        record(&ALLOCATIONS, 0, layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES_ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        record(&ALLOCATIONS, 0, layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record(&DEALLOCATIONS, 1, 0);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES_ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
+        record(&REALLOCATIONS, 2, new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -101,6 +129,17 @@ pub fn snapshot() -> Snapshot {
         reallocations: REALLOCATIONS.load(Ordering::Relaxed),
         bytes_allocated: BYTES_ALLOCATED.load(Ordering::Relaxed),
     }
+}
+
+/// Read the calling thread's counters: allocator calls made on this
+/// thread only. Stays zero unless [`CountingAllocator`] is installed.
+pub fn thread_snapshot() -> Snapshot {
+    LOCAL.with(|l| Snapshot {
+        allocations: l[0].get(),
+        deallocations: l[1].get(),
+        reallocations: l[2].get(),
+        bytes_allocated: l[3].get(),
+    })
 }
 
 /// Whether the counters are live, i.e. the counting allocator has seen at

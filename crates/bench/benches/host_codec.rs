@@ -54,11 +54,6 @@ fn bench_dtype<T: FloatData + Default + Copy>(c: &mut Criterion, tag: &str) {
         group.bench_function(format!("compress_fast_{level}"), |b| {
             b.iter(|| black_box(fast::compress(black_box(&data), eb, cfg).stream_bytes()))
         });
-        group.bench_function(format!("compress_fast_mt_{level}"), |b| {
-            b.iter(|| {
-                black_box(fast::compress_threaded(black_box(&data), eb, cfg, 0).stream_bytes())
-            })
-        });
 
         let mut scratch = Scratch::new();
         let mut out = vec![T::default(); n];
@@ -66,18 +61,6 @@ fn bench_dtype<T: FloatData + Default + Copy>(c: &mut Criterion, tag: &str) {
             b.iter(|| {
                 fast::decompress_into_at(
                     black_box(stream.as_ref()),
-                    &mut scratch,
-                    Some(level),
-                    &mut out,
-                );
-                black_box(out.len())
-            })
-        });
-        group.bench_function(format!("decompress_fast_mt_{level}"), |b| {
-            b.iter(|| {
-                fast::decompress_into_threaded_at(
-                    black_box(stream.as_ref()),
-                    0,
                     &mut scratch,
                     Some(level),
                     &mut out,

@@ -10,17 +10,15 @@
 //!   encoding per *tile* of blocks: residuals live in a small reused
 //!   scratch that stays cache-resident (never a data-sized buffer), the
 //!   quantization arithmetic runs through [`crate::simd`] (AVX-512 when
-//!   the host has it, bit-exact scalar otherwise), and each block's sign
-//!   map + bit planes are emitted into the worker's staging buffer the
-//!   moment the tile is planned — the host analogue of the GPU kernel
-//!   encoding into shared memory before the global offsets exist.
-//! - An exclusive **prefix sum** over the per-block `CmpL` table — the
-//!   host edition of the paper's Global Synchronization step — fixes
-//!   every block's payload offset.
-//! - **Phase 2** places each worker's staged bytes at its scanned offset
-//!   in the final payload. Staged bytes are already exactly the final
-//!   bytes (fraction ⓑ is a plain concatenation), so placement is a
-//!   bulk copy.
+//!   the host has it, bit-exact scalar otherwise), and the whole tile is
+//!   planned before any of its bytes are written — the host analogue of
+//!   the GPU kernel sizing its blocks before the global offsets exist.
+//! - **Phase 2** emits each block's sign map + bit planes straight into
+//!   the output in block order. The payload is a plain concatenation of
+//!   the blocks' `CmpL` bytes (fraction ⓑ), so the sum of the `CmpL`
+//!   column is its size, and the decoder rebuilds every block's offset
+//!   from fraction ⓐ by an exclusive **prefix sum** — the host edition
+//!   of the paper's Global Synchronization step.
 //!
 //! The bit-plane work itself is word-parallel twice over: per 8-value
 //! group, the magnitudes' byte matrix is transposed
@@ -34,36 +32,32 @@
 //! ## The zero-allocation steady state
 //!
 //! Every working buffer the codec needs — the per-block `(F, CmpL)`
-//! table, the Eq-2 prefix-sum workspace, and per-worker residual /
-//! staging buffers — lives in a caller-owned [`Scratch`] arena that is
-//! grown monotonically and reused across calls. The `_into` entry points
-//! ([`compress_into`], [`decompress_into`]) write their results into
-//! caller-owned memory as well, so after the first call with a given
-//! shape (*warm-up*), a single-threaded call performs **zero heap
-//! allocations** — the host analogue of the paper's no-intermediate-
-//! buffer, single-kernel design, and the property the ultra-fast CPU
-//! compressors (SZx) identify as decisive for small payloads. The
-//! `crates/alloc-counter` allocator proves it executable
-//! (`cuszp-core/tests/alloc_count.rs`). Threaded `_into` calls reuse
-//! per-worker arenas but still pay `std::thread` spawn allocations.
+//! table, the Eq-2 prefix-sum workspace, and the residual tile — lives
+//! in a caller-owned [`Scratch`] arena that is grown monotonically and
+//! reused across calls. The `_into` entry points ([`compress_into`],
+//! [`decompress_into`]) write their results into caller-owned memory as
+//! well, so after the first call with a given shape (*warm-up*), a call
+//! performs **zero heap allocations** — the host analogue of the paper's
+//! no-intermediate-buffer, single-kernel design, and the property the
+//! ultra-fast CPU compressors (SZx) identify as decisive for small
+//! payloads. The `crates/alloc-counter` allocator proves it executable
+//! (`cuszp-core/tests/alloc_count.rs`).
 //!
 //! The `_into` output buffer is reserved **up front from the Eq-2 size
 //! table bound** — `CmpL(max_F(dtype))` per block, the same dtype-bounded
 //! budget the device kernel allocates its payload from — so its capacity
 //! depends only on the call's *shape* (element count, block length,
 //! dtype), never on how well the content compresses: a warm buffer never
-//! reallocates no matter how compressibility varies between calls.
-//! Worker staging instead grows by each tile's exact `CmpL` sum, known
-//! before any byte of the tile is staged, so cold owned-API calls fault
-//! in only the pages they fill.
+//! reallocates no matter how compressibility varies between calls. The
+//! owned [`compress_with`] payload instead grows by each tile's exact
+//! `CmpL` sum, so cold owned-API calls fault in only the pages they fill.
 //!
-//! No per-block heap allocation happens in either direction. Because
-//! blocks are independent once the offsets are known — the same argument
-//! the paper's GS step makes for the GPU — both directions have an
-//! opt-in multi-threaded form ([`compress_threaded`] /
-//! [`decompress_threaded`]) whose output is **bit-identical to the
-//! sequential path by construction**: workers own disjoint block ranges
-//! and their staged bytes land at disjoint, precomputed byte ranges.
+//! No per-block heap allocation happens in either direction. The codec
+//! is sequential: blocks are independent once the offsets are known —
+//! the same argument the paper's GS step makes for the GPU — and that
+//! independence is spent on independent *work*: `cuszp-pipeline` runs
+//! one chunk per worker and `cuszp-service` one request per worker, each
+//! with its own [`Scratch`].
 
 use crate::bitshuffle::{byte_transpose8x8, transpose8x8};
 use crate::config::{CuszpConfig, SimdLevel};
@@ -72,17 +66,6 @@ use crate::encode::cmp_bytes_for;
 use crate::format::{Compressed, CompressedRef};
 
 use crate::{simd, tune};
-
-/// Resolve a requested worker count: `0` means the host's parallelism.
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|v| v.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-}
 
 /// Ensure `v` holds at least `n` elements (monotonic growth — capacity is
 /// never released) and hand back the first `n`.
@@ -93,27 +76,15 @@ fn grow<T: Copy + Default>(v: &mut Vec<T>, n: usize) -> &mut [T] {
     &mut v[..n]
 }
 
-/// One worker's private buffers: cache-resident residual/quantization
-/// tile, per-tile max table, and the phase-1 staging bytes.
-#[derive(Debug, Default)]
-struct WorkerScratch {
-    /// Residuals on compression, quantization integers on decompression.
-    resid: Vec<i64>,
-    /// Per-block max residual magnitude within the current tile.
-    maxes: Vec<u64>,
-    /// Phase-1 staged payload fraction for this worker's block range.
-    staging: Vec<u8>,
-}
-
 /// Reusable workspace for the zero-allocation codec entry points.
 ///
 /// Holds the per-block `(F, CmpL)` scratch table, the Eq-2 prefix-sum
-/// workspace, the worker block ranges, and one `WorkerScratch` per
-/// worker. Buffers grow monotonically and are reused verbatim across
-/// calls — a *dirty* arena (left over from any prior call, any dtype,
-/// any size) never changes results, only allocation behavior. After the
-/// first call at a given shape, single-threaded [`compress_into`] /
-/// [`decompress_into`] calls touch the heap zero times.
+/// workspace, and the cache-resident residual tile. Buffers grow
+/// monotonically and are reused verbatim across calls — a *dirty* arena
+/// (left over from any prior call, any dtype, any size) never changes
+/// results, only allocation behavior. After the first call at a given
+/// shape, [`compress_into`] / [`decompress_into`] calls touch the heap
+/// zero times.
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// Per-block fixed lengths `F` (fraction ⓐ before it is emitted).
@@ -122,10 +93,10 @@ pub struct Scratch {
     cmps: Vec<u32>,
     /// Exclusive prefix sum of `cmps` — the GS-step workspace.
     offsets: Vec<u64>,
-    /// Contiguous block ranges, one per worker.
-    ranges: Vec<(usize, usize)>,
-    /// Per-worker buffers (index parallel to `ranges`).
-    workers: Vec<WorkerScratch>,
+    /// Residuals on compression, quantization integers on decompression.
+    resid: Vec<i64>,
+    /// Per-block max residual magnitude within the current tile.
+    maxes: Vec<u64>,
 }
 
 impl Scratch {
@@ -140,21 +111,17 @@ impl Scratch {
         self.fls.capacity()
             + 4 * self.cmps.capacity()
             + 8 * self.offsets.capacity()
-            + 16 * self.ranges.capacity()
-            + self
-                .workers
-                .iter()
-                .map(|w| 8 * w.resid.capacity() + 8 * w.maxes.capacity() + w.staging.capacity())
-                .sum::<usize>()
+            + 8 * self.resid.capacity()
+            + 8 * self.maxes.capacity()
     }
 
-    /// Pre-grow every buffer a **sequential** [`compress_into`] /
-    /// [`decompress_into`] call for an `elems`-element array will touch,
-    /// so even the *first* request served with this arena performs zero
-    /// heap operations. A long-running service calls this once per
-    /// connection — at handshake time, when the tenant's declared maximum
-    /// payload is known — moving the warm-up cost off the request path
-    /// entirely (the arena lifecycle then matches the connection's).
+    /// Pre-grow every buffer a [`compress_into`] / [`decompress_into`]
+    /// call for an `elems`-element array will touch, so even the *first*
+    /// request served with this arena performs zero heap operations. A
+    /// long-running service calls this once per connection — at handshake
+    /// time, when the tenant's declared maximum payload is known — moving
+    /// the warm-up cost off the request path entirely (the arena lifecycle
+    /// then matches the connection's).
     ///
     /// Warming is monotonic like every other arena operation: warming for
     /// a smaller shape after a larger one is a no-op, and an arena warmed
@@ -177,12 +144,6 @@ impl Scratch {
         grow(&mut self.fls, num_blocks);
         grow(&mut self.cmps, num_blocks);
         grow(&mut self.offsets, num_blocks + 1);
-        if self.workers.is_empty() {
-            self.workers.resize_with(1, Default::default);
-        }
-        if self.ranges.capacity() == 0 {
-            self.ranges.reserve(1);
-        }
         // The codec grows the tile buffers to a full tile regardless of
         // the array size, so warming must match exactly — including the
         // autotuned tile size the compress path will resolve (calling
@@ -190,33 +151,8 @@ impl Scratch {
         // that cost into warm-up where it belongs).
         let level = simd::resolve_level(cfg.simd);
         let blocks_per_tile = (tune::tile_elems(T::DTYPE, level) / l).max(1);
-        let ws = &mut self.workers[0];
-        grow(&mut ws.resid, blocks_per_tile * l);
-        grow(&mut ws.maxes, blocks_per_tile);
-    }
-
-    /// Split `num_blocks` into at most `threads` contiguous non-empty
-    /// ranges, reusing the range buffer.
-    fn fill_ranges(&mut self, num_blocks: usize, threads: usize) {
-        self.ranges.clear();
-        if num_blocks == 0 {
-            return;
-        }
-        let threads = threads.min(num_blocks).max(1);
-        let per = num_blocks / threads;
-        let extra = num_blocks % threads;
-        let mut at = 0;
-        for t in 0..threads {
-            let len = per + usize::from(t < extra);
-            if len > 0 {
-                self.ranges.push((at, at + len));
-                at += len;
-            }
-        }
-        if self.workers.len() < self.ranges.len() {
-            self.workers
-                .resize_with(self.ranges.len(), Default::default);
-        }
+        grow(&mut self.resid, blocks_per_tile * l);
+        grow(&mut self.maxes, blocks_per_tile);
     }
 }
 
@@ -261,36 +197,45 @@ fn encode_block(resid: &[i64], f: u8, out: &mut [u8]) {
     }
 }
 
-/// Phase 1 for blocks `[b0, b1)`: tile-fused quantize + Lorenzo + plan +
-/// encode. Fills `fls`/`cmps` (the `(F, CmpL)` scratch table) and appends
-/// every non-zero block's payload bytes to `staging` in block order.
+/// Panic unless `cfg` and the absolute bound `eb` are usable.
+fn check_compress_args(eb: f64, cfg: CuszpConfig) {
+    cfg.validate();
+    assert!(
+        eb.is_finite() && eb > 0.0,
+        "absolute bound must be positive"
+    );
+}
+
+/// Both compression phases: tile-fused quantize + Lorenzo + plan +
+/// encode. Fills the arena's `(F, CmpL)` table for every block of `data`
+/// and appends every non-zero block's payload bytes to `out` in block
+/// order.
 ///
-/// The caller reserves `staging` from the Eq-2 dtype bound up front;
-/// here it grows only by each tile's exact `CmpL` sum (known before the
-/// tile's first staged byte), so it never reallocates once that
-/// reservation is in place. `staging` may be a private worker buffer or
-/// the final output itself (the sequential `compress_into` fast path
-/// encodes straight into the serialized stream — no placement copy).
-#[allow(clippy::too_many_arguments)]
+/// `out` grows only by each tile's exact `CmpL` sum (known before the
+/// tile's first byte is written), so it never reallocates once the
+/// caller has reserved the Eq-2 dtype bound, and a cold owned payload
+/// faults in only the pages it fills. `out` may be the serialized stream
+/// itself ([`compress_into`]): the payload is then encoded in place.
 fn plan_and_encode<T: FloatData>(
     data: &[T],
     eb: f64,
-    lorenzo: bool,
-    l: usize,
-    b0: usize,
-    fls: &mut [u8],
-    cmps: &mut [u32],
-    resid: &mut Vec<i64>,
-    maxes: &mut Vec<u64>,
-    staging: &mut Vec<u8>,
+    cfg: CuszpConfig,
     level: SimdLevel,
     tile_elems: usize,
+    scratch: &mut Scratch,
+    out: &mut Vec<u8>,
 ) {
-    let num_blocks = fls.len();
-    let blocks_per_tile = (tile_elems / l).max(1);
-    let resid = grow(resid, blocks_per_tile * l);
-    let maxes = grow(maxes, blocks_per_tile);
+    let l = cfg.block_len;
     let n = data.len();
+    let num_blocks = n.div_ceil(l);
+    if num_blocks == 0 {
+        return;
+    }
+    let blocks_per_tile = (tile_elems / l).max(1);
+    let fls = grow(&mut scratch.fls, num_blocks);
+    let cmps = grow(&mut scratch.cmps, num_blocks);
+    let resid = grow(&mut scratch.resid, blocks_per_tile * l);
+    let maxes = grow(&mut scratch.maxes, blocks_per_tile);
     let vec_f = if l == 32 {
         simd::block32_max_f(level)
     } else {
@@ -300,18 +245,18 @@ fn plan_and_encode<T: FloatData>(
     let mut i = 0;
     while i < num_blocks {
         let tile = (num_blocks - i).min(blocks_per_tile);
-        let start = (b0 + i) * l;
+        let start = i * l;
         let end = (start + tile * l).min(n);
         simd::quantize_blocks(
             level,
             &data[start..end],
             l,
             eb,
-            lorenzo,
+            cfg.lorenzo,
             &mut resid[..tile * l],
             &mut maxes[..tile],
         );
-        // Plan the whole tile first: the tile's staged size is exact
+        // Plan the whole tile first: the tile's encoded size is exact
         // before a single byte is written.
         let mut tile_cmp = 0usize;
         for (k, &max_abs) in maxes[..tile].iter().enumerate() {
@@ -321,8 +266,8 @@ fn plan_and_encode<T: FloatData>(
             cmps[i + k] = cmp;
             tile_cmp += cmp as usize;
         }
-        let mut at = staging.len();
-        staging.resize(at + tile_cmp, 0);
+        let mut at = out.len();
+        out.resize(at + tile_cmp, 0);
         for (k, &f) in fls[i..i + tile].iter().enumerate() {
             if f == 0 {
                 continue;
@@ -330,106 +275,14 @@ fn plan_and_encode<T: FloatData>(
             let cmp = cmps[i + k] as usize;
             let block = &resid[k * l..(k + 1) * l];
             if f <= vec_f {
-                simd::encode_block32(level, block, f, &mut staging[at..at + cmp]);
+                simd::encode_block32(level, block, f, &mut out[at..at + cmp]);
             } else {
-                encode_block(block, f, &mut staging[at..at + cmp]);
+                encode_block(block, f, &mut out[at..at + cmp]);
             }
             at += cmp;
         }
         i += tile;
     }
-}
-
-/// Run both compression phases into `scratch`: fills the `(F, CmpL)`
-/// table and every worker's staging bytes. Returns the total payload
-/// size (the sum of the `CmpL` column).
-fn compress_core<T: FloatData>(
-    data: &[T],
-    eb: f64,
-    cfg: CuszpConfig,
-    threads: usize,
-    scratch: &mut Scratch,
-) -> u64 {
-    cfg.validate();
-    assert!(
-        eb.is_finite() && eb > 0.0,
-        "absolute bound must be positive"
-    );
-    let l = cfg.block_len;
-    let num_blocks = data.len().div_ceil(l);
-    let threads = resolve_threads(threads);
-    let level = simd::resolve_level(cfg.simd);
-    let tile_elems = tune::tile_elems(T::DTYPE, level);
-    grow(&mut scratch.fls, num_blocks);
-    grow(&mut scratch.cmps, num_blocks);
-    scratch.fill_ranges(num_blocks, threads);
-
-    // Per-worker staging grows by each tile's exact `CmpL` sum (known
-    // before any byte of the tile is staged), so a cold buffer faults in
-    // only the pages it actually fills — reserving the Eq-2 worst case
-    // here would make every fresh-`Scratch` owned call map and fault a
-    // dtype-bound-sized region. The zero-allocation arena entry points
-    // make their own worst-case reservation on the *output* buffer,
-    // which is where the no-realloc-at-steady-state guarantee lives.
-    if scratch.ranges.len() <= 1 {
-        if num_blocks > 0 {
-            let ws = &mut scratch.workers[0];
-            ws.staging.clear();
-            plan_and_encode(
-                data,
-                eb,
-                cfg.lorenzo,
-                l,
-                0,
-                &mut scratch.fls[..num_blocks],
-                &mut scratch.cmps[..num_blocks],
-                &mut ws.resid,
-                &mut ws.maxes,
-                &mut ws.staging,
-                level,
-                tile_elems,
-            );
-        }
-    } else {
-        // Phase 1 in parallel: each worker fills its slice of the (F,
-        // CmpL) table and stages its payload fraction in its own arena.
-        let ranges = &scratch.ranges;
-        std::thread::scope(|s| {
-            let mut fl_rest = &mut scratch.fls[..num_blocks];
-            let mut cmp_rest = &mut scratch.cmps[..num_blocks];
-            for (&(b0, b1), ws) in ranges.iter().zip(scratch.workers.iter_mut()) {
-                let (fls, flr) = fl_rest.split_at_mut(b1 - b0);
-                fl_rest = flr;
-                let (cs, cr) = cmp_rest.split_at_mut(b1 - b0);
-                cmp_rest = cr;
-                s.spawn(move || {
-                    ws.staging.clear();
-                    plan_and_encode(
-                        data,
-                        eb,
-                        cfg.lorenzo,
-                        l,
-                        b0,
-                        fls,
-                        cs,
-                        &mut ws.resid,
-                        &mut ws.maxes,
-                        &mut ws.staging,
-                        level,
-                        tile_elems,
-                    )
-                });
-            }
-        });
-    }
-
-    // Global Synchronization, host edition: the sum of the CmpL column is
-    // the payload size; per-block offsets follow by prefix sum wherever a
-    // consumer needs them (decompression rebuilds them from fraction ⓐ).
-    scratch.cmps[..num_blocks]
-        .iter()
-        .map(|&c| c as u64)
-        .sum::<u64>()
 }
 
 /// Upper bound on the serialized stream size ([`compress_into`]'s output)
@@ -445,54 +298,35 @@ pub fn max_stream_bytes<T: FloatData>(elems: usize, cfg: CuszpConfig) -> usize {
     crate::format::HEADER_BYTES + num_blocks + num_blocks * worst_block
 }
 
-/// Compress `data` under an **absolute** error bound `eb`, sequentially.
+/// Compress `data` under an **absolute** error bound `eb`.
 /// Byte-identical to [`crate::host_ref::compress`].
 pub fn compress<T: FloatData>(data: &[T], eb: f64, cfg: CuszpConfig) -> Compressed {
-    compress_threaded(data, eb, cfg, 1)
-}
-
-/// Compress with `threads` workers (`0` ⇒ [`std::thread::available_parallelism`]).
-///
-/// Workers own disjoint block ranges and stage their payload fraction in
-/// block order, and the prefix-sum offsets place each staged range
-/// exactly, so the stream is **bit-identical** to the sequential path for
-/// every thread count.
-pub fn compress_threaded<T: FloatData>(
-    data: &[T],
-    eb: f64,
-    cfg: CuszpConfig,
-    threads: usize,
-) -> Compressed {
-    compress_with(&mut Scratch::new(), data, eb, cfg, threads)
+    compress_with(&mut Scratch::new(), data, eb, cfg)
 }
 
 /// Compress into an **owned** [`Compressed`] while reusing a caller
 /// arena for every intermediate buffer — what a long-lived worker (e.g.
 /// a `cuszp-pipeline` stream) runs per chunk: the only allocations left
-/// are the two output `Vec`s the result itself owns, both sized exactly.
+/// are the two output `Vec`s the result itself owns.
 pub fn compress_with<T: FloatData>(
     scratch: &mut Scratch,
     data: &[T],
     eb: f64,
     cfg: CuszpConfig,
-    threads: usize,
 ) -> Compressed {
-    let total = compress_core(data, eb, cfg, threads, scratch);
+    check_compress_args(eb, cfg);
     let num_blocks = data.len().div_ceil(cfg.block_len);
-    // One worker: the staging buffer already *is* the payload, in final
-    // byte order — move it out instead of copying (the arena regrows it
-    // on the next call, which is the one allocation an owned result
-    // needs anyway). Several workers: concatenate the staged fractions.
-    let payload = if scratch.ranges.len() == 1 {
-        std::mem::take(&mut scratch.workers[0].staging)
-    } else {
-        let mut payload = Vec::with_capacity(total as usize);
-        for ws in &scratch.workers[..scratch.ranges.len()] {
-            payload.extend_from_slice(&ws.staging);
-        }
-        payload
-    };
-    debug_assert_eq!(payload.len() as u64, total);
+    let level = simd::resolve_level(cfg.simd);
+    let mut payload = Vec::new();
+    plan_and_encode(
+        data,
+        eb,
+        cfg,
+        level,
+        tune::tile_elems(T::DTYPE, level),
+        scratch,
+        &mut payload,
+    );
     Compressed {
         num_elements: data.len() as u64,
         block_len: cfg.block_len as u32,
@@ -504,12 +338,11 @@ pub fn compress_with<T: FloatData>(
     }
 }
 
-/// Compress into a caller-owned output buffer, sequentially: `out`
-/// receives the full serialized stream (header + fraction ⓐ + payload,
-/// exactly [`Compressed::to_bytes`]' layout) and the returned
-/// [`CompressedRef`] borrows it. With a warm [`Scratch`] and a reused
-/// `out`, the call performs **zero heap allocations** — see the module
-/// docs.
+/// Compress into a caller-owned output buffer: `out` receives the full
+/// serialized stream (header + fraction ⓐ + payload, exactly
+/// [`Compressed::to_bytes`]' layout) and the returned [`CompressedRef`]
+/// borrows it. With a warm [`Scratch`] and a reused `out`, the call
+/// performs **zero heap allocations** — see the module docs.
 pub fn compress_into<'a, T: FloatData>(
     scratch: &mut Scratch,
     data: &[T],
@@ -517,28 +350,9 @@ pub fn compress_into<'a, T: FloatData>(
     cfg: CuszpConfig,
     out: &'a mut Vec<u8>,
 ) -> CompressedRef<'a> {
-    compress_into_threaded(scratch, data, eb, cfg, 1, out)
-}
-
-/// [`compress_into`] with `threads` workers (`0` ⇒ host parallelism).
-/// Bit-identical output for every thread count; per-worker arenas are
-/// reused, though thread spawning itself still allocates.
-pub fn compress_into_threaded<'a, T: FloatData>(
-    scratch: &mut Scratch,
-    data: &[T],
-    eb: f64,
-    cfg: CuszpConfig,
-    threads: usize,
-    out: &'a mut Vec<u8>,
-) -> CompressedRef<'a> {
-    cfg.validate();
-    assert!(
-        eb.is_finite() && eb > 0.0,
-        "absolute bound must be positive"
-    );
+    check_compress_args(eb, cfg);
     let l = cfg.block_len;
     let num_blocks = data.len().div_ceil(l);
-    let header_bytes = crate::format::HEADER_BYTES;
 
     // The header depends only on metadata known up front.
     let header = CompressedRef {
@@ -557,50 +371,25 @@ pub fn compress_into_threaded<'a, T: FloatData>(
     // size: capacity then depends only on the input *shape*, so a reused
     // `out` never reallocates once warm even when a later payload of the
     // same shape compresses worse than the warm-up one did.
-    let worst_block = cmp_bytes_for(T::DTYPE.max_fixed_len(), l) as usize;
-    out.reserve(header.len() + num_blocks + num_blocks * worst_block);
+    out.reserve(max_stream_bytes::<T>(data.len(), cfg));
     out.extend_from_slice(&header);
     out.resize(header.len() + num_blocks, 0); // fraction-ⓐ placeholder
 
-    let resolved = resolve_threads(threads);
+    // Encode payload bytes *directly* into the serialized stream — no
+    // staging buffer, no placement copy.
     let level = simd::resolve_level(cfg.simd);
-    let tile_elems = tune::tile_elems(T::DTYPE, level);
-    grow(&mut scratch.fls, num_blocks);
-    grow(&mut scratch.cmps, num_blocks);
-    scratch.fill_ranges(num_blocks, resolved);
-    if scratch.ranges.len() <= 1 {
-        // Sequential fast path: encode payload bytes *directly* into the
-        // serialized stream — no staging buffer, no placement copy.
-        if num_blocks > 0 {
-            let ws = &mut scratch.workers[0];
-            plan_and_encode(
-                data,
-                eb,
-                cfg.lorenzo,
-                l,
-                0,
-                &mut scratch.fls[..num_blocks],
-                &mut scratch.cmps[..num_blocks],
-                &mut ws.resid,
-                &mut ws.maxes,
-                out,
-                level,
-                tile_elems,
-            );
-        }
-        out[header.len()..header.len() + num_blocks].copy_from_slice(&scratch.fls[..num_blocks]);
-    } else {
-        // Threaded: workers stage privately (they cannot share `out`
-        // before the offsets exist), then placement concatenates.
-        let total = compress_core(data, eb, cfg, threads, scratch);
-        out[header.len()..header.len() + num_blocks].copy_from_slice(&scratch.fls[..num_blocks]);
-        for ws in &scratch.workers[..scratch.ranges.len()] {
-            out.extend_from_slice(&ws.staging);
-        }
-        debug_assert_eq!(out.len(), header.len() + num_blocks + total as usize);
-    }
+    plan_and_encode(
+        data,
+        eb,
+        cfg,
+        level,
+        tune::tile_elems(T::DTYPE, level),
+        scratch,
+        out,
+    );
+    out[header.len()..header.len() + num_blocks].copy_from_slice(&scratch.fls[..num_blocks]);
 
-    let (fixed_lengths, payload) = out[header_bytes..].split_at(num_blocks);
+    let (fixed_lengths, payload) = out[header.len()..].split_at(num_blocks);
     CompressedRef {
         num_elements: data.len() as u64,
         block_len: l as u32,
@@ -664,8 +453,9 @@ fn decode_block(payload: &[u8], f: u8, lorenzo: bool, l: usize, q: &mut [i64]) {
     }
 }
 
-/// Decode blocks `[b0, b1)` from `payload` into `out` (the slice covering
-/// elements `b0·L .. min(b1·L, N)`), block by block. Three exits:
+/// Decode blocks `[b0, b1)` of `c` into `out` (the slice covering
+/// elements `b0·L .. min(b1·L, N)`), block by block, at the payload
+/// offsets already in `scratch.offsets[b0..b1]`. Three exits:
 ///
 /// - **Zero block** (`F = 0`): `dequantize(0)` is exactly `+0.0` for both
 ///   element types, so the block is a plain fill — sparse decode
@@ -677,29 +467,25 @@ fn decode_block(payload: &[u8], f: u8, lorenzo: bool, l: usize, q: &mut [i64]) {
 ///   never exist in memory, which removes the 16 B/element scratch
 ///   round trip the old tiled decode paid.
 /// - **Portable strip codec** (everything else, including the ragged
-///   final block): decode into the worker's integer scratch, then
+///   final block): decode into the arena's integer scratch, then
 ///   dequantize that block.
-#[allow(clippy::too_many_arguments)]
 fn decode_blocks<T: FloatData>(
-    fls: &[u8],
-    offsets: &[u64],
-    payload: &[u8],
-    l: usize,
-    b0: usize,
-    n: usize,
-    eb: f64,
-    lorenzo: bool,
+    c: CompressedRef<'_>,
+    blocks: std::ops::Range<usize>,
     level: SimdLevel,
-    ws: &mut WorkerScratch,
+    scratch: &mut Scratch,
     out: &mut [T],
 ) {
+    let l = c.block_len as usize;
+    let n = c.num_elements as usize;
+    let b0 = blocks.start;
     let out_base = b0 * l;
     let vec_f = if l == 32 {
         simd::block32_max_f(level)
     } else {
         0
     };
-    for (k, &f) in fls.iter().enumerate() {
+    for (k, &f) in c.fixed_lengths[blocks].iter().enumerate() {
         let start = (b0 + k) * l;
         let end = (start + l).min(n);
         let dst = &mut out[start - out_base..end - out_base];
@@ -707,61 +493,32 @@ fn decode_blocks<T: FloatData>(
             dst.fill(T::from_f64(0.0));
             continue;
         }
-        let off = offsets[b0 + k] as usize;
-        let bytes = &payload[off..off + cmp_bytes_for(f, l) as usize];
+        let off = scratch.offsets[b0 + k] as usize;
+        let bytes = &c.payload[off..off + cmp_bytes_for(f, l) as usize];
         if f <= vec_f && dst.len() == l {
-            simd::decode_block32_to(level, bytes, f, lorenzo, eb, dst);
+            simd::decode_block32_to(level, bytes, f, c.lorenzo, c.eb, dst);
         } else {
-            let q = grow(&mut ws.resid, l);
-            decode_block(bytes, f, lorenzo, l, q);
-            simd::dequantize_slice(level, q, eb, dst);
+            let q = grow(&mut scratch.resid, l);
+            decode_block(bytes, f, c.lorenzo, l, q);
+            simd::dequantize_slice(level, q, c.eb, dst);
         }
     }
 }
 
-/// Decompress a stream sequentially. Identical output to
+/// Decompress a stream into a fresh `Vec`. Identical output to
 /// [`crate::host_ref::decompress`].
 ///
 /// # Panics
 /// Panics if the stream is structurally invalid or was compressed from a
 /// different element type than `T`.
 pub fn decompress<T: FloatData>(c: &Compressed) -> Vec<T> {
-    decompress_threaded(c, 1)
-}
-
-/// Decompress with `threads` workers (`0` ⇒ host parallelism). Blocks
-/// decode independently at Eq-2 offsets, so the output is identical for
-/// every thread count.
-pub fn decompress_threaded<T: FloatData>(c: &Compressed, threads: usize) -> Vec<T> {
-    decompress_threaded_at(c, threads, None)
-}
-
-/// [`decompress_threaded`] at an explicit dispatch tier (`None` ⇒
-/// `CUSZP_SIMD`, then runtime detection — see [`simd::resolve_level`]).
-/// The tier never changes the output, only which kernels produce it.
-pub fn decompress_threaded_at<T: FloatData>(
-    c: &Compressed,
-    threads: usize,
-    simd_level: Option<SimdLevel>,
-) -> Vec<T> {
-    let n = c.num_elements as usize;
-    let mut out: Vec<T> = Vec::with_capacity(n);
-    // SAFETY: `T` is sealed to `f32`/`f64` — plain-old-data, no drop, no
-    // invalid bit patterns — and the decoder stores to every element of
-    // the slice (every block exit — fill, fused, or strip — writes its
-    // full element range) before `set_len` makes them observable. Writing
-    // through the raw-parts slice rather than `vec![T::default(); n]`
-    // skips a full-size memset the decoder would immediately overwrite.
-    unsafe {
-        let uninit = std::slice::from_raw_parts_mut(out.as_mut_ptr(), n);
-        decompress_into_threaded_at(c.as_ref(), threads, &mut Scratch::new(), simd_level, uninit);
-        out.set_len(n);
-    }
+    let mut out = vec![T::default(); c.num_elements as usize];
+    decompress_into(c.as_ref(), &mut Scratch::new(), &mut out);
     out
 }
 
-/// Decompress into a caller-owned slice, sequentially, reusing `scratch`
-/// for the offset table and the tile buffer. With a warm arena the call
+/// Decompress into a caller-owned slice, reusing `scratch` for the
+/// offset table and the block buffer. With a warm arena the call
 /// performs **zero heap allocations**. Accepts the borrowed stream form,
 /// so a stream parsed out of a container ([`CompressedRef::parse`])
 /// decodes without its payload ever being copied.
@@ -770,21 +527,68 @@ pub fn decompress_threaded_at<T: FloatData>(
 /// Panics if the stream is structurally invalid, was compressed from a
 /// different element type than `T`, or `out.len() != num_elements`.
 pub fn decompress_into<T: FloatData>(c: CompressedRef<'_>, scratch: &mut Scratch, out: &mut [T]) {
-    decompress_into_threaded(c, 1, scratch, out)
+    decompress_into_at(c, scratch, None, out)
 }
 
 /// [`decompress_into`] at an explicit dispatch tier (`None` ⇒
-/// `CUSZP_SIMD`, then runtime detection). Output bytes are identical at
-/// every tier; this exists so callers that carry a [`CuszpConfig`] (and
-/// the per-tier test and benchmark rows) can pin decompression to the
-/// same tier as compression.
+/// `CUSZP_SIMD`, then runtime detection — see [`simd::resolve_level`]).
+/// Output bytes are identical at every tier; this exists so callers that
+/// carry a [`CuszpConfig`] (and the per-tier test and benchmark rows) can
+/// pin decompression to the same tier as compression.
 pub fn decompress_into_at<T: FloatData>(
     c: CompressedRef<'_>,
     scratch: &mut Scratch,
     simd_level: Option<SimdLevel>,
     out: &mut [T],
 ) {
-    decompress_into_threaded_at(c, 1, scratch, simd_level, out)
+    assert_eq!(c.dtype, T::DTYPE, "stream element type mismatch");
+    let n = c.num_elements as usize;
+    assert_eq!(out.len(), n, "output slice length != num_elements");
+    let l = c.block_len as usize;
+    assert!(
+        l > 0 && l.is_multiple_of(8),
+        "invalid stream: bad block length"
+    );
+    assert!(
+        c.eb.is_finite() && c.eb > 0.0,
+        "invalid stream: bad error bound"
+    );
+    let num_blocks = c.num_blocks();
+    assert_eq!(
+        c.fixed_lengths.len(),
+        num_blocks,
+        "invalid stream: fixed-length table size"
+    );
+
+    // Rebuild the offset table from fraction ⓐ via Eq 2 (Fig 2's offsets
+    // are never stored), fused with the structural validation: one scan
+    // both checks every `F` and totals the expected payload size. The
+    // exact-length check matters — block offsets are trusted for direct
+    // payload slicing below.
+    let offsets = grow(&mut scratch.offsets, num_blocks + 1);
+    let mut acc = 0u64;
+    for (dst, &f) in offsets.iter_mut().zip(c.fixed_lengths) {
+        // Hard cap of the bit-plane layout (64-bit residual magnitudes),
+        // NOT `DType::max_fixed_len()`: extreme f32 amplitude/bound
+        // combinations legitimately push F past 33.
+        assert!(f <= 64, "invalid stream: fixed length exceeds 64");
+        *dst = acc;
+        acc += cmp_bytes_for(f, l) as u64;
+    }
+    offsets[num_blocks] = acc;
+    assert_eq!(
+        acc,
+        c.payload.len() as u64,
+        "invalid stream: payload length disagrees with Eq-2 accounting"
+    );
+
+    decode_blocks(
+        c,
+        0..num_blocks,
+        simd::resolve_level(simd_level),
+        scratch,
+        out,
+    );
 }
 
 /// Decode **only** blocks `[blocks.start, blocks.end)` of a stream into
@@ -866,132 +670,14 @@ pub fn decompress_blocks_into<T: FloatData>(
         "invalid stream: payload shorter than the Eq-2 span of the requested blocks"
     );
 
-    if scratch.workers.is_empty() {
-        scratch.workers.resize_with(1, Default::default);
-    }
-    decode_blocks(
-        &c.fixed_lengths[b0..b1],
-        &scratch.offsets[..b1 + 1],
-        c.payload,
-        l,
-        b0,
-        n,
-        c.eb,
-        c.lorenzo,
-        simd::resolve_level(None),
-        &mut scratch.workers[0],
-        out,
-    );
+    decode_blocks(c, blocks, simd::resolve_level(None), scratch, out);
     span
 }
 
-/// [`decompress_into`] with `threads` workers (`0` ⇒ host parallelism).
-/// Identical output for every thread count.
-pub fn decompress_into_threaded<T: FloatData>(
-    c: CompressedRef<'_>,
-    threads: usize,
-    scratch: &mut Scratch,
-    out: &mut [T],
-) {
-    decompress_into_threaded_at(c, threads, scratch, None, out)
-}
-
-/// [`decompress_into_threaded`] at an explicit dispatch tier (`None` ⇒
-/// `CUSZP_SIMD`, then runtime detection). Identical output for every
-/// thread count *and* every tier.
-pub fn decompress_into_threaded_at<T: FloatData>(
-    c: CompressedRef<'_>,
-    threads: usize,
-    scratch: &mut Scratch,
-    simd_level: Option<SimdLevel>,
-    out: &mut [T],
-) {
-    assert_eq!(c.dtype, T::DTYPE, "stream element type mismatch");
-    let n = c.num_elements as usize;
-    assert_eq!(out.len(), n, "output slice length != num_elements");
-    let l = c.block_len as usize;
-    assert!(
-        l > 0 && l.is_multiple_of(8),
-        "invalid stream: bad block length"
-    );
-    assert!(
-        c.eb.is_finite() && c.eb > 0.0,
-        "invalid stream: bad error bound"
-    );
-    let num_blocks = c.num_blocks();
-    assert_eq!(
-        c.fixed_lengths.len(),
-        num_blocks,
-        "invalid stream: fixed-length table size"
-    );
-    let threads = resolve_threads(threads);
-
-    // Rebuild the offset table from fraction ⓐ via Eq 2 (Fig 2's offsets
-    // are never stored), fused with the structural validation: one scan
-    // both checks every `F` and totals the expected payload size. The
-    // exact-length check matters — block offsets are trusted for direct
-    // payload slicing below.
-    let offsets = grow(&mut scratch.offsets, num_blocks + 1);
-    let mut acc = 0u64;
-    for (dst, &f) in offsets.iter_mut().zip(c.fixed_lengths) {
-        // Hard cap of the bit-plane layout (64-bit residual magnitudes),
-        // NOT `DType::max_fixed_len()`: extreme f32 amplitude/bound
-        // combinations legitimately push F past 33.
-        assert!(f <= 64, "invalid stream: fixed length exceeds 64");
-        *dst = acc;
-        acc += cmp_bytes_for(f, l) as u64;
-    }
-    offsets[num_blocks] = acc;
-    assert_eq!(
-        acc,
-        c.payload.len() as u64,
-        "invalid stream: payload length disagrees with Eq-2 accounting"
-    );
-
-    let level = simd::resolve_level(simd_level);
-    scratch.fill_ranges(num_blocks, threads);
-    if scratch.ranges.len() <= 1 {
-        if num_blocks > 0 {
-            decode_blocks(
-                c.fixed_lengths,
-                &scratch.offsets[..num_blocks + 1],
-                c.payload,
-                l,
-                0,
-                n,
-                c.eb,
-                c.lorenzo,
-                level,
-                &mut scratch.workers[0],
-                out,
-            );
-        }
-    } else {
-        let offsets = &scratch.offsets[..num_blocks + 1];
-        let ranges = &scratch.ranges;
-        std::thread::scope(|s| {
-            let mut out_rest = out;
-            let mut consumed = 0usize;
-            for (&(b0, b1), ws) in ranges.iter().zip(scratch.workers.iter_mut()) {
-                let end = (b1 * l).min(n);
-                let (mine, rest) = out_rest.split_at_mut(end - consumed);
-                out_rest = rest;
-                consumed = end;
-                let fls = &c.fixed_lengths[b0..b1];
-                s.spawn(move || {
-                    decode_blocks(
-                        fls, offsets, c.payload, l, b0, n, c.eb, c.lorenzo, level, ws, mine,
-                    )
-                });
-            }
-        });
-    }
-}
-
-/// One timed phase-1 pass for the autotuner ([`crate::tune`]): plan +
+/// One timed compression pass for the autotuner ([`crate::tune`]): plan +
 /// encode a synthetic wave with the given tile size at tier `level`,
 /// best of three runs. Compression is the only tiled direction left
-/// (decode is tile-free), so phase 1 is exactly what the tile tunes.
+/// (decode is tile-free), so this is exactly what the tile tunes.
 pub(crate) fn tune_probe(dtype: crate::DType, level: SimdLevel, tile_elems: usize) -> f64 {
     fn probe<T: FloatData>(level: SimdLevel, tile_elems: usize) -> f64 {
         const N: usize = 1 << 15;
@@ -1001,27 +687,20 @@ pub(crate) fn tune_probe(dtype: crate::DType, level: SimdLevel, tile_elems: usiz
                 T::from_f64((x * 0.02).sin() * 40.0 + (x * 0.11).cos() * 3.0)
             })
             .collect();
-        let num_blocks = N / 32;
-        let mut fls = vec![0u8; num_blocks];
-        let mut cmps = vec![0u32; num_blocks];
-        let mut ws = WorkerScratch::default();
+        let mut scratch = Scratch::new();
+        let mut payload = Vec::new();
         let mut best = f64::INFINITY;
         for _ in 0..3 {
-            ws.staging.clear();
+            payload.clear();
             let t0 = std::time::Instant::now();
             plan_and_encode(
                 &data,
                 1e-3,
-                true,
-                32,
-                0,
-                &mut fls,
-                &mut cmps,
-                &mut ws.resid,
-                &mut ws.maxes,
-                &mut ws.staging,
+                CuszpConfig::default(),
                 level,
                 tile_elems,
+                &mut scratch,
+                &mut payload,
             );
             best = best.min(t0.elapsed().as_secs_f64());
         }
@@ -1046,26 +725,21 @@ mod tests {
 
     fn assert_identical(data: &[f32], eb: f64, cfg: CuszpConfig) {
         let reference = host_ref::compress(data, eb, cfg);
+        let fast = compress(data, eb, cfg);
+        assert_eq!(fast, reference, "compress");
+        let back: Vec<f32> = decompress(&fast);
+        assert_eq!(back, host_ref::decompress::<f32>(&reference), "decompress");
+        // The arena entry points, with a deliberately dirty scratch and
+        // reused output, must serialize and decode identically.
         let mut scratch = Scratch::new();
         let mut out = Vec::new();
-        for threads in [1usize, 2, 5] {
-            let fast = compress_threaded(data, eb, cfg, threads);
-            assert_eq!(fast, reference, "compress threads={threads}");
-            let back: Vec<f32> = decompress_threaded(&fast, threads);
-            assert_eq!(
-                back,
-                host_ref::decompress::<f32>(&reference),
-                "decompress threads={threads}"
-            );
-            // The arena entry points, with a deliberately dirty scratch
-            // and reused output, must serialize and decode identically.
-            let r = compress_into_threaded(&mut scratch, data, eb, cfg, threads, &mut out);
-            assert_eq!(r.to_owned(), reference, "compress_into threads={threads}");
-            assert_eq!(out, reference.to_bytes(), "serialized threads={threads}");
-            let mut into_back = vec![0f32; data.len()];
-            decompress_into_threaded(reference.as_ref(), threads, &mut scratch, &mut into_back);
-            assert_eq!(into_back, back, "decompress_into threads={threads}");
-        }
+        compress_into(&mut scratch, &wave(3 * data.len() + 77), eb, cfg, &mut out);
+        let r = compress_into(&mut scratch, data, eb, cfg, &mut out);
+        assert_eq!(r.to_owned(), reference, "compress_into");
+        assert_eq!(out, reference.to_bytes(), "serialized");
+        let mut into_back = vec![0f32; data.len()];
+        decompress_into(reference.as_ref(), &mut scratch, &mut into_back);
+        assert_eq!(into_back, back, "decompress_into");
     }
 
     #[test]
@@ -1075,7 +749,7 @@ mod tests {
 
     #[test]
     fn tail_blocks_identical() {
-        for n in [1usize, 7, 31, 32, 33, 100, 1023] {
+        for n in [1usize, 7, 31, 32, 33, 40, 100, 1023] {
             assert_identical(&wave(n), 0.005, CuszpConfig::default());
         }
     }
@@ -1120,24 +794,22 @@ mod tests {
         let num_blocks = data.len().div_ceil(32);
         let mut base: Option<(Vec<u8>, Vec<u32>, Vec<u8>)> = None;
         for tile in [256usize, 2048, 8192, 32768, 1 << 20] {
-            let mut fls = vec![0u8; num_blocks];
-            let mut cmps = vec![0u32; num_blocks];
-            let mut ws = WorkerScratch::default();
+            let mut scratch = Scratch::new();
+            let mut payload = Vec::new();
             plan_and_encode(
                 &data,
                 0.01,
-                true,
-                32,
-                0,
-                &mut fls,
-                &mut cmps,
-                &mut ws.resid,
-                &mut ws.maxes,
-                &mut ws.staging,
+                CuszpConfig::default(),
                 level,
                 tile,
+                &mut scratch,
+                &mut payload,
             );
-            let got = (fls, cmps, ws.staging);
+            let got = (
+                scratch.fls[..num_blocks].to_vec(),
+                scratch.cmps[..num_blocks].to_vec(),
+                payload,
+            );
             match &base {
                 None => base = Some(got),
                 Some(want) => assert_eq!(&got, want, "tile={tile}"),
@@ -1162,7 +834,8 @@ mod tests {
             };
             let c = compress(&data, 0.01, cfg);
             assert_eq!(c, reference, "compress at {level}");
-            let back = decompress_threaded_at::<f32>(&c, 1, Some(level));
+            let mut back = vec![0f32; data.len()];
+            decompress_into_at(c.as_ref(), &mut Scratch::new(), Some(level), &mut back);
             assert_eq!(back, full, "decompress at {level}");
         }
     }
@@ -1198,19 +871,10 @@ mod tests {
     fn f64_identical() {
         let data: Vec<f64> = (0..900).map(|i| (i as f64 * 0.013).sin() * 1e5).collect();
         let reference = host_ref::compress(&data, 0.5, CuszpConfig::default());
-        let fast = compress_threaded(&data, 0.5, CuszpConfig::default(), 3);
+        let fast = compress(&data, 0.5, CuszpConfig::default());
         assert_eq!(fast, reference);
-        let back: Vec<f64> = decompress_threaded(&fast, 3);
+        let back: Vec<f64> = decompress(&fast);
         assert_eq!(back, host_ref::decompress::<f64>(&reference));
-    }
-
-    #[test]
-    fn auto_thread_count_works() {
-        let data = wave(2048);
-        let c = compress_threaded(&data, 0.01, CuszpConfig::default(), 0);
-        assert_eq!(c, host_ref::compress(&data, 0.01, CuszpConfig::default()));
-        let back: Vec<f32> = decompress_threaded(&c, 0);
-        assert_eq!(back, host_ref::decompress::<f32>(&c));
     }
 
     #[test]
@@ -1243,11 +907,12 @@ mod tests {
 
     #[test]
     fn compress_with_matches_plain() {
-        let data = wave(9000);
+        // The second call reuses the arena dirty from a larger shape.
         let mut scratch = Scratch::new();
-        for threads in [1usize, 3] {
-            let c = compress_with(&mut scratch, &data, 0.02, CuszpConfig::default(), threads);
-            assert_eq!(c, compress(&data, 0.02, CuszpConfig::default()));
+        for n in [9000usize, 100] {
+            let data = wave(n);
+            let c = compress_with(&mut scratch, &data, 0.02, CuszpConfig::default());
+            assert_eq!(c, compress(&data, 0.02, CuszpConfig::default()), "n={n}");
         }
     }
 
@@ -1403,13 +1068,5 @@ mod tests {
         // The last block is ragged: 100 − 3·32 = 4 elements.
         let mut out = vec![0f32; 4];
         decompress_blocks_into(c.as_ref(), 3..4, &mut Scratch::new(), &mut out);
-    }
-
-    #[test]
-    fn more_threads_than_blocks() {
-        let data = wave(40); // 2 blocks
-        assert_identical(&data, 0.01, CuszpConfig::default());
-        let c = compress_threaded(&data, 0.01, CuszpConfig::default(), 16);
-        assert_eq!(c, host_ref::compress(&data, 0.01, CuszpConfig::default()));
     }
 }

@@ -19,7 +19,9 @@
 //! streams and anchors the property tests. The [`Cuszp`] host API routes
 //! through [`fast`], an optimized word-parallel codec that is
 //! byte-identical to `host_ref` but restructured as the GPU kernel's
-//! two-phase size-scan-then-write layout, with opt-in multithreading.
+//! two-phase size-scan-then-write layout. The codec itself is
+//! sequential; parallelism comes from independent work — chunks in
+//! `cuszp-pipeline`, requests in `cuszp-service`.
 //!
 //! ## Quick start
 //!
@@ -44,7 +46,6 @@
 
 #![deny(missing_docs)]
 
-pub mod archive;
 pub mod bitshuffle;
 pub mod chunked;
 pub mod config;
@@ -60,7 +61,6 @@ pub mod simd;
 pub mod tune;
 pub mod verify;
 
-pub use archive::{Archive, Entry};
 pub use chunked::{chunk_ref_iter, chunk_refs, ChunkRefIter, ChunkedCompressed, ChunkedReader};
 pub use config::{CuszpConfig, ErrorBound, SimdLevel, DEFAULT_BLOCK_LEN};
 pub use dtype::{DType, FloatData};
@@ -149,20 +149,6 @@ impl Cuszp {
         fast::compress(data, eb, self.config)
     }
 
-    /// Compress on the host with `threads` workers (`0` ⇒ host
-    /// parallelism). Bit-identical to [`Cuszp::compress`] by
-    /// construction — workers write disjoint ranges at offsets fixed by
-    /// the size prefix sum.
-    pub fn compress_threaded<T: FloatData>(
-        &self,
-        data: &[T],
-        bound: ErrorBound,
-        threads: usize,
-    ) -> Compressed {
-        let eb = self.resolve_bound(data, bound);
-        fast::compress_threaded(data, eb, self.config, threads)
-    }
-
     /// Compress into a caller-owned output buffer with a caller-owned
     /// [`Scratch`] arena — the zero-allocation steady-state entry point.
     ///
@@ -198,13 +184,9 @@ impl Cuszp {
 
     /// Decompress on the host to the stream's element type.
     pub fn decompress<T: FloatData>(&self, c: &Compressed) -> Vec<T> {
-        self.decompress_threaded(c, 1)
-    }
-
-    /// Decompress on the host with `threads` workers (`0` ⇒ host
-    /// parallelism). Identical output for every thread count.
-    pub fn decompress_threaded<T: FloatData>(&self, c: &Compressed, threads: usize) -> Vec<T> {
-        fast::decompress_threaded_at(c, threads, self.config.simd)
+        let mut out = vec![T::default(); c.num_elements as usize];
+        fast::decompress_into_at(c.as_ref(), &mut Scratch::new(), self.config.simd, &mut out);
+        out
     }
 
     /// Compress straight to serialized bytes, honoring

@@ -14,11 +14,14 @@ fn wave(n: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Run `f` and return the number of heap operations it performed.
+/// Run `f` and return the number of heap operations it performed on
+/// this thread. The code under test is sequential, so per-thread counts
+/// are exact, and tests running concurrently in this binary cannot
+/// disturb them.
 fn heap_ops_of(f: impl FnOnce()) -> u64 {
-    let before = alloc_counter::snapshot();
+    let before = alloc_counter::thread_snapshot();
     f();
-    alloc_counter::snapshot().since(&before).heap_ops()
+    alloc_counter::thread_snapshot().since(&before).heap_ops()
 }
 
 #[test]
@@ -37,8 +40,12 @@ fn second_call_allocates_nothing() {
     let mut stream = Vec::new();
     let mut restored = vec![0f32; data.len()];
 
-    // Warm-up: grows the arena and the output buffer.
-    fast::compress_into(&mut scratch, &data, 0.01, cfg, &mut stream);
+    // Warm-up: grows the arena and the output buffer — which the
+    // per-thread counter must see, or the zero checks below are vacuous.
+    let warm_ops = heap_ops_of(|| {
+        fast::compress_into(&mut scratch, &data, 0.01, cfg, &mut stream);
+    });
+    assert!(warm_ops > 0, "per-thread counter must see the warm-up");
     fast::decompress_into(
         CompressedRef::parse(&stream).expect("own output parses"),
         &mut scratch,

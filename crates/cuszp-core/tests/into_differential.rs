@@ -1,18 +1,15 @@
 //! Differential suite for the arena entry points: `compress_into` /
 //! `decompress_into` must be **byte-identical** to the owned
 //! `compress` / `decompress` API across element types, awkward tail
-//! lengths, thread counts, and — the part unique to this suite — *dirty*
-//! arenas and output buffers reused across wildly different calls.
+//! lengths, and — the part unique to this suite — *dirty* arenas and
+//! output buffers reused across wildly different calls.
 
 use cuszp_core::{fast, CompressedRef, CuszpConfig, FloatData, Scratch};
 use proptest::prelude::*;
 
-/// Sequential, threaded few/many, auto-detected.
-const THREADS: [usize; 4] = [1, 2, 5, 0];
-
 /// One arena + one output buffer per differential check, deliberately
-/// carried across every thread count so each iteration sees the previous
-/// one's leftovers.
+/// carried across two passes so the second sees the first one's
+/// leftovers.
 fn assert_into_matches_owned<T: FloatData>(
     data: &[T],
     eb: f64,
@@ -25,34 +22,32 @@ fn assert_into_matches_owned<T: FloatData>(
     let mut scratch = Scratch::new();
     let mut stream = Vec::new();
     let mut restored = vec![T::default(); data.len()];
-    for threads in THREADS {
-        let r = fast::compress_into_threaded(&mut scratch, data, eb, cfg, threads, &mut stream)
-            .to_owned();
+    for pass in 0..2 {
+        let r = fast::compress_into(&mut scratch, data, eb, cfg, &mut stream).to_owned();
         prop_assert_eq!(
             &stream,
             &owned_bytes,
-            "serialized stream differs (threads={})",
-            threads
+            "serialized stream differs (pass {})",
+            pass
         );
-        prop_assert_eq!(&r, &owned, "parsed view differs (threads={})", threads);
+        prop_assert_eq!(&r, &owned, "parsed view differs (pass {})", pass);
 
         // Decode from the ref we just produced (borrowing `stream`) and
         // from the owned struct: both must reproduce the owned output.
-        fast::decompress_into_threaded(
+        fast::decompress_into(
             CompressedRef::parse(&stream).expect("own output parses"),
-            threads,
             &mut scratch,
             &mut restored,
         );
         prop_assert_eq!(
             &restored,
             &owned_back,
-            "reconstruction differs (threads={})",
-            threads
+            "reconstruction differs (pass {})",
+            pass
         );
         // compress_with (arena-backed owned output) closes the square.
-        let with = fast::compress_with(&mut scratch, data, eb, cfg, threads);
-        prop_assert_eq!(&with, &owned, "compress_with differs (threads={})", threads);
+        let with = fast::compress_with(&mut scratch, data, eb, cfg);
+        prop_assert_eq!(&with, &owned, "compress_with differs (pass {})", pass);
     }
     Ok(())
 }

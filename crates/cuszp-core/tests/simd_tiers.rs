@@ -37,7 +37,8 @@ fn assert_tiers_match_ref<T: FloatData + Default + Copy>(
         };
         let c = fast::compress(data, eb, cfg);
         prop_assert_eq!(&c, &reference, "compress differs at {}", level);
-        let back = fast::decompress_threaded_at::<T>(&c, 1, Some(level));
+        let mut back = vec![T::default(); data.len()];
+        fast::decompress_into_at(c.as_ref(), &mut Scratch::new(), Some(level), &mut back);
         prop_assert_eq!(&back, &ref_back, "decompress differs at {}", level);
         // The arena path too, with the one scratch shared across tiers
         // (a dirty arena must never leak one tier's state into another).

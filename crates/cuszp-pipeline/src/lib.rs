@@ -302,10 +302,10 @@ fn worker_loop<T: FloatData>(
                 let input = gpu.h2d(slice);
                 cuszp_core::compress_kernel(gpu, &input, job.eb, codec).to_host(gpu)
             }
-            // Workers are already parallel across chunks, so each runs
-            // the fast codec single-threaded (byte-identical to the
-            // host_ref oracle either way), reusing this worker's arena.
-            None => fast::compress_with(&mut scratch, slice, job.eb, codec, 1),
+            // Workers are parallel across chunks; each runs the
+            // sequential fast codec (byte-identical to the host_ref
+            // oracle), reusing this worker's arena.
+            None => fast::compress_with(&mut scratch, slice, job.eb, codec),
         };
         stats.chunks += 1;
         stats.bytes_in += std::mem::size_of_val(slice) as u64;

@@ -6,9 +6,21 @@
 
 use cuszp_core::{DType, ErrorBound};
 use cuszp_service::{Client, Server, ServiceConfig, Tenant};
+use std::sync::{Mutex, MutexGuard};
 
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
+
+/// The server's threads do the work, so these tests read the
+/// process-wide counters and must not overlap: each holds this lock for
+/// its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failing test poisons the lock; `()` holds no state it could have
+    // left half-updated, so the next test may proceed.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn heap_ops_of(f: impl FnOnce()) -> u64 {
     let before = alloc_counter::snapshot();
@@ -18,6 +30,7 @@ fn heap_ops_of(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn steady_state_request_loop_is_allocation_free() {
+    let _serial = serial();
     let data: Vec<f32> = (0..16_384)
         .map(|i| (i as f32 * 0.021).sin() * 55.0 + (i as f32 * 0.0013).cos() * 7.0)
         .collect();
@@ -91,6 +104,7 @@ fn steady_state_request_loop_is_allocation_free() {
 
 #[test]
 fn hybrid_tenant_steady_state_is_allocation_free() {
+    let _serial = serial();
     // The CUSZPHY1 second stage (estimator, RLE, Huffman) writes only
     // into the connection's pre-warmed staging buffers, so a hybrid
     // tenant keeps the same zero-heap-op contract. Redundant data forces

@@ -8,10 +8,14 @@ use cuszp_store::{write_shard, CodecRegistry, Shard, StoreScratch};
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
 
+/// Run `f` and return the number of heap operations it performed on
+/// this thread. The code under test is sequential, so per-thread counts
+/// are exact, and tests running concurrently in this binary cannot
+/// disturb them.
 fn heap_ops_of(f: impl FnOnce()) -> u64 {
-    let before = alloc_counter::snapshot();
+    let before = alloc_counter::thread_snapshot();
     f();
-    alloc_counter::snapshot().since(&before).heap_ops()
+    alloc_counter::thread_snapshot().since(&before).heap_ops()
 }
 
 #[test]
@@ -32,8 +36,12 @@ fn warm_partial_reads_allocate_nothing() {
         let mut out = vec![0f32; data.len()];
 
         // Warm-up: the largest read grows the tile and the codec arena
-        // to their high-water marks.
-        shard.read_all(&registry, &mut scratch, &mut out).unwrap();
+        // to their high-water marks — which the per-thread counter must
+        // see, or the zero checks below are vacuous.
+        let warm_ops = heap_ops_of(|| {
+            shard.read_all(&registry, &mut scratch, &mut out).unwrap();
+        });
+        assert!(warm_ops > 0, "per-thread counter must see the warm-up");
 
         // Steady state: single-block, mid-shard, chunk-straddling, and
         // full reads — zero heap operations of any kind.

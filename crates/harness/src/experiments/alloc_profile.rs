@@ -127,17 +127,11 @@ fn measure(elems: usize, samples: usize) -> Row {
     };
     let run_d_alloc = || {
         // The pre-arena wire-to-values path: `from_bytes` copies the F
-        // table and the whole payload into an owned `Compressed` (the
-        // seed had no borrowed view), then decompression allocates fresh
-        // offset/tile buffers and a zero-initialized output. (Today's
-        // owned `fast::decompress` already skips the memset — that fix
-        // rides this PR too — so the seed behavior is reproduced
-        // explicitly.)
+        // table and the whole payload into an owned `Compressed` (there
+        // is no borrowed view), then the owned `fast::decompress`
+        // allocates a fresh arena and a zero-initialized output.
         let c = cuszp_core::Compressed::from_bytes(&owned_bytes).expect("stream parses");
-        let mut fresh = Scratch::new();
-        let mut v = vec![0f32; elems];
-        fast::decompress_into(c.as_ref(), &mut fresh, &mut v);
-        std::hint::black_box(&v);
+        std::hint::black_box(fast::decompress::<f32>(&c));
     };
     let run_d_into = |scratch: &mut Scratch, restored: &mut Vec<f32>| {
         // The arena wire-to-values path: parse a borrowed view (no

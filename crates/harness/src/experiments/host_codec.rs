@@ -15,10 +15,11 @@
 //! workers, the service, and the store all run — so the number is codec
 //! throughput, not allocator throughput. A supplementary
 //! `decompress_owned` row (top tier only) times the allocating
-//! [`fast::decompress`] wrapper; at 32 MiB outputs that path is
-//! dominated by glibc's mmap-threshold churn and understates the codec
-//! severalfold, which is exactly why the arena API exists (see
-//! DESIGN.md "Buffer reuse"). The JSON records which tier each row ran
+//! [`fast::decompress`] wrapper, which zero-fills a fresh output `Vec`
+//! and a fresh arena on every call; at 32 MiB outputs that path is
+//! dominated by glibc's mmap-threshold churn, page faults and the extra
+//! memset, and understates the codec severalfold, which is exactly why
+//! the arena API exists (see DESIGN.md "Buffer reuse"). The JSON records which tier each row ran
 //! at and which tiers the host actually supports — rows the host cannot
 //! run are absent, never extrapolated.
 
@@ -42,12 +43,10 @@ pub struct Row {
     pub tier: String,
     /// `host_ref` throughput, GB/s of uncompressed data.
     pub ref_gbps: f64,
-    /// Single-thread fast-codec throughput, GB/s.
+    /// Fast-codec throughput, GB/s.
     pub fast_gbps: f64,
     /// `fast_gbps / ref_gbps`.
     pub speedup: f64,
-    /// Fast codec with `available_parallelism` workers, GB/s.
-    pub fast_mt_gbps: f64,
     /// Compression ratio of the corpus (context for the rates).
     pub ratio: f64,
 }
@@ -59,8 +58,6 @@ pub struct BenchFile {
     pub experiment: String,
     /// Elements per corpus.
     pub elements: usize,
-    /// Host threads used for the `fast_mt` rows.
-    pub threads: usize,
     /// Highest SIMD tier the measuring host supports; every lower tier
     /// was also measured, so absent tiers mean the host lacks them.
     pub detected_tier: String,
@@ -68,7 +65,7 @@ pub struct BenchFile {
     pub decompress_methodology: String,
     /// All measured rows.
     pub rows: Vec<Row>,
-    /// ISSUE 3 acceptance: dense-f32 single-thread speedups (top tier).
+    /// Dense-f32 fast-codec speedup over `host_ref` (top tier).
     pub dense_f32_compress_speedup: f64,
     /// Decompression counterpart.
     pub dense_f32_decompress_speedup: f64,
@@ -132,7 +129,7 @@ fn measure<T: FloatData + Default + Copy>(
     let d_ref = best_seconds(iters, || host_ref::decompress::<T>(&stream));
 
     let mut rows = Vec::new();
-    let row = |direction: &str, tier: &str, r: f64, f: f64, mt: f64| Row {
+    let row = |direction: &str, tier: &str, r: f64, f: f64| Row {
         dtype: dtype.to_string(),
         corpus: corpus.to_string(),
         direction: direction.to_string(),
@@ -140,7 +137,6 @@ fn measure<T: FloatData + Default + Copy>(
         ref_gbps: gbps(r),
         fast_gbps: gbps(f),
         speedup: r / f,
-        fast_mt_gbps: gbps(mt),
         ratio,
     };
 
@@ -153,7 +149,6 @@ fn measure<T: FloatData + Default + Copy>(
         assert_eq!(stream, fast_stream, "fast codec must be byte-identical");
 
         let c_fast = best_seconds(iters, || fast::compress(data, eb, cfg));
-        let c_mt = best_seconds(iters, || fast::compress_threaded(data, eb, cfg, 0));
 
         // Steady-state serving path: warm arena, caller-owned output.
         let mut scratch = Scratch::new();
@@ -161,30 +156,16 @@ fn measure<T: FloatData + Default + Copy>(
         let d_fast = best_seconds(iters, || {
             fast::decompress_into_at(stream.as_ref(), &mut scratch, Some(level), &mut out)
         });
-        let d_mt = best_seconds(iters, || {
-            fast::decompress_into_threaded_at(
-                stream.as_ref(),
-                0,
-                &mut scratch,
-                Some(level),
-                &mut out,
-            )
-        });
 
         let tier = level.name();
-        rows.push(row("compress", tier, c_ref, c_fast, c_mt));
-        rows.push(row("decompress", tier, d_ref, d_fast, d_mt));
+        rows.push(row("compress", tier, c_ref, c_fast));
+        rows.push(row("decompress", tier, d_ref, d_fast));
 
         if level == detected {
             // Supplementary: the allocating wrapper, so the cost of NOT
             // using the arena path stays on the record.
-            let d_own = best_seconds(iters, || {
-                fast::decompress_threaded_at::<T>(&stream, 1, Some(level))
-            });
-            let d_own_mt = best_seconds(iters, || {
-                fast::decompress_threaded_at::<T>(&stream, 0, Some(level))
-            });
-            rows.push(row("decompress_owned", tier, d_ref, d_own, d_own_mt));
+            let d_own = best_seconds(iters, || fast::decompress::<T>(&stream));
+            rows.push(row("decompress_owned", tier, d_ref, d_own));
         }
     }
     rows
@@ -204,13 +185,10 @@ pub fn run(ctx: &Ctx) {
         Scale::Small => (1 << 22, 5),
         Scale::Medium => (1 << 24, 5),
     };
-    let threads = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1);
     let detected = simd::detect_level();
     report.line(&format!(
         "corpus: {n} elements per configuration; best of {iters} runs; \
-         {threads} host thread(s); detected SIMD tier: {detected}"
+         detected SIMD tier: {detected}"
     ));
     report.line(
         "decompress rows time the warm-arena decompress_into serving path; \
@@ -232,7 +210,6 @@ pub fn run(ctx: &Ctx) {
             "ref GB/s",
             "fast GB/s",
             "speedup",
-            "mt GB/s",
             "ratio",
         ],
         &rows
@@ -246,7 +223,6 @@ pub fn run(ctx: &Ctx) {
                     format!("{:.3}", r.ref_gbps),
                     format!("{:.3}", r.fast_gbps),
                     format!("{:.2}x", r.speedup),
-                    format!("{:.3}", r.fast_mt_gbps),
                     f2(r.ratio),
                 ]
             })
@@ -267,7 +243,6 @@ pub fn run(ctx: &Ctx) {
     let bench = BenchFile {
         experiment: "host_codec".to_string(),
         elements: n,
-        threads,
         detected_tier: detected.name().to_string(),
         decompress_methodology: "decompress rows: warm-arena decompress_into_at (the \
              pipeline/service/store serving path); decompress_owned rows: allocating \
@@ -278,7 +253,7 @@ pub fn run(ctx: &Ctx) {
         dense_f32_decompress_speedup: pick("decompress"),
     };
     report.line(&format!(
-        "dense f32 single-thread speedup at {detected}: {:.2}x compress, {:.2}x decompress",
+        "dense f32 speedup at {detected}: {:.2}x compress, {:.2}x decompress",
         bench.dense_f32_compress_speedup, bench.dense_f32_decompress_speedup
     ));
 

@@ -1,60 +1,66 @@
 //! Archive a whole dataset: compress every field of a synthetic NYX
-//! snapshot into one `.cuszpar` container, write it to disk, reload it,
-//! and verify every field — the batch workflow a simulation campaign would
-//! use for post-hoc analysis storage.
+//! snapshot into its own `cuszp-store` shard on disk, reload each shard
+//! through a memory map, and verify every field — the batch workflow a
+//! simulation campaign would use for post-hoc analysis storage.
 //!
 //! ```text
 //! cargo run --release --example archive_dataset
 //! ```
 
-use cuszp_core::{Archive, CuszpConfig, ErrorBound};
+use cuszp_core::{value_range, ErrorBound};
+use cuszp_store::{write_shard, CodecRegistry, CuszpCodec, Shard, StoreScratch};
 use datasets::{generate, DatasetId, Scale};
+
+/// Edge of the cubic chunks each shard is split into (clamped per axis).
+const CHUNK_EDGE: usize = 32;
 
 fn main() {
     let fields = generate(DatasetId::Nyx, Scale::Small);
     let bound = ErrorBound::Rel(1e-3);
+    let dir = std::env::temp_dir().join(format!("nyx_snapshot_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create archive dir");
 
-    let mut archive = Archive::new();
+    let (mut raw, mut stored) = (0u64, 0u64);
+    let mut ebs = Vec::with_capacity(fields.len());
     for field in &fields {
-        archive.push(
-            field.name.clone(),
-            field.shape.clone(),
-            &field.data,
-            bound,
-            CuszpConfig::default(),
-        );
-        let e = archive.entries.last().expect("just pushed");
+        let eb = bound.absolute(value_range(&field.data));
+        let chunk: Vec<usize> = field.shape.iter().map(|&d| d.min(CHUNK_EDGE)).collect();
+        let shard =
+            write_shard(&field.data, &field.shape, &chunk, &CuszpCodec, eb).expect("write shard");
+        std::fs::write(dir.join(format!("{}.czp", field.name)), &shard).expect("write shard file");
         println!(
             "  {:<22} {:>9} -> {:>9} bytes ({:.2}x, eb {:.3e})",
             field.name,
             field.size_bytes(),
-            e.stream.stream_bytes(),
-            field.size_bytes() as f64 / e.stream.stream_bytes() as f64,
-            e.stream.eb
+            shard.len(),
+            field.size_bytes() as f64 / shard.len() as f64,
+            eb
         );
+        raw += field.size_bytes();
+        stored += shard.len() as u64;
+        ebs.push(eb);
     }
-
-    let path = std::env::temp_dir().join("nyx_snapshot.cuszpar");
-    std::fs::write(&path, archive.to_bytes()).expect("write archive");
     println!(
-        "\narchived {} fields: {:.1} MB -> {:.1} MB ({:.2}x) at {}",
-        archive.entries.len(),
-        archive.original_bytes() as f64 / 1e6,
-        archive.stream_bytes() as f64 / 1e6,
-        archive.original_bytes() as f64 / archive.stream_bytes() as f64,
-        path.display()
+        "\narchived {} fields: {:.1} MB -> {:.1} MB ({:.2}x) in {}",
+        fields.len(),
+        raw as f64 / 1e6,
+        stored as f64 / 1e6,
+        raw as f64 / stored as f64,
+        dir.display()
     );
 
     // Reload and verify every field against its own bound.
-    let bytes = std::fs::read(&path).expect("read archive");
-    let reloaded = Archive::from_bytes(&bytes).expect("parse archive");
-    for field in &fields {
-        let restored: Vec<f32> = reloaded
-            .decompress(&field.name)
-            .expect("field present in archive");
-        let entry = reloaded.get(&field.name).expect("entry present");
+    let registry = CodecRegistry::with_defaults();
+    let mut scratch = StoreScratch::new();
+    for (field, &eb) in fields.iter().zip(&ebs) {
+        let shard =
+            Shard::open_path(&dir.join(format!("{}.czp", field.name))).expect("open shard file");
+        let mut restored = vec![0f32; shard.num_elements()];
+        shard
+            .read_all(&registry, &mut scratch, &mut restored)
+            .expect("read shard");
         assert!(
-            cuszp_core::verify::check_bound(&field.data, &restored, entry.stream.eb),
+            cuszp_core::verify::check_bound(&field.data, &restored, eb),
             "{} violated its bound after the disk round trip",
             field.name
         );
@@ -63,5 +69,5 @@ fn main() {
         "all {} fields verified within bound after reload",
         fields.len()
     );
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }

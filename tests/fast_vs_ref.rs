@@ -1,16 +1,10 @@
 //! Differential suite for the word-parallel host codec: `fast` must be
 //! **byte-identical** to `host_ref` — compressed stream and reconstructed
-//! values — across element types, block lengths, Lorenzo on/off, awkward
-//! tail lengths, and every threading mode (threaded output is identical
-//! by construction; this suite is the executable proof). Round-trips must
-//! also honor the error bound.
+//! values — across element types, block lengths, Lorenzo on/off and
+//! awkward tail lengths. Round-trips must also honor the error bound.
 
 use cuszp_repro::cuszp_core::{fast, host_ref, CuszpConfig, DType, FloatData};
 use proptest::prelude::*;
-
-/// Thread counts that exercise: sequential, the threaded path with few /
-/// many workers, and auto-detection.
-const THREADS: [usize; 4] = [1, 2, 7, 0];
 
 fn assert_fast_matches_ref<T: FloatData>(
     data: &[T],
@@ -20,23 +14,15 @@ fn assert_fast_matches_ref<T: FloatData>(
     let reference = host_ref::compress(data, eb, cfg);
     let ref_back: Vec<T> = host_ref::decompress(&reference);
 
-    for threads in THREADS {
-        let stream = fast::compress_threaded(data, eb, cfg, threads);
-        prop_assert_eq!(&stream, &reference, "stream differs (threads={})", threads);
-        prop_assert_eq!(
-            stream.to_bytes(),
-            reference.to_bytes(),
-            "serialized bytes differ (threads={})",
-            threads
-        );
-        let back: Vec<T> = fast::decompress_threaded(&stream, threads);
-        prop_assert_eq!(
-            &back,
-            &ref_back,
-            "reconstruction differs (threads={})",
-            threads
-        );
-    }
+    let stream = fast::compress(data, eb, cfg);
+    prop_assert_eq!(&stream, &reference, "stream differs");
+    prop_assert_eq!(
+        stream.to_bytes(),
+        reference.to_bytes(),
+        "serialized bytes differ"
+    );
+    let back: Vec<T> = fast::decompress(&stream);
+    prop_assert_eq!(&back, &ref_back, "reconstruction differs");
 
     // The shared reconstruction honors the bound (modulo T's rounding).
     let type_eps = match T::DTYPE {
@@ -140,10 +126,5 @@ fn non_finite_values_byte_identical() {
     data[51] = f32::NEG_INFINITY;
     let cfg = CuszpConfig::default();
     let reference = host_ref::compress(&data, 0.01, cfg);
-    for threads in THREADS {
-        assert_eq!(
-            fast::compress_threaded(&data, 0.01, cfg, threads),
-            reference
-        );
-    }
+    assert_eq!(fast::compress(&data, 0.01, cfg), reference);
 }
