@@ -482,6 +482,12 @@ fn blocks_in_chunk(num_blocks: u64, chunk_blocks: u32, c: u64) -> u64 {
 /// so a frame that parses but carries inconsistent chunk *contents*
 /// still yields a typed error, never a panic or out-of-bounds decode.
 ///
+/// Each call entropy-decodes every chunk it touches **whole**, however
+/// few of its blocks the range needs. Callers reading several nearby
+/// ranges should merge them into one call (the store merges touching
+/// rows into one run per call); decoding them one call each re-decodes
+/// the shared chunks every time.
+///
 /// # Panics
 /// Panics on API misuse only: a dtype mismatch between `T` and the
 /// frame, or an out-of-range `blocks`/`out` geometry.

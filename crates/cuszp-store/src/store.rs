@@ -7,6 +7,10 @@
 //! validates the index once, and [`Shard::read_region`] then serves
 //! arbitrary axis-aligned sub-regions touching only the chunks — and
 //! within each chunk only the codec blocks — that overlap the request.
+//! Within a chunk, consecutive intersection rows whose block ranges touch
+//! or overlap merge into one run decoded by a single codec call, so a
+//! full-width box (and `read_all`) costs one call per chunk and a
+//! boundary block shared by two rows is decoded once.
 //!
 //! The read path is **copy-free** over the shard (frames decode straight
 //! out of the borrowed bytes via each codec's `parse`, never
@@ -30,7 +34,8 @@ use std::path::Path;
 pub struct StoreScratch {
     /// Per-codec scratch (cuSZp arena; the other codecs use the stack).
     pub codec: CodecScratch,
-    /// f32 decode tile covering one run's block span (monotonic growth).
+    /// f32 decode tile covering one run's block span — at most one chunk
+    /// (monotonic growth).
     tile: Vec<f32>,
     /// f64 decode tile (same role, other element type).
     tile64: Vec<f64>,
@@ -143,8 +148,9 @@ impl StoreScratch {
 pub struct ReadStats {
     /// Chunks whose frames were opened.
     pub chunks_touched: usize,
-    /// Codec blocks decoded (duplicates counted: two runs in one chunk
-    /// may share a boundary block).
+    /// Codec blocks decoded. Within a chunk each block is counted once:
+    /// rows whose block ranges touch merge into one run, so a shared
+    /// boundary block is decoded (and counted) once.
     pub blocks_decoded: usize,
     /// Compressed payload bytes read across all `decode_blocks` calls.
     pub payload_bytes_read: usize,
@@ -337,6 +343,11 @@ impl<'a> Shard<'a> {
     /// Only chunks overlapping the region are opened, and within each
     /// chunk only the codec blocks overlapping the region's rows are
     /// decoded — the returned [`ReadStats`] account for exactly that.
+    /// Rows are decoded in runs: consecutive rows merge while the next
+    /// row's first block is at or before the run's end block, and each run
+    /// is one codec call. Full-width boxes therefore decode each chunk in
+    /// one call; boxes narrower than a row's block span keep one call per
+    /// row.
     /// With a warm `scratch` the call performs zero heap allocations.
     /// `T` must match the shard's recorded dtype
     /// ([`StoreError::DtypeMismatch`] otherwise).
@@ -473,46 +484,72 @@ impl<'a> Shard<'a> {
         let mut cstrides = [1usize; MAX_DIMS];
         c_strides(&cdim[..ndim], &mut cstrides);
 
-        let l = codec.block_len();
-        // Walk the intersection row by row (rows contiguous along the
-        // last axis in both the chunk and the output).
-        let mut lc = lo;
-        loop {
-            let mut base = 0usize;
+        // The intersection is a set of rows contiguous along the last axis
+        // in both the chunk and the output. `row` maps a row's leading
+        // coordinates to its chunk-local start and its output offset;
+        // `next_row` steps them in C order and says whether a row is left.
+        let row_len = hi[ndim - 1] - lo[ndim - 1];
+        let row = |lc: &[usize; MAX_DIMS]| {
+            let mut start = lo[ndim - 1];
             let mut out_off = corigin[ndim - 1] + lo[ndim - 1] - origin[ndim - 1];
             for i in 0..ndim - 1 {
-                base += lc[i] * cstrides[i];
+                start += lc[i] * cstrides[i];
                 out_off += (corigin[i] + lc[i] - origin[i]) * out_strides[i];
             }
-            let start = base + lo[ndim - 1];
-            let end = base + hi[ndim - 1];
+            (start, out_off)
+        };
+        let next_row = |lc: &mut [usize; MAX_DIMS]| {
+            for axis in (0..ndim - 1).rev() {
+                lc[axis] += 1;
+                if lc[axis] < hi[axis] {
+                    return true;
+                }
+                lc[axis] = lo[axis];
+            }
+            false
+        };
+
+        // One codec call per run of rows whose block ranges touch. Their
+        // union is itself a range, so a run decodes no block its rows do
+        // not cover, and a boundary block two rows share is decoded once.
+        let l = codec.block_len();
+        let mut lc = lo;
+        let mut more = true;
+        while more {
+            let run_first = lc;
+            let (start, _) = row(&lc);
             let b0 = start / l;
-            let b1 = end.div_ceil(l);
+            let mut b1 = (start + row_len).div_ceil(l);
+            let mut rows = 1usize;
+            loop {
+                more = next_row(&mut lc);
+                if !more {
+                    break;
+                }
+                let (start, _) = row(&lc);
+                if start / l > b1 {
+                    break;
+                }
+                b1 = (start + row_len).div_ceil(l);
+                rows += 1;
+            }
+
             let covered = (b1 * l).min(chunk_n) - b0 * l;
             let (tile, codec_scratch) = T::tile_and_codec(scratch, covered);
             let read =
                 T::decode_chunk_blocks(codec, frame, b0..b1, codec_scratch, &mut tile[..covered])?;
             stats.blocks_decoded += b1 - b0;
             stats.payload_bytes_read += read;
-            out[out_off..out_off + (end - start)]
-                .copy_from_slice(&tile[start - b0 * l..end - b0 * l]);
 
-            if ndim == 1 {
-                return Ok(());
-            }
-            let mut axis = ndim - 2;
-            loop {
-                lc[axis] += 1;
-                if lc[axis] < hi[axis] {
-                    break;
-                }
-                lc[axis] = lo[axis];
-                if axis == 0 {
-                    return Ok(());
-                }
-                axis -= 1;
+            let mut rc = run_first;
+            for _ in 0..rows {
+                let (start, out_off) = row(&rc);
+                let at = start - b0 * l;
+                out[out_off..out_off + row_len].copy_from_slice(&tile[at..at + row_len]);
+                next_row(&mut rc);
             }
         }
+        Ok(())
     }
 
     /// Read the whole array (`out.len()` must equal

@@ -160,3 +160,54 @@ fn warm_2d_region_reads_allocate_nothing() {
         );
     }
 }
+
+/// Merged row runs keep the contract: on a 3-D `CZH1` shard, a warm
+/// full read (one codec call per chunk), a full-width box (rows merged
+/// within each chunk) and a partial-x box (one call per row) each
+/// perform zero heap operations.
+#[test]
+fn warm_3d_hybrid_reads_allocate_nothing() {
+    let shape = [9, 70, 300];
+    let (plane, w) = (shape[1] * shape[2], shape[2]);
+    let data: Vec<f32> = (0..shape.iter().product::<usize>())
+        .map(|i| {
+            let (z, y, x) = (i / plane, i / w % shape[1], i % w);
+            ((x as f32) * 0.03).sin() * ((y as f32) * 0.09).cos() * 15.0 + z as f32
+        })
+        .collect();
+    let registry = CodecRegistry::with_defaults();
+    let codec = registry.get(*b"CZH1").unwrap();
+    let bytes = write_shard(&data, &shape, &[4, 32, 128], codec, 1e-3).unwrap();
+    let shard = Shard::open(&bytes).unwrap();
+    let mut scratch = StoreScratch::new();
+    let mut full = vec![0f32; data.len()];
+    let warm_ops = heap_ops_of(|| {
+        shard.read_all(&registry, &mut scratch, &mut full).unwrap();
+    });
+    assert!(warm_ops > 0, "per-thread counter must see the warm-up");
+
+    let mut again = vec![0f32; data.len()];
+    let ops = heap_ops_of(|| {
+        shard.read_all(&registry, &mut scratch, &mut again).unwrap();
+    });
+    assert_eq!(ops, 0, "warm 3-D read_all must not touch the heap");
+    assert_eq!(again, full);
+
+    for (name, origin, extent) in [
+        ("full-width box", [2, 10, 0], [5, 40, w]),
+        ("partial-x box", [1, 5, 20], [7, 50, 150]),
+    ] {
+        let mut region = vec![0f32; extent.iter().product()];
+        let ops = heap_ops_of(|| {
+            shard
+                .read_region(&registry, &origin, &extent, &mut scratch, &mut region)
+                .unwrap();
+        });
+        assert_eq!(ops, 0, "warm 3-D {name} read must not touch the heap");
+        for (r, row) in region.chunks(extent[2]).enumerate() {
+            let (z, y) = (origin[0] + r / extent[1], origin[1] + r % extent[1]);
+            let at = z * plane + y * w + origin[2];
+            assert_eq!(row, &full[at..at + extent[2]], "{name} row {r}");
+        }
+    }
+}

@@ -3,10 +3,14 @@
 //! **value-identical** to full-decode-then-slice — for every registered
 //! codec, including ranges straddling chunk boundaries and the ragged
 //! final block. The store-level region reader is held to the same oracle
-//! over random 2-D shards.
+//! over random 2-D shards (every registered codec) and random 3-D f64
+//! shards (the two cuSZp codecs), and its block accounting to the
+//! row-merge rule: a region never decodes more blocks than one codec call
+//! per row would, and a full read decodes each chunk's blocks exactly once.
 
 use cuszp_repro::cuszp_store::{
-    write_shard, CodecRegistry, CodecScratch, ErrorBoundedCodec, Shard, StoreScratch,
+    write_shard, CodecRegistry, CodecScratch, ErrorBoundedCodec, FormatId, Shard, ShardElement,
+    StoreScratch,
 };
 use proptest::prelude::*;
 
@@ -76,6 +80,124 @@ fn check_codec(
     Ok(())
 }
 
+/// Blocks a per-row walk decodes for the region `[origin, origin+extent)`
+/// of a shard: one block range per (row, chunk) piece, boundary blocks
+/// shared by consecutive rows counted once per row. The store's merged
+/// runs must never exceed this.
+fn per_row_blocks(
+    shape: &[usize],
+    chunk: &[usize],
+    origin: &[usize],
+    extent: &[usize],
+    l: usize,
+) -> usize {
+    let d = shape.len();
+    let rows: usize = extent[..d - 1].iter().product();
+    let mut total = 0;
+    for r in 0..rows {
+        // Leading coordinates of region row `r` (C order).
+        let mut coord = [0usize; 8];
+        let mut rem = r;
+        for i in (0..d - 1).rev() {
+            coord[i] = origin[i] + rem % extent[i];
+            rem /= extent[i];
+        }
+        let (xe, cx) = (origin[d - 1] + extent[d - 1], chunk[d - 1]);
+        let mut x = origin[d - 1];
+        while x < xe {
+            let cx0 = x / cx * cx;
+            let piece_end = xe.min(cx0 + cx);
+            // Chunk-local row base: strides of the (edge-clamped) chunk.
+            let mut base = 0;
+            let mut stride = cx.min(shape[d - 1] - cx0);
+            for i in (0..d - 1).rev() {
+                let c0 = coord[i] / chunk[i] * chunk[i];
+                base += (coord[i] - c0) * stride;
+                stride *= chunk[i].min(shape[i] - c0);
+            }
+            let (start, end) = (base + x - cx0, base + piece_end - cx0);
+            total += end.div_ceil(l) - start / l;
+            x = piece_end;
+        }
+    }
+    total
+}
+
+/// Write `data` as a shard through codec `id`, then check the store's region
+/// reader against its own full read: `read_all` decodes each chunk's
+/// blocks exactly once (Σ ⌈chunk_n / L⌉, no duplicates), and the region
+/// equals the full read's slice while decoding no more blocks than the
+/// per-row walk would.
+fn check_region<T: ShardElement + PartialEq + std::fmt::Debug>(
+    id: FormatId,
+    data: &[T],
+    shape: &[usize],
+    chunk: &[usize],
+    origin: &[usize],
+    extent: &[usize],
+    eb: f64,
+) -> Result<(), TestCaseError> {
+    let d = shape.len();
+    let registry = CodecRegistry::with_defaults();
+    let codec = registry.get(id).expect("default codec");
+    let bytes = write_shard(data, shape, chunk, codec, eb).expect("write");
+    let shard = Shard::open(&bytes).expect("open");
+    let l = codec.block_len();
+    let mut scratch = StoreScratch::new();
+    let mut full = vec![T::default(); data.len()];
+    let all = shard
+        .read_all(&registry, &mut scratch, &mut full)
+        .expect("full read");
+    let exact: usize = shard
+        .index()
+        .entries
+        .iter()
+        .map(|e| (e.num_elements as usize).div_ceil(l))
+        .sum();
+    prop_assert_eq!(
+        all.blocks_decoded,
+        exact,
+        "read_all blocks, codec {}",
+        codec.name()
+    );
+
+    let mut region = vec![T::default(); extent.iter().product()];
+    let stats = shard
+        .read_region(&registry, origin, extent, &mut scratch, &mut region)
+        .expect("region read");
+    let bound = per_row_blocks(shape, chunk, origin, extent, l);
+    prop_assert!(
+        stats.blocks_decoded <= bound,
+        "codec {}: {} blocks decoded > per-row {}",
+        codec.name(),
+        stats.blocks_decoded,
+        bound
+    );
+
+    // Compare row by row against the full read.
+    let (rx, w) = (extent[d - 1], shape[d - 1]);
+    for (r, got) in region.chunks(rx).enumerate() {
+        let mut rem = r;
+        let mut off = origin[d - 1];
+        let mut stride = w;
+        for i in (0..d - 1).rev() {
+            off += (origin[i] + rem % extent[i]) * stride;
+            rem /= extent[i];
+            stride *= shape[i];
+        }
+        prop_assert_eq!(
+            got,
+            &full[off..off + rx],
+            "codec {} row {} of region {:?}+{:?}",
+            codec.name(),
+            r,
+            origin,
+            extent
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -106,17 +228,8 @@ proptest! {
         ox in 0usize..10_000,
         ey in 1usize..10_000,
         ex in 1usize..10_000,
-        codec_pick in 0usize..3,
     ) {
         let data = signal(h * w, 10.0, 0.0);
-        let registry = CodecRegistry::with_defaults();
-        let codec = registry.codecs().nth(codec_pick).expect("three codecs");
-        let bytes = write_shard(&data, &[h, w], &[ch, cw], codec, 1e-3).expect("write");
-        let shard = Shard::open(&bytes).expect("open");
-        let mut scratch = StoreScratch::new();
-        let mut full = vec![0f32; h * w];
-        shard.read_all(&registry, &mut scratch, &mut full).expect("full read");
-
         // Clamp the random region into the shard (always non-empty, and
         // biased to straddle chunk boundaries by spanning up to the full
         // shape).
@@ -124,14 +237,40 @@ proptest! {
         let ox = ox % w;
         let ey = 1 + ey % (h - oy);
         let ex = 1 + ex % (w - ox);
-        let mut region = vec![0f32; ey * ex];
-        shard
-            .read_region(&registry, &[oy, ox], &[ey, ex], &mut scratch, &mut region)
-            .expect("region read");
-        for y in 0..ey {
-            let got = &region[y * ex..(y + 1) * ex];
-            let want = &full[(oy + y) * w + ox..(oy + y) * w + ox + ex];
-            prop_assert_eq!(got, want, "row {} of region ({},{})+({},{})", y, oy, ox, ey, ex);
+        for codec in CodecRegistry::with_defaults().codecs() {
+            let id = codec.format_id();
+            check_region(id, &data, &[h, w], &[ch, cw], &[oy, ox], &[ey, ex], 1e-3)?;
+        }
+    }
+
+    #[test]
+    fn region_reads_match_full_reads_3d_f64(
+        shape in (1usize..10, 1usize..24, 1usize..80),
+        chunk in (1usize..6, 1usize..12, 1usize..48),
+        o in (0usize..10_000, 0usize..10_000, 0usize..10_000),
+        e in (1usize..10_000, 1usize..10_000, 1usize..10_000),
+        // 0..=2: full-width rows (x spans the shape); 3: any x range.
+        full_x in 0usize..4,
+        full_y in any::<bool>(),
+    ) {
+        let shape = [shape.0, shape.1, shape.2];
+        let chunk = [chunk.0, chunk.1, chunk.2];
+        let n: usize = shape.iter().product();
+        let data: Vec<f64> = signal(n, 7.0, 3.0).iter().map(|&v| f64::from(v) * 1.001).collect();
+        let mut origin = [o.0 % shape[0], o.1 % shape[1], o.2 % shape[2]];
+        let mut extent = [
+            1 + e.0 % (shape[0] - origin[0]),
+            1 + e.1 % (shape[1] - origin[1]),
+            1 + e.2 % (shape[2] - origin[2]),
+        ];
+        if full_x < 3 {
+            (origin[2], extent[2]) = (0, shape[2]);
+            if full_y {
+                (origin[1], extent[1]) = (0, shape[1]);
+            }
+        }
+        for id in [*b"CZP1", *b"CZH1"] {
+            check_region(id, &data, &shape, &chunk, &origin, &extent, 1e-6)?;
         }
     }
 }
