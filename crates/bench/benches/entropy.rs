@@ -6,9 +6,21 @@
 //! records the end-to-end view into `BENCH_hybrid.json`, while this
 //! target isolates the kernels themselves on a fixed 4 MiB chunk-shaped
 //! corpus.
+//!
+//! A 4 MiB buffer hides per-chunk fixed costs (code-length build, decode
+//! table), which dominate at the size the store actually codes: a 64 KiB
+//! chunk of f32 becomes one entropy chunk of ~6–12 KB. The `chunk16k_*`
+//! rows therefore run on real cuSZp streams — Small Hurricane, NYX and
+//! RTM fields cut into 16 384-element pieces at a 1e-3 relative bound —
+//! and time one pass over all pieces: estimator + encode, decode, and
+//! the decode-table build alone.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cuszp_entropy::{decode_chunk, encode_chunk_at, histogram, Mode, Tier};
+use cuszp_core::{fast, value_range, CuszpConfig};
+use cuszp_entropy::{
+    build_decode_table, decode_chunk, encode_chunk_at, histogram, select_mode_at, Mode, Tier,
+};
+use datasets::{generate_subset, DatasetId, Scale};
 use std::hint::black_box;
 
 /// Skewed bytes shaped like a bit-shuffled residual plane: a few hot
@@ -33,6 +45,72 @@ fn skewed_bytes(n: usize) -> Vec<u8> {
 /// Run lengths long enough that the RLE scanner's vector path dominates.
 fn runny_bytes(n: usize) -> Vec<u8> {
     (0..n).map(|i| ((i / 300) % 7) as u8).collect()
+}
+
+/// Raw entropy chunks (fixed lengths ++ payload, as the hybrid frame
+/// stages them) of 16 384-element pieces of real fields.
+fn store_sized_chunks() -> Vec<Vec<u8>> {
+    let mut chunks = Vec::new();
+    for id in [DatasetId::Hurricane, DatasetId::Nyx, DatasetId::Rtm] {
+        for f in generate_subset(id, Scale::Small, 2) {
+            let eb = 1e-3 * value_range(&f.data);
+            for piece in f.data.chunks(16_384) {
+                let c = fast::compress(piece, eb, CuszpConfig::default());
+                let mut raw = c.fixed_lengths;
+                raw.extend_from_slice(&c.payload);
+                chunks.push(raw);
+            }
+        }
+    }
+    chunks
+}
+
+fn bench_store_sized_chunks(c: &mut Criterion) {
+    let raws = store_sized_chunks();
+    let coded: Vec<(Mode, Vec<u8>, usize)> = raws
+        .iter()
+        .map(|raw| {
+            let mut comp = Vec::new();
+            let mode = encode_chunk_at(
+                Tier::Scalar,
+                select_mode_at(Tier::Scalar, raw),
+                raw,
+                &mut comp,
+            );
+            (mode, comp, raw.len())
+        })
+        .collect();
+    let mut comp = Vec::new();
+    let mut back = vec![0u8; raws.iter().map(Vec::len).max().unwrap_or(0)];
+
+    let mut group = c.benchmark_group("entropy");
+    for tier in supported_tiers() {
+        group.bench_function(format!("chunk16k_encode_{tier}"), |b| {
+            b.iter(|| {
+                for raw in &raws {
+                    comp.clear();
+                    encode_chunk_at(tier, select_mode_at(tier, raw), black_box(raw), &mut comp);
+                }
+                black_box(comp.len())
+            })
+        });
+    }
+    group.bench_function("chunk16k_decode", |b| {
+        b.iter(|| {
+            for (mode, comp, n) in &coded {
+                decode_chunk(*mode, black_box(comp), &mut back[..*n]).expect("own chunk");
+            }
+            black_box(back[0])
+        })
+    });
+    group.bench_function("chunk16k_decode_table", |b| {
+        b.iter(|| {
+            for (mode, comp, n) in &coded {
+                build_decode_table(*mode, black_box(comp), *n).expect("own chunk");
+            }
+        })
+    });
+    group.finish();
 }
 
 fn supported_tiers() -> Vec<Tier> {
@@ -107,5 +185,5 @@ fn bench_entropy(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_entropy);
+criterion_group!(benches, bench_entropy, bench_store_sized_chunks);
 criterion_main!(benches);

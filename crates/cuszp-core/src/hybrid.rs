@@ -51,7 +51,8 @@ use crate::format::{CompressedRef, FormatError, HEADER_BYTES};
 use crate::simd::resolve_level;
 pub use cuszp_entropy::Mode;
 use cuszp_entropy::{
-    decode_chunk, encode_chunk_at, select_mode_at, Tier, HUFFMAN4_HEADER_BYTES, HUFFMAN_TABLE_BYTES,
+    decode_chunk, encode_chunk_at, select_mode_at, Tier, ENCODE_SLACK_BYTES, HUFFMAN4_HEADER_BYTES,
+    HUFFMAN_TABLE_BYTES,
 };
 
 /// Map the host codec's dispatch level onto the entropy crate's [`Tier`]
@@ -78,14 +79,19 @@ pub const TABLE_ENTRY_BYTES: usize = 9;
 /// the 9-byte table entry stays ≪ 0.1% overhead.
 pub const DEFAULT_CHUNK_BLOCKS: usize = 256;
 /// Stream bytes per chunk that [`auto_chunk_blocks`] aims for. The
-/// entropy coders pay fixed per-chunk costs — a Huffman code build plus
-/// a 12-bit decode table (~10 µs), the 128-byte lens table, `Huffman4`'s
-/// 12-byte stream-end header — so on highly compressible planes (where
-/// the cuSZp stream is 16–60× smaller than the floats) the default
-/// 256-block chunk leaves only a couple of KiB of coded work to amortize
-/// them over and table builds dominate the stage. ~32 KiB of stream per
-/// chunk pushes those costs under a few percent while keeping random
-/// access granularity reasonable.
+/// entropy coders pay fixed per-chunk costs — a Huffman code-length
+/// build on encode, a 12-bit decode table on decode, the 128-byte lens
+/// table, `Huffman4`'s 12-byte stream-end header. On the `Huffman` and
+/// `Huffman4` chunks of 16 384-element pieces of the benchmark's Medium
+/// Hurricane/NYX/RTM fields (Intel Xeon, 2 vCPUs, shared host), the
+/// code-length build takes ~5 µs (down from ~10–12 µs with a full
+/// rescan per Kraft repair step) and the decode table ~6–9 µs (down
+/// from ~12–15 µs with a per-prefix graft pass). So on highly
+/// compressible planes (where the cuSZp stream is 16–60× smaller than
+/// the floats) the default 256-block chunk leaves only a couple of KiB
+/// of coded work to amortize them over and table builds dominate the
+/// stage. ~32 KiB of stream per chunk pushes those costs under a few
+/// percent while keeping random access granularity reasonable.
 pub const AUTO_CHUNK_STREAM_BYTES: usize = 32 << 10;
 /// Ceiling for [`auto_chunk_blocks`]: even on extreme ratios a chunk
 /// never exceeds 4096 blocks (16× the default), keeping decode
@@ -146,6 +152,17 @@ impl HybridScratch {
     pub fn capacity_bytes(&self) -> usize {
         self.raw.capacity()
     }
+
+    /// The first `raw_len` bytes of the staging buffer, to decode one
+    /// chunk into. The buffer only grows, and stale bytes from earlier
+    /// chunks are left in place: every entropy decoder writes all
+    /// `raw_len` bytes when it succeeds, and a failed chunk is discarded.
+    fn chunk(&mut self, raw_len: usize) -> &mut [u8] {
+        if self.raw.len() < raw_len {
+            self.raw.resize(raw_len, 0);
+        }
+        &mut self.raw[..raw_len]
+    }
 }
 
 /// Worst-case raw bytes of one chunk: every block stores a fixed-length
@@ -156,12 +173,15 @@ fn max_chunk_raw_bytes(dtype: DType, block_len: usize, chunk_blocks: usize) -> u
 }
 
 /// Upper bound on the serialized hybrid frame for `elems` elements —
-/// what a caller should reserve to keep re-encoding allocation-free.
+/// what a caller should reserve to keep re-encoding allocation-free. It
+/// includes the [`ENCODE_SLACK_BYTES`] the entropy writers briefly use
+/// past a chunk's final size while coding it.
 pub fn max_frame_bytes<T: FloatData>(elems: usize, cfg: CuszpConfig, chunk_blocks: usize) -> usize {
     let num_blocks = elems.div_ceil(cfg.block_len);
     let chunks = num_blocks.div_ceil(chunk_blocks.max(1));
     HYBRID_HEADER_BYTES + chunks * TABLE_ENTRY_BYTES + fast::max_stream_bytes::<T>(elems, cfg)
         - HEADER_BYTES
+        + ENCODE_SLACK_BYTES
 }
 
 /// Encode `r` as a `CUSZPHY1` frame into `out` (cleared first), letting
@@ -528,16 +548,15 @@ pub fn decode_blocks_into<T: FloatData>(
         let comp = &r.payload[offset..offset + comp_len];
         offset += comp_len;
 
-        hs.raw.clear();
-        hs.raw.resize(raw_len, 0);
-        decode_chunk(mode, comp, &mut hs.raw).map_err(|e| FormatError::Entropy(e.0))?;
+        let raw = hs.chunk(raw_len);
+        decode_chunk(mode, comp, raw).map_err(|e| FormatError::Entropy(e.0))?;
 
         // Re-validate the chunk as a standalone stream before the fast
         // decoder slices payload at Eq-2 offsets.
         let chunk_first = c * k;
         let bc = blocks_in_chunk(nb as u64, r.chunk_blocks, c as u64) as usize;
         let chunk_elems = n.min((chunk_first + bc) * l) - chunk_first * l;
-        let fixed_lengths = &hs.raw[..bc];
+        let fixed_lengths = &raw[..bc];
         if fixed_lengths.iter().any(|&f| f > 64) {
             return Err(FormatError::Corrupt("fixed length exceeds 64 bits"));
         }
@@ -548,7 +567,7 @@ pub fn decode_blocks_into<T: FloatData>(
             lorenzo: r.lorenzo,
             dtype: r.dtype,
             fixed_lengths,
-            payload: &hs.raw[bc..],
+            payload: &raw[bc..],
         };
         chunk_ref.validate()?;
 
@@ -616,14 +635,13 @@ pub fn decode_stream_bytes(
         let (mode, comp_len, raw_len) = r.entry(c);
         let comp = &r.payload[offset..offset + comp_len as usize];
         offset += comp_len as usize;
-        hs.raw.clear();
-        hs.raw.resize(raw_len as usize, 0);
-        decode_chunk(mode, comp, &mut hs.raw).map_err(|e| FormatError::Entropy(e.0))?;
+        let raw = hs.chunk(raw_len as usize);
+        decode_chunk(mode, comp, raw).map_err(|e| FormatError::Entropy(e.0))?;
         let bc = blocks_in_chunk(nb as u64, r.chunk_blocks, c as u64) as usize;
-        out[fl_at..fl_at + bc].copy_from_slice(&hs.raw[..bc]);
+        out[fl_at..fl_at + bc].copy_from_slice(&raw[..bc]);
         fl_at += bc;
         let pay = raw_len as usize - bc;
-        out[pay_at..pay_at + pay].copy_from_slice(&hs.raw[bc..]);
+        out[pay_at..pay_at + pay].copy_from_slice(&raw[bc..]);
         pay_at += pay;
     }
     Ok(())
@@ -672,6 +690,58 @@ mod tests {
             let mut out = vec![0f32; data.len()];
             decode_into(&r, &mut HybridScratch::new(), &mut Scratch::new(), &mut out).unwrap();
             assert_eq!(out, plain, "forced {mode}");
+        }
+    }
+
+    #[test]
+    fn dirty_staging_buffer_decodes_like_a_fresh_one() {
+        let big = frame(&wave(200_000), 1e-3, DEFAULT_CHUNK_BLOCKS, None);
+        let data = wave(30_000);
+        for force in [None].into_iter().chain(Mode::ALL.map(Some)) {
+            let bytes = frame(&data, 1e-3, DEFAULT_CHUNK_BLOCKS, force);
+            let r = HybridRef::parse(&bytes).unwrap();
+            let nb = r.num_blocks();
+
+            // Dirty: an earlier, larger frame grew the staging buffer,
+            // and its stale bytes are all 0xA5.
+            let mut dirty = HybridScratch::new();
+            let big_r = HybridRef::parse(&big).unwrap();
+            let mut sink = vec![0f32; big_r.num_elements as usize];
+            decode_into(&big_r, &mut dirty, &mut Scratch::new(), &mut sink).unwrap();
+            dirty.raw.fill(0xA5);
+            assert!(
+                dirty.raw.len() > r.entry(0).2 as usize,
+                "buffer left longer"
+            );
+
+            for blocks in [0..nb, 3..nb / 2, nb - 1..nb] {
+                let len = data.len().min(blocks.end * 32) - blocks.start * 32;
+                let mut want = vec![0f32; len];
+                let mut got = vec![0f32; len];
+                let mut fresh = HybridScratch::new();
+                decode_blocks_into(
+                    &r,
+                    blocks.clone(),
+                    &mut fresh,
+                    &mut Scratch::new(),
+                    &mut want,
+                )
+                .unwrap();
+                decode_blocks_into(
+                    &r,
+                    blocks.clone(),
+                    &mut dirty,
+                    &mut Scratch::new(),
+                    &mut got,
+                )
+                .unwrap();
+                assert_eq!(got, want, "force {force:?} blocks {blocks:?}");
+            }
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            decode_stream_bytes(&r, &mut HybridScratch::new(), &mut want).unwrap();
+            dirty.raw.fill(0xA5);
+            decode_stream_bytes(&r, &mut dirty, &mut got).unwrap();
+            assert_eq!(got, want, "force {force:?} stream bytes");
         }
     }
 

@@ -3,7 +3,8 @@
 //! the second `compress_into` / `decompress_into` call at a given shape
 //! must perform **zero** heap operations.
 
-use cuszp_core::{fast, CompressedRef, CuszpConfig, Scratch};
+use cuszp_core::hybrid::{self, HybridRef, HybridScratch, Mode};
+use cuszp_core::{fast, simd, CompressedRef, CuszpConfig, Scratch};
 
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
@@ -142,6 +143,45 @@ fn warmed_arena_makes_even_the_first_call_free() {
         );
     });
     assert_eq!(first_decompress, 0, "warmed first decompress must be free");
+}
+
+#[test]
+fn warmed_hybrid_encode_is_free_from_the_first_call() {
+    // The Huffman writers briefly grow the frame past each chunk's final
+    // size (padded stream regions); `max_frame_bytes` covers that slack,
+    // so a frame buffer reserved to it never reallocates — on the first
+    // encode, in every coded mode.
+    let cfg = CuszpConfig::default();
+    let data = wave(40_000);
+    let stream = fast::compress(&data, 0.01, cfg);
+    let r = stream.as_ref();
+    let chunk = hybrid::DEFAULT_CHUNK_BLOCKS;
+    // Resolved up front: reading `CUSZP_SIMD` allocates (the entropy
+    // tier caches its own read on first use).
+    let level = simd::resolve_level(None);
+    hybrid::entropy_tier(level);
+    for force in [
+        None,
+        Some(Mode::Huffman),
+        Some(Mode::Huffman4),
+        Some(Mode::Rle),
+    ] {
+        let mut hs = HybridScratch::new();
+        hs.warm_for::<f32>(data.len(), cfg, chunk);
+        let mut frame = Vec::with_capacity(hybrid::max_frame_bytes::<f32>(data.len(), cfg, chunk));
+        let ops =
+            heap_ops_of(|| hybrid::encode_with_at(&r, chunk, force, level, &mut hs, &mut frame));
+        assert_eq!(
+            ops, 0,
+            "warmed first hybrid encode ({force:?}) must be free"
+        );
+        let modes = HybridRef::parse(&frame)
+            .expect("own frame parses")
+            .mode_histogram();
+        if let Some(m) = force {
+            assert!(modes[m.to_byte() as usize] > 0, "{m} must stick: {modes:?}");
+        }
+    }
 }
 
 #[test]

@@ -254,3 +254,82 @@ fn huffman4_frame_corruption_is_typed_on_every_prefix() {
         }
     }
 }
+
+/// FNV-1a 64 folded over `bytes`, continuing from `h`.
+fn fnv64(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Xorshift bytes skewed like a bit-shuffled residual plane: mostly
+/// zeros, a few small values, a sparse tail of wide ones. Seeded by the
+/// length, so each length is its own input.
+fn skewed_chunk(len: usize) -> Vec<u8> {
+    let mut s = 0x9E37_79B9_7F4A_7C15u64 ^ len as u64;
+    (0..len)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let b = (s >> 32) as u8;
+            match b {
+                0..=159 => 0,
+                160..=229 => b & 3,
+                _ => b & 0x3F,
+            }
+        })
+        .collect()
+}
+
+/// Forced `mode` chunks over every length in `lens` at entropy `tier`,
+/// folded into one fingerprint: `(FNV-64 over mode byte ++ raw length ++
+/// coded bytes per chunk, total coded bytes)`.
+fn chunk_fingerprint(
+    tier: cuszp_entropy::Tier,
+    mode: Mode,
+    lens: std::ops::RangeInclusive<usize>,
+) -> (u64, usize) {
+    let (mut h, mut total) = (FNV_OFFSET, 0usize);
+    let mut comp = Vec::new();
+    for len in lens {
+        let raw = skewed_chunk(len);
+        comp.clear();
+        let used = cuszp_entropy::encode_chunk_at(tier, mode, &raw, &mut comp);
+        h = fnv64(h, &[used.to_byte()]);
+        h = fnv64(h, &(len as u32).to_le_bytes());
+        h = fnv64(h, &comp);
+        total += comp.len();
+    }
+    (h, total)
+}
+
+/// Forced `Huffman` and `Huffman4` chunks reproduce fingerprints taken
+/// from the previous encoder (per-symbol writes, four strided passes,
+/// rescan repair) at every supported tier. The length ranges hit every
+/// remainder of the 4-symbol groups of the one-stream writer and of the
+/// 16-byte groups of the interleaved one, around both the 4 KiB
+/// `Huffman4` floor and 8 KiB; lengths below the 128-byte table fall
+/// back to `Pass`, which the fingerprints cover too.
+#[test]
+fn huffman_chunks_match_previous_encoder_fingerprints() {
+    let want: [(Mode, std::ops::RangeInclusive<usize>, (u64, usize)); 6] = [
+        (Mode::Huffman, 1..=64, (0xb8935a37f8f67bff, 2080)),
+        (Mode::Huffman, 4090..=4110, (0x2790632dae123d80, 25259)),
+        (Mode::Huffman, 8192..=8208, (0x3b57f510e0c7e0c1, 38631)),
+        (Mode::Huffman4, 1..=64, (0xb8935a37f8f67bff, 2080)),
+        (Mode::Huffman4, 4090..=4110, (0xaede529fbd1a1452, 25536)),
+        (Mode::Huffman4, 8192..=8208, (0x5b49af291b823b68, 38857)),
+    ];
+    for level in supported_tiers() {
+        let tier = hybrid::entropy_tier(level);
+        for (mode, lens, fp) in &want {
+            let got = chunk_fingerprint(tier, *mode, lens.clone());
+            assert_eq!(got, *fp, "tier {tier} mode {mode} lengths {lens:?}");
+        }
+    }
+}

@@ -10,19 +10,40 @@
 //! table is the entire header and encoder and decoder can never disagree
 //! on code values.
 //!
-//! The builder is the classic two-queue merge over frequency-sorted
-//! leaves (linear after the sort), followed by a Kraft-sum repair that
-//! deepens the longest under-limit code until the capped lengths are
-//! prefix-decodable again. Everything runs in fixed-size stack arrays —
-//! no allocation, no recursion.
+//! Hybrid chunks are small (a 64 KiB store chunk becomes one entropy
+//! chunk of ~6–12 KB), so every per-chunk fixed cost and every
+//! per-symbol instruction shows up in end-to-end write and read times.
+//! Each stage is shaped for that size:
 //!
-//! The decoder uses a **multi-symbol** table (Fabian Giesen's
-//! "reading bits in far too many ways" construction): each 12-bit prefix
-//! entry carries up to two decoded symbols when both codes fit the
-//! window, so skewed chunks — short codes, exactly the ones the
-//! estimator routes here — emit two bytes per table hit. The same table
-//! drives the four interleaved streams of [`crate::Mode::Huffman4`]
-//! (see `interleave.rs`).
+//! * **Code lengths.** The builder orders the symbols by `(freq,
+//!   symbol)` — a counting sort for the many rare symbols, a sort of
+//!   packed `freq << 16 | symbol` keys for the few common ones — and
+//!   runs the classic two-queue merge (linear after the sort, with a
+//!   select instead of a branch picking each front).
+//!   Capping at 12 bits can overfill the Kraft sum; the repair then
+//!   deepens the longest under-limit code, lowest symbol first, until
+//!   the lengths are prefix-decodable again. Per-length counts and
+//!   256-bit membership sets make each repair step O(1) — a walk down
+//!   at most 11 lengths and one trailing-zero count — instead of a
+//!   rescan of all 256 lengths, and pick exactly the symbol such a
+//!   rescan would. Everything runs in fixed-size stack arrays — no
+//!   allocation, no recursion.
+//! * **Writer.** [`WideWriter`] joins the codes of four symbols (≤ 48
+//!   bits) into one branchless 8-byte store instead of storing once per
+//!   symbol; the ≤ 7 bits still pending from earlier stores fit beside
+//!   them in the `u64`.
+//! * **Decode table.** Built in one pass over the codes in canonical
+//!   order, writing every entry once and reading none: each code's run
+//!   of prefixes starts with the two-symbol entries for the codes that
+//!   fit after it, then the one-symbol entry fills the rest of the run.
+//! * **Decoder.** A **multi-symbol** table (Fabian Giesen's "reading
+//!   bits in far too many ways" construction): each 12-bit prefix entry
+//!   carries up to two decoded symbols when both codes fit the window, so
+//!   skewed chunks — short codes, exactly the ones the estimator routes
+//!   here — emit two bytes per table hit. One branchless refill buys
+//!   ≥ 56 bits, enough for four lookups, so the loop refills once per
+//!   four lookups. The same table drives the four interleaved streams of
+//!   [`crate::Mode::Huffman4`] (see `interleave.rs`).
 
 use crate::{histogram, EntropyError, Tier};
 
@@ -55,19 +76,69 @@ pub(crate) fn encode(tier: Tier, raw: &[u8], out: &mut Vec<u8>) -> bool {
         return false;
     }
 
-    out.reserve(coded as usize + 7);
+    out.reserve(coded as usize + WRITE_SLACK);
     push_lens_table(&lens, out);
-    let codes = assign_codes(&lens);
+    let book = Codebook::new(&lens);
     let base = out.len();
     let stream = coded as usize - HUFFMAN_TABLE_BYTES;
-    out.resize(base + stream + 7, 0); // 7 bytes of WideWriter slack
+    out.resize(base + stream + WRITE_SLACK, 0);
+    let buf = &mut out[..];
     let mut w = WideWriter::at(base);
-    for &b in raw {
-        w.put(lens[b as usize], codes[b as usize], out);
+    let mut quads = raw.chunks_exact(4);
+    for q in &mut quads {
+        let (bits, len) = book.join4(q[0], q[1], q[2], q[3]);
+        w.put(bits, len, buf);
     }
-    debug_assert_eq!(w.end(), base + stream, "coded size precomputation");
+    for &b in quads.remainder() {
+        let (bits, len) = book.code(b);
+        w.put(bits, len, buf);
+    }
+    // A wrong size precomputation would emit a bad chunk; one compare
+    // per chunk keeps that loud in release builds too.
+    assert_eq!(w.end(), base + stream, "coded size precomputation");
     out.truncate(base + stream);
     true
+}
+
+/// Bytes a [`WideWriter`] region needs past its stream's end: a store
+/// runs at most 7 bytes past the final (partial) byte, and 8 keeps the
+/// padding a whole word.
+pub(crate) const WRITE_SLACK: usize = 8;
+
+/// Encoder view of the canonical code: one `code << 4 | len` entry per
+/// symbol, so a symbol's code and length come from one load.
+pub(crate) struct Codebook {
+    entries: [u32; 256],
+}
+
+impl Codebook {
+    pub(crate) fn new(lens: &[u8; 256]) -> Codebook {
+        let codes = assign_codes(lens);
+        Codebook {
+            entries: std::array::from_fn(|s| u32::from(codes[s]) << 4 | u32::from(lens[s])),
+        }
+    }
+
+    /// One symbol's code (right-aligned) and length.
+    #[inline(always)]
+    pub(crate) fn code(&self, b: u8) -> (u64, u32) {
+        let e = self.entries[b as usize];
+        (u64::from(e >> 4), e & 0xF)
+    }
+
+    /// The codes of `a, b, c, d` joined in that order (≤ 48 bits,
+    /// right-aligned) and their total length. The two halves join
+    /// independently, so the chain is two shifts deep, not three.
+    #[inline(always)]
+    pub(crate) fn join4(&self, a: u8, b: u8, c: u8, d: u8) -> (u64, u32) {
+        let (ca, la) = self.code(a);
+        let (cb, lb) = self.code(b);
+        let (cc, lc) = self.code(c);
+        let (cd, ld) = self.code(d);
+        let hi = ca << lb | cb;
+        let lo = cc << ld | cd;
+        (hi << (lc + ld) | lo, la + lb + lc + ld)
+    }
 }
 
 /// Append the packed-nibble form of `lens` (low nibble = even symbol).
@@ -117,61 +188,71 @@ pub(crate) struct DecodeTable {
 }
 
 impl DecodeTable {
-    /// Outputs below this many bytes skip the two-symbol graft pass:
-    /// the graft costs a full sweep of the 4096-entry table, which only
-    /// pays for itself once the symbol loop it accelerates is longer
-    /// than the sweep. Tables with and without the graft decode to
-    /// identical bytes — the flag trades build time against per-lookup
-    /// yield, never output.
+    /// Outputs below this many bytes skip the two-symbol graft: it costs
+    /// a step per pair of codes that fit the window together (hundreds
+    /// on skewed chunks), which only pays for itself once the symbol
+    /// loop it accelerates is long enough. Tables with and without the
+    /// graft decode to identical bytes — the flag trades build time
+    /// against per-lookup yield, never output.
     pub(crate) const GRAFT_MIN_SYMBOLS: usize = 4096;
 
     /// Build the table from validated lengths (Kraft ≤ 1, all ≤ 12).
-    /// `two_symbol` enables the multi-symbol graft pass.
+    /// `two_symbol` enables the two-symbol graft.
     pub(crate) fn build(lens: &[u8; 256], two_symbol: bool) -> Result<DecodeTable, EntropyError> {
+        // The coded symbols in canonical `(length, symbol)` order, by a
+        // counting sort on the length.
+        let mut at = [0usize; LIMIT as usize + 1];
+        for &l in lens.iter().filter(|&&l| (1..LIMIT).contains(&l)) {
+            at[l as usize + 1] += 1;
+        }
+        for l in 1..=LIMIT as usize {
+            at[l] += at[l - 1];
+        }
+        let mut order = [0u8; 256];
+        let mut coded = 0usize;
+        for (s, &l) in lens.iter().enumerate().filter(|&(_, &l)| l > 0) {
+            order[at[l as usize]] = s as u8;
+            at[l as usize] += 1;
+            coded += 1;
+        }
+        let order = &order[..coded];
         let codes = assign_codes(lens);
+
+        // Each code owns the run of prefixes it starts. With the graft,
+        // the run splits in two. After the first code c1 (l1 bits), the
+        // window's other 12 − l1 bits start with a second code c2 (l2
+        // bits) exactly on the prefixes `c1 ++ c2 ++ x`, 2^(12 − l1 − l2)
+        // of them. Canonical codes taken in order tile their range from
+        // zero without gaps, so the second codes that fit (shortest
+        // first) fill the head of the run back to back, each with a
+        // two-symbol entry. The tail — second codes too long for the
+        // window, or prefixes no code starts — keeps the one-symbol
+        // entry. Every entry is written once and none is read.
+        let shortest = order.first().map_or(0, |&s| u32::from(lens[s as usize]));
         let mut entries = [0u32; TABLE_SIZE];
-        for s in 0..256 {
-            let l = lens[s];
-            if l == 0 {
-                continue;
-            }
-            let span = 1usize << (LIMIT - l);
-            let base = (codes[s] as usize) << (LIMIT - l);
+        for &s1 in order {
+            let l1 = u32::from(lens[s1 as usize]);
+            let room = HUFFMAN_MAX_CODE_LEN - l1;
+            let base = (codes[s1 as usize] as usize) << room;
+            let end = base + (1 << room);
             // Kraft ≤ 1 guarantees canonical codes fit; belt and braces.
-            if base + span > TABLE_SIZE {
+            if end > TABLE_SIZE {
                 return Err(EntropyError("huffman table overfull"));
             }
-            let e = s as u32 | u32::from(l) << 16 | u32::from(l) << 20;
-            entries[base..base + span].fill(e);
-        }
-        if !two_symbol {
-            return Ok(DecodeTable { entries });
-        }
-        // Second pass: graft a second symbol onto every prefix whose
-        // first code leaves room for a complete follow-up code. The
-        // augmentation only reads the sym0/len0 fields, which it never
-        // modifies, so it can run in place.
-        for p in 0..TABLE_SIZE {
-            let e = entries[p];
-            if e == 0 {
-                continue;
+            let mut at = base;
+            if two_symbol && room >= shortest {
+                let head = u32::from(s1) | l1 << 16 | 1 << 25;
+                for &s2 in order {
+                    let l2 = u32::from(lens[s2 as usize]);
+                    if l2 > room {
+                        break;
+                    }
+                    let run = 1 << (room - l2);
+                    entries[at..at + run].fill(head | u32::from(s2) << 8 | (l1 + l2) << 20);
+                    at += run;
+                }
             }
-            let l1 = (e >> 16) & 0xF;
-            if l1 >= HUFFMAN_MAX_CODE_LEN {
-                continue;
-            }
-            // After consuming l1 bits, the known remainder of the window
-            // is its low 12−l1 bits, zero-extended: a second entry whose
-            // code length fits that remainder is fully determined.
-            let p2 = (p << l1) & (TABLE_SIZE - 1);
-            let e2 = entries[p2];
-            if e2 == 0 {
-                continue;
-            }
-            let l2 = (e2 >> 16) & 0xF;
-            if l1 + l2 <= HUFFMAN_MAX_CODE_LEN {
-                entries[p] = (e & 0x000F_00FF) | (e2 & 0xFF) << 8 | (l1 + l2) << 20 | 1 << 25;
-            }
+            entries[at..end].fill(u32::from(s1) | l1 << 16 | l1 << 20);
         }
         Ok(DecodeTable { entries })
     }
@@ -187,44 +268,46 @@ impl DecodeTable {
 /// is bit 63) and every `put` unconditionally stores 8 big-endian
 /// bytes, so the hot path has no data-dependent flush branch — the
 /// branch in the classic accumulate-and-flush writer mispredicts on
-/// real code-length mixes and dominates encode time. A store may run up
-/// to 7 bytes past the write cursor; the spilled bytes are always zero
-/// (only counted bits are nonzero in `acc`), so callers need only
-/// guarantee 7 bytes of slack after the region — either the next
-/// stream's region, written afterwards, or buffer padding truncated at
-/// the end.
+/// real code-length mixes and dominates encode time. A `put` takes up
+/// to 48 bits, the joined codes of four symbols, so one store serves
+/// four symbols: after a store at most 7 bits stay pending, and
+/// 7 + 48 bits fit the `u64`. A store may run up to 7 bytes past the
+/// stream's final byte; callers keep [`WRITE_SLACK`] bytes of padding
+/// after each region and drop or overwrite it once the stream is done.
 pub(crate) struct WideWriter {
     acc: u64,
-    have: u32,
-    pos: usize,
+    /// Bit cursor: `bit / 8` is the byte the next store starts at, and
+    /// `bit % 8` bits of that byte are pending in `acc`.
+    bit: usize,
 }
 
 impl WideWriter {
     pub(crate) fn at(pos: usize) -> WideWriter {
         WideWriter {
             acc: 0,
-            have: 0,
-            pos,
+            bit: 8 * pos,
         }
     }
 
+    /// Append the `len` low bits of `bits` (1 ≤ `len` ≤ 48).
     #[inline(always)]
-    pub(crate) fn put(&mut self, len: u8, code: u16, out: &mut [u8]) {
-        debug_assert!((1..=LIMIT).contains(&len), "coded symbols have a length");
-        // have ≤ 7 between puts and len ≤ 12, so the shift is ≥ 45.
-        self.acc |= u64::from(code) << (64 - self.have - u32::from(len));
-        self.have += u32::from(len);
-        out[self.pos..self.pos + 8].copy_from_slice(&self.acc.to_be_bytes());
-        let adv = self.have >> 3;
-        self.pos += adv as usize;
-        self.acc <<= adv * 8;
-        self.have &= 7;
+    pub(crate) fn put(&mut self, bits: u64, len: u32, out: &mut [u8]) {
+        debug_assert!((1..=48).contains(&len), "one to four codes per put");
+        debug_assert!(bits >> len == 0, "bits above the length");
+        // ≤ 7 bits pending and len ≤ 48, so the shift is ≥ 9.
+        let have = (self.bit & 7) as u32;
+        self.acc |= bits << (64 - have - len);
+        let pos = self.bit / 8;
+        out[pos..pos + 8].copy_from_slice(&self.acc.to_be_bytes());
+        // Drop the bytes this store completed; the partial one stays.
+        self.acc <<= (have + len) & !7;
+        self.bit += len as usize;
     }
 
     /// One past the final (possibly partial, zero-padded) byte — the
     /// partial byte is already stored by the last `put`.
     pub(crate) fn end(&self) -> usize {
-        self.pos + usize::from(self.have > 0)
+        self.bit.div_ceil(8)
     }
 }
 
@@ -310,9 +393,9 @@ pub(crate) fn decode(comp: &[u8], out: &mut [u8]) -> Result<(), EntropyError> {
     let tab = DecodeTable::build(&lens, out.len() >= DecodeTable::GRAFT_MIN_SYMBOLS)?;
 
     // Fast path: branchless refill (Fabian Giesen's variant — one
-    // unconditional 8-byte big-endian load per lookup, accumulator kept
-    // left-aligned) and an unconditional two-byte store. The refill
-    // branch and the 1-vs-2-symbol branch are data-dependent and
+    // unconditional 8-byte big-endian load, accumulator kept
+    // left-aligned) and an unconditional two-byte store per lookup. The
+    // refill branch and the 1-vs-2-symbol branch are data-dependent and
     // mispredict constantly in the careful loop below; here the only
     // branches are the loop bounds (always-taken) and the rare invalid
     // code. Entries consume `ltot` ≤ 12 bits whether they carry one
@@ -323,21 +406,43 @@ pub(crate) fn decode(comp: &[u8], out: &mut [u8]) -> Result<(), EntropyError> {
     let mut have: u32 = 0;
     let mut next = 0usize;
     let mut o = 0usize;
+    macro_rules! refill {
+        () => {{
+            let w = u64::from_be_bytes(bits[next..next + 8].try_into().expect("bounds checked"));
+            acc |= w >> have;
+            next += ((63 - have) >> 3) as usize;
+            have |= 56;
+        }};
+    }
+    macro_rules! lookup {
+        () => {{
+            let e = tab.entry((acc >> (64 - HUFFMAN_MAX_CODE_LEN)) as usize);
+            if e == 0 {
+                return Err(EntropyError("invalid huffman code"));
+            }
+            let ltot = (e >> 20) & 0x1F;
+            out[o] = e as u8;
+            out[o + 1] = (e >> 8) as u8;
+            o += 1 + ((e >> 25) & 1) as usize;
+            acc <<= ltot;
+            have -= ltot;
+        }};
+    }
+    // Wide rounds: a refill leaves ≥ 56 bits and a lookup consumes
+    // ≤ 12, so four lookups run per refill (before lookup j at least
+    // 56 − 12j ≥ 20 bits remain), and the next lookup's address no
+    // longer waits on a load. `o + 8 ≤ n` keeps all four two-byte
+    // stores in bounds (each lookup advances `o` by ≤ 2).
+    while o + 8 <= n && next + 8 <= bits.len() {
+        refill!();
+        lookup!();
+        lookup!();
+        lookup!();
+        lookup!();
+    }
     while o + 1 < n && next + 8 <= bits.len() {
-        let w = u64::from_be_bytes(bits[next..next + 8].try_into().expect("bounds checked"));
-        acc |= w >> have;
-        next += ((63 - have) >> 3) as usize;
-        have |= 56;
-        let e = tab.entry((acc >> (64 - HUFFMAN_MAX_CODE_LEN)) as usize);
-        if e == 0 {
-            return Err(EntropyError("invalid huffman code"));
-        }
-        let ltot = (e >> 20) & 0x1F;
-        out[o] = e as u8;
-        out[o + 1] = (e >> 8) as u8;
-        o += 1 + ((e >> 25) & 1) as usize;
-        acc <<= ltot;
-        have -= ltot;
+        refill!();
+        lookup!();
     }
 
     // Careful tail: byte-accurate refill, exact end-of-stream checks.
@@ -379,46 +484,39 @@ pub(crate) fn decode(comp: &[u8], out: &mut [u8]) -> Result<(), EntropyError> {
 /// Optimal code lengths for `freq`, then capped to [`LIMIT`] with a
 /// Kraft-sum repair. Zero-frequency symbols get length 0.
 pub(crate) fn build_lengths(freq: &[u32; 256], lens: &mut [u8; 256]) {
-    let mut leaves = [(0u32, 0u16); 256];
-    let mut n = 0usize;
-    for (s, &f) in freq.iter().enumerate() {
-        if f > 0 {
-            leaves[n] = (f, s as u16);
-            n += 1;
-        }
-    }
+    let (keys, n) = sorted_leaves(freq);
     if n == 0 {
         return;
     }
     if n == 1 {
-        lens[leaves[0].1 as usize] = 1;
+        lens[keys[0] as u16 as usize] = 1;
         return;
     }
-    leaves[..n].sort_unstable();
 
     // Two-queue merge: leaves ascending in 0..n, internal nodes appended
     // in creation (hence weight) order — both queues stay sorted, so the
-    // two global minima are always at one of the two fronts.
+    // two global minima are always at one of the two fronts. Which front
+    // wins is data-dependent, so the choice is a select, not a branch.
     let total = 2 * n - 1;
     let mut weight = [0u64; 511];
     let mut parent = [0u16; 511];
-    for (i, &(f, _)) in leaves[..n].iter().enumerate() {
-        weight[i] = u64::from(f);
+    for (w, &k) in weight.iter_mut().zip(&keys[..n]) {
+        *w = k >> 16;
     }
     let mut leaf = 0usize;
     let mut node = n;
     for next in n..total {
-        let mut take = |next: usize| {
-            if leaf < n && (node >= next || weight[leaf] <= weight[node]) {
-                leaf += 1;
-                leaf - 1
-            } else {
-                node += 1;
-                node - 1
-            }
+        let mut take = || {
+            // `leaf ≤ n` and `node ≤ next` keep both reads in bounds; a
+            // read past a queue's end is masked by its guard.
+            let from_leaf = (leaf < n) & ((node >= next) | (weight[leaf] <= weight[node]));
+            let i = if from_leaf { leaf } else { node };
+            leaf += usize::from(from_leaf);
+            node += usize::from(!from_leaf);
+            i
         };
-        let a = take(next);
-        let b = take(next);
+        let a = take();
+        let b = take();
         weight[next] = weight[a] + weight[b];
         parent[a] = next as u16;
         parent[b] = next as u16;
@@ -428,30 +526,74 @@ pub(crate) fn build_lengths(freq: &[u32; 256], lens: &mut [u8; 256]) {
     for i in (0..total - 1).rev() {
         depth[i] = depth[parent[i] as usize] + 1;
     }
-    for (i, &(_, s)) in leaves[..n].iter().enumerate() {
-        lens[s as usize] = depth[i].min(LIMIT);
+
+    // Cap at the limit, recording each code in its length's count and
+    // 256-bit membership set (the sets at the limit itself go unused).
+    let mut count = [0u32; LIMIT as usize + 1];
+    let mut members = [[0u64; 4]; LIMIT as usize + 1];
+    let mut kraft = 0u64;
+    for (&d, &k) in depth.iter().zip(&keys[..n]) {
+        let s = k as u16 as usize;
+        let l = d.min(LIMIT);
+        lens[s] = l;
+        kraft += 1u64 << (LIMIT - l);
+        count[l as usize] += 1;
+        members[l as usize][s >> 6] |= 1u64 << (s & 63);
     }
 
     // Capping can overfill the Kraft sum; deepen the longest under-limit
-    // code until Σ 2^(LIMIT−len) ≤ 2^LIMIT again. Each step frees
-    // 2^(LIMIT−l−1), and while overfull some code sits below the limit,
-    // so this terminates with prefix-decodable lengths.
-    let mut kraft: u64 = lens
-        .iter()
-        .filter(|&&l| l > 0)
-        .map(|&l| 1u64 << (LIMIT - l))
-        .sum();
+    // code, lowest symbol first, until Σ 2^(LIMIT−len) ≤ 2^LIMIT again.
+    // Each step frees 2^(LIMIT−l−1), and while overfull some code sits
+    // below the limit (256 codes at the limit sum to 1/16), so this
+    // terminates with prefix-decodable lengths. A step is O(1): a walk
+    // down ≤ 11 counts and one trailing-zero count.
     while kraft > 1u64 << LIMIT {
-        let mut pick = (0u8, 0usize);
-        for (s, &l) in lens.iter().enumerate() {
-            if l > pick.0 && l < LIMIT {
-                pick = (l, s);
-            }
-        }
-        debug_assert!(pick.0 > 0, "overfull Kraft sum with all codes at limit");
-        lens[pick.1] += 1;
-        kraft -= 1u64 << (LIMIT - pick.0 - 1);
+        let l = (1..LIMIT as usize)
+            .rev()
+            .find(|&l| count[l] > 0)
+            .expect("an overfull Kraft sum leaves a code below the limit");
+        let set = &mut members[l];
+        let w = set.iter().position(|&m| m != 0).expect("count matches set");
+        let s = w * 64 + set[w].trailing_zeros() as usize;
+        set[w] &= set[w] - 1;
+        count[l] -= 1;
+        count[l + 1] += 1;
+        members[l + 1][s >> 6] |= 1u64 << (s & 63);
+        lens[s] = l as u8 + 1;
+        kraft -= 1u64 << (LIMIT as usize - l - 1);
     }
+}
+
+/// The coded symbols as packed `freq << 16 | symbol` keys in `(freq,
+/// symbol)` order, and their count. Most symbols of a skewed chunk are
+/// rare, so keys with a frequency below 255 are placed by a counting
+/// sort on the frequency (scanned in symbol order, so ties stay in
+/// symbol order); the few larger ones follow, sorted as packed keys —
+/// one `u64` compare orders them by `(freq, symbol)`.
+fn sorted_leaves(freq: &[u32; 256]) -> ([u64; 256], usize) {
+    let mut start = [0u16; 256];
+    for &f in freq {
+        start[f.min(255) as usize] += 1;
+    }
+    let mut sum = 0u16;
+    for c in &mut start[1..255] {
+        (*c, sum) = (sum, sum + *c);
+    }
+    let small = usize::from(sum);
+    let mut keys = [0u64; 256];
+    let mut n = small;
+    for (s, &f) in freq.iter().enumerate().filter(|&(_, &f)| f > 0) {
+        let key = u64::from(f) << 16 | s as u64;
+        if f < 255 {
+            keys[usize::from(start[f as usize])] = key;
+            start[f as usize] += 1;
+        } else {
+            keys[n] = key;
+            n += 1;
+        }
+    }
+    keys[small..n].sort_unstable();
+    (keys, n)
 }
 
 /// Canonical code values from lengths: codes are assigned in `(length,
@@ -547,6 +689,218 @@ mod tests {
             raw.extend(std::iter::repeat_n(s, (s as usize + 1) * 3));
         }
         roundtrip(&raw);
+    }
+
+    /// The builder this module shipped before the O(1) repair, kept as
+    /// the reference the differential tests compare against: a tuple
+    /// comparison sort, and a repair that rescans all 256 lengths per
+    /// step for the longest one below the limit (lowest symbol first).
+    fn build_lengths_rescan(freq: &[u32; 256], lens: &mut [u8; 256]) {
+        let mut leaves = [(0u32, 0u16); 256];
+        let mut n = 0usize;
+        for (s, &f) in freq.iter().enumerate() {
+            if f > 0 {
+                leaves[n] = (f, s as u16);
+                n += 1;
+            }
+        }
+        if n == 0 {
+            return;
+        }
+        if n == 1 {
+            lens[leaves[0].1 as usize] = 1;
+            return;
+        }
+        leaves[..n].sort_unstable();
+        let total = 2 * n - 1;
+        let mut weight = [0u64; 511];
+        let mut parent = [0u16; 511];
+        for (i, &(f, _)) in leaves[..n].iter().enumerate() {
+            weight[i] = u64::from(f);
+        }
+        let mut leaf = 0usize;
+        let mut node = n;
+        for next in n..total {
+            let mut take = |next: usize| {
+                if leaf < n && (node >= next || weight[leaf] <= weight[node]) {
+                    leaf += 1;
+                    leaf - 1
+                } else {
+                    node += 1;
+                    node - 1
+                }
+            };
+            let a = take(next);
+            let b = take(next);
+            weight[next] = weight[a] + weight[b];
+            parent[a] = next as u16;
+            parent[b] = next as u16;
+        }
+        let mut depth = [0u8; 511];
+        for i in (0..total - 1).rev() {
+            depth[i] = depth[parent[i] as usize] + 1;
+        }
+        for (i, &(_, s)) in leaves[..n].iter().enumerate() {
+            lens[s as usize] = depth[i].min(LIMIT);
+        }
+        let mut kraft: u64 = lens
+            .iter()
+            .filter(|&&l| l > 0)
+            .map(|&l| 1u64 << (LIMIT - l))
+            .sum();
+        while kraft > 1u64 << LIMIT {
+            let mut pick = (0u8, 0usize);
+            for (s, &l) in lens.iter().enumerate() {
+                if l > pick.0 && l < LIMIT {
+                    pick = (l, s);
+                }
+            }
+            lens[pick.1] += 1;
+            kraft -= 1u64 << (LIMIT - pick.0 - 1);
+        }
+    }
+
+    /// Build with both builders; assert identical lengths, every length
+    /// within the limit, zero exactly for absent symbols, and Kraft ≤ 1.
+    fn check_lengths(freq: &[u32; 256], what: &str) {
+        let (mut got, mut want) = ([0u8; 256], [0u8; 256]);
+        build_lengths(freq, &mut got);
+        build_lengths_rescan(freq, &mut want);
+        assert_eq!(got, want, "{what}: lengths differ from the rescan builder");
+        let mut kraft = 0u64;
+        for (&f, &l) in freq.iter().zip(&got) {
+            assert!(l <= LIMIT, "{what}: length {l} over the limit");
+            assert_eq!(l == 0, f == 0, "{what}: length 0 iff absent");
+            if l > 0 {
+                kraft += 1 << (LIMIT - l);
+            }
+        }
+        assert!(kraft <= 1 << LIMIT, "{what}: Kraft sum over 1");
+    }
+
+    #[test]
+    fn build_lengths_matches_rescan_builder() {
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        // Random skewed histograms: a random support size, counts drawn
+        // from a heavy-tailed spread so many symbols tie and some dwarf
+        // the rest (the shape that forces deep trees and repairs).
+        for case in 0..2000 {
+            let mut freq = [0u32; 256];
+            let support = 1 + (next() % 256) as usize;
+            for _ in 0..support {
+                let s = (next() % 256) as usize;
+                let r = next();
+                freq[s] = ((r >> 8) % (1u64 << (r % 24))) as u32 + 1;
+            }
+            check_lengths(&freq, &format!("random case {case}"));
+        }
+        // Exponential and Fibonacci counts over 2..=256 symbols drive the
+        // unlimited depths far past the limit, so the repair runs deep.
+        for k in 2..=256usize {
+            let mut exp = [0u32; 256];
+            let mut fib = [0u32; 256];
+            let (mut a, mut b) = (1u32, 1u32);
+            for s in 0..k {
+                exp[s] = 1u32.checked_shl(s as u32).unwrap_or(u32::MAX).max(1);
+                fib[s] = a;
+                (a, b) = (b, a.saturating_add(b));
+            }
+            check_lengths(&exp, &format!("exponential over {k}"));
+            check_lengths(&fib, &format!("fibonacci over {k}"));
+        }
+        // One, two and all 256 symbols; all-equal counts.
+        let mut one = [0u32; 256];
+        one[77] = 5;
+        check_lengths(&one, "one symbol");
+        let mut two = [0u32; 256];
+        two[3] = 1;
+        two[200] = 1_000_000;
+        check_lengths(&two, "two symbols");
+        check_lengths(&[1u32; 256], "all 256 equal");
+        check_lengths(&[u32::MAX; 256], "all 256 equal at u32::MAX");
+        let all: [u32; 256] = std::array::from_fn(|s| s as u32 + 1);
+        check_lengths(&all, "all 256 ascending");
+        // Ties on both sides of the counting-sort cut at 255.
+        let around: [u32; 256] = std::array::from_fn(|s| 250 + (s as u32 * 7) % 11);
+        check_lengths(&around, "ties around 255");
+        check_lengths(&[0u32; 256], "no symbols");
+    }
+
+    /// The two-symbol table as the per-prefix graft pass this module
+    /// shipped before builds it: for every prefix, look up the code that
+    /// follows the first one and graft it when both fit the window.
+    fn graft_per_prefix(lens: &[u8; 256]) -> [u32; TABLE_SIZE] {
+        let mut entries = DecodeTable::build(lens, false).unwrap().entries;
+        for p in 0..TABLE_SIZE {
+            let e = entries[p];
+            if e == 0 {
+                continue;
+            }
+            let l1 = (e >> 16) & 0xF;
+            if l1 >= HUFFMAN_MAX_CODE_LEN {
+                continue;
+            }
+            let e2 = entries[(p << l1) & (TABLE_SIZE - 1)];
+            if e2 == 0 {
+                continue;
+            }
+            let l2 = (e2 >> 16) & 0xF;
+            if l1 + l2 <= HUFFMAN_MAX_CODE_LEN {
+                entries[p] = (e & 0x000F_00FF) | (e2 & 0xFF) << 8 | (l1 + l2) << 20 | 1 << 25;
+            }
+        }
+        entries
+    }
+
+    #[test]
+    fn pair_graft_matches_per_prefix_graft() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut cases: Vec<[u8; 256]> = Vec::new();
+        for _ in 0..300 {
+            let mut freq = [0u32; 256];
+            let support = 1 + (next() % 256) as usize;
+            for _ in 0..support {
+                let s = (next() % 256) as usize;
+                let r = next();
+                freq[s] = ((r >> 8) % (1u64 << (r % 24))) as u32 + 1;
+            }
+            let mut lens = [0u8; 256];
+            build_lengths(&freq, &mut lens);
+            cases.push(lens);
+        }
+        // Degenerate and incomplete codes: one symbol (half the table
+        // invalid), two depth-1 codes, a single 12-bit code, a full
+        // 8-bit code, and a sparse mix with gaps.
+        let mut one = [0u8; 256];
+        one[9] = 1;
+        let mut two = [0u8; 256];
+        (two[0], two[255]) = (1, 1);
+        let mut deep = [0u8; 256];
+        deep[42] = LIMIT;
+        let mut sparse = [0u8; 256];
+        for (s, l) in [(1usize, 2u8), (5, 3), (6, 5), (200, 7), (201, 12)] {
+            sparse[s] = l;
+        }
+        cases.extend([one, two, deep, [8u8; 256], sparse]);
+        for (i, lens) in cases.iter().enumerate() {
+            let got = DecodeTable::build(lens, true).unwrap();
+            assert!(
+                got.entries == graft_per_prefix(lens),
+                "case {i}: tables differ"
+            );
+        }
     }
 
     #[test]

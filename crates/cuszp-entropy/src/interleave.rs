@@ -35,13 +35,27 @@
 //! versus 1-way is the 12 offset bytes plus at most 3 extra partial-byte
 //! paddings.
 //!
+//! ## Encoding
+//!
+//! The exact size of every stream is known from the per-stream
+//! histograms before any byte is written; the header's stream ends and
+//! the fall-back-to-`Pass` decision both need it. Encoding is then one
+//! pass over `raw` in 16-byte groups, each group feeding four symbols to
+//! each of the four writers as one joined store (see `huffman.rs`).
+//! Because the streams are written side by side rather than one after
+//! another, each gets its own region followed by 8 bytes of padding
+//! that takes its writer's spilled bytes; `copy_within` closes the gaps
+//! once all four are done. The encoder asserts each stream's final size
+//! against the precomputation, so a wrong size can never leave a bad
+//! chunk behind.
+//!
 //! Decode validates in a fixed order (header size → offsets monotone and
 //! in-bounds → code-length table → per-stream bitstreams), so corrupt
 //! frames fail with a typed [`EntropyError`] before any stream work.
 
 use crate::huffman::{
-    assign_codes, build_lengths, parse_lens_table, push_lens_table, BitReader, DecodeTable,
-    WideWriter, HUFFMAN_TABLE_BYTES,
+    build_lengths, parse_lens_table, push_lens_table, BitReader, Codebook, DecodeTable, WideWriter,
+    HUFFMAN_TABLE_BYTES, WRITE_SLACK,
 };
 use crate::{histogram, EntropyError, Tier};
 
@@ -84,7 +98,7 @@ pub(crate) fn encode(tier: Tier, raw: &[u8], out: &mut Vec<u8>) -> bool {
     }
 
     let mark = out.len();
-    out.reserve(HUFFMAN4_HEADER_BYTES + region as usize);
+    out.reserve(HUFFMAN4_HEADER_BYTES + region as usize + HUFFMAN4_STREAMS * WRITE_SLACK);
     push_lens_table(&lens, out);
     let mut end = 0u64;
     for &sz in sizes.iter().take(3) {
@@ -92,27 +106,63 @@ pub(crate) fn encode(tier: Tier, raw: &[u8], out: &mut Vec<u8>) -> bool {
         out.extend_from_slice(&(end as u32).to_le_bytes());
     }
 
-    // One sequential branchless pass per stream. The streams MUST be
-    // written in order: each `WideWriter` store may spill up to 7 zero
-    // bytes past its stream's end, which is legal only because the next
-    // stream (written afterwards) overwrites them — and the last stream
-    // spills into 7 bytes of scratch padding truncated below. A
-    // stride-4 read per pass re-touches every cache line of `raw`, but
-    // chunks are L1/L2-sized and the branchless writer more than pays
-    // for the extra traffic.
+    // One pass over 16-byte groups: a group holds four symbols of each
+    // stream (stream `s` takes bytes `s, s+4, s+8, s+12`), so each of the
+    // four writers makes one joined store per group. Each stream gets its
+    // own region followed by `WRITE_SLACK` bytes of padding, where its
+    // stores spill; the regions are closed up afterwards. The writers
+    // stay scalar locals so their state lives in registers.
     let base = out.len();
-    out.resize(base + region as usize + 7, 0);
-    let codes = assign_codes(&lens);
-    let mut start = base;
-    for (s, &sz) in sizes.iter().enumerate() {
-        let mut w = WideWriter::at(start);
-        for &b in raw.iter().skip(s).step_by(HUFFMAN4_STREAMS) {
-            w.put(lens[b as usize], codes[b as usize], out);
-        }
-        start += sz as usize;
-        debug_assert_eq!(w.end(), start, "stream size precomputation");
+    let sizes = sizes.map(|sz| sz as usize);
+    let mut starts = [0usize; HUFFMAN4_STREAMS];
+    let mut at = base;
+    for (start, &sz) in starts.iter_mut().zip(&sizes) {
+        *start = at;
+        at += sz + WRITE_SLACK;
     }
-    out.truncate(base + region as usize);
+    out.resize(at, 0);
+    let buf = &mut out[..];
+    let book = Codebook::new(&lens);
+    let mut w0 = WideWriter::at(starts[0]);
+    let mut w1 = WideWriter::at(starts[1]);
+    let mut w2 = WideWriter::at(starts[2]);
+    let mut w3 = WideWriter::at(starts[3]);
+    let mut groups = raw.chunks_exact(4 * HUFFMAN4_STREAMS);
+    for g in &mut groups {
+        let (bits, len) = book.join4(g[0], g[4], g[8], g[12]);
+        w0.put(bits, len, buf);
+        let (bits, len) = book.join4(g[1], g[5], g[9], g[13]);
+        w1.put(bits, len, buf);
+        let (bits, len) = book.join4(g[2], g[6], g[10], g[14]);
+        w2.put(bits, len, buf);
+        let (bits, len) = book.join4(g[3], g[7], g[11], g[15]);
+        w3.put(bits, len, buf);
+    }
+    // The < 16 trailing bytes start at a multiple of 16, so byte `k` of
+    // the remainder belongs to stream `k % 4`.
+    let rem = groups.remainder();
+    macro_rules! tail {
+        ($w:ident, $s:expr) => {
+            for &b in rem.iter().skip($s).step_by(HUFFMAN4_STREAMS) {
+                let (bits, len) = book.code(b);
+                $w.put(bits, len, buf);
+            }
+        };
+    }
+    tail!(w0, 0);
+    tail!(w1, 1);
+    tail!(w2, 2);
+    tail!(w3, 3);
+
+    // Close the gaps between regions, checking every stream's size
+    // against the precomputation the header and the Pass fall-back used.
+    let mut dst = base;
+    for (s, w) in [w0, w1, w2, w3].iter().enumerate() {
+        assert_eq!(w.end(), starts[s] + sizes[s], "stream size precomputation");
+        out.copy_within(starts[s]..starts[s] + sizes[s], dst);
+        dst += sizes[s];
+    }
+    out.truncate(dst);
     debug_assert!(out.len() - mark < raw.len());
     true
 }

@@ -58,6 +58,15 @@ pub use histogram::{histogram, histogram_into};
 pub use huffman::{HUFFMAN_MAX_CODE_LEN, HUFFMAN_TABLE_BYTES};
 pub use interleave::{HUFFMAN4_HEADER_BYTES, HUFFMAN4_STREAMS};
 
+/// How far past its final length [`encode_chunk_at`] may briefly grow
+/// `out`: the Huffman writers store whole words, so each of `Huffman4`'s
+/// four streams is written into its own region with a word of padding
+/// (the one-stream form needs one), and the padding is cut before the
+/// call returns. While a chunk of `raw.len()` bytes is coded, `out`
+/// holds at most `raw.len() + ENCODE_SLACK_BYTES` bytes more than on
+/// entry; reserving that keeps the encode allocation-free.
+pub const ENCODE_SLACK_BYTES: usize = HUFFMAN4_STREAMS * huffman::WRITE_SLACK;
+
 /// SIMD dispatch tier for the entropy-stage hot loops.
 ///
 /// Mirrors `cuszp_core::SimdLevel` (this crate is dependency-free, so
@@ -466,6 +475,25 @@ pub fn decode_chunk(mode: Mode, comp: &[u8], out: &mut [u8]) -> Result<(), Entro
         Mode::Huffman => huffman::decode(comp, out),
         Mode::Huffman4 => interleave::decode(comp, out),
     }
+}
+
+/// Parse a [`Mode::Huffman`] or [`Mode::Huffman4`] chunk's code-length
+/// table and build the decode table a `raw_len`-byte decode would use,
+/// without decoding — the fixed per-chunk cost of a Huffman decode, for
+/// the benchmarks. Other modes have no table and return `Ok(())`.
+#[doc(hidden)]
+pub fn build_decode_table(mode: Mode, comp: &[u8], raw_len: usize) -> Result<(), EntropyError> {
+    if !matches!(mode, Mode::Huffman | Mode::Huffman4) {
+        return Ok(());
+    }
+    let table = comp
+        .get(..HUFFMAN_TABLE_BYTES)
+        .ok_or(EntropyError("huffman table truncated"))?;
+    let (lens, _) = huffman::parse_lens_table(table)?;
+    let tab =
+        huffman::DecodeTable::build(&lens, raw_len >= huffman::DecodeTable::GRAFT_MIN_SYMBOLS)?;
+    std::hint::black_box(&tab);
+    Ok(())
 }
 
 #[cfg(test)]

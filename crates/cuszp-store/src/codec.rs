@@ -29,7 +29,8 @@ pub type FormatId = [u8; 4];
 /// uses the arena).
 #[derive(Default)]
 pub struct CodecScratch {
-    /// Arena for the cuSZp fast codec (offsets + worker state).
+    /// Arena for the cuSZp fast codec (per-block lengths and sizes, Eq-2
+    /// offsets, the residual tile).
     pub cuszp: Scratch,
     /// Staging buffer for the hybrid codec's lossy pre-stage frame
     /// (the `CUSZP1` bytes the second stage recodes).
