@@ -47,6 +47,14 @@ fn bench(c: &mut Criterion) {
         })
     });
 
+    // The REL-bound resolution the service runs on every request.
+    group.bench_function("value_range_1mib_f32", |b| {
+        let field: Vec<f32> = (0..262_144)
+            .map(|i| (i as f32 * 0.001).sin() * 100.0)
+            .collect();
+        b.iter(|| black_box(cuszp_core::value_range(black_box(&field))))
+    });
+
     group.bench_function("huffman_roundtrip_32k", |b| {
         let symbols: Vec<u16> = data
             .iter()

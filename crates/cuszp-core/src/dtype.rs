@@ -59,10 +59,59 @@ impl DType {
 mod sealed {
     /// Seals [`super::FloatData`] to `f32`/`f64`: the SIMD batch paths in
     /// [`crate::simd`] reinterpret `&[T]` by `T::DTYPE`, which is sound
-    /// only if the tag cannot lie about the element type.
-    pub trait Sealed {}
-    impl Sealed for f32 {}
-    impl Sealed for f64 {}
+    /// only if the tag cannot lie about the element type. Also carries
+    /// the crate-private per-type kernels that generic code dispatches to.
+    pub trait Sealed: Sized {
+        /// Smallest and largest **finite** element, widened to `f64`;
+        /// `(+∞, −∞)` when there is none. Backs [`crate::value_range`].
+        fn finite_min_max(data: &[Self]) -> (f64, f64);
+    }
+
+    // `$lanes` elements of `$t` per scan step: 64 bytes, so the lane
+    // arrays map onto whole vector registers at every x86 tier.
+    macro_rules! finite_min_max {
+        ($t:ty, $lanes:expr) => {
+            impl Sealed for $t {
+                fn finite_min_max(data: &[$t]) -> (f64, f64) {
+                    // Each lane keeps its own running min/max in the element's
+                    // own type; a finite mask (not a branch) maps NaN and ±∞
+                    // to the identity of each reduction, so the loop has no
+                    // control flow for the compiler to keep scalar.
+                    #[inline(always)]
+                    fn fold(lo: &mut $t, hi: &mut $t, v: $t) {
+                        let finite = v.is_finite();
+                        let l = if finite { v } else { <$t>::INFINITY };
+                        let h = if finite { v } else { <$t>::NEG_INFINITY };
+                        *lo = if l < *lo { l } else { *lo };
+                        *hi = if h > *hi { h } else { *hi };
+                    }
+                    const LANES: usize = $lanes;
+                    let mut lo = [<$t>::INFINITY; LANES];
+                    let mut hi = [<$t>::NEG_INFINITY; LANES];
+                    let mut steps = data.chunks_exact(LANES);
+                    for step in &mut steps {
+                        for i in 0..LANES {
+                            fold(&mut lo[i], &mut hi[i], step[i]);
+                        }
+                    }
+                    for (i, &v) in steps.remainder().iter().enumerate() {
+                        fold(&mut lo[i], &mut hi[i], v);
+                    }
+                    let l = lo
+                        .into_iter()
+                        .fold(<$t>::INFINITY, |a, b| if b < a { b } else { a });
+                    let h = hi
+                        .into_iter()
+                        .fold(<$t>::NEG_INFINITY, |a, b| if b > a { b } else { a });
+                    // Widening is exact and keeps order, so this is the
+                    // min/max a scan over the widened values would find.
+                    (l as f64, h as f64)
+                }
+            }
+        };
+    }
+    finite_min_max!(f32, 16);
+    finite_min_max!(f64, 8);
 }
 
 /// A floating-point element the codec can quantize.

@@ -81,16 +81,11 @@ use gpu_sim::{DeviceBuffer, Gpu};
 /// surfacing as a confusing "bound must be positive" panic far from the
 /// cause. A dataset with no finite values has range `0.0` (like an empty
 /// one), which [`ErrorBound::absolute`] rejects with a clear message.
+///
+/// The scan runs in fixed-width lanes of the element's own type; the
+/// result is the value a plain `f64` min/max loop gives.
 pub fn value_range<T: FloatData>(data: &[T]) -> f64 {
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &v in data {
-        let v = v.to_f64();
-        if v.is_finite() {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-    }
+    let (lo, hi) = T::finite_min_max(data);
     if hi >= lo {
         hi - lo
     } else {

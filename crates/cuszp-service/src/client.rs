@@ -1,12 +1,13 @@
-//! A blocking client for the `CUSZPSV1` protocol with reusable wire
-//! buffers: after the first request of each kind, a client performs no
-//! heap allocations on the success path — matching the server's
-//! zero-allocation steady state, which keeps load-generator
-//! measurements honest.
+//! A blocking client for the `CUSZPSV1` protocol with a reusable
+//! response buffer: after the first request of each kind, a client
+//! performs no heap allocations on the success path — matching the
+//! server's zero-allocation steady state, which keeps load-generator
+//! measurements honest. Element payloads move straight between the
+//! socket and the caller's slices, with no staging copy.
 
 use crate::protocol::*;
-use crate::WireFloat;
-use std::io::{Read, Write};
+use crate::wire::{self, WireFloat};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Why a request did not produce a result.
@@ -40,15 +41,23 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
+/// Largest metrics or error reply a client accepts, whatever the tenant
+/// cap: the metrics text is a few KiB, error messages under 100 bytes.
+const CONTROL_REPLY_CAP: usize = 64 << 10;
+
 /// A connected tenant session.
 pub struct Client {
     stream: TcpStream,
     tenant: Tenant,
-    /// Request payload staging (little-endian element bytes).
-    wire: Vec<u8>,
-    /// Response payload buffer; compressed containers are borrowed from
-    /// it by [`Client::compress_f32`] / [`Client::compress_f64`].
+    /// Response payload buffer for everything but decoded elements, which
+    /// are read straight into the caller's `Vec`. Compressed containers
+    /// are borrowed from it by [`Client::compress_f32`] /
+    /// [`Client::compress_f64`]. Grows only, within `resp_cap`.
     resp: Vec<u8>,
+    /// Longest response this connection can legitimately receive, sized
+    /// at [`Client::connect`] from the effective cap. A longer declared
+    /// length is rejected before anything is read or allocated.
+    resp_cap: usize,
     /// Last `ERR` message from the server (reused).
     errmsg: String,
 }
@@ -92,17 +101,18 @@ impl Client {
                 cuszp_core::hybrid::max_frame_bytes::<f64>(elems, cfg, chunk),
             ),
         };
-        let mut resp_cap = single_chunk_container_len(stream_cap).max(cap);
+        let mut resp_cap = single_chunk_container_len(stream_cap)
+            .max(cap)
+            .max(CONTROL_REPLY_CAP);
         if tenant.hybrid {
             resp_cap = resp_cap.max(frame_cap);
         }
-        let wire = Vec::with_capacity(cap);
         let resp = Vec::with_capacity(resp_cap);
         Ok(Client {
             stream,
             tenant,
-            wire,
             resp,
+            resp_cap,
             errmsg: String::with_capacity(128),
         })
     }
@@ -123,37 +133,48 @@ impl Client {
         &self.errmsg
     }
 
-    /// Read one response frame into `self.resp`; maps BUSY/ERR to the
-    /// error enum.
-    fn read_response(&mut self) -> Result<(), ServiceError> {
+    /// Read a response header: `(status, payload length)`. A length over
+    /// `resp_cap` cannot come from a well-behaved server and is rejected
+    /// before any of it is read or allocated for.
+    fn read_header(&mut self) -> Result<(u8, usize), ServiceError> {
         let mut hdr = [0u8; RESPONSE_HEADER_BYTES];
         self.stream.read_exact(&mut hdr)?;
-        let len = u32::from_le_bytes(hdr[1..5].try_into().unwrap()) as usize;
-        self.resp.clear();
-        self.resp.resize(len, 0);
-        self.stream.read_exact(&mut self.resp)?;
-        match hdr[0] {
-            STATUS_OK => Ok(()),
+        let len = u32::from_le_bytes(hdr[1..5].try_into().expect("4-byte field")) as usize;
+        if len > self.resp_cap {
+            return Err(invalid("response longer than this connection's capacity"));
+        }
+        Ok((hdr[0], len))
+    }
+
+    /// Read a `len`-byte response payload into `self.resp`; maps
+    /// BUSY/ERR to the error enum.
+    fn read_body(&mut self, status: u8, len: usize) -> Result<&[u8], ServiceError> {
+        if self.resp.len() < len {
+            self.resp.resize(len, 0);
+        }
+        self.stream.read_exact(&mut self.resp[..len])?;
+        let body = &self.resp[..len];
+        match status {
+            STATUS_OK => Ok(body),
             STATUS_BUSY => Err(ServiceError::Busy),
             _ => {
                 self.errmsg.clear();
                 self.errmsg
-                    .push_str(std::str::from_utf8(&self.resp).unwrap_or("<non-utf8 error>"));
+                    .push_str(std::str::from_utf8(body).unwrap_or("<non-utf8 error>"));
                 Err(ServiceError::Remote)
             }
         }
     }
 
+    fn read_response(&mut self) -> Result<&[u8], ServiceError> {
+        let (status, len) = self.read_header()?;
+        self.read_body(status, len)
+    }
+
     fn compress_impl<T: WireFloat>(&mut self, data: &[T]) -> Result<&[u8], ServiceError> {
-        self.wire.clear();
-        for &v in data {
-            v.write_le(&mut self.wire);
-        }
-        self.stream
-            .write_all(&encode_request_header(OP_COMPRESS, self.wire.len() as u32))?;
-        self.stream.write_all(&self.wire)?;
-        self.read_response()?;
-        Ok(&self.resp)
+        let head = encode_request_header(OP_COMPRESS, std::mem::size_of_val(data) as u32);
+        wire::write_elems(&mut self.stream, &head, data)?;
+        self.read_response()
     }
 
     fn decompress_impl<T: WireFloat>(
@@ -161,16 +182,23 @@ impl Client {
         container: &[u8],
         out: &mut Vec<T>,
     ) -> Result<(), ServiceError> {
-        self.stream.write_all(&encode_request_header(
-            OP_DECOMPRESS,
-            container.len() as u32,
-        ))?;
-        self.stream.write_all(container)?;
-        self.read_response()?;
-        out.clear();
-        for chunk in self.resp.chunks_exact(T::WIRE_SIZE) {
-            out.push(T::read_le(chunk));
+        let head = encode_request_header(OP_DECOMPRESS, container.len() as u32);
+        wire::write_all_vectored(
+            &mut self.stream,
+            &mut [IoSlice::new(&head), IoSlice::new(container)],
+        )?;
+        let (status, len) = self.read_header()?;
+        if status != STATUS_OK {
+            return self.read_body(status, len).map(|_| ());
         }
+        if !len.is_multiple_of(T::WIRE_SIZE) {
+            return Err(invalid(
+                "decompress reply is not a whole number of elements",
+            ));
+        }
+        // Only a grown tail is ever filled before the read overwrites it.
+        out.resize(len / T::WIRE_SIZE, T::from_f64(0.0));
+        wire::read_elems(&mut self.stream, out)?;
         Ok(())
     }
 
@@ -189,7 +217,8 @@ impl Client {
     }
 
     /// Decompress a `CUSZPCH1` container (or, on hybrid connections, a
-    /// `CUSZPHY1` frame) into `out` (cleared first).
+    /// `CUSZPHY1` frame) into `out`, which is resized to the decoded
+    /// length and overwritten.
     pub fn decompress_f32(
         &mut self,
         container: &[u8],
@@ -212,9 +241,13 @@ impl Client {
     pub fn metrics_into(&mut self, out: &mut String) -> Result<(), ServiceError> {
         self.stream
             .write_all(&encode_request_header(OP_METRICS, 0))?;
-        self.read_response()?;
+        let body = self.read_response()?;
         out.clear();
-        out.push_str(std::str::from_utf8(&self.resp).unwrap_or(""));
+        out.push_str(std::str::from_utf8(body).unwrap_or(""));
         Ok(())
     }
+}
+
+fn invalid(msg: &'static str) -> ServiceError {
+    ServiceError::Io(std::io::Error::new(ErrorKind::InvalidData, msg))
 }

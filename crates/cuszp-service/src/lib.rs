@@ -57,25 +57,28 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod client;
 pub mod protocol;
+mod wire;
 
 pub use client::{Client, ServiceError};
 pub use protocol::Tenant;
 
 use cuszp_core::fast;
 use cuszp_core::hybrid::{self, HybridScratch, DEFAULT_CHUNK_BLOCKS, HYBRID_MAGIC};
-use cuszp_core::{chunk_ref_iter, CuszpConfig, DType, ErrorBound, FloatData, Scratch};
+use cuszp_core::{chunk_ref_iter, CuszpConfig, DType, ErrorBound, Scratch};
 use cuszp_pipeline::{ServiceMetrics, Submitter, WorkerPool};
 use protocol::*;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use wire::WireFloat;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -115,58 +118,40 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Little-endian wire conversion for the two element types the codec
-/// supports. Kept crate-private: the public API speaks `f32`/`f64`.
-pub(crate) trait WireFloat: FloatData {
-    /// Element size on the wire, in bytes.
-    const WIRE_SIZE: usize;
-    /// Read one element from the first `WIRE_SIZE` bytes.
-    fn read_le(b: &[u8]) -> Self;
-    /// Append this element's little-endian bytes.
-    fn write_le(self, out: &mut Vec<u8>);
-}
-
-impl WireFloat for f32 {
-    const WIRE_SIZE: usize = 4;
-    fn read_le(b: &[u8]) -> Self {
-        f32::from_le_bytes(b[..4].try_into().unwrap())
-    }
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-}
-
-impl WireFloat for f64 {
-    const WIRE_SIZE: usize = 8;
-    fn read_le(b: &[u8]) -> Self {
-        f64::from_le_bytes(b[..8].try_into().unwrap())
-    }
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-}
-
 /// A connection's session arena: every buffer a request needs, owned as
 /// one bundle so the handler can move it to a codec worker and get it
 /// back without copies or allocations. Boxed so the move through the
 /// job channel is one pointer, not a memcpy of the whole struct.
+///
+/// Element payloads never pass through a byte staging buffer: a compress
+/// payload is read off the socket straight into the bytes of the typed
+/// staging buffer, and a decompress reply is written straight from
+/// them.
 struct ConnBufs {
     tenant: Tenant,
     codec: CuszpConfig,
     floor: Duration,
     /// Request op being processed (`OP_COMPRESS`/`OP_DECOMPRESS`).
     op: u8,
-    /// Raw request payload as read off the socket.
+    /// Request payload length in bytes.
+    len: usize,
+    /// Payloads that are not element data: decompress requests, and a
+    /// compress request whose length is not a whole number of elements
+    /// (read only to keep the stream in sync before its `ERR`). Its
+    /// first `len` bytes are the payload; it grows only, so no byte is
+    /// zero-filled twice.
     input: Vec<u8>,
-    /// Typed staging for the tenant's dtype (only one is ever used).
+    /// Typed staging for the tenant's dtype (only one is ever used),
+    /// filled to the full cap at handshake: the compress input, read
+    /// straight into its bytes, or the decompress output, which the
+    /// reply is written straight from.
     f32s: Vec<f32>,
     f64s: Vec<f64>,
-    /// Response payload: a `CUSZP1` frame or raw `CUSZPHY1` hybrid frame
-    /// (compress) or raw LE bytes (decompress).
+    /// Compress response frame: plain `CUSZP1` or raw `CUSZPHY1`.
     out: Vec<u8>,
     /// Hybrid tenants' first-stage staging: the plain `CUSZP1` frame the
-    /// entropy stage re-encodes from (and the fallback response when the
-    /// stage does not win).
+    /// entropy stage re-encodes from, and the response itself when the
+    /// stage does not win.
     stage: Vec<u8>,
     /// Hybrid chunk staging, warmed alongside `scratch`.
     hs: HybridScratch,
@@ -175,8 +160,23 @@ struct ConnBufs {
     status: u8,
     /// Error message when `status == STATUS_ERR`.
     err: &'static str,
-    /// Raw-side byte count of this request, for the codec-ratio metrics.
-    raw_len: u64,
+    /// Where the body of an `OK` response sits.
+    body: Body,
+}
+
+/// Where a processed request's `OK` response body sits in its
+/// [`ConnBufs`].
+#[derive(Debug, Clone, Copy)]
+enum Body {
+    /// A plain `CUSZP1` frame, sent inside a single-chunk `CUSZPCH1`
+    /// container: in `out`, or in `stage` when a hybrid tenant's entropy
+    /// stage did not win.
+    Plain { in_stage: bool },
+    /// A raw `CUSZPHY1` frame in `out`.
+    Hybrid,
+    /// This many decoded elements at the front of the typed staging
+    /// buffer.
+    Decoded(usize),
 }
 
 impl ConnBufs {
@@ -186,6 +186,7 @@ impl ConnBufs {
             codec,
             floor,
             op: 0,
+            len: 0,
             input: Vec::new(),
             f32s: Vec::new(),
             f64s: Vec::new(),
@@ -195,7 +196,7 @@ impl ConnBufs {
             scratch: Scratch::new(),
             status: STATUS_OK,
             err: "",
-            raw_len: 0,
+            body: Body::Decoded(0),
         });
         b.warm();
         b
@@ -209,7 +210,7 @@ impl ConnBufs {
         self.input.reserve(cap);
         let (stream_cap, frame_cap) = match self.tenant.dtype {
             DType::F32 => {
-                self.f32s.reserve(elems);
+                self.f32s.resize(elems, 0.0);
                 self.scratch.warm_for::<f32>(elems, self.codec);
                 if self.tenant.hybrid {
                     self.hs
@@ -221,7 +222,7 @@ impl ConnBufs {
                 )
             }
             DType::F64 => {
-                self.f64s.reserve(elems);
+                self.f64s.resize(elems, 0.0);
                 self.scratch.warm_for::<f64>(elems, self.codec);
                 if self.tenant.hybrid {
                     self.hs
@@ -233,15 +234,35 @@ impl ConnBufs {
                 )
             }
         };
-        // `out` carries a compressed frame (plain or hybrid) or decoded
-        // raw bytes; hybrid tenants stage the plain frame separately.
+        // `out` carries a compressed frame (plain or hybrid); hybrid
+        // tenants stage the plain frame separately.
         let out_cap = if self.tenant.hybrid {
             self.stage.reserve(stream_cap);
             stream_cap.max(frame_cap)
         } else {
             stream_cap
         };
-        self.out.reserve(out_cap.max(cap));
+        self.out.reserve(out_cap);
+    }
+
+    /// Read the `len`-byte payload of request `op` off `r`: a compress
+    /// payload of whole elements goes straight into the typed staging
+    /// buffer's bytes, anything else into `input`. `len` must be within
+    /// the tenant cap, which the staging buffers were sized to.
+    fn read_payload(&mut self, r: &mut impl Read, op: u8, len: usize) -> std::io::Result<()> {
+        self.op = op;
+        self.len = len;
+        let size = self.tenant.dtype.size();
+        if op == OP_COMPRESS && len.is_multiple_of(size) {
+            return match self.tenant.dtype {
+                DType::F32 => wire::read_elems(r, &mut self.f32s[..len / size]),
+                DType::F64 => wire::read_elems(r, &mut self.f64s[..len / size]),
+            };
+        }
+        if self.input.len() < len {
+            self.input.resize(len, 0);
+        }
+        r.read_exact(&mut self.input[..len])
     }
 
     fn fail(&mut self, msg: &'static str) {
@@ -258,23 +279,13 @@ struct Job {
     reply: SyncSender<Box<ConnBufs>>,
 }
 
-/// Decode `input` (raw LE elements) into `floats`.
-fn decode_le<T: WireFloat>(input: &[u8], floats: &mut Vec<T>) {
-    floats.clear();
-    for chunk in input.chunks_exact(T::WIRE_SIZE) {
-        floats.push(T::read_le(chunk));
-    }
-}
-
-/// Compress the request in `b` for element type `T`; `floats` is the
-/// matching typed staging buffer (a disjoint borrow of the same bundle).
+/// Compress `floats` (the request payload) under the tenant's bound.
 /// Hybrid tenants run the `CUSZPHY1` second stage over the plain frame
 /// staged in `stage`; when the stage does not shrink the frame, the
-/// plain frame is the response (and ships container-wrapped as usual).
+/// staged plain frame is the response (container-wrapped as usual).
 #[allow(clippy::too_many_arguments)]
 fn process_compress_typed<T: WireFloat>(
-    input: &[u8],
-    floats: &mut Vec<T>,
+    floats: &[T],
     scratch: &mut Scratch,
     stage: &mut Vec<u8>,
     hs: &mut HybridScratch,
@@ -282,11 +293,7 @@ fn process_compress_typed<T: WireFloat>(
     bound: ErrorBound,
     codec: CuszpConfig,
     hybrid_stage: bool,
-) -> Result<(), &'static str> {
-    if !input.len().is_multiple_of(T::WIRE_SIZE) {
-        return Err("compress payload is not a whole number of elements");
-    }
-    decode_le(input, floats);
+) -> Result<Body, &'static str> {
     let eb = match bound {
         ErrorBound::Abs(d) => d,
         ErrorBound::Rel(l) => {
@@ -301,48 +308,45 @@ fn process_compress_typed<T: WireFloat>(
         let r = fast::compress_into(scratch, floats, eb, codec, stage);
         let level = cuszp_core::simd::resolve_level(codec.simd);
         hybrid::encode_at(&r, hybrid::auto_chunk_blocks(&r), level, hs, out);
-        if out.len() >= stage.len() {
-            out.clear();
-            out.extend_from_slice(stage);
-        }
+        Ok(if out.len() < stage.len() {
+            Body::Hybrid
+        } else {
+            Body::Plain { in_stage: true }
+        })
     } else {
         fast::compress_into(scratch, floats, eb, codec, out);
+        Ok(Body::Plain { in_stage: false })
     }
-    Ok(())
 }
 
-/// Decompress the request in `b` (one `CUSZPCH1` container, or — for
-/// hybrid tenants — a raw `CUSZPHY1` frame) for element type `T`,
-/// leaving raw LE bytes in `out`.
+/// Decompress `input` (one `CUSZPCH1` container, or — for hybrid
+/// tenants — a raw `CUSZPHY1` frame) for element type `T` into the front
+/// of `floats`, which holds the tenant cap's worth of elements.
 fn process_decompress_typed<T: WireFloat>(
     input: &[u8],
-    floats: &mut Vec<T>,
+    floats: &mut [T],
     scratch: &mut Scratch,
     hs: &mut HybridScratch,
-    out: &mut Vec<u8>,
     cap: u32,
     hybrid_stage: bool,
-) -> Result<(), &'static str> {
+) -> Result<Body, &'static str> {
+    let within_cap = |total: usize| {
+        total
+            .checked_mul(T::WIRE_SIZE)
+            .is_some_and(|b| b as u64 <= cap as u64)
+    };
     if hybrid_stage && input.starts_with(&HYBRID_MAGIC) {
         let r = hybrid::HybridRef::parse(input).map_err(|_| "malformed CUSZPHY1 frame")?;
         if r.dtype != T::DTYPE {
             return Err("hybrid frame dtype does not match tenant dtype");
         }
         let total = r.num_elements as usize;
-        if total
-            .checked_mul(T::WIRE_SIZE)
-            .is_none_or(|b| b as u64 > cap as u64)
-        {
+        if !within_cap(total) {
             return Err("decoded size exceeds tenant payload cap");
         }
-        floats.clear();
-        floats.resize(total, T::from_f64(0.0));
-        hybrid::decode_into(&r, hs, scratch, floats).map_err(|_| "corrupt CUSZPHY1 chunk")?;
-        out.clear();
-        for &v in floats.iter() {
-            v.write_le(out);
-        }
-        return Ok(());
+        hybrid::decode_into(&r, hs, scratch, &mut floats[..total])
+            .map_err(|_| "corrupt CUSZPHY1 chunk")?;
+        return Ok(Body::Decoded(total));
     }
     // Pass 1: framing + totals. `chunk_ref_iter` validates the container
     // table up front; per-chunk headers are validated as we walk.
@@ -354,15 +358,10 @@ fn process_decompress_typed<T: WireFloat>(
         }
         total += chunk.num_elements as usize;
     }
-    if total
-        .checked_mul(T::WIRE_SIZE)
-        .is_none_or(|b| b as u64 > cap as u64)
-    {
+    if !within_cap(total) {
         return Err("decoded size exceeds tenant payload cap");
     }
     // Pass 2: decode each chunk into its slice of the staging buffer.
-    floats.clear();
-    floats.resize(total, T::from_f64(0.0));
     let mut at = 0usize;
     for chunk in chunk_ref_iter(input).expect("validated in pass 1") {
         let chunk = chunk.expect("validated in pass 1");
@@ -370,70 +369,60 @@ fn process_decompress_typed<T: WireFloat>(
         fast::decompress_into(chunk, scratch, &mut floats[at..at + n]);
         at += n;
     }
-    out.clear();
-    for &v in floats.iter() {
-        v.write_le(out);
-    }
-    Ok(())
+    Ok(Body::Decoded(total))
 }
 
 /// Run one admitted job in place: dispatch on (op, dtype), leave the
-/// result status and response payload in the bundle.
+/// result status and where its response body sits in the bundle.
 fn process(b: &mut ConnBufs) {
     b.status = STATUS_OK;
     b.err = "";
-    b.raw_len = 0;
+    let n = b.len / b.tenant.dtype.size();
     let result = match (b.op, b.tenant.dtype) {
-        (OP_COMPRESS, DType::F32) => {
-            b.raw_len = b.input.len() as u64;
-            process_compress_typed(
-                &b.input,
-                &mut b.f32s,
-                &mut b.scratch,
-                &mut b.stage,
-                &mut b.hs,
-                &mut b.out,
-                b.tenant.bound,
-                b.codec,
-                b.tenant.hybrid,
-            )
+        (OP_COMPRESS, dtype) if !b.len.is_multiple_of(dtype.size()) => {
+            Err("compress payload is not a whole number of elements")
         }
-        (OP_COMPRESS, DType::F64) => {
-            b.raw_len = b.input.len() as u64;
-            process_compress_typed(
-                &b.input,
-                &mut b.f64s,
-                &mut b.scratch,
-                &mut b.stage,
-                &mut b.hs,
-                &mut b.out,
-                b.tenant.bound,
-                b.codec,
-                b.tenant.hybrid,
-            )
-        }
+        (OP_COMPRESS, DType::F32) => process_compress_typed(
+            &b.f32s[..n],
+            &mut b.scratch,
+            &mut b.stage,
+            &mut b.hs,
+            &mut b.out,
+            b.tenant.bound,
+            b.codec,
+            b.tenant.hybrid,
+        ),
+        (OP_COMPRESS, DType::F64) => process_compress_typed(
+            &b.f64s[..n],
+            &mut b.scratch,
+            &mut b.stage,
+            &mut b.hs,
+            &mut b.out,
+            b.tenant.bound,
+            b.codec,
+            b.tenant.hybrid,
+        ),
         (OP_DECOMPRESS, DType::F32) => process_decompress_typed::<f32>(
-            &b.input,
+            &b.input[..b.len],
             &mut b.f32s,
             &mut b.scratch,
             &mut b.hs,
-            &mut b.out,
             b.tenant.max_payload,
             b.tenant.hybrid,
         ),
         (OP_DECOMPRESS, DType::F64) => process_decompress_typed::<f64>(
-            &b.input,
+            &b.input[..b.len],
             &mut b.f64s,
             &mut b.scratch,
             &mut b.hs,
-            &mut b.out,
             b.tenant.max_payload,
             b.tenant.hybrid,
         ),
         _ => Err("internal: unknown op reached worker"),
     };
-    if let Err(msg) = result {
-        b.fail(msg);
+    match result {
+        Ok(body) => b.body = body,
+        Err(msg) => b.fail(msg),
     }
     if !b.floor.is_zero() {
         std::thread::sleep(b.floor);
@@ -664,8 +653,7 @@ fn run_session(
                 metrics_text.clear();
                 metrics.render_text(&mut metrics_text);
                 let body = metrics_text.as_bytes();
-                stream.write_all(&encode_response_header(STATUS_OK, body.len() as u32))?;
-                stream.write_all(body)?;
+                write_reply(stream, STATUS_OK, body)?;
                 metrics
                     .bytes_in
                     .fetch_add(REQUEST_HEADER_BYTES as u64, Ordering::Relaxed);
@@ -682,12 +670,9 @@ fn run_session(
                     return Ok(());
                 }
                 let mut b = bufs.take().expect("session bundle present");
-                b.input.clear();
-                b.input.resize(len as usize, 0);
-                if stream.read_exact(&mut b.input).is_err() {
+                if b.read_payload(stream, op, len as usize).is_err() {
                     return Ok(());
                 }
-                b.op = op;
                 metrics.bytes_in.fetch_add(
                     (REQUEST_HEADER_BYTES + len as usize) as u64,
                     Ordering::Relaxed,
@@ -699,7 +684,7 @@ fn run_session(
                 }) {
                     Ok(()) => {
                         let b = reply_rx.recv().expect("worker returns the bundle");
-                        write_codec_response(stream, metrics, &b, op, len)?;
+                        write_codec_response(stream, metrics, &b)?;
                         metrics.latency.record(t0.elapsed());
                         bufs = Some(b);
                     }
@@ -723,6 +708,12 @@ fn run_session(
     }
 }
 
+/// Write a response header and its body with one vectored write.
+fn write_reply(stream: &mut TcpStream, status: u8, body: &[u8]) -> std::io::Result<()> {
+    let head = encode_response_header(status, body.len() as u32);
+    wire::write_all_vectored(stream, &mut [IoSlice::new(&head), IoSlice::new(body)])
+}
+
 /// Write an `ERR` response carrying a static message.
 fn reply_err(
     stream: &mut TcpStream,
@@ -730,8 +721,7 @@ fn reply_err(
     msg: &'static str,
 ) -> std::io::Result<()> {
     metrics.errors.fetch_add(1, Ordering::Relaxed);
-    stream.write_all(&encode_response_header(STATUS_ERR, msg.len() as u32))?;
-    stream.write_all(msg.as_bytes())?;
+    write_reply(stream, STATUS_ERR, msg.as_bytes())?;
     metrics.bytes_out.fetch_add(
         (RESPONSE_HEADER_BYTES + msg.len()) as u64,
         Ordering::Relaxed,
@@ -740,66 +730,69 @@ fn reply_err(
 }
 
 /// Write the response for a processed codec job and account for it.
-/// `req_len` is the request payload length (the stream-side size of a
-/// decompress request).
+/// Every response goes out in one vectored write, straight from the
+/// buffer the codec left it in.
 fn write_codec_response(
     stream: &mut TcpStream,
     metrics: &ServiceMetrics,
     b: &ConnBufs,
-    op: u8,
-    req_len: u32,
 ) -> std::io::Result<()> {
-    match b.status {
-        STATUS_OK if op == OP_COMPRESS => {
-            // Response payload: a single-chunk CUSZPCH1 container,
-            // written as header + frame without materializing it — or,
-            // when the hybrid second stage won, the raw self-framing
-            // CUSZPHY1 frame.
-            let hybrid_frame = b.out.starts_with(&HYBRID_MAGIC);
-            let total = if hybrid_frame {
-                b.out.len()
-            } else {
-                single_chunk_container_len(b.out.len())
-            };
-            stream.write_all(&encode_response_header(STATUS_OK, total as u32))?;
-            if !hybrid_frame {
-                stream.write_all(&single_chunk_container_header(b.out.len() as u64))?;
+    if b.status != STATUS_OK {
+        write_reply(stream, STATUS_ERR, b.err.as_bytes())?;
+        metrics.errors.fetch_add(1, Ordering::Relaxed);
+        metrics.bytes_out.fetch_add(
+            (RESPONSE_HEADER_BYTES + b.err.len()) as u64,
+            Ordering::Relaxed,
+        );
+        return Ok(());
+    }
+    // Compress: a single-chunk CUSZPCH1 container, written as header +
+    // frame without materializing it — or, when the hybrid second stage
+    // won, the raw self-framing CUSZPHY1 frame.
+    let (frame, wrapped) = match b.body {
+        Body::Plain { in_stage } => (if in_stage { &b.stage } else { &b.out }, true),
+        Body::Hybrid => (&b.out, false),
+        Body::Decoded(n) => {
+            // Decompress: payload is the raw little-endian elements.
+            let raw = n * b.tenant.dtype.size();
+            let head = encode_response_header(STATUS_OK, raw as u32);
+            match b.tenant.dtype {
+                DType::F32 => wire::write_elems(stream, &head, &b.f32s[..n])?,
+                DType::F64 => wire::write_elems(stream, &head, &b.f64s[..n])?,
             }
-            stream.write_all(&b.out)?;
-            metrics.compress_requests.fetch_add(1, Ordering::Relaxed);
-            metrics.raw_bytes.fetch_add(b.raw_len, Ordering::Relaxed);
+            metrics.decompress_requests.fetch_add(1, Ordering::Relaxed);
+            metrics.raw_bytes.fetch_add(raw as u64, Ordering::Relaxed);
             metrics
                 .stream_bytes
-                .fetch_add(total as u64, Ordering::Relaxed);
+                .fetch_add(b.len as u64, Ordering::Relaxed);
             metrics
                 .bytes_out
-                .fetch_add((RESPONSE_HEADER_BYTES + total) as u64, Ordering::Relaxed);
+                .fetch_add((RESPONSE_HEADER_BYTES + raw) as u64, Ordering::Relaxed);
+            return Ok(());
         }
-        STATUS_OK => {
-            // Decompress: payload is the raw little-endian elements.
-            stream.write_all(&encode_response_header(STATUS_OK, b.out.len() as u32))?;
-            stream.write_all(&b.out)?;
-            metrics.decompress_requests.fetch_add(1, Ordering::Relaxed);
-            metrics
-                .raw_bytes
-                .fetch_add(b.out.len() as u64, Ordering::Relaxed);
-            metrics
-                .stream_bytes
-                .fetch_add(req_len as u64, Ordering::Relaxed);
-            metrics.bytes_out.fetch_add(
-                (RESPONSE_HEADER_BYTES + b.out.len()) as u64,
-                Ordering::Relaxed,
-            );
-        }
-        _ => {
-            stream.write_all(&encode_response_header(STATUS_ERR, b.err.len() as u32))?;
-            stream.write_all(b.err.as_bytes())?;
-            metrics.errors.fetch_add(1, Ordering::Relaxed);
-            metrics.bytes_out.fetch_add(
-                (RESPONSE_HEADER_BYTES + b.err.len()) as u64,
-                Ordering::Relaxed,
-            );
-        }
-    }
+    };
+    let container = single_chunk_container_header(frame.len() as u64);
+    let (container, total) = if wrapped {
+        (&container[..], single_chunk_container_len(frame.len()))
+    } else {
+        (&[][..], frame.len())
+    };
+    let head = encode_response_header(STATUS_OK, total as u32);
+    wire::write_all_vectored(
+        stream,
+        &mut [
+            IoSlice::new(&head),
+            IoSlice::new(container),
+            IoSlice::new(frame),
+        ],
+    )?;
+    metrics.compress_requests.fetch_add(1, Ordering::Relaxed);
+    metrics.raw_bytes.fetch_add(b.len as u64, Ordering::Relaxed);
+    metrics
+        .stream_bytes
+        .fetch_add(total as u64, Ordering::Relaxed);
+    metrics
+        .bytes_out
+        .fetch_add((RESPONSE_HEADER_BYTES + total) as u64, Ordering::Relaxed);
     Ok(())
 }

@@ -150,3 +150,96 @@ fn hybrid_tenant_steady_state_is_allocation_free() {
     );
     server.shutdown();
 }
+
+#[test]
+fn grow_only_buffers_stay_allocation_free_across_sizes_and_errors() {
+    let _serial = serial();
+    // An f64 hybrid tenant sent requests of mixed sizes — the largest
+    // first, then smaller ones, then the largest again — so every
+    // grow-only buffer (server staging, client response, the caller's
+    // output `Vec`) shrinks and regrows within its warmed capacity.
+    // Redundant payloads come back as hybrid frames, noise as the plain
+    // fall-back, and one malformed compress gets ERR mid-stream while
+    // the connection stays usable.
+    const N: usize = 32_768;
+    let redundant = |n: usize| -> Vec<f64> { (0..n).map(|i| ((i / 512) % 3) as f64).collect() };
+    let noise = |n: usize| -> Vec<f64> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 11) as f64 / (1u64 << 53) as f64 * 1e6
+            })
+            .collect()
+    };
+    let inputs = [
+        noise(N),
+        redundant(N / 4),
+        noise(N / 2),
+        redundant(1000),
+        redundant(N),
+        noise(N),
+    ];
+    assert!(alloc_counter::is_installed());
+
+    let server = Server::start(ServiceConfig::default()).unwrap();
+    let tenant = Tenant {
+        tenant_id: 44,
+        dtype: DType::F64,
+        bound: ErrorBound::Abs(1e-2),
+        max_payload: (N * 8) as u32,
+        hybrid: true,
+    };
+    let mut client = Client::connect(server.addr(), tenant).unwrap();
+
+    let mut frame = Vec::new();
+    let mut restored: Vec<f64> = Vec::new();
+    // Returns whether each reply was a hybrid frame.
+    let pass = |client: &mut Client, frame: &mut Vec<u8>, restored: &mut Vec<f64>| {
+        let mut hybrid = [false; 6];
+        for (k, data) in inputs.iter().enumerate() {
+            let c = client.compress_f64(data).unwrap();
+            frame.clear();
+            frame.extend_from_slice(c);
+            hybrid[k] = frame.starts_with(&cuszp_core::hybrid::HYBRID_MAGIC);
+            client.decompress_f64(frame, restored).unwrap();
+            assert_eq!(restored.len(), data.len());
+            if k == 2 {
+                // Three f32s are 12 bytes: not a whole number of f64s.
+                assert!(matches!(
+                    client.compress_f32(&[1.0, 2.0, 3.0]),
+                    Err(cuszp_service::ServiceError::Remote)
+                ));
+                assert_eq!(
+                    client.last_error(),
+                    "compress payload is not a whole number of elements"
+                );
+            }
+        }
+        hybrid
+    };
+
+    let hybrid = pass(&mut client, &mut frame, &mut restored);
+    assert_eq!(
+        hybrid,
+        [false, true, false, true, true, false],
+        "redundant inputs must win the entropy stage, noise must fall back"
+    );
+    assert!(inputs[5]
+        .iter()
+        .zip(&restored)
+        .all(|(a, b)| (a - b).abs() <= 1e-2 * (1.0 + 1e-9)));
+
+    let ops = heap_ops_of(|| {
+        for _ in 0..3 {
+            pass(&mut client, &mut frame, &mut restored);
+        }
+    });
+    assert_eq!(
+        ops, 0,
+        "mixed-size hybrid and fall-back round trips, with an ERR, must not touch the heap"
+    );
+    server.shutdown();
+}
