@@ -2,10 +2,10 @@
 //! supports: the multi-lane byte histogram, canonical Huffman one-way
 //! vs. the four-stream interleaved `Huffman4` (both directions), and
 //! the PackBits RLE scanner. These are the hot loops behind the hybrid
-//! `CUSZPHY1` second stage; the harness experiment `repro hybrid_ratio`
-//! records the end-to-end view into `BENCH_hybrid.json`, while this
-//! target isolates the kernels themselves on a fixed 4 MiB chunk-shaped
-//! corpus.
+//! `CUSZPHY1` second stage; `e2ebench` measures the end-to-end view
+//! (`hybrid.*` metrics on `snapshot`), while this target isolates the
+//! kernels themselves on a fixed 4 MiB chunk-shaped corpus, one row per
+//! mode and tier.
 //!
 //! A 4 MiB buffer hides per-chunk fixed costs (code-length build, decode
 //! table), which dominate at the size the store actually codes: a 64 KiB

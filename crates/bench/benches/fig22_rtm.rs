@@ -2,13 +2,13 @@
 //! snapshots.
 
 use baselines::common::CuszpAdapter;
-use bench::{compress_once, eb_for, BENCH_SCALE};
+use bench::{compress_once, eb_for, DATA_SCALE};
 use criterion::{criterion_group, criterion_main, Criterion};
 use datasets::DatasetId;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let shape = BENCH_SCALE.shape(DatasetId::Rtm);
+    let shape = DATA_SCALE.shape(DatasetId::Rtm);
     let comp = CuszpAdapter::new();
     let mut group = c.benchmark_group("fig22_time_varying_rtm");
     group.sample_size(10);

@@ -13,11 +13,11 @@ use datasets::{generate_subset, DatasetId, Field, Scale};
 use gpu_sim::{DeviceSpec, Gpu};
 
 /// Benchmark scale: Tiny keeps `cargo bench --workspace` in minutes.
-pub const BENCH_SCALE: Scale = Scale::Tiny;
+pub const DATA_SCALE: Scale = Scale::Tiny;
 
 /// First field of a dataset at bench scale.
 pub fn bench_field(id: DatasetId) -> Field {
-    generate_subset(id, BENCH_SCALE, 1).remove(0)
+    generate_subset(id, DATA_SCALE, 1).remove(0)
 }
 
 /// All six bench fields.

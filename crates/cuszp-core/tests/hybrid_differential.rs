@@ -153,23 +153,106 @@ proptest! {
     }
 }
 
+/// Deterministic uniform noise: every bit-plane is dense, so no entropy
+/// mode can beat passthrough.
+fn noise(n: usize) -> Vec<f32> {
+    let mut s = 0x9E37_79B9_7F4A_7C15u64;
+    (0..n)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            ((s % 2_000_001) as f32 - 1_000_000.0) * 0.01
+        })
+        .collect()
+}
+
 /// The serialized convenience path: with `hybrid: true` the codec ships
 /// whichever serialization is smaller, and the decoder sniffs the magic.
+/// Checked on a smooth wave, the first field of every dataset at REL
+/// 1e-2, and the uniform-noise control at REL 1e-6 (~19 residual bits,
+/// where the plain stream must be shipped).
 #[test]
 fn serialized_hybrid_roundtrip_and_size() {
     use cuszp_core::{Cuszp, CuszpConfig, ErrorBound};
-    let data: Vec<f32> = (0..50_000)
-        .map(|i| (i as f32 * 0.002).sin() * 40.0)
-        .collect();
+    use datasets::{generate_subset, DatasetId, Scale};
+    let mut inputs: Vec<(String, Vec<f32>, ErrorBound)> = vec![(
+        "wave".into(),
+        (0..50_000)
+            .map(|i| (i as f32 * 0.002).sin() * 40.0)
+            .collect(),
+        ErrorBound::Abs(1e-3),
+    )];
+    for id in DatasetId::all() {
+        let field = generate_subset(id, Scale::Tiny, 1).remove(0);
+        inputs.push((id.name().into(), field.data, ErrorBound::Rel(1e-2)));
+    }
+    inputs.push(("noise".into(), noise(1 << 16), ErrorBound::Rel(1e-6)));
+
     let plain_codec = Cuszp::new();
     let hybrid_codec = Cuszp::with_config(CuszpConfig {
         hybrid: true,
         ..CuszpConfig::default()
     });
-    let plain = plain_codec.compress_serialized(&data, ErrorBound::Abs(1e-3));
-    let hy = hybrid_codec.compress_serialized(&data, ErrorBound::Abs(1e-3));
-    assert!(hy.len() <= plain.len(), "hybrid must never lose ratio");
-    let a: Vec<f32> = plain_codec.decompress_serialized(&plain).unwrap();
-    let b: Vec<f32> = hybrid_codec.decompress_serialized(&hy).unwrap();
-    assert_eq!(a, b, "both serializations decode to the same values");
+    for (name, data, bound) in &inputs {
+        let plain = plain_codec.compress_serialized(data, *bound);
+        let hy = hybrid_codec.compress_serialized(data, *bound);
+        assert!(
+            hy.len() <= plain.len(),
+            "{name}: hybrid {} bytes > plain {} bytes",
+            hy.len(),
+            plain.len()
+        );
+        let a: Vec<f32> = plain_codec.decompress_serialized(&plain).unwrap();
+        let b: Vec<f32> = hybrid_codec.decompress_serialized(&hy).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&a),
+            bits(&b),
+            "{name}: both serializations decode alike"
+        );
+    }
+}
+
+/// On the uniform-noise control at REL 1e-6 the estimator must get out
+/// of the way: at every tier the host runs, the adaptive frame codes
+/// every chunk as `Pass` and is byte-identical to the frame forced to
+/// `Pass`, so adaptivity costs no more than the passthrough copy itself.
+#[test]
+fn noise_control_adaptive_frame_is_all_pass() {
+    use cuszp_core::{simd, value_range, SimdLevel};
+    let data = noise(1 << 16);
+    let eb = 1e-6 * value_range(&data);
+    let mut scratch = fast::Scratch::new();
+    let mut plain = Vec::new();
+    let r = fast::compress_into(&mut scratch, &data, eb, CuszpConfig::default(), &mut plain);
+    let chunk_blocks = hybrid::auto_chunk_blocks(&r);
+    let mut hs = HybridScratch::new();
+    let (mut adaptive, mut pass) = (Vec::new(), Vec::new());
+    let detected = simd::detect_level();
+    for level in SimdLevel::ALL.into_iter().filter(|&l| l <= detected) {
+        hybrid::encode_with_at(&r, chunk_blocks, None, level, &mut hs, &mut adaptive);
+        let hist = HybridRef::parse(&adaptive)
+            .expect("own frame parses")
+            .mode_histogram();
+        let total: usize = hist.iter().sum();
+        assert!(total > 0, "{level}: frame has chunks");
+        assert_eq!(
+            hist[Mode::Pass.to_byte() as usize],
+            total,
+            "{level}: estimator must pick Pass on every noise chunk, got {hist:?}"
+        );
+        hybrid::encode_with_at(
+            &r,
+            chunk_blocks,
+            Some(Mode::Pass),
+            level,
+            &mut hs,
+            &mut pass,
+        );
+        assert_eq!(
+            adaptive, pass,
+            "{level}: adaptive frame must equal the forced-Pass frame"
+        );
+    }
 }

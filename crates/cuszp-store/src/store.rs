@@ -143,7 +143,7 @@ impl StoreScratch {
 }
 
 /// Accounting of one region read — the basis of the bytes-touched
-/// assertions in the `partial_read` experiment.
+/// assertions in `tests/partial_decode.rs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadStats {
     /// Chunks whose frames were opened.

@@ -8,12 +8,6 @@
 
 use harness::experiments::{registry, Ctx};
 
-// Counting allocator (one relaxed atomic add per heap call — throughput
-// stays representative): lets the alloc_profile experiment record live
-// heap-operation counts for the zero-allocation codec claims.
-#[global_allocator]
-static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut ctx = Ctx::default();

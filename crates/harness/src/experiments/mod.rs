@@ -2,7 +2,6 @@
 //! and regenerates its artifact, printing paper-vs-measured values.
 
 pub mod ablations;
-pub mod alloc_profile;
 pub mod fig01_motivation;
 pub mod fig06_cdf;
 pub mod fig07_smoothness;
@@ -16,12 +15,7 @@ pub mod fig20_isosurface;
 pub mod fig21_kernel_breakdown;
 pub mod fig22_time_varying;
 pub mod gpus;
-pub mod host_codec;
-pub mod hybrid_ratio;
-pub mod partial_read;
-pub mod pipeline_scaling;
 pub mod rate_distortion;
-pub mod service_load;
 pub mod table3_ratio;
 
 use datasets::Scale;
@@ -126,36 +120,6 @@ pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
             "gpus",
             "Lower-end GPU kernel throughput (A100/V100/3080)",
             gpus::run as Runner,
-        ),
-        (
-            "pipeline",
-            "Batched multi-stream pipeline scaling vs worker count",
-            pipeline_scaling::run as Runner,
-        ),
-        (
-            "host_codec",
-            "Host codec throughput: host_ref vs word-parallel fast codec",
-            host_codec::run as Runner,
-        ),
-        (
-            "alloc_profile",
-            "Small-payload throughput: allocating API vs zero-allocation arena API",
-            alloc_profile::run as Runner,
-        ),
-        (
-            "partial_read",
-            "Block-granular random access: bytes touched and latency vs read size",
-            partial_read::run as Runner,
-        ),
-        (
-            "hybrid_ratio",
-            "Hybrid second stage: ratio and throughput per entropy mode",
-            hybrid_ratio::run as Runner,
-        ),
-        (
-            "service_load",
-            "Service sustained throughput and p99 latency vs concurrent clients",
-            service_load::run as Runner,
         ),
         (
             "ablations",

@@ -7,6 +7,9 @@
 //! shards (the two cuSZp codecs), and its block accounting to the
 //! row-merge rule: a region never decodes more blocks than one codec call
 //! per row would, and a full read decodes each chunk's blocks exactly once.
+//! A single-block read from the middle of a 1-D shard is held to a
+//! bytes-touched budget: one block, one chunk, and a payload share set by
+//! the codec's random-access granule.
 
 use cuszp_repro::cuszp_store::{
     write_shard, CodecRegistry, CodecScratch, ErrorBoundedCodec, FormatId, Shard, ShardElement,
@@ -271,6 +274,56 @@ proptest! {
         }
         for id in [*b"CZP1", *b"CZH1"] {
             check_region(id, &data, &shape, &chunk, &origin, &extent, 1e-6)?;
+        }
+    }
+}
+
+/// One codec block read from the middle of a 256 Ki-element 1-D shard
+/// (64 Ki-element chunks) decodes exactly one block in one chunk, and
+/// touches at most the codec's random-access granule of the payload
+/// (`2 × access_granularity_blocks` blocks' worth of the full read's
+/// bytes), floored at 1 % for granule-1 codecs. The 1 %, 10 % and full
+/// reads around it equal the full-decode slice.
+#[test]
+fn one_block_read_touches_one_granule_of_payload() {
+    let n = 1usize << 18;
+    let data: Vec<f32> = (0..n)
+        .map(|i| (i as f32 * 0.0021).sin() * 30.0 + (i as f32 * 0.00013).cos() * 4.0)
+        .collect();
+    let registry = CodecRegistry::with_defaults();
+    let mut scratch = StoreScratch::new();
+    for codec in registry.codecs() {
+        let name = codec.name();
+        let bytes = write_shard(&data, &[n], &[65_536], codec, 1e-3).expect("write");
+        let shard = Shard::open(&bytes).expect("open");
+        let mut full = vec![0f32; n];
+        let full_bytes = shard
+            .read_all(&registry, &mut scratch, &mut full)
+            .expect("full read")
+            .payload_bytes_read;
+
+        let l = codec.block_len();
+        for (origin, extent) in [(n / 2, l), (n / 4, n / 100), (n / 8, n / 10), (0, n)] {
+            let mut out = vec![0f32; extent];
+            let stats = shard
+                .read_region(&registry, &[origin], &[extent], &mut scratch, &mut out)
+                .expect("region read");
+            assert_eq!(
+                out,
+                full[origin..origin + extent],
+                "{name} read {origin}+{extent}"
+            );
+            if extent == l {
+                assert_eq!(stats.blocks_decoded, 1, "{name}: one block");
+                assert_eq!(stats.chunks_touched, 1, "{name}: one chunk");
+                let granule = full_bytes * 2 * codec.access_granularity_blocks() / n.div_ceil(l);
+                let allowed = granule.max(full_bytes / 100);
+                assert!(
+                    stats.payload_bytes_read <= allowed,
+                    "{name}: 1-block read touched {} of {full_bytes} payload bytes (allowed {allowed})",
+                    stats.payload_bytes_read
+                );
+            }
         }
     }
 }
