@@ -13,12 +13,14 @@
 //! rows therefore run on real cuSZp streams — Small Hurricane, NYX and
 //! RTM fields cut into 16 384-element pieces at a 1e-3 relative bound —
 //! and time one pass over all pieces: estimator + encode, decode, and
-//! the decode-table build alone.
+//! the decode-table build alone. Decodes reuse one caller-owned
+//! `DecodeTable`, as the hybrid stage's scratch does.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cuszp_core::{fast, value_range, CuszpConfig};
 use cuszp_entropy::{
-    build_decode_table, decode_chunk, encode_chunk_at, histogram, select_mode_at, Mode, Tier,
+    build_decode_table, decode_chunk, encode_chunk_at, histogram, select_mode_at, DecodeTable,
+    Mode, Tier,
 };
 use datasets::{generate_subset, DatasetId, Scale};
 use std::hint::black_box;
@@ -82,6 +84,7 @@ fn bench_store_sized_chunks(c: &mut Criterion) {
         .collect();
     let mut comp = Vec::new();
     let mut back = vec![0u8; raws.iter().map(Vec::len).max().unwrap_or(0)];
+    let mut table = DecodeTable::new();
 
     let mut group = c.benchmark_group("entropy");
     for tier in supported_tiers() {
@@ -98,7 +101,8 @@ fn bench_store_sized_chunks(c: &mut Criterion) {
     group.bench_function("chunk16k_decode", |b| {
         b.iter(|| {
             for (mode, comp, n) in &coded {
-                decode_chunk(*mode, black_box(comp), &mut back[..*n]).expect("own chunk");
+                decode_chunk(*mode, black_box(comp), &mut back[..*n], &mut table)
+                    .expect("own chunk");
             }
             black_box(back[0])
         })
@@ -106,7 +110,7 @@ fn bench_store_sized_chunks(c: &mut Criterion) {
     group.bench_function("chunk16k_decode_table", |b| {
         b.iter(|| {
             for (mode, comp, n) in &coded {
-                build_decode_table(*mode, black_box(comp), *n).expect("own chunk");
+                build_decode_table(*mode, black_box(comp), *n, &mut table).expect("own chunk");
             }
         })
     });
@@ -124,6 +128,7 @@ fn bench_entropy(c: &mut Criterion) {
     let runny = runny_bytes(n);
     let mut comp = Vec::new();
     let mut back = vec![0u8; n];
+    let mut table = DecodeTable::new();
 
     let mut group = c.benchmark_group("entropy");
     for tier in supported_tiers() {
@@ -143,7 +148,8 @@ fn bench_entropy(c: &mut Criterion) {
         encode_chunk_at(tier, Mode::Huffman, &skewed, &mut comp);
         group.bench_function(format!("huffman1_decode_{tier}"), |b| {
             b.iter(|| {
-                decode_chunk(Mode::Huffman, black_box(&comp), &mut back).expect("own chunk");
+                decode_chunk(Mode::Huffman, black_box(&comp), &mut back, &mut table)
+                    .expect("own chunk");
                 black_box(back[0])
             })
         });
@@ -160,7 +166,8 @@ fn bench_entropy(c: &mut Criterion) {
         encode_chunk_at(tier, Mode::Huffman4, &skewed, &mut comp);
         group.bench_function(format!("huffman4_decode_{tier}"), |b| {
             b.iter(|| {
-                decode_chunk(Mode::Huffman4, black_box(&comp), &mut back).expect("own chunk");
+                decode_chunk(Mode::Huffman4, black_box(&comp), &mut back, &mut table)
+                    .expect("own chunk");
                 black_box(back[0])
             })
         });
@@ -177,7 +184,8 @@ fn bench_entropy(c: &mut Criterion) {
         encode_chunk_at(tier, Mode::Rle, &runny, &mut comp);
         group.bench_function(format!("rle_decode_{tier}"), |b| {
             b.iter(|| {
-                decode_chunk(Mode::Rle, black_box(&comp), &mut back).expect("own chunk");
+                decode_chunk(Mode::Rle, black_box(&comp), &mut back, &mut table)
+                    .expect("own chunk");
                 black_box(back[0])
             })
         });

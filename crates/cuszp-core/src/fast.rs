@@ -32,7 +32,7 @@
 //! ## The zero-allocation steady state
 //!
 //! Every working buffer the codec needs — the per-block `(F, CmpL)`
-//! table, the Eq-2 prefix-sum workspace, and the residual tile — lives
+//! table and the residual tile (two integer blocks on decode) — lives
 //! in a caller-owned [`Scratch`] arena that is grown monotonically and
 //! reused across calls. The `_into` entry points ([`compress_into`],
 //! [`decompress_into`]) write their results into caller-owned memory as
@@ -64,6 +64,7 @@ use crate::config::{CuszpConfig, SimdLevel};
 use crate::dtype::FloatData;
 use crate::encode::cmp_bytes_for;
 use crate::format::{Compressed, CompressedRef};
+use crate::rows::{RowLayout, RowWalk};
 
 use crate::{simd, tune};
 
@@ -78,8 +79,8 @@ fn grow<T: Copy + Default>(v: &mut Vec<T>, n: usize) -> &mut [T] {
 
 /// Reusable workspace for the zero-allocation codec entry points.
 ///
-/// Holds the per-block `(F, CmpL)` scratch table, the Eq-2 prefix-sum
-/// workspace, and the cache-resident residual tile. Buffers grow
+/// Holds the per-block `(F, CmpL)` scratch table and the cache-resident
+/// residual tile (on decode: the integer block buffers). Buffers grow
 /// monotonically and are reused verbatim across calls — a *dirty* arena
 /// (left over from any prior call, any dtype, any size) never changes
 /// results, only allocation behavior. After the first call at a given
@@ -91,9 +92,8 @@ pub struct Scratch {
     fls: Vec<u8>,
     /// Per-block compressed sizes `CmpL` (Eq 2).
     cmps: Vec<u32>,
-    /// Exclusive prefix sum of `cmps` — the GS-step workspace.
-    offsets: Vec<u64>,
-    /// Residuals on compression, quantization integers on decompression.
+    /// Residuals on compression; on decompression, one block of
+    /// quantization integers plus the one-block bounce.
     resid: Vec<i64>,
     /// Per-block max residual magnitude within the current tile.
     maxes: Vec<u64>,
@@ -110,7 +110,6 @@ impl Scratch {
     pub fn capacity_bytes(&self) -> usize {
         self.fls.capacity()
             + 4 * self.cmps.capacity()
-            + 8 * self.offsets.capacity()
             + 8 * self.resid.capacity()
             + 8 * self.maxes.capacity()
     }
@@ -143,7 +142,6 @@ impl Scratch {
         let num_blocks = elems.div_ceil(l);
         grow(&mut self.fls, num_blocks);
         grow(&mut self.cmps, num_blocks);
-        grow(&mut self.offsets, num_blocks + 1);
         // The codec grows the tile buffers to a full tile regardless of
         // the array size, so warming must match exactly — including the
         // autotuned tile size the compress path will resolve (calling
@@ -151,7 +149,7 @@ impl Scratch {
         // that cost into warm-up where it belongs).
         let level = simd::resolve_level(cfg.simd);
         let blocks_per_tile = (tune::tile_elems(T::DTYPE, level) / l).max(1);
-        grow(&mut self.resid, blocks_per_tile * l);
+        grow(&mut self.resid, blocks_per_tile.max(2) * l);
         grow(&mut self.maxes, blocks_per_tile);
     }
 }
@@ -453,56 +451,194 @@ fn decode_block(payload: &[u8], f: u8, lorenzo: bool, l: usize, q: &mut [i64]) {
     }
 }
 
-/// Decode blocks `[b0, b1)` of `c` into `out` (the slice covering
-/// elements `b0·L .. min(b1·L, N)`), block by block, at the payload
-/// offsets already in `scratch.offsets[b0..b1]`. Three exits:
-///
-/// - **Zero block** (`F = 0`): `dequantize(0)` is exactly `+0.0` for both
-///   element types, so the block is a plain fill — sparse decode
-///   degenerates to memset speed.
-/// - **Fused vector path** (full `L = 32` block with `F` within the
-///   tier's [`simd::block32_max_f`]): [`simd::decode_block32_to`] undoes
-///   the bit-plane layout *and* dequantizes in registers, storing
-///   finished elements straight to `out`. The quantization integers
-///   never exist in memory, which removes the 16 B/element scratch
-///   round trip the old tiled decode paid.
-/// - **Portable strip codec** (everything else, including the ragged
-///   final block): decode into the arena's integer scratch, then
-///   dequantize that block.
-fn decode_blocks<T: FloatData>(
-    c: CompressedRef<'_>,
-    blocks: std::ops::Range<usize>,
+/// Longest block the bounce keeps as finished elements (the default
+/// `L = 32`, which the fused vector decode covers).
+const TYPED_BOUNCE: usize = 32;
+
+/// Block decoder over one stream, shared by every row of a walk: the
+/// running Eq-2 position, the one-block bounce for blocks that straddle
+/// a row end or a box edge, and the payload bytes read so far.
+struct BlockDecoder<'c, 'q, T> {
+    c: CompressedRef<'c>,
+    l: usize,
+    n: usize,
     level: SimdLevel,
-    scratch: &mut Scratch,
-    out: &mut [T],
-) {
-    let l = c.block_len as usize;
-    let n = c.num_elements as usize;
-    let b0 = blocks.start;
-    let out_base = b0 * l;
-    let vec_f = if l == 32 {
-        simd::block32_max_f(level)
-    } else {
-        0
-    };
-    for (k, &f) in c.fixed_lengths[blocks].iter().enumerate() {
-        let start = (b0 + k) * l;
-        let end = (start + l).min(n);
-        let dst = &mut out[start - out_base..end - out_base];
-        if f == 0 {
-            dst.fill(T::from_f64(0.0));
-            continue;
-        }
-        let off = scratch.offsets[b0 + k] as usize;
-        let bytes = &c.payload[off..off + cmp_bytes_for(f, l) as usize];
-        if f <= vec_f && dst.len() == l {
-            simd::decode_block32_to(level, bytes, f, c.lorenzo, c.eb, dst);
-        } else {
-            let q = grow(&mut scratch.resid, l);
-            decode_block(bytes, f, c.lorenzo, l, q);
-            simd::dequantize_slice(level, q, c.eb, dst);
+    /// Widest `F` the tier's fused `L = 32` block decode handles.
+    vec_f: u8,
+    /// Integer block buffers: `[..L]` holds a block on the portable path,
+    /// `[L..2L]` the bounced block when `L` > [`TYPED_BOUNCE`].
+    resid: &'q mut Vec<i64>,
+    /// The bounced block's elements when `L` ≤ [`TYPED_BOUNCE`], decoded
+    /// like any whole block (fused where it can be).
+    typed: [T; TYPED_BOUNCE],
+    /// The block in the bounce (`usize::MAX` when empty), decoded once
+    /// and dealt out to every row part it holds.
+    bounced: usize,
+    /// Block offsets are never stored (paper Eq 2): `off` is the payload
+    /// offset of block `next`, kept by one forward scan of fraction ⓐ
+    /// that folds in the sizes of the blocks it skips.
+    next: usize,
+    off: usize,
+    read: usize,
+}
+
+impl<'c, 'q, T: FloatData> BlockDecoder<'c, 'q, T> {
+    /// A decoder over `c`, whose block length is at most 4096 (checked by
+    /// the caller), with both integer blocks grown up front so a warm
+    /// arena serves any later row shape without allocating.
+    fn new(c: CompressedRef<'c>, level: SimdLevel, resid: &'q mut Vec<i64>) -> Self {
+        let l = c.block_len as usize;
+        grow(resid, 2 * l);
+        BlockDecoder {
+            c,
+            l,
+            n: c.num_elements as usize,
+            level,
+            vec_f: if l == 32 {
+                simd::block32_max_f(level)
+            } else {
+                0
+            },
+            resid,
+            typed: [T::default(); TYPED_BOUNCE],
+            bounced: usize::MAX,
+            next: 0,
+            off: 0,
+            read: 0,
         }
     }
+
+    /// Payload bytes of block `b`, at or after the scan's position:
+    /// blocks are visited front to back.
+    #[inline]
+    fn payload(&mut self, b: usize) -> &'c [u8] {
+        debug_assert!(b >= self.next, "blocks are visited front to back");
+        let mut cmp = 0;
+        for &f in &self.c.fixed_lengths[self.next..=b] {
+            assert!(f <= 64, "invalid stream: fixed length exceeds 64");
+            cmp = cmp_bytes_for(f, self.l) as usize;
+            self.off += cmp;
+        }
+        let at = self.off - cmp;
+        self.next = b + 1;
+        self.read += cmp;
+        self.c
+            .payload
+            .get(at..at + cmp)
+            .expect("invalid stream: payload shorter than the Eq-2 span of the requested blocks")
+    }
+
+    /// Decode whole blocks `b0..b1` into `out` (the elements
+    /// `b0·L .. min(b1·L, N)`). Three exits per block:
+    ///
+    /// - **Zero block** (`F = 0`): `dequantize(0)` is exactly `+0.0` for
+    ///   both element types, so the block is a plain fill — sparse decode
+    ///   degenerates to memset speed.
+    /// - **Fused vector path** (full `L = 32` block with `F` within the
+    ///   tier's [`simd::block32_max_f`]): [`simd::decode_block32_to`]
+    ///   undoes the bit-plane layout *and* dequantizes in registers,
+    ///   storing finished elements straight to `out`. The quantization
+    ///   integers never exist in memory.
+    /// - **Portable strip codec** (everything else, including the ragged
+    ///   final block): decode into the integer scratch, then dequantize
+    ///   that block.
+    fn whole(&mut self, b0: usize, b1: usize, out: &mut [T]) {
+        let (l, n) = (self.l, self.n);
+        for b in b0..b1 {
+            let start = b * l;
+            let dst = &mut out[start - b0 * l..(start + l).min(n) - b0 * l];
+            let f = self.c.fixed_lengths[b];
+            if f == 0 {
+                dst.fill(T::from_f64(0.0));
+                continue;
+            }
+            let bytes = self.payload(b);
+            if f <= self.vec_f && dst.len() == l {
+                simd::decode_block32_to(self.level, bytes, f, self.c.lorenzo, self.c.eb, dst);
+            } else {
+                let q = &mut self.resid[..l];
+                decode_block(bytes, f, self.c.lorenzo, l, q);
+                simd::dequantize_slice(self.level, q, self.c.eb, dst);
+            }
+        }
+    }
+
+    /// Elements `lo..hi` (block-local) of block `b`, through the bounce:
+    /// the block is decoded the first time a row part asks for it.
+    fn part(&mut self, b: usize, lo: usize, hi: usize, out: &mut [T]) {
+        let l = self.l;
+        if l <= TYPED_BOUNCE {
+            if self.bounced != b {
+                let mut typed = self.typed;
+                self.whole(b, b + 1, &mut typed[..(b * l + l).min(self.n) - b * l]);
+                self.typed = typed;
+                self.bounced = b;
+            }
+            out.copy_from_slice(&self.typed[lo..hi]);
+            return;
+        }
+        if self.bounced != b {
+            let f = self.c.fixed_lengths[b];
+            if f == 0 {
+                self.resid[l..2 * l].fill(0);
+            } else {
+                let bytes = self.payload(b);
+                decode_block(bytes, f, self.c.lorenzo, l, &mut self.resid[l..2 * l]);
+            }
+            self.bounced = b;
+        }
+        let bounce = &self.resid[l..2 * l];
+        simd::dequantize_slice(self.level, &bounce[lo..hi], self.c.eb, out);
+    }
+
+    /// Decode elements `lo..hi` of the stream into `out`: whole blocks
+    /// straight into place, a partial head or tail block through the
+    /// bounce.
+    fn span(&mut self, lo: usize, hi: usize, out: &mut [T]) {
+        let (l, n) = (self.l, self.n);
+        let mut at = lo;
+        let b = at / l;
+        let block_end = (b * l + l).min(n);
+        if at > b * l || block_end > hi {
+            let stop = block_end.min(hi);
+            self.part(b, at - b * l, stop - b * l, &mut out[..stop - lo]);
+            at = stop;
+        }
+        if at < hi {
+            // `at` is block-aligned here. Blocks that end by `hi` are
+            // whole; at the stream's end that includes the ragged block.
+            let b0 = at / l;
+            let b1 = if hi == n { n.div_ceil(l) } else { hi / l };
+            if b1 > b0 {
+                let stop = (b1 * l).min(n);
+                self.whole(b0, b1, &mut out[at - lo..stop - lo]);
+                at = stop;
+            }
+            if at < hi {
+                self.part(b1, 0, hi - at, &mut out[at - lo..]);
+            }
+        }
+    }
+}
+
+/// Panic unless `c`'s metadata is structurally usable by the decoder and
+/// its element type is `T`.
+fn check_decode_args<T: FloatData>(c: &CompressedRef<'_>) {
+    assert_eq!(c.dtype, T::DTYPE, "stream element type mismatch");
+    let l = c.block_len as usize;
+    assert!(
+        l > 0 && l.is_multiple_of(8) && l <= 4096,
+        "invalid stream: bad block length"
+    );
+    assert!(
+        c.eb.is_finite() && c.eb > 0.0,
+        "invalid stream: bad error bound"
+    );
+    assert_eq!(
+        c.fixed_lengths.len(),
+        c.num_blocks(),
+        "invalid stream: fixed-length table size"
+    );
 }
 
 /// Decompress a stream into a fresh `Vec`. Identical output to
@@ -518,10 +654,10 @@ pub fn decompress<T: FloatData>(c: &Compressed) -> Vec<T> {
 }
 
 /// Decompress into a caller-owned slice, reusing `scratch` for the
-/// offset table and the block buffer. With a warm arena the call
-/// performs **zero heap allocations**. Accepts the borrowed stream form,
-/// so a stream parsed out of a container ([`CompressedRef::parse`])
-/// decodes without its payload ever being copied.
+/// block buffers. With a warm arena the call performs **zero heap
+/// allocations**. Accepts the borrowed stream form, so a stream parsed
+/// out of a container ([`CompressedRef::parse`]) decodes without its
+/// payload ever being copied.
 ///
 /// # Panics
 /// Panics if the stream is structurally invalid, was compressed from a
@@ -541,58 +677,35 @@ pub fn decompress_into_at<T: FloatData>(
     simd_level: Option<SimdLevel>,
     out: &mut [T],
 ) {
-    assert_eq!(c.dtype, T::DTYPE, "stream element type mismatch");
+    check_decode_args::<T>(&c);
     let n = c.num_elements as usize;
     assert_eq!(out.len(), n, "output slice length != num_elements");
+    // The exact-length check matters for a whole-stream decode: a
+    // payload longer than Eq 2 accounts for is malformed even though no
+    // block would read past it.
     let l = c.block_len as usize;
-    assert!(
-        l > 0 && l.is_multiple_of(8),
-        "invalid stream: bad block length"
-    );
-    assert!(
-        c.eb.is_finite() && c.eb > 0.0,
-        "invalid stream: bad error bound"
-    );
-    let num_blocks = c.num_blocks();
-    assert_eq!(
-        c.fixed_lengths.len(),
-        num_blocks,
-        "invalid stream: fixed-length table size"
-    );
-
-    // Rebuild the offset table from fraction ⓐ via Eq 2 (Fig 2's offsets
-    // are never stored), fused with the structural validation: one scan
-    // both checks every `F` and totals the expected payload size. The
-    // exact-length check matters — block offsets are trusted for direct
-    // payload slicing below.
-    let offsets = grow(&mut scratch.offsets, num_blocks + 1);
     let mut acc = 0u64;
-    for (dst, &f) in offsets.iter_mut().zip(c.fixed_lengths) {
+    for &f in c.fixed_lengths {
         // Hard cap of the bit-plane layout (64-bit residual magnitudes),
         // NOT `DType::max_fixed_len()`: extreme f32 amplitude/bound
         // combinations legitimately push F past 33.
         assert!(f <= 64, "invalid stream: fixed length exceeds 64");
-        *dst = acc;
         acc += cmp_bytes_for(f, l) as u64;
     }
-    offsets[num_blocks] = acc;
     assert_eq!(
         acc,
         c.payload.len() as u64,
         "invalid stream: payload length disagrees with Eq-2 accounting"
     );
-
-    decode_blocks(
-        c,
-        0..num_blocks,
-        simd::resolve_level(simd_level),
-        scratch,
-        out,
-    );
+    if n > 0 {
+        let mut dec = BlockDecoder::new(c, simd::resolve_level(simd_level), &mut scratch.resid);
+        dec.span(0, n, out);
+    }
 }
 
 /// Decode **only** blocks `[blocks.start, blocks.end)` of a stream into
-/// `out` — the block-granular random-access entry point.
+/// `out` — the block-granular random-access entry point, and the
+/// one-row case of [`decompress_rows_into`].
 ///
 /// `out` must cover exactly the elements those blocks hold:
 /// `min(blocks.end·L, N) − blocks.start·L` (the final block may be
@@ -620,58 +733,85 @@ pub fn decompress_blocks_into<T: FloatData>(
     scratch: &mut Scratch,
     out: &mut [T],
 ) -> usize {
-    assert_eq!(c.dtype, T::DTYPE, "stream element type mismatch");
+    check_decode_args::<T>(&c);
     let l = c.block_len as usize;
-    assert!(
-        l > 0 && l.is_multiple_of(8),
-        "invalid stream: bad block length"
-    );
-    assert!(
-        c.eb.is_finite() && c.eb > 0.0,
-        "invalid stream: bad error bound"
-    );
-    let num_blocks = c.num_blocks();
-    assert_eq!(
-        c.fixed_lengths.len(),
-        num_blocks,
-        "invalid stream: fixed-length table size"
-    );
     let (b0, b1) = (blocks.start, blocks.end);
-    assert!(b0 <= b1 && b1 <= num_blocks, "block range out of bounds");
-    let n = c.num_elements as usize;
-    let covered = (b1 * l).min(n).saturating_sub(b0 * l);
+    assert!(
+        b0 <= b1 && b1 <= c.num_blocks(),
+        "block range out of bounds"
+    );
+    let covered = (b1 * l).min(c.num_elements as usize).saturating_sub(b0 * l);
     assert_eq!(
         out.len(),
         covered,
         "output slice length != elements covered by the block range"
     );
-    if b0 == b1 {
+    if covered == 0 {
         return 0;
     }
+    decompress_rows_into(c, &RowLayout::contiguous(b0 * l, covered), scratch, out)
+}
 
-    // Eq-2 prefix scan up to the range end. Offsets before `b0` fold into
-    // a running sum; only the range's own entries are materialized (the
-    // slots below `b0` in the arena are left stale — never read).
-    let offsets = grow(&mut scratch.offsets, b1 + 1);
-    let mut acc = 0u64;
-    for (b, &f) in c.fixed_lengths[..b1].iter().enumerate() {
-        assert!(f <= 64, "invalid stream: fixed length exceeds 64");
-        if b >= b0 {
-            offsets[b] = acc;
-        }
-        acc += cmp_bytes_for(f, l) as u64;
-    }
-    offsets[b1] = acc;
-    let span = (offsets[b1] - offsets[b0]) as usize;
-    // The decoder slices the payload at these offsets without further
-    // bounds checks, so the span end must be in bounds *before* decoding.
+/// Decode the elements `rows` selects and write each row straight to its
+/// place in `out` (row `(src, dst)` fills `out[dst..dst + row_len]`).
+/// Returns the payload bytes read.
+///
+/// The decoder makes one Eq-2 scan of fraction ⓐ, up to the last block
+/// the rows touch, and decodes each touched block **once**, in order: a
+/// block inside one row is decoded straight into `out`; a block that
+/// straddles a row end or a box edge is decoded once into a one-block
+/// bounce and dealt out to every row part it holds. Blocks no row
+/// touches are skipped, and their payload is never read. With a warm
+/// [`Scratch`] the call performs **zero heap allocations**.
+///
+/// # Panics
+/// Panics if the stream metadata is structurally invalid, the dtype
+/// mismatches `T`, the rows reach past the stream's elements, `out` is
+/// shorter than [`RowLayout::dst_len`], or the payload ends before a
+/// touched block's span does.
+pub fn decompress_rows_into<T: FloatData>(
+    c: CompressedRef<'_>,
+    rows: &RowLayout,
+    scratch: &mut Scratch,
+    out: &mut [T],
+) -> usize {
+    check_decode_args::<T>(&c);
     assert!(
-        acc <= c.payload.len() as u64,
-        "invalid stream: payload shorter than the Eq-2 span of the requested blocks"
+        rows.src_end() <= c.num_elements as usize,
+        "rows reach past the stream's elements"
     );
+    assert!(rows.dst_len() <= out.len(), "output shorter than the rows");
+    let mut walk = RowWalk::new(rows);
+    decode_window(c, 0, &mut walk, simd::resolve_level(None), scratch, out)
+}
 
-    decode_blocks(c, blocks, simd::resolve_level(None), scratch, out);
-    span
+/// Decode every part of `walk`'s rows that lies in stream `c`, whose
+/// element 0 is element `base` of the rows' source coordinates, and
+/// advance the walk past them. A row running past the stream's end stays
+/// current from the stream's end on. Returns the payload bytes read.
+///
+/// `c` must be structurally valid (the caller checks); the walk must not
+/// start before `base`.
+pub(crate) fn decode_window<T: FloatData>(
+    c: CompressedRef<'_>,
+    base: usize,
+    walk: &mut RowWalk<'_>,
+    level: SimdLevel,
+    scratch: &mut Scratch,
+    out: &mut [T],
+) -> usize {
+    let end = base + c.num_elements as usize;
+    let mut dec = BlockDecoder::new(c, level, &mut scratch.resid);
+    while let Some((src, dst, len)) = walk.seg() {
+        if src >= end {
+            break;
+        }
+        debug_assert!(src >= base, "the walk starts inside the stream");
+        let stop = (src + len).min(end);
+        dec.span(src - base, stop - base, &mut out[dst..dst + (stop - src)]);
+        walk.done_to(stop);
+    }
+    dec.read
 }
 
 /// One timed compression pass for the autotuner ([`crate::tune`]): plan +
@@ -1048,6 +1188,70 @@ mod tests {
                 assert!(read > 0);
             } else {
                 assert_eq!(read, 0, "zero block {b} reads no payload");
+            }
+        }
+    }
+
+    /// Output strides that leave `pad` unused elements after every row
+    /// and every plane, so writes outside the rows would show.
+    fn padded_strides(lo: &[usize], hi: &[usize], pad: usize) -> Vec<usize> {
+        let d = lo.len();
+        let mut strides = vec![1usize; d];
+        for i in (0..d - 1).rev() {
+            strides[i] = strides[i + 1] * (hi[i + 1] - lo[i + 1]) + pad;
+        }
+        strides
+    }
+
+    #[test]
+    fn row_decode_matches_full_decode_scatter() {
+        // Rows of 100 elements are not a multiple of any block length
+        // here, so boxes start and end mid-block, and boundary blocks
+        // hold parts of several rows. L = 64 keeps its bounced block as
+        // integers, L ≤ 32 as finished elements.
+        let dims = [3usize, 5, 100];
+        let n: usize = dims.iter().product();
+        let mut data = wave(n);
+        data[300..420].iter_mut().for_each(|v| *v = 0.0); // zero blocks
+        let mut scratch = Scratch::new();
+        for block_len in [32usize, 64, 16] {
+            let cfg = CuszpConfig {
+                block_len,
+                ..CuszpConfig::default()
+            };
+            let c = compress(&data, 1e-3, cfg);
+            let full: Vec<f32> = decompress(&c);
+            for (lo, hi) in [
+                ([0usize, 0, 0], [3usize, 5, 100]),
+                ([1, 1, 7], [3, 4, 93]),
+                ([0, 2, 30], [3, 3, 35]),
+                ([2, 4, 99], [3, 5, 100]),
+                ([0, 0, 64], [3, 5, 96]),
+                ([1, 0, 0], [2, 5, 100]),
+            ] {
+                for pad in [0usize, 3] {
+                    let what = format!("L = {block_len}, {lo:?}..{hi:?}, pad {pad}");
+                    let strides = padded_strides(&lo, &hi, pad);
+                    let rows = RowLayout::of_box(&dims, &lo, &hi, &strides);
+                    let mut out = vec![f32::NAN; rows.dst_len() + 5];
+                    let read = decompress_rows_into(c.as_ref(), &rows, &mut scratch, &mut out);
+                    let mut written = vec![false; out.len()];
+                    for (src, dst) in rows.iter() {
+                        for j in 0..rows.row_len() {
+                            assert_eq!(out[dst + j], full[src + j], "{what} at {}", src + j);
+                            written[dst + j] = true;
+                        }
+                    }
+                    for (v, w) in out.iter().zip(&written) {
+                        assert!(*w || v.is_nan(), "{what}: wrote outside the rows");
+                    }
+                    // Each touched block's payload is read exactly once.
+                    let want: usize = rows
+                        .block_runs(block_len)
+                        .map(|(b, _)| c.payload_span(b).unwrap().len())
+                        .sum();
+                    assert_eq!(read, want, "{what}: bytes read");
+                }
             }
         }
     }

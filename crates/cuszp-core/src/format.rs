@@ -233,7 +233,7 @@ impl<'a> CompressedRef<'a> {
         let num_elements = u64::from_le_bytes(bytes[8..16].try_into().expect("len checked"));
         let block_len = u32::from_le_bytes(bytes[16..20].try_into().expect("len checked"));
         let eb = f64::from_le_bytes(bytes[20..28].try_into().expect("len checked"));
-        if block_len == 0 || block_len % 8 != 0 {
+        if block_len == 0 || block_len % 8 != 0 || block_len > 4096 {
             return Err(FormatError::Corrupt("bad block length"));
         }
         if !(eb.is_finite() && eb > 0.0) {
@@ -467,6 +467,23 @@ mod tests {
         c.fixed_lengths[1] = 65;
         let bytes = c.to_bytes();
         assert!(Compressed::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn oversize_block_length_rejected() {
+        // All-zero blocks need no payload, so only the header bound
+        // keeps a tiny frame from naming a huge block.
+        let c = Compressed {
+            num_elements: 3 << 20,
+            block_len: 1 << 20,
+            fixed_lengths: vec![0; 3],
+            payload: Vec::new(),
+            ..sample()
+        };
+        assert_eq!(
+            CompressedRef::parse(&c.to_bytes()),
+            Err(FormatError::Corrupt("bad block length"))
+        );
     }
 
     #[test]

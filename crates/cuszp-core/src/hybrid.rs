@@ -38,21 +38,25 @@
 //! `CUSZP1` either, per-frame header overhead included.
 //!
 //! Decoding is single-pass per chunk: entropy-decode into a scratch
-//! buffer, re-validate the chunk as a standalone stream (fixed-length
-//! count and the exact Eq-2 payload size), then run the normal fast
-//! block decoder over exactly the requested blocks. The stage is
-//! lossless, so the error-bound contract is untouched.
+//! buffer (Huffman chunks build their decode table in a table the
+//! scratch keeps), re-validate the chunk as a standalone stream
+//! (fixed-length bytes in range and the exact Eq-2 payload size), then
+//! run the fast row decoder over exactly the requested elements. A read
+//! of many rows ([`decode_rows_into`]) entropy-decodes each chunk its
+//! rows touch once. The stage is lossless, so the error-bound contract
+//! is untouched.
 
 use crate::config::{CuszpConfig, SimdLevel};
 use crate::dtype::{DType, FloatData};
 use crate::encode::cmp_bytes_for;
 use crate::fast::{self, Scratch};
 use crate::format::{CompressedRef, FormatError, HEADER_BYTES};
+use crate::rows::{RowLayout, RowWalk};
 use crate::simd::resolve_level;
 pub use cuszp_entropy::Mode;
 use cuszp_entropy::{
-    decode_chunk, encode_chunk_at, select_mode_at, Tier, ENCODE_SLACK_BYTES, HUFFMAN4_HEADER_BYTES,
-    HUFFMAN_TABLE_BYTES,
+    decode_chunk, encode_chunk_at, select_mode_at, DecodeTable, Tier, ENCODE_SLACK_BYTES,
+    HUFFMAN4_HEADER_BYTES, HUFFMAN_TABLE_BYTES,
 };
 
 /// Map the host codec's dispatch level onto the entropy crate's [`Tier`]
@@ -123,13 +127,16 @@ pub fn auto_chunk_blocks(r: &CompressedRef<'_>) -> usize {
 /// beyond any useful access granularity.
 pub const MAX_CHUNK_BLOCKS: usize = 1 << 20;
 
-/// Reusable buffer for chunk staging. Capacity only grows, so encode and
-/// decode loops reach a zero-allocation steady state like
+/// Reusable buffers for chunk staging and decoding. Capacity only grows,
+/// so encode and decode loops reach a zero-allocation steady state like
 /// [`crate::fast::Scratch`].
 #[derive(Debug, Default)]
 pub struct HybridScratch {
     /// One chunk's raw bytes (fixed lengths ++ payload span).
     raw: Vec<u8>,
+    /// The Huffman decode table, rebuilt in place for every `Huffman`
+    /// and `Huffman4` chunk.
+    table: DecodeTable,
 }
 
 impl HybridScratch {
@@ -138,30 +145,39 @@ impl HybridScratch {
         Self::default()
     }
 
-    /// Pre-grow for frames of up to `elems` elements so later encodes
-    /// and decodes allocate nothing.
+    /// Pre-grow for frames of up to `elems` elements, and allocate the
+    /// decode table, so later encodes and decodes allocate nothing.
     pub fn warm_for<T: FloatData>(&mut self, elems: usize, cfg: CuszpConfig, chunk_blocks: usize) {
         let cap = max_chunk_raw_bytes(T::DTYPE, cfg.block_len, chunk_blocks)
             .min(fast::max_stream_bytes::<T>(elems, cfg));
         if self.raw.capacity() < cap {
             self.raw.reserve(cap - self.raw.len());
         }
+        self.table.warm();
     }
 
     /// Bytes currently held (diagnostic).
     pub fn capacity_bytes(&self) -> usize {
-        self.raw.capacity()
+        self.raw.capacity() + self.table.capacity_bytes()
     }
 
-    /// The first `raw_len` bytes of the staging buffer, to decode one
-    /// chunk into. The buffer only grows, and stale bytes from earlier
-    /// chunks are left in place: every entropy decoder writes all
-    /// `raw_len` bytes when it succeeds, and a failed chunk is discarded.
-    fn chunk(&mut self, raw_len: usize) -> &mut [u8] {
+    /// Entropy-decode a chunk's stored bytes `comp` into the first
+    /// `raw_len` bytes of the staging buffer and return them. The buffer
+    /// only grows, and stale bytes from earlier chunks are left in place:
+    /// every entropy decoder writes all `raw_len` bytes when it succeeds,
+    /// and a failed chunk is discarded.
+    fn decode_chunk(
+        &mut self,
+        mode: Mode,
+        comp: &[u8],
+        raw_len: usize,
+    ) -> Result<&[u8], FormatError> {
         if self.raw.len() < raw_len {
             self.raw.resize(raw_len, 0);
         }
-        &mut self.raw[..raw_len]
+        let raw = &mut self.raw[..raw_len];
+        decode_chunk(mode, comp, raw, &mut self.table).map_err(|e| FormatError::Entropy(e.0))?;
+        Ok(raw)
     }
 }
 
@@ -489,24 +505,12 @@ fn blocks_in_chunk(num_blocks: u64, chunk_blocks: u32, c: u64) -> u64 {
 }
 
 /// Decode blocks `blocks` of the frame into `out`, touching only the
-/// chunks that overlap the range (the partial-read path behind the
-/// store's `decode_blocks`). Returns the number of stored chunk-payload
-/// bytes read — the bytes-touched accounting partial reads report.
+/// chunks that overlap the range — the one-row case of
+/// [`decode_rows_into`]. Returns the number of stored chunk-payload
+/// bytes read, the bytes-touched accounting partial reads report.
 ///
 /// `out.len()` must equal the element count the block range covers
 /// (`min(blocks.end·L, N) − blocks.start·L`).
-///
-/// Each touched chunk is entropy-decoded into the scratch buffer and
-/// re-validated as a standalone fixed-length stream (fixed-length bytes
-/// in range, payload exactly Eq 2) before the fast block decoder runs —
-/// so a frame that parses but carries inconsistent chunk *contents*
-/// still yields a typed error, never a panic or out-of-bounds decode.
-///
-/// Each call entropy-decodes every chunk it touches **whole**, however
-/// few of its blocks the range needs. Callers reading several nearby
-/// ranges should merge them into one call (the store merges touching
-/// rows into one run per call); decoding them one call each re-decodes
-/// the shared chunks every time.
 ///
 /// # Panics
 /// Panics on API misuse only: a dtype mismatch between `T` and the
@@ -520,9 +524,8 @@ pub fn decode_blocks_into<T: FloatData>(
 ) -> Result<usize, FormatError> {
     assert_eq!(r.dtype, T::DTYPE, "frame element type mismatch");
     let l = r.block_len as usize;
-    let nb = r.num_blocks();
     assert!(
-        blocks.start <= blocks.end && blocks.end <= nb,
+        blocks.start <= blocks.end && blocks.end <= r.num_blocks(),
         "block range out of bounds"
     );
     let n = r.num_elements as usize;
@@ -531,58 +534,95 @@ pub fn decode_blocks_into<T: FloatData>(
     if covered == 0 {
         return Ok(0);
     }
+    let rows = RowLayout::contiguous(blocks.start * l, covered);
+    decode_rows_into(r, &rows, hs, scratch, out)
+}
 
+/// Decode the elements `rows` selects and write each row straight to its
+/// place in `out` (row `(src, dst)` fills `out[dst..dst + row_len]`).
+/// Returns the number of stored chunk-payload bytes read.
+///
+/// Each chunk the rows touch is entropy-decoded **once** into the
+/// scratch buffer, however many rows it holds, and chunks no row touches
+/// are skipped. Each decoded chunk is re-validated as a standalone
+/// fixed-length stream (fixed-length bytes in range, payload exactly
+/// Eq 2) before the fast row decoder ([`fast::decompress_rows_into`]'s
+/// walk) writes its blocks into place, each block once — so a frame that
+/// parses but carries inconsistent chunk *contents* still yields a typed
+/// error, never a panic or out-of-bounds decode.
+///
+/// # Panics
+/// Panics on API misuse only: a dtype mismatch between `T` and the
+/// frame, rows reaching past the frame's elements, or an `out` shorter
+/// than [`RowLayout::dst_len`].
+pub fn decode_rows_into<T: FloatData>(
+    r: &HybridRef<'_>,
+    rows: &RowLayout,
+    hs: &mut HybridScratch,
+    scratch: &mut Scratch,
+    out: &mut [T],
+) -> Result<usize, FormatError> {
+    assert_eq!(r.dtype, T::DTYPE, "frame element type mismatch");
+    let n = r.num_elements as usize;
+    assert!(rows.src_end() <= n, "rows reach past the frame's elements");
+    assert!(rows.dst_len() <= out.len(), "output shorter than the rows");
+    let l = r.block_len as usize;
     let k = r.chunk_blocks as usize;
-    let c0 = blocks.start / k;
-    let c1 = (blocks.end - 1) / k;
-    let mut offset = 0usize;
-    let mut touched = 0usize;
-    for c in 0..=c1 {
-        let (mode, comp_len, raw_len) = r.entry(c);
-        let (comp_len, raw_len) = (comp_len as usize, raw_len as usize);
-        if c < c0 {
-            offset += comp_len;
-            continue;
+    let nb = r.num_blocks();
+    let level = resolve_level(None);
+    let mut walk = RowWalk::new(rows);
+    let (mut c, mut offset, mut touched) = (0usize, 0usize, 0usize);
+    while let Some((src, _, _)) = walk.seg() {
+        // The chunk holding the walk's next element; skipped chunks only
+        // advance the payload offset.
+        let target = src / l / k;
+        while c < target {
+            offset += r.entry(c).1 as usize;
+            c += 1;
         }
-        touched += comp_len;
-        let comp = &r.payload[offset..offset + comp_len];
-        offset += comp_len;
-
-        let raw = hs.chunk(raw_len);
-        decode_chunk(mode, comp, raw).map_err(|e| FormatError::Entropy(e.0))?;
+        let (mode, comp_len, raw_len) = r.entry(c);
+        let comp = &r.payload[offset..offset + comp_len as usize];
+        offset += comp.len();
+        touched += comp.len();
+        let raw = hs.decode_chunk(mode, comp, raw_len as usize)?;
 
         // Re-validate the chunk as a standalone stream before the fast
         // decoder slices payload at Eq-2 offsets.
-        let chunk_first = c * k;
+        let first = c * k;
         let bc = blocks_in_chunk(nb as u64, r.chunk_blocks, c as u64) as usize;
-        let chunk_elems = n.min((chunk_first + bc) * l) - chunk_first * l;
-        let fixed_lengths = &raw[..bc];
-        if fixed_lengths.iter().any(|&f| f > 64) {
-            return Err(FormatError::Corrupt("fixed length exceeds 64 bits"));
-        }
+        let (fixed_lengths, payload) = raw.split_at(bc);
+        check_chunk(fixed_lengths, l, payload.len())?;
         let chunk_ref = CompressedRef {
-            num_elements: chunk_elems as u64,
+            num_elements: (n.min((first + bc) * l) - first * l) as u64,
             block_len: r.block_len,
             eb: r.eb,
             lorenzo: r.lorenzo,
             dtype: r.dtype,
             fixed_lengths,
-            payload: &raw[bc..],
+            payload,
         };
-        chunk_ref.validate()?;
-
-        let lo = blocks.start.max(chunk_first) - chunk_first;
-        let hi = blocks.end.min(chunk_first + bc) - chunk_first;
-        let out_at = (chunk_first + lo) * l - blocks.start * l;
-        let out_elems = chunk_elems.min(hi * l) - lo * l;
-        fast::decompress_blocks_into(
-            chunk_ref,
-            lo..hi,
-            scratch,
-            &mut out[out_at..out_at + out_elems],
-        );
+        fast::decode_window(chunk_ref, first * l, &mut walk, level, scratch, out);
+        c += 1;
     }
     Ok(touched)
+}
+
+/// Check a decoded chunk's fraction ⓐ: every fixed length within the
+/// 64-bit cap, and the payload exactly the Eq-2 total.
+fn check_chunk(fixed_lengths: &[u8], l: usize, payload_len: usize) -> Result<(), FormatError> {
+    let mut max = 0u8;
+    let mut total = 0u64;
+    for &f in fixed_lengths {
+        max = max.max(f);
+        total += u64::from(cmp_bytes_for(f, l));
+    }
+    if max > 64 {
+        return Err(FormatError::Corrupt("fixed length exceeds 64 bits"));
+    }
+    if total != payload_len as u64 {
+        return Err(FormatError::Corrupt("payload size vs Eq 2"));
+    }
+    Ok(())
 }
 
 /// Decode the whole frame into `out` (`out.len()` must equal the frame's
@@ -635,8 +675,7 @@ pub fn decode_stream_bytes(
         let (mode, comp_len, raw_len) = r.entry(c);
         let comp = &r.payload[offset..offset + comp_len as usize];
         offset += comp_len as usize;
-        let raw = hs.chunk(raw_len as usize);
-        decode_chunk(mode, comp, raw).map_err(|e| FormatError::Entropy(e.0))?;
+        let raw = hs.decode_chunk(mode, comp, raw_len as usize)?;
         let bc = blocks_in_chunk(nb as u64, r.chunk_blocks, c as u64) as usize;
         out[fl_at..fl_at + bc].copy_from_slice(&raw[..bc]);
         fl_at += bc;
@@ -805,6 +844,52 @@ mod tests {
             let touched = decode_blocks_into(&r, b0..b1, &mut hs, &mut scratch, &mut part).unwrap();
             assert_eq!(part, full[b0 * l..b0 * l + covered], "blocks {b0}..{b1}");
             assert!(touched <= r.stream_bytes() as usize);
+        }
+    }
+
+    #[test]
+    fn row_decode_entropy_decodes_each_chunk_once() {
+        // 8-block chunks hold 256 elements, so rows of 100 cross chunk
+        // boundaries, and a narrow box puts many rows in one chunk.
+        let dims = [4usize, 10, 100];
+        let n: usize = dims.iter().product();
+        let data: Vec<f64> = (0..n).map(|i| (i as f64 * 0.013).sin() * 5.0).collect();
+        let c = fast::compress(&data, 1e-6, CuszpConfig::default());
+        let full: Vec<f64> = fast::decompress(&c);
+        let mut bytes = Vec::new();
+        encode(&c.as_ref(), 8, &mut HybridScratch::new(), &mut bytes);
+        let r = HybridRef::parse(&bytes).unwrap();
+        assert!(r.num_chunks() > 10);
+        let l = r.block_len as usize;
+        let chunk_elems = 8 * l;
+        let mut hs = HybridScratch::new();
+        let mut scratch = Scratch::new();
+        for (lo, hi) in [
+            ([0usize, 0, 0], [4usize, 10, 100]),
+            ([1, 2, 10], [3, 9, 14]),
+            ([0, 0, 50], [4, 10, 51]),
+            ([3, 9, 0], [4, 10, 100]),
+        ] {
+            let mut out_strides = [1usize; 3];
+            for i in (0..2).rev() {
+                out_strides[i] = out_strides[i + 1] * (hi[i + 1] - lo[i + 1]);
+            }
+            let rows = RowLayout::of_box(&dims, &lo, &hi, &out_strides);
+            let mut out = vec![0f64; rows.dst_len()];
+            let touched = decode_rows_into(&r, &rows, &mut hs, &mut scratch, &mut out).unwrap();
+            let mut chunks = Vec::new();
+            for (src, dst) in rows.iter() {
+                assert_eq!(
+                    out[dst..dst + rows.row_len()],
+                    full[src..src + rows.row_len()],
+                    "{lo:?}..{hi:?}"
+                );
+                chunks.extend((src..src + rows.row_len()).map(|e| e / chunk_elems));
+            }
+            chunks.dedup();
+            // Stored bytes read = each touched chunk's payload once.
+            let want: usize = chunks.iter().map(|&ch| r.entry(ch).1 as usize).sum();
+            assert_eq!(touched, want, "{lo:?}..{hi:?}");
         }
     }
 

@@ -57,6 +57,7 @@ pub mod host_ref;
 pub mod hybrid;
 pub mod kernels;
 pub mod quantize;
+pub mod rows;
 pub mod simd;
 pub mod tune;
 pub mod verify;
@@ -71,6 +72,7 @@ pub use kernels::{
     compress_kernel, compressed_h2d, decompress_kernel, DeviceCompressed, STEP_BB, STEP_FE,
     STEP_GS, STEP_QP,
 };
+pub use rows::RowLayout;
 
 use gpu_sim::{DeviceBuffer, Gpu};
 

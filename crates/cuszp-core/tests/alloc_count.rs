@@ -185,6 +185,45 @@ fn warmed_hybrid_encode_is_free_from_the_first_call() {
 }
 
 #[test]
+fn warmed_hybrid_decode_is_free_from_the_first_call() {
+    // `warm_for` sizes the chunk staging and allocates the Huffman
+    // decode table, so the first decode of every coded mode — whole
+    // frame and a partial block range — touches the heap zero times.
+    let cfg = CuszpConfig::default();
+    let data = wave(40_000);
+    let stream = fast::compress(&data, 0.01, cfg);
+    let r = stream.as_ref();
+    let chunk = hybrid::DEFAULT_CHUNK_BLOCKS;
+    let want: Vec<f32> = fast::decompress(&stream);
+    // Resolved up front: reading `CUSZP_SIMD` allocates once per process.
+    simd::resolve_level(None);
+    for mode in [Mode::Huffman, Mode::Huffman4, Mode::Rle] {
+        let mut frame = Vec::new();
+        hybrid::encode_with(&r, chunk, Some(mode), &mut HybridScratch::new(), &mut frame);
+        let h = HybridRef::parse(&frame).expect("own frame parses");
+        assert!(
+            h.mode_histogram()[mode.to_byte() as usize] > 0,
+            "{mode} must stick"
+        );
+
+        let mut hs = HybridScratch::new();
+        hs.warm_for::<f32>(data.len(), cfg, chunk);
+        let mut scratch = Scratch::new();
+        scratch.warm_for::<f32>(data.len(), cfg);
+        let mut out = vec![0f32; data.len()];
+        let mut part = vec![0f32; 300 * 32];
+        let ops = heap_ops_of(|| {
+            hybrid::decode_into(&h, &mut hs, &mut scratch, &mut out).expect("decodes");
+            hybrid::decode_blocks_into(&h, 200..500, &mut hs, &mut scratch, &mut part)
+                .expect("decodes");
+        });
+        assert_eq!(ops, 0, "warmed first hybrid decode ({mode}) must be free");
+        assert_eq!(out, want, "{mode}");
+        assert_eq!(part, want[200 * 32..500 * 32], "{mode}");
+    }
+}
+
+#[test]
 fn container_iteration_is_allocation_free() {
     // The wire-decode path of the service: walking a serialized CUSZPCH1
     // container with `chunk_ref_iter` and decoding every chunk must not

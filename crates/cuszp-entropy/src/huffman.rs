@@ -35,7 +35,10 @@
 //! * **Decode table.** Built in one pass over the codes in canonical
 //!   order, writing every entry once and reading none: each code's run
 //!   of prefixes starts with the two-symbol entries for the codes that
-//!   fit after it, then the one-symbol entry fills the rest of the run.
+//!   fit after it, then the one-symbol entry fills the rest of the run,
+//!   and prefixes no code starts are reset to the invalid marker. The
+//!   table is the caller's [`DecodeTable`], rebuilt in place per chunk,
+//!   so no chunk pays for zeroing or copying 16 KiB.
 //! * **Decoder.** A **multi-symbol** table (Fabian Giesen's "reading
 //!   bits in far too many ways" construction): each 12-bit prefix entry
 //!   carries up to two decoded symbols when both codes fit the window, so
@@ -177,14 +180,23 @@ pub(crate) fn parse_lens_table(table: &[u8]) -> Result<([u8; 256], u32), Entropy
     Ok((lens, nonzero))
 }
 
-/// Flat multi-symbol decode table over 12-bit prefixes.
+/// Flat multi-symbol decode table over 12-bit prefixes, owned by the
+/// caller and rebuilt in place for every Huffman chunk.
 ///
 /// Entry layout (`u32`): bits 0–7 first symbol, 8–15 second symbol,
 /// 16–19 first code's length, 20–24 total consumed bits, bit 25 set when
 /// the entry carries two symbols. A zero entry marks a prefix no valid
 /// stream can produce.
-pub(crate) struct DecodeTable {
-    entries: [u32; TABLE_SIZE],
+///
+/// The 16 KiB of entries are allocated on first use (or by
+/// [`DecodeTable::warm`]) and reused by every later build, so a decode
+/// loop pays neither a fresh zeroed array nor a by-value copy per chunk.
+/// Every build writes all 4096 entries — prefixes that no code covers
+/// (Kraft sum < 1) are reset to the invalid marker — so a table left
+/// over from an earlier chunk can never decode a later one differently.
+#[derive(Debug, Clone, Default)]
+pub struct DecodeTable {
+    entries: Option<Box<[u32; TABLE_SIZE]>>,
 }
 
 impl DecodeTable {
@@ -194,11 +206,50 @@ impl DecodeTable {
     /// loop it accelerates is long enough. Tables with and without the
     /// graft decode to identical bytes — the flag trades build time
     /// against per-lookup yield, never output.
-    pub(crate) const GRAFT_MIN_SYMBOLS: usize = 4096;
+    ///
+    /// With the table built in place, the graft pays from about a
+    /// thousand symbols on: decoding the `Huffman`/`Huffman4` chunks of
+    /// 16 384-element pieces of the Small Hurricane, NYX and RTM fields
+    /// (one-way `Huffman` chunks average 2.5 KB there), alternating
+    /// floors in one pinned process, took 0.93–0.99 ms per pass at
+    /// 1024, within noise of 512 and of always grafting, against
+    /// 1.03–1.09 ms at the earlier floor of 4096.
+    pub(crate) const GRAFT_MIN_SYMBOLS: usize = 1024;
 
-    /// Build the table from validated lengths (Kraft ≤ 1, all ≤ 12).
-    /// `two_symbol` enables the two-symbol graft.
-    pub(crate) fn build(lens: &[u8; 256], two_symbol: bool) -> Result<DecodeTable, EntropyError> {
+    /// An empty table; its entries are allocated by the first build.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Allocate the entries now, so the first Huffman decode through
+    /// this table touches the heap zero times.
+    pub fn warm(&mut self) {
+        self.slots();
+    }
+
+    /// Bytes currently held (diagnostic).
+    pub fn capacity_bytes(&self) -> usize {
+        self.entries
+            .as_ref()
+            .map_or(0, |e| std::mem::size_of_val(&**e))
+    }
+
+    fn slots(&mut self) -> &mut [u32; TABLE_SIZE] {
+        self.entries.get_or_insert_with(|| {
+            vec![0u32; TABLE_SIZE]
+                .into_boxed_slice()
+                .try_into()
+                .expect("table size")
+        })
+    }
+
+    /// Build the table from validated lengths (Kraft ≤ 1, all ≤ 12) and
+    /// return its entries. `two_symbol` enables the two-symbol graft.
+    pub(crate) fn build(
+        &mut self,
+        lens: &[u8; 256],
+        two_symbol: bool,
+    ) -> Result<&[u32; TABLE_SIZE], EntropyError> {
         // The coded symbols in canonical `(length, symbol)` order, by a
         // counting sort on the length.
         let mut at = [0usize; LIMIT as usize + 1];
@@ -229,7 +280,8 @@ impl DecodeTable {
         // window, or prefixes no code starts — keeps the one-symbol
         // entry. Every entry is written once and none is read.
         let shortest = order.first().map_or(0, |&s| u32::from(lens[s as usize]));
-        let mut entries = [0u32; TABLE_SIZE];
+        let entries = self.slots();
+        let mut covered = 0usize;
         for &s1 in order {
             let l1 = u32::from(lens[s1 as usize]);
             let room = HUFFMAN_MAX_CODE_LEN - l1;
@@ -253,13 +305,13 @@ impl DecodeTable {
                 }
             }
             entries[at..end].fill(u32::from(s1) | l1 << 16 | l1 << 20);
+            covered = end;
         }
-        Ok(DecodeTable { entries })
-    }
-
-    #[inline(always)]
-    pub(crate) fn entry(&self, peek: usize) -> u32 {
-        self.entries[peek]
+        // The runs tile `0..covered`; what an incomplete code leaves
+        // uncovered must read as invalid, whatever an earlier build put
+        // there.
+        entries[covered..].fill(0);
+        Ok(entries)
     }
 }
 
@@ -373,8 +425,13 @@ impl BitReader {
 /// chunk's recorded raw length). Every malformation — truncated table,
 /// over-limit or Kraft-overfull lengths, a bit pattern matching no code,
 /// a bitstream that ends early or carries unused bytes or non-zero
-/// padding — is a typed [`EntropyError`].
-pub(crate) fn decode(comp: &[u8], out: &mut [u8]) -> Result<(), EntropyError> {
+/// padding — is a typed [`EntropyError`]. The decode table is built in
+/// `table`, whatever it held before.
+pub(crate) fn decode(
+    comp: &[u8],
+    out: &mut [u8],
+    table: &mut DecodeTable,
+) -> Result<(), EntropyError> {
     if comp.len() < HUFFMAN_TABLE_BYTES {
         return Err(EntropyError("huffman table truncated"));
     }
@@ -390,7 +447,7 @@ pub(crate) fn decode(comp: &[u8], out: &mut [u8]) -> Result<(), EntropyError> {
     if nonzero == 0 {
         return Err(EntropyError("huffman table empty"));
     }
-    let tab = DecodeTable::build(&lens, out.len() >= DecodeTable::GRAFT_MIN_SYMBOLS)?;
+    let tab = table.build(&lens, out.len() >= DecodeTable::GRAFT_MIN_SYMBOLS)?;
 
     // Fast path: branchless refill (Fabian Giesen's variant — one
     // unconditional 8-byte big-endian load, accumulator kept
@@ -416,7 +473,7 @@ pub(crate) fn decode(comp: &[u8], out: &mut [u8]) -> Result<(), EntropyError> {
     }
     macro_rules! lookup {
         () => {{
-            let e = tab.entry((acc >> (64 - HUFFMAN_MAX_CODE_LEN)) as usize);
+            let e = tab[(acc >> (64 - HUFFMAN_MAX_CODE_LEN)) as usize];
             if e == 0 {
                 return Err(EntropyError("invalid huffman code"));
             }
@@ -456,7 +513,7 @@ pub(crate) fn decode(comp: &[u8], out: &mut [u8]) -> Result<(), EntropyError> {
     };
     while o < n {
         br.refill(bits);
-        let e = tab.entry(br.peek());
+        let e = tab[br.peek()];
         if e == 0 {
             return Err(EntropyError("invalid huffman code"));
         }
@@ -632,7 +689,7 @@ mod tests {
         }
         assert!(comp.len() < raw.len());
         let mut back = vec![0u8; raw.len()];
-        decode(&comp, &mut back).unwrap();
+        decode(&comp, &mut back, &mut DecodeTable::new()).unwrap();
         assert_eq!(back, raw);
         Some(comp)
     }
@@ -836,7 +893,7 @@ mod tests {
     /// shipped before builds it: for every prefix, look up the code that
     /// follows the first one and graft it when both fit the window.
     fn graft_per_prefix(lens: &[u8; 256]) -> [u32; TABLE_SIZE] {
-        let mut entries = DecodeTable::build(lens, false).unwrap().entries;
+        let mut entries = *DecodeTable::new().build(lens, false).unwrap();
         for p in 0..TABLE_SIZE {
             let e = entries[p];
             if e == 0 {
@@ -894,12 +951,12 @@ mod tests {
             sparse[s] = l;
         }
         cases.extend([one, two, deep, [8u8; 256], sparse]);
+        // One table for every case: each build must overwrite whatever
+        // the previous case left behind.
+        let mut table = DecodeTable::new();
         for (i, lens) in cases.iter().enumerate() {
-            let got = DecodeTable::build(lens, true).unwrap();
-            assert!(
-                got.entries == graft_per_prefix(lens),
-                "case {i}: tables differ"
-            );
+            let got = table.build(lens, true).unwrap();
+            assert!(*got == graft_per_prefix(lens), "case {i}: tables differ");
         }
     }
 
@@ -907,10 +964,11 @@ mod tests {
     fn empty_bitstream_rules() {
         let table = vec![0u8; HUFFMAN_TABLE_BYTES];
         let mut none: [u8; 0] = [];
-        decode(&table, &mut none).unwrap();
+        let mut tab = DecodeTable::new();
+        decode(&table, &mut none, &mut tab).unwrap();
         let mut one = [0u8; 1];
         assert_eq!(
-            decode(&table, &mut one),
+            decode(&table, &mut one, &mut tab),
             Err(EntropyError("huffman table empty"))
         );
     }
@@ -923,7 +981,7 @@ mod tests {
         let last = comp.len() - 1;
         comp[last] |= 1; // encode pads the final byte with zero bits
         let mut back = vec![0u8; raw.len()];
-        assert!(decode(&comp, &mut back).is_err());
+        assert!(decode(&comp, &mut back, &mut DecodeTable::new()).is_err());
     }
 
     #[test]
@@ -933,10 +991,10 @@ mod tests {
         let mut lens = [0u8; 256];
         lens[0] = 1;
         lens[1] = 1;
-        let tab = DecodeTable::build(&lens, true).unwrap();
-        for p in 0..TABLE_SIZE {
-            let e = tab.entry(p);
-            assert_ne!(e & (1 << 25), 0, "prefix {p:#x} should be 2-symbol");
+        let mut table = DecodeTable::new();
+        let tab = table.build(&lens, true).unwrap();
+        for &e in tab.iter() {
+            assert_ne!(e & (1 << 25), 0, "every prefix should be 2-symbol");
             assert_eq!((e >> 20) & 0x1F, 2, "two depth-1 codes consume 2 bits");
         }
     }

@@ -168,9 +168,13 @@ pub(crate) fn encode(tier: Tier, raw: &[u8], out: &mut Vec<u8>) -> bool {
 }
 
 /// Decode a `Huffman4` chunk into `out` (whose length is the chunk's
-/// recorded raw length). Every malformation is a typed [`EntropyError`];
-/// no input panics.
-pub(crate) fn decode(comp: &[u8], out: &mut [u8]) -> Result<(), EntropyError> {
+/// recorded raw length), building the shared decode table in `table`.
+/// Every malformation is a typed [`EntropyError`]; no input panics.
+pub(crate) fn decode(
+    comp: &[u8],
+    out: &mut [u8],
+    table: &mut DecodeTable,
+) -> Result<(), EntropyError> {
     if comp.len() < HUFFMAN4_HEADER_BYTES {
         return Err(EntropyError("huffman4 header truncated"));
     }
@@ -196,7 +200,7 @@ pub(crate) fn decode(comp: &[u8], out: &mut [u8]) -> Result<(), EntropyError> {
     if nonzero == 0 {
         return Err(EntropyError("huffman table empty"));
     }
-    let tab = DecodeTable::build(&lens, out.len() >= DecodeTable::GRAFT_MIN_SYMBOLS)?;
+    let tab = table.build(&lens, out.len() >= DecodeTable::GRAFT_MIN_SYMBOLS)?;
 
     let n = out.len();
     let streams: [&[u8]; HUFFMAN4_STREAMS] =
@@ -240,7 +244,7 @@ pub(crate) fn decode(comp: &[u8], out: &mut [u8]) -> Result<(), EntropyError> {
             } else {
                 (($acc << (MAX - $have)) as usize) & (crate::huffman::TABLE_SIZE - 1)
             };
-            let e = tab.entry(peek);
+            let e = tab[peek];
             if e == 0 {
                 return Err(EntropyError("invalid huffman code"));
             }
@@ -294,7 +298,7 @@ pub(crate) fn decode(comp: &[u8], out: &mut [u8]) -> Result<(), EntropyError> {
             $acc |= w >> $have;
             $next += ((63 - $have) >> 3) as usize;
             $have |= 56;
-            let e = tab.entry(($acc >> (64 - MAX)) as usize);
+            let e = tab[($acc >> (64 - MAX)) as usize];
             if e == 0 {
                 return Err(EntropyError("invalid huffman code"));
             }
@@ -324,7 +328,7 @@ pub(crate) fn decode(comp: &[u8], out: &mut [u8]) -> Result<(), EntropyError> {
     }
     macro_rules! lookup {
         ($acc:ident, $have:ident, $idx:ident) => {{
-            let e = tab.entry(($acc >> (64 - MAX)) as usize);
+            let e = tab[($acc >> (64 - MAX)) as usize];
             if e == 0 {
                 return Err(EntropyError("invalid huffman code"));
             }
@@ -448,7 +452,7 @@ mod tests {
         }
         assert!(comp.len() < raw.len());
         let mut back = vec![0xA5u8; raw.len()];
-        decode(&comp, &mut back).unwrap();
+        decode(&comp, &mut back, &mut DecodeTable::new()).unwrap();
         assert_eq!(back, raw);
         Some(comp)
     }
@@ -500,16 +504,19 @@ mod tests {
         let raw = skewed(20_000, 9);
         let comp = roundtrip(&raw).unwrap();
         let mut out = vec![0u8; raw.len()];
+        // One table across every prefix: a table a failed decode left
+        // behind must not make the next one succeed.
+        let mut tab = DecodeTable::new();
         for cut in 0..comp.len() {
             assert!(
-                decode(&comp[..cut], &mut out).is_err(),
+                decode(&comp[..cut], &mut out, &mut tab).is_err(),
                 "prefix of {cut} bytes must fail"
             );
         }
         // Trailing bytes (growing any one stream) must also fail.
         let mut long = comp;
         long.push(0);
-        assert!(decode(&long, &mut out).is_err());
+        assert!(decode(&long, &mut out, &mut tab).is_err());
     }
 
     #[test]
@@ -522,14 +529,14 @@ mod tests {
             let mut bad = comp.clone();
             bad[HUFFMAN_TABLE_BYTES + 4 * at..HUFFMAN_TABLE_BYTES + 4 * at + 4]
                 .copy_from_slice(&u32::MAX.to_le_bytes());
-            assert!(decode(&bad, &mut out).is_err());
+            assert!(decode(&bad, &mut out, &mut DecodeTable::new()).is_err());
             let mut bad = comp.clone();
             bad[HUFFMAN_TABLE_BYTES + 4 * at..HUFFMAN_TABLE_BYTES + 4 * at + 4]
                 .copy_from_slice(&0u32.to_le_bytes());
             // Zeroing an end either reorders offsets or truncates a
             // stream — both must be typed errors (stream 0 may legally
             // be empty only when it codes zero symbols).
-            assert!(decode(&bad, &mut out).is_err());
+            assert!(decode(&bad, &mut out, &mut DecodeTable::new()).is_err());
         }
     }
 
@@ -551,7 +558,7 @@ mod tests {
         for &end in &ends {
             let mut bad = comp.clone();
             bad[region + end - 1] ^= 1;
-            if decode(&bad, &mut out).is_err() {
+            if decode(&bad, &mut out, &mut DecodeTable::new()).is_err() {
                 rejected += 1;
             }
         }
@@ -566,14 +573,15 @@ mod tests {
     fn empty_output_rules() {
         let mut header = vec![0u8; HUFFMAN4_HEADER_BYTES];
         let mut none: [u8; 0] = [];
-        decode(&header, &mut none).unwrap();
+        let mut tab = DecodeTable::new();
+        decode(&header, &mut none, &mut tab).unwrap();
         let mut one = [0u8; 1];
         assert_eq!(
-            decode(&header, &mut one),
+            decode(&header, &mut one, &mut tab),
             Err(EntropyError("huffman table empty"))
         );
         header.push(0);
         let mut none: [u8; 0] = [];
-        assert!(decode(&header, &mut none).is_err());
+        assert!(decode(&header, &mut none, &mut tab).is_err());
     }
 }

@@ -42,10 +42,12 @@
 //! Huffman decoders are table-driven word-at-a-time loops and the RLE
 //! decoder is `memcpy`/`fill` dominated.
 //!
-//! Everything here works on plain byte slices, uses fixed-size stack
-//! tables only, and allocates nothing beyond the caller's output `Vec` —
-//! the properties the store's zero-steady-state-allocation reads and the
-//! service's warm buffers rely on.
+//! Everything here works on plain byte slices and fixed-size stack
+//! tables, plus one caller-owned [`DecodeTable`] that the Huffman modes
+//! rebuild in place per chunk. Nothing allocates beyond the caller's
+//! output `Vec` and that table's one-time 16 KiB — the properties the
+//! store's zero-steady-state-allocation reads and the service's warm
+//! buffers rely on.
 
 #![deny(missing_docs)]
 
@@ -55,7 +57,7 @@ mod interleave;
 mod rle;
 
 pub use histogram::{histogram, histogram_into};
-pub use huffman::{HUFFMAN_MAX_CODE_LEN, HUFFMAN_TABLE_BYTES};
+pub use huffman::{DecodeTable, HUFFMAN_MAX_CODE_LEN, HUFFMAN_TABLE_BYTES};
 pub use interleave::{HUFFMAN4_HEADER_BYTES, HUFFMAN4_STREAMS};
 
 /// How far past its final length [`encode_chunk_at`] may briefly grow
@@ -452,10 +454,20 @@ pub fn encode_chunk_at(tier: Tier, mode: Mode, raw: &[u8], out: &mut Vec<u8>) ->
 /// be the chunk's recorded raw length. Tier-independent: the decoders
 /// are table-driven and already word-parallel.
 ///
+/// The [`Mode::Huffman`] and [`Mode::Huffman4`] decoders build their
+/// decode table in `table`, which the caller keeps across chunks; its
+/// previous contents never affect the result. The other modes leave it
+/// untouched.
+///
 /// Every inconsistency between `mode`, `comp`, and `out.len()` is a typed
 /// [`EntropyError`]; no input panics. On error the contents of `out` are
 /// unspecified (the caller re-validates or discards them).
-pub fn decode_chunk(mode: Mode, comp: &[u8], out: &mut [u8]) -> Result<(), EntropyError> {
+pub fn decode_chunk(
+    mode: Mode,
+    comp: &[u8],
+    out: &mut [u8],
+    table: &mut DecodeTable,
+) -> Result<(), EntropyError> {
     match mode {
         Mode::Pass => {
             if comp.len() != out.len() {
@@ -472,27 +484,32 @@ pub fn decode_chunk(mode: Mode, comp: &[u8], out: &mut [u8]) -> Result<(), Entro
             Ok(())
         }
         Mode::Rle => rle::decode(comp, out),
-        Mode::Huffman => huffman::decode(comp, out),
-        Mode::Huffman4 => interleave::decode(comp, out),
+        Mode::Huffman => huffman::decode(comp, out, table),
+        Mode::Huffman4 => interleave::decode(comp, out, table),
     }
 }
 
 /// Parse a [`Mode::Huffman`] or [`Mode::Huffman4`] chunk's code-length
-/// table and build the decode table a `raw_len`-byte decode would use,
-/// without decoding — the fixed per-chunk cost of a Huffman decode, for
-/// the benchmarks. Other modes have no table and return `Ok(())`.
+/// table and build the decode table a `raw_len`-byte decode would use
+/// into `table`, without decoding — the fixed per-chunk cost of a
+/// Huffman decode, for the benchmarks. Other modes have no table and
+/// return `Ok(())`.
 #[doc(hidden)]
-pub fn build_decode_table(mode: Mode, comp: &[u8], raw_len: usize) -> Result<(), EntropyError> {
+pub fn build_decode_table(
+    mode: Mode,
+    comp: &[u8],
+    raw_len: usize,
+    table: &mut DecodeTable,
+) -> Result<(), EntropyError> {
     if !matches!(mode, Mode::Huffman | Mode::Huffman4) {
         return Ok(());
     }
-    let table = comp
+    let packed = comp
         .get(..HUFFMAN_TABLE_BYTES)
         .ok_or(EntropyError("huffman table truncated"))?;
-    let (lens, _) = huffman::parse_lens_table(table)?;
-    let tab =
-        huffman::DecodeTable::build(&lens, raw_len >= huffman::DecodeTable::GRAFT_MIN_SYMBOLS)?;
-    std::hint::black_box(&tab);
+    let (lens, _) = huffman::parse_lens_table(packed)?;
+    let tab = table.build(&lens, raw_len >= DecodeTable::GRAFT_MIN_SYMBOLS)?;
+    std::hint::black_box(tab);
     Ok(())
 }
 
@@ -526,9 +543,36 @@ mod tests {
         let used = encode_chunk(mode, raw, &mut comp);
         assert!(comp.len() <= raw.len().max(1), "chunk expanded");
         let mut back = vec![0xA5u8; raw.len()];
-        decode_chunk(used, &comp, &mut back).unwrap();
+        decode_chunk(used, &comp, &mut back, &mut DecodeTable::new()).unwrap();
         assert_eq!(back, raw, "mode {used} round trip");
         used
+    }
+
+    /// A decode table left behind by an unrelated `Huffman` chunk whose
+    /// code is complete (Kraft sum 1), so every one of its entries is a
+    /// valid code.
+    fn dirty_table() -> DecodeTable {
+        let raw: Vec<u8> = noise(3000, 5).iter().map(|b| b % 61).collect();
+        let mut comp = Vec::new();
+        assert_eq!(encode_chunk(Mode::Huffman, &raw, &mut comp), Mode::Huffman);
+        let mut table = DecodeTable::new();
+        let mut back = vec![0u8; raw.len()];
+        decode_chunk(Mode::Huffman, &comp, &mut back, &mut table).unwrap();
+        assert_eq!(back, raw);
+        table
+    }
+
+    /// Decode with a fresh table and with a dirty one: the results (and
+    /// on success the bytes) must agree. Returns the fresh result.
+    fn decode_both(mode: Mode, comp: &[u8], out: &mut [u8]) -> Result<(), EntropyError> {
+        let fresh = decode_chunk(mode, comp, out, &mut DecodeTable::new());
+        let want = out.to_vec();
+        let dirty = decode_chunk(mode, comp, out, &mut dirty_table());
+        assert_eq!(fresh, dirty, "{mode}: dirty table changed the result");
+        if fresh.is_ok() {
+            assert_eq!(out, &want[..], "{mode}: dirty table changed the bytes");
+        }
+        fresh
     }
 
     #[test]
@@ -671,9 +715,9 @@ mod tests {
     #[test]
     fn decode_rejects_wrong_lengths() {
         let mut out = vec![0u8; 10];
-        assert!(decode_chunk(Mode::Pass, &[1, 2, 3], &mut out).is_err());
-        assert!(decode_chunk(Mode::Constant, &[1, 2], &mut out).is_err());
-        assert!(decode_chunk(Mode::Constant, &[], &mut out).is_err());
+        assert!(decode_both(Mode::Pass, &[1, 2, 3], &mut out).is_err());
+        assert!(decode_both(Mode::Constant, &[1, 2], &mut out).is_err());
+        assert!(decode_both(Mode::Constant, &[], &mut out).is_err());
     }
 
     #[test]
@@ -684,19 +728,19 @@ mod tests {
         let mut out = vec![0u8; 64];
         // Reserved control byte.
         assert_eq!(
-            decode_chunk(Mode::Rle, &[128], &mut out),
+            decode_both(Mode::Rle, &[128], &mut out),
             Err(EntropyError("rle reserved control byte"))
         );
         // Truncated repeat run (control byte with no payload byte).
-        assert!(decode_chunk(Mode::Rle, &[200], &mut out).is_err());
+        assert!(decode_both(Mode::Rle, &[200], &mut out).is_err());
         // Truncated literal run.
-        assert!(decode_chunk(Mode::Rle, &[10, 1, 2], &mut out).is_err());
+        assert!(decode_both(Mode::Rle, &[10, 1, 2], &mut out).is_err());
         // Output overflow: declared runs overshoot the raw length.
         let mut tiny = vec![0u8; 3];
-        assert!(decode_chunk(Mode::Rle, &comp, &mut tiny).is_err());
+        assert!(decode_both(Mode::Rle, &comp, &mut tiny).is_err());
         // Underflow: runs end before the raw length is reached.
         let mut long = vec![0u8; 65];
-        assert!(decode_chunk(Mode::Rle, &comp, &mut long).is_err());
+        assert!(decode_both(Mode::Rle, &comp, &mut long).is_err());
     }
 
     #[test]
@@ -706,22 +750,22 @@ mod tests {
         assert_eq!(encode_chunk(Mode::Huffman, &raw, &mut comp), Mode::Huffman);
         let mut out = vec![0u8; raw.len()];
         // Table truncated below 128 bytes.
-        assert!(decode_chunk(Mode::Huffman, &comp[..100], &mut out).is_err());
+        assert!(decode_both(Mode::Huffman, &comp[..100], &mut out).is_err());
         // Bitstream truncated.
-        assert!(decode_chunk(Mode::Huffman, &comp[..comp.len() - 1], &mut out).is_err());
+        assert!(decode_both(Mode::Huffman, &comp[..comp.len() - 1], &mut out).is_err());
         // Trailing bytes.
         let mut long = comp.clone();
         long.push(0);
-        assert!(decode_chunk(Mode::Huffman, &long, &mut out).is_err());
+        assert!(decode_both(Mode::Huffman, &long, &mut out).is_err());
         // Overfull code-length table (all-one nibbles → Kraft > 1).
         let mut bad = comp.clone();
         for b in bad.iter_mut().take(HUFFMAN_TABLE_BYTES) {
             *b = 0x11;
         }
-        assert!(decode_chunk(Mode::Huffman, &bad, &mut out).is_err());
+        assert!(decode_both(Mode::Huffman, &bad, &mut out).is_err());
         // An empty table cannot decode a non-empty chunk.
         let empty_table = vec![0u8; HUFFMAN_TABLE_BYTES];
-        assert!(decode_chunk(Mode::Huffman, &empty_table, &mut out).is_err());
+        assert!(decode_both(Mode::Huffman, &empty_table, &mut out).is_err());
     }
 
     #[test]
@@ -735,16 +779,69 @@ mod tests {
         let mut out = vec![0u8; raw.len()];
         for cut in [0, 100, HUFFMAN4_HEADER_BYTES, comp.len() - 1] {
             assert!(
-                decode_chunk(Mode::Huffman4, &comp[..cut], &mut out).is_err(),
+                decode_both(Mode::Huffman4, &comp[..cut], &mut out).is_err(),
                 "prefix {cut}"
             );
         }
         let mut long = comp.clone();
         long.push(0);
-        assert!(decode_chunk(Mode::Huffman4, &long, &mut out).is_err());
+        assert!(decode_both(Mode::Huffman4, &long, &mut out).is_err());
         // A Huffman4 chunk is not a valid 1-way chunk and vice versa
         // (the offset words sit where the 1-way bitstream starts).
-        assert!(decode_chunk(Mode::Huffman, &comp, &mut out).is_err());
+        assert!(decode_both(Mode::Huffman, &comp, &mut out).is_err());
+    }
+
+    /// A Kraft-deficient code: symbol 0 is `0`, symbol 1 is `10`, and
+    /// no code starts with `11`. Its nibble table, and the byte
+    /// `0 10 0 0 10 0` (six symbols).
+    fn deficient_code() -> (Vec<u8>, u8) {
+        let mut table = vec![0u8; HUFFMAN_TABLE_BYTES];
+        table[0] = 1 | 2 << 4;
+        (table, 0b0100_0100)
+    }
+
+    #[test]
+    fn stale_decode_table_never_changes_a_decode() {
+        let (lens, byte) = deficient_code();
+        let want: Vec<u8> = (0..240).map(|i| [0, 1, 0, 0, 1, 0][i % 6]).collect();
+
+        // `Huffman`: 40 bytes of valid codes decode like a fresh table;
+        // an `11` prefix — in the wide loop or in the careful tail — is
+        // still an invalid code after a complete code filled the table.
+        let mut valid = lens.clone();
+        valid.extend(std::iter::repeat_n(byte, 40));
+        let mut out = vec![0u8; 240];
+        decode_both(Mode::Huffman, &valid, &mut out).unwrap();
+        assert_eq!(out, want);
+        for at in [HUFFMAN_TABLE_BYTES + 3, valid.len() - 1] {
+            let mut bad = valid.clone();
+            bad[at] = 0b1100_0000;
+            assert_eq!(
+                decode_both(Mode::Huffman, &bad, &mut out),
+                Err(EntropyError("invalid huffman code")),
+                "uncovered prefix at byte {at}"
+            );
+        }
+
+        // `Huffman4`: four streams of ten bytes, 60 symbols each.
+        let mut valid = lens;
+        for end in [10u32, 20, 30] {
+            valid.extend_from_slice(&end.to_le_bytes());
+        }
+        valid.extend(std::iter::repeat_n(byte, 40));
+        let mut out = vec![0u8; 240];
+        decode_both(Mode::Huffman4, &valid, &mut out).unwrap();
+        let interleaved: Vec<u8> = (0..240).map(|i| want[i / 4]).collect();
+        assert_eq!(out, interleaved);
+        for at in [HUFFMAN4_HEADER_BYTES + 22, valid.len() - 1] {
+            let mut bad = valid.clone();
+            bad[at] = 0b1100_0000;
+            assert_eq!(
+                decode_both(Mode::Huffman4, &bad, &mut out),
+                Err(EntropyError("invalid huffman code")),
+                "uncovered prefix at byte {at}"
+            );
+        }
     }
 
     #[test]

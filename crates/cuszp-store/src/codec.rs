@@ -3,10 +3,12 @@
 //! A codec is a self-describing byte-stream format with block-granular
 //! partial decode: `decode_blocks(range)` reconstructs exactly the
 //! elements covered by a block range, reading only those blocks' payload
-//! bytes. All implementations are copy-free (they parse borrowed views
-//! over the frame bytes — never materialize the payload) and
-//! allocation-free after warm-up (scratch lives in [`CodecScratch`] or on
-//! the stack).
+//! bytes, and `decode_rows(layout)` writes the rows of a box straight
+//! into the caller's output, decoding each block they touch once. All
+//! implementations are copy-free (they parse borrowed views over the
+//! frame bytes — never materialize the payload) and allocation-free
+//! after warm-up (scratch lives in [`CodecScratch`], the store's
+//! [`StoreScratch`], or on the stack).
 //!
 //! The trait is f32-first (every codec must handle f32 frames); f64 is
 //! opt-in per codec through [`ErrorBoundedCodec::supports_dtype`] and the
@@ -15,9 +17,10 @@
 //! the hybrid `CZH1`) support both element types.
 
 use crate::error::StoreError;
+use crate::store::{tile_walk, StoreScratch};
 use baselines::{cuszx, cuzfp};
 use cuszp_core::hybrid::{self, HybridRef, HybridScratch, HYBRID_MAGIC};
-use cuszp_core::{fast, CompressedRef, CuszpConfig, DType, FloatData, Scratch};
+use cuszp_core::{fast, CompressedRef, CuszpConfig, DType, FloatData, RowLayout, Scratch};
 use std::ops::Range;
 
 /// 4-byte codec identifier persisted in shard chunk entries.
@@ -61,9 +64,13 @@ impl CodecScratch {
 ///   payload bytes it read — the basis of the store's bytes-touched
 ///   accounting — and must read **only** the requested blocks' payload
 ///   plus per-block metadata.
+/// * `decode_rows(stream, rows, ..)` writes every element `rows`
+///   selects to its place in `out` (see [`ErrorBoundedCodec::decode_rows`])
+///   and returns the payload bytes it read; it decodes each block the
+///   rows touch once and reads no other block's payload.
 /// * Corrupt frame bytes yield `Err`, never a panic or an over-read.
-///   Out-of-range block ranges or wrong `out` lengths are caller bugs and
-///   may panic.
+///   Out-of-range block ranges or rows, or wrong `out` lengths, are
+///   caller bugs and may panic.
 /// * If `is_error_bounded()`, every decoded value is within `eb` of its
 ///   original (the conformance suite enforces this table-wide).
 pub trait ErrorBoundedCodec {
@@ -115,6 +122,36 @@ pub trait ErrorBoundedCodec {
         let num_blocks = n.div_ceil(self.block_len());
         self.decode_blocks(stream, 0..num_blocks, scratch, out)
     }
+    /// Decode the elements `rows` selects (chunk-local indices into the
+    /// frame) and write each row straight to its place in `out`: row
+    /// `(src, dst)` of [`RowLayout::iter`] fills `out[dst..dst +
+    /// row_len]`, and nothing else in `out` is written. Returns the
+    /// payload bytes read. `out` must hold at least
+    /// [`RowLayout::dst_len`] elements.
+    ///
+    /// This is the store's one read path: [`crate::Shard::read_region`]
+    /// makes one call per touched chunk. An implementation must decode
+    /// each block the rows touch **once** — the store counts
+    /// [`RowLayout::blocks`] as the blocks decoded — and read only those
+    /// blocks' payload plus per-block metadata.
+    ///
+    /// The provided method meets that contract through
+    /// [`ErrorBoundedCodec::decode_blocks`]: it groups the rows into the
+    /// runs of [`RowLayout::block_runs`], decodes each run with one call
+    /// into a tile in `scratch`, and copies the run's rows out. Codecs
+    /// that can place rows directly override it (`CZP1`, `CZH1`).
+    fn decode_rows(
+        &self,
+        stream: &[u8],
+        rows: &RowLayout,
+        scratch: &mut StoreScratch,
+        out: &mut [f32],
+    ) -> Result<usize, StoreError> {
+        let (l, n) = (self.block_len(), self.num_elements(stream)?);
+        tile_walk(l, n, rows, scratch, out, |blocks, scratch, tile| {
+            self.decode_blocks(stream, blocks, scratch, tile)
+        })
+    }
     /// Compress f64 `data` at absolute bound `eb` into `out`. Errors with
     /// [`StoreError::UnsupportedDtype`] unless the codec opted in via
     /// [`ErrorBoundedCodec::supports_dtype`].
@@ -145,6 +182,21 @@ pub trait ErrorBoundedCodec {
         Err(StoreError::UnsupportedDtype {
             codec: self.name(),
             dtype: DType::F64,
+        })
+    }
+    /// Decode rows of an f64 frame; same contract as
+    /// [`ErrorBoundedCodec::decode_rows`], and the provided method goes
+    /// through [`ErrorBoundedCodec::decode_blocks_f64`] the same way.
+    fn decode_rows_f64(
+        &self,
+        stream: &[u8],
+        rows: &RowLayout,
+        scratch: &mut StoreScratch,
+        out: &mut [f64],
+    ) -> Result<usize, StoreError> {
+        let (l, n) = (self.block_len(), self.num_elements(stream)?);
+        tile_walk(l, n, rows, scratch, out, |blocks, scratch, tile| {
+            self.decode_blocks_f64(stream, blocks, scratch, tile)
         })
     }
 }
@@ -233,6 +285,36 @@ impl ErrorBoundedCodec for CuszpCodec {
             out,
         ))
     }
+    fn decode_rows(
+        &self,
+        stream: &[u8],
+        rows: &RowLayout,
+        scratch: &mut StoreScratch,
+        out: &mut [f32],
+    ) -> Result<usize, StoreError> {
+        let r = Self::parse_as(stream, DType::F32)?;
+        Ok(fast::decompress_rows_into(
+            r,
+            rows,
+            &mut scratch.codec.cuszp,
+            out,
+        ))
+    }
+    fn decode_rows_f64(
+        &self,
+        stream: &[u8],
+        rows: &RowLayout,
+        scratch: &mut StoreScratch,
+        out: &mut [f64],
+    ) -> Result<usize, StoreError> {
+        let r = Self::parse_as(stream, DType::F64)?;
+        Ok(fast::decompress_rows_into(
+            r,
+            rows,
+            &mut scratch.codec.cuszp,
+            out,
+        ))
+    }
 }
 
 /// Hybrid cuSZp frames (`CZH1`): the `CUSZP1` lossy stage recoded by the
@@ -272,6 +354,23 @@ impl CuszpHybridCodec {
         }
     }
 
+    /// Parse a frame as `T`: a `CUSZPHY1` frame, or the plain `CUSZP1`
+    /// frame stored when the second stage did not pay.
+    fn parse_any<T: FloatData>(stream: &[u8]) -> Result<Frame<'_>, StoreError> {
+        if stream.starts_with(&HYBRID_MAGIC) {
+            let r = HybridRef::parse(stream)?;
+            if r.dtype != T::DTYPE {
+                return Err(StoreError::DtypeMismatch {
+                    stored: r.dtype,
+                    requested: T::DTYPE,
+                });
+            }
+            Ok(Frame::Hybrid(r))
+        } else {
+            Ok(Frame::Plain(CuszpCodec::parse_as(stream, T::DTYPE)?))
+        }
+    }
+
     fn decode_any<T: FloatData>(
         stream: &[u8],
         blocks: Range<usize>,
@@ -281,20 +380,32 @@ impl CuszpHybridCodec {
         let CodecScratch {
             cuszp, hybrid: hs, ..
         } = scratch;
-        if stream.starts_with(&HYBRID_MAGIC) {
-            let r = HybridRef::parse(stream)?;
-            if r.dtype != T::DTYPE {
-                return Err(StoreError::DtypeMismatch {
-                    stored: r.dtype,
-                    requested: T::DTYPE,
-                });
-            }
-            Ok(hybrid::decode_blocks_into(&r, blocks, hs, cuszp, out)?)
-        } else {
-            let r = CuszpCodec::parse_as(stream, T::DTYPE)?;
-            Ok(fast::decompress_blocks_into(r, blocks, cuszp, out))
+        match Self::parse_any::<T>(stream)? {
+            Frame::Hybrid(r) => Ok(hybrid::decode_blocks_into(&r, blocks, hs, cuszp, out)?),
+            Frame::Plain(r) => Ok(fast::decompress_blocks_into(r, blocks, cuszp, out)),
         }
     }
+
+    fn decode_rows_any<T: FloatData>(
+        stream: &[u8],
+        rows: &RowLayout,
+        scratch: &mut CodecScratch,
+        out: &mut [T],
+    ) -> Result<usize, StoreError> {
+        let CodecScratch {
+            cuszp, hybrid: hs, ..
+        } = scratch;
+        match Self::parse_any::<T>(stream)? {
+            Frame::Hybrid(r) => Ok(hybrid::decode_rows_into(&r, rows, hs, cuszp, out)?),
+            Frame::Plain(r) => Ok(fast::decompress_rows_into(r, rows, cuszp, out)),
+        }
+    }
+}
+
+/// A parsed `CZH1` frame.
+enum Frame<'a> {
+    Hybrid(HybridRef<'a>),
+    Plain(CompressedRef<'a>),
 }
 
 impl ErrorBoundedCodec for CuszpHybridCodec {
@@ -353,6 +464,24 @@ impl ErrorBoundedCodec for CuszpHybridCodec {
         out: &mut [f64],
     ) -> Result<usize, StoreError> {
         Self::decode_any(stream, blocks, scratch, out)
+    }
+    fn decode_rows(
+        &self,
+        stream: &[u8],
+        rows: &RowLayout,
+        scratch: &mut StoreScratch,
+        out: &mut [f32],
+    ) -> Result<usize, StoreError> {
+        Self::decode_rows_any(stream, rows, &mut scratch.codec, out)
+    }
+    fn decode_rows_f64(
+        &self,
+        stream: &[u8],
+        rows: &RowLayout,
+        scratch: &mut StoreScratch,
+        out: &mut [f64],
+    ) -> Result<usize, StoreError> {
+        Self::decode_rows_any(stream, rows, &mut scratch.codec, out)
     }
 }
 

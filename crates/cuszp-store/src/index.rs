@@ -45,7 +45,7 @@ pub const FOOTER_BYTES: usize = 16;
 /// Bytes per chunk entry.
 pub const ENTRY_BYTES: usize = 28;
 /// Maximum dimensionality of a shard.
-pub const MAX_DIMS: usize = 8;
+pub const MAX_DIMS: usize = cuszp_core::rows::MAX_RANK;
 /// Cap on the chunk count (2^24), bounding index allocation before the
 /// entry table is trusted.
 pub const MAX_CHUNKS: usize = 1 << 24;

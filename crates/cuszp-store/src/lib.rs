@@ -21,7 +21,9 @@
 //!    `CUSZPFT1` footer). A region read touches only the chunks — and
 //!    within each chunk only the 32-value (codec-defined) blocks — that
 //!    overlap the request, copy-free over the shard bytes and zero-alloc
-//!    after warm-up via the [`StoreScratch`] arena.
+//!    after warm-up via the [`StoreScratch`] arena. Each touched chunk is
+//!    one `decode_rows` call, and the cuSZp codecs write its rows straight
+//!    into the caller's output.
 //!
 //! The partial-read path is pinned by differential tests (value-identical
 //! to full-decode-then-slice), a bytes-touched accounting check, and a
@@ -43,6 +45,7 @@ pub mod store;
 pub use codec::{
     CodecScratch, CuszpCodec, CuszpHybridCodec, CuszxCodec, CuzfpCodec, ErrorBoundedCodec, FormatId,
 };
+pub use cuszp_core::RowLayout;
 pub use error::StoreError;
 pub use index::{ChunkEntry, ShardIndex};
 pub use registry::CodecRegistry;

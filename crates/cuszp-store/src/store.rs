@@ -7,23 +7,24 @@
 //! validates the index once, and [`Shard::read_region`] then serves
 //! arbitrary axis-aligned sub-regions touching only the chunks — and
 //! within each chunk only the codec blocks — that overlap the request.
-//! Within a chunk, consecutive intersection rows whose block ranges touch
-//! or overlap merge into one run decoded by a single codec call, so a
-//! full-width box (and `read_all`) costs one call per chunk and a
-//! boundary block shared by two rows is decoded once.
+//! Each touched chunk is one codec call
+//! ([`ErrorBoundedCodec::decode_rows`]) given the chunk's intersection
+//! rows as a [`RowLayout`]; the `CZP1` and `CZH1` codecs decode each
+//! block those rows touch once and write it straight into the caller's
+//! output.
 //!
 //! The read path is **copy-free** over the shard (frames decode straight
 //! out of the borrowed bytes via each codec's `parse`, never
 //! materialized) and **zero-alloc after warm-up**: all loop state lives
-//! in fixed `[usize; MAX_DIMS]` arrays and the only buffers — the decode
-//! tile and the codec arena — grow monotonically inside
-//! [`StoreScratch`].
+//! in fixed `[usize; MAX_DIMS]` arrays and the only buffers — the codec
+//! arenas, and the tile of codecs that use the provided row walk — grow
+//! monotonically inside [`StoreScratch`].
 
 use crate::codec::{CodecScratch, ErrorBoundedCodec};
 use crate::error::StoreError;
 use crate::index::{ChunkEntry, ShardIndex, MAX_DIMS};
 use crate::registry::CodecRegistry;
-use cuszp_core::DType;
+use cuszp_core::{DType, RowLayout};
 use std::ops::Range;
 use std::path::Path;
 
@@ -32,10 +33,13 @@ use std::path::Path;
 /// nothing.
 #[derive(Default)]
 pub struct StoreScratch {
-    /// Per-codec scratch (cuSZp arena; the other codecs use the stack).
+    /// Per-codec scratch (the cuSZp arena and the hybrid stage's chunk
+    /// staging and decode table; the other codecs use the stack).
     pub codec: CodecScratch,
-    /// f32 decode tile covering one run's block span — at most one chunk
-    /// (monotonic growth).
+    /// f32 decode tile of the provided [`ErrorBoundedCodec::decode_rows`]
+    /// walk, covering one run's block span — at most one chunk
+    /// (monotonic growth). The `CZP1` and `CZH1` codecs decode straight
+    /// into the caller's output and never touch it.
     tile: Vec<f32>,
     /// f64 decode tile (same role, other element type).
     tile64: Vec<f64>,
@@ -63,13 +67,13 @@ pub trait ShardElement: sealed::Sealed + Copy + Default + 'static {
         scratch: &mut CodecScratch,
         out: &mut Vec<u8>,
     ) -> Result<(), StoreError>;
-    /// Decode a block range of one frame through `codec`.
+    /// Decode `rows` of one frame through `codec`.
     #[doc(hidden)]
-    fn decode_chunk_blocks(
+    fn decode_chunk_rows(
         codec: &dyn ErrorBoundedCodec,
         stream: &[u8],
-        blocks: Range<usize>,
-        scratch: &mut CodecScratch,
+        rows: &RowLayout,
+        scratch: &mut StoreScratch,
         out: &mut [Self],
     ) -> Result<usize, StoreError>;
     /// Split `scratch` into this dtype's decode tile (grown to at least
@@ -90,14 +94,14 @@ impl ShardElement for f32 {
         codec.encode(data, eb, scratch, out);
         Ok(())
     }
-    fn decode_chunk_blocks(
+    fn decode_chunk_rows(
         codec: &dyn ErrorBoundedCodec,
         stream: &[u8],
-        blocks: Range<usize>,
-        scratch: &mut CodecScratch,
+        rows: &RowLayout,
+        scratch: &mut StoreScratch,
         out: &mut [Self],
     ) -> Result<usize, StoreError> {
-        codec.decode_blocks(stream, blocks, scratch, out)
+        codec.decode_rows(stream, rows, scratch, out)
     }
     fn tile_and_codec(scratch: &mut StoreScratch, need: usize) -> (&mut [Self], &mut CodecScratch) {
         if scratch.tile.len() < need {
@@ -118,14 +122,14 @@ impl ShardElement for f64 {
     ) -> Result<(), StoreError> {
         codec.encode_f64(data, eb, scratch, out)
     }
-    fn decode_chunk_blocks(
+    fn decode_chunk_rows(
         codec: &dyn ErrorBoundedCodec,
         stream: &[u8],
-        blocks: Range<usize>,
-        scratch: &mut CodecScratch,
+        rows: &RowLayout,
+        scratch: &mut StoreScratch,
         out: &mut [Self],
     ) -> Result<usize, StoreError> {
-        codec.decode_blocks_f64(stream, blocks, scratch, out)
+        codec.decode_rows_f64(stream, rows, scratch, out)
     }
     fn tile_and_codec(scratch: &mut StoreScratch, need: usize) -> (&mut [Self], &mut CodecScratch) {
         if scratch.tile64.len() < need {
@@ -133,6 +137,36 @@ impl ShardElement for f64 {
         }
         (&mut scratch.tile64, &mut scratch.codec)
     }
+}
+
+/// The provided [`ErrorBoundedCodec::decode_rows`] walk, for a frame of
+/// `n` elements in blocks of `l`: each run of [`RowLayout::block_runs`]
+/// is one `decode_blocks` call into the scratch tile (at most one
+/// chunk), and the run's rows are then copied out of the tile.
+pub(crate) fn tile_walk<T: ShardElement>(
+    l: usize,
+    n: usize,
+    rows: &RowLayout,
+    scratch: &mut StoreScratch,
+    out: &mut [T],
+    mut decode_blocks: impl FnMut(
+        Range<usize>,
+        &mut CodecScratch,
+        &mut [T],
+    ) -> Result<usize, StoreError>,
+) -> Result<usize, StoreError> {
+    let row_len = rows.row_len();
+    let mut read = 0;
+    for (blocks, run) in rows.block_runs(l) {
+        let base = blocks.start * l;
+        let covered = (blocks.end * l).min(n) - base;
+        let (tile, codec_scratch) = T::tile_and_codec(scratch, covered);
+        read += decode_blocks(blocks, codec_scratch, &mut tile[..covered])?;
+        for (src, dst) in run {
+            out[dst..dst + row_len].copy_from_slice(&tile[src - base..src - base + row_len]);
+        }
+    }
+    Ok(read)
 }
 
 impl StoreScratch {
@@ -148,11 +182,11 @@ impl StoreScratch {
 pub struct ReadStats {
     /// Chunks whose frames were opened.
     pub chunks_touched: usize,
-    /// Codec blocks decoded. Within a chunk each block is counted once:
-    /// rows whose block ranges touch merge into one run, so a shared
-    /// boundary block is decoded (and counted) once.
+    /// Codec blocks decoded. Within a chunk each block the region's rows
+    /// touch is decoded, and counted, once — including a boundary block
+    /// two rows share.
     pub blocks_decoded: usize,
-    /// Compressed payload bytes read across all `decode_blocks` calls.
+    /// Compressed payload bytes read across all codec calls.
     pub payload_bytes_read: usize,
 }
 
@@ -343,11 +377,12 @@ impl<'a> Shard<'a> {
     /// Only chunks overlapping the region are opened, and within each
     /// chunk only the codec blocks overlapping the region's rows are
     /// decoded — the returned [`ReadStats`] account for exactly that.
-    /// Rows are decoded in runs: consecutive rows merge while the next
-    /// row's first block is at or before the run's end block, and each run
-    /// is one codec call. Full-width boxes therefore decode each chunk in
-    /// one call; boxes narrower than a row's block span keep one call per
-    /// row.
+    /// Each touched chunk is one [`ErrorBoundedCodec::decode_rows`] call
+    /// over the chunk's intersection rows. The `CZP1` and `CZH1` codecs
+    /// decode each block once and write it straight to its place in
+    /// `out`, whatever the box's width, and a `CZH1` chunk is
+    /// entropy-decoded once; other codecs go through the provided
+    /// tile-and-copy walk.
     /// With a warm `scratch` the call performs zero heap allocations.
     /// `T` must match the shard's recorded dtype
     /// ([`StoreError::DtypeMismatch`] otherwise).
@@ -475,80 +510,26 @@ impl<'a> Shard<'a> {
         let mut cdim = [1usize; MAX_DIMS];
         let mut lo = [0usize; MAX_DIMS];
         let mut hi = [0usize; MAX_DIMS];
+        let mut out_at = 0;
         for i in 0..ndim {
             corigin[i] = cc[i] * chunk_shape[i];
             cdim[i] = chunk_shape[i].min(shape[i] - corigin[i]);
             lo[i] = origin[i].max(corigin[i]) - corigin[i];
             hi[i] = (origin[i] + extent[i]).min(corigin[i] + cdim[i]) - corigin[i];
+            out_at += (corigin[i] + lo[i] - origin[i]) * out_strides[i];
         }
-        let mut cstrides = [1usize; MAX_DIMS];
-        c_strides(&cdim[..ndim], &mut cstrides);
-
         // The intersection is a set of rows contiguous along the last axis
-        // in both the chunk and the output. `row` maps a row's leading
-        // coordinates to its chunk-local start and its output offset;
-        // `next_row` steps them in C order and says whether a row is left.
-        let row_len = hi[ndim - 1] - lo[ndim - 1];
-        let row = |lc: &[usize; MAX_DIMS]| {
-            let mut start = lo[ndim - 1];
-            let mut out_off = corigin[ndim - 1] + lo[ndim - 1] - origin[ndim - 1];
-            for i in 0..ndim - 1 {
-                start += lc[i] * cstrides[i];
-                out_off += (corigin[i] + lc[i] - origin[i]) * out_strides[i];
-            }
-            (start, out_off)
-        };
-        let next_row = |lc: &mut [usize; MAX_DIMS]| {
-            for axis in (0..ndim - 1).rev() {
-                lc[axis] += 1;
-                if lc[axis] < hi[axis] {
-                    return true;
-                }
-                lc[axis] = lo[axis];
-            }
-            false
-        };
-
-        // One codec call per run of rows whose block ranges touch. Their
-        // union is itself a range, so a run decodes no block its rows do
-        // not cover, and a boundary block two rows share is decoded once.
-        let l = codec.block_len();
-        let mut lc = lo;
-        let mut more = true;
-        while more {
-            let run_first = lc;
-            let (start, _) = row(&lc);
-            let b0 = start / l;
-            let mut b1 = (start + row_len).div_ceil(l);
-            let mut rows = 1usize;
-            loop {
-                more = next_row(&mut lc);
-                if !more {
-                    break;
-                }
-                let (start, _) = row(&lc);
-                if start / l > b1 {
-                    break;
-                }
-                b1 = (start + row_len).div_ceil(l);
-                rows += 1;
-            }
-
-            let covered = (b1 * l).min(chunk_n) - b0 * l;
-            let (tile, codec_scratch) = T::tile_and_codec(scratch, covered);
-            let read =
-                T::decode_chunk_blocks(codec, frame, b0..b1, codec_scratch, &mut tile[..covered])?;
-            stats.blocks_decoded += b1 - b0;
-            stats.payload_bytes_read += read;
-
-            let mut rc = run_first;
-            for _ in 0..rows {
-                let (start, out_off) = row(&rc);
-                let at = start - b0 * l;
-                out[out_off..out_off + row_len].copy_from_slice(&tile[at..at + row_len]);
-                next_row(&mut rc);
-            }
-        }
+        // in both the chunk and the output; one call decodes them all.
+        let rows = RowLayout::of_box(
+            &cdim[..ndim],
+            &lo[..ndim],
+            &hi[..ndim],
+            &out_strides[..ndim],
+        );
+        let out = &mut out[out_at..out_at + rows.dst_len()];
+        let read = T::decode_chunk_rows(codec, frame, &rows, scratch, out)?;
+        stats.blocks_decoded += rows.blocks(codec.block_len());
+        stats.payload_bytes_read += read;
         Ok(())
     }
 

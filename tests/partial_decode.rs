@@ -2,15 +2,20 @@
 //! bounds, and block ranges, `decode_blocks(range)` must be
 //! **value-identical** to full-decode-then-slice — for every registered
 //! codec, including ranges straddling chunk boundaries and the ragged
-//! final block. The store-level region reader is held to the same oracle
-//! over random 2-D shards (every registered codec) and random 3-D f64
-//! shards (the two cuSZp codecs), and its block accounting to the
-//! row-merge rule: a region never decodes more blocks than one codec call
-//! per row would, and a full read decodes each chunk's blocks exactly once.
+//! final block. The store-level region reader is held to an independent
+//! reference — each chunk's frame decoded whole by its codec and
+//! scattered element by element into the array — over random 1-, 2- and
+//! 3-D shards with ragged chunk grids, rows that are not a multiple of
+//! the block length and unaligned boxes, for every registered codec in
+//! f32 and, where the codec supports it, f64. Its block accounting is
+//! held to the row-merge rule: a region never decodes more blocks than
+//! one codec call per row would, and a full read decodes each chunk's
+//! blocks exactly once.
 //! A single-block read from the middle of a 1-D shard is held to a
 //! bytes-touched budget: one block, one chunk, and a payload share set by
 //! the codec's random-access granule.
 
+use cuszp_repro::cuszp_core::DType;
 use cuszp_repro::cuszp_store::{
     write_shard, CodecRegistry, CodecScratch, ErrorBoundedCodec, FormatId, Shard, ShardElement,
     StoreScratch,
@@ -126,12 +131,81 @@ fn per_row_blocks(
     total
 }
 
-/// Write `data` as a shard through codec `id`, then check the store's region
-/// reader against its own full read: `read_all` decodes each chunk's
-/// blocks exactly once (Σ ⌈chunk_n / L⌉, no duplicates), and the region
-/// equals the full read's slice while decoding no more blocks than the
-/// per-row walk would.
-fn check_region<T: ShardElement + PartialEq + std::fmt::Debug>(
+/// Element types the reference decoder handles: a codec's whole-frame
+/// decode for that type.
+trait Elem: ShardElement + PartialEq + std::fmt::Debug {
+    fn decode_frame(codec: &dyn ErrorBoundedCodec, frame: &[u8], out: &mut [Self]);
+    fn from_f32(v: f32) -> Self;
+}
+
+impl Elem for f32 {
+    fn decode_frame(codec: &dyn ErrorBoundedCodec, frame: &[u8], out: &mut [f32]) {
+        codec
+            .decode_into(frame, &mut CodecScratch::new(), out)
+            .expect("own frame decodes");
+    }
+    fn from_f32(v: f32) -> f32 {
+        v
+    }
+}
+
+impl Elem for f64 {
+    fn decode_frame(codec: &dyn ErrorBoundedCodec, frame: &[u8], out: &mut [f64]) {
+        let blocks = 0..out.len().div_ceil(codec.block_len());
+        codec
+            .decode_blocks_f64(frame, blocks, &mut CodecScratch::new(), out)
+            .expect("own frame decodes");
+    }
+    fn from_f32(v: f32) -> f64 {
+        f64::from(v) * 1.001
+    }
+}
+
+/// The array a shard holds, rebuilt without the store's read path: each
+/// chunk's frame (located through the index) decoded whole, then
+/// scattered element by element to its C-order position.
+fn reference<T: Elem>(
+    codec: &dyn ErrorBoundedCodec,
+    bytes: &[u8],
+    shard: &Shard<'_>,
+    shape: &[usize],
+    chunk: &[usize],
+) -> Vec<T> {
+    let d = shape.len();
+    let grid: Vec<usize> = (0..d).map(|i| shape[i].div_ceil(chunk[i])).collect();
+    let mut full = vec![T::default(); shape.iter().product()];
+    for (id, e) in shard.index().entries.iter().enumerate() {
+        let mut cc = vec![0usize; d];
+        let mut rem = id;
+        for i in (0..d).rev() {
+            cc[i] = rem % grid[i];
+            rem /= grid[i];
+        }
+        let origin: Vec<usize> = (0..d).map(|i| cc[i] * chunk[i]).collect();
+        let cdim: Vec<usize> = (0..d).map(|i| chunk[i].min(shape[i] - origin[i])).collect();
+        let frame = &bytes[e.offset as usize..(e.offset + e.len) as usize];
+        let mut vals = vec![T::default(); cdim.iter().product()];
+        T::decode_frame(codec, frame, &mut vals);
+        for (k, &v) in vals.iter().enumerate() {
+            let mut rem = k;
+            let mut coord = vec![0usize; d];
+            for i in (0..d).rev() {
+                coord[i] = rem % cdim[i];
+                rem /= cdim[i];
+            }
+            let flat = (0..d).fold(0, |acc, i| acc * shape[i] + origin[i] + coord[i]);
+            full[flat] = v;
+        }
+    }
+    full
+}
+
+/// Write `data` as a shard through codec `id`, then check the store's
+/// readers against the independent [`reference`]: `read_all` equals it
+/// and decodes each chunk's blocks exactly once (Σ ⌈chunk_n / L⌉, no
+/// duplicates), and the region equals its slice while decoding no more
+/// blocks than the per-row walk would.
+fn check_region<T: Elem>(
     id: FormatId,
     data: &[T],
     shape: &[usize],
@@ -145,12 +219,18 @@ fn check_region<T: ShardElement + PartialEq + std::fmt::Debug>(
     let codec = registry.get(id).expect("default codec");
     let bytes = write_shard(data, shape, chunk, codec, eb).expect("write");
     let shard = Shard::open(&bytes).expect("open");
+    let want = reference::<T>(codec, &bytes, &shard, shape, chunk);
     let l = codec.block_len();
     let mut scratch = StoreScratch::new();
     let mut full = vec![T::default(); data.len()];
     let all = shard
         .read_all(&registry, &mut scratch, &mut full)
         .expect("full read");
+    prop_assert!(
+        full == want,
+        "read_all vs reference, codec {}",
+        codec.name()
+    );
     let exact: usize = shard
         .index()
         .entries
@@ -177,26 +257,56 @@ fn check_region<T: ShardElement + PartialEq + std::fmt::Debug>(
         bound
     );
 
-    // Compare row by row against the full read.
-    let (rx, w) = (extent[d - 1], shape[d - 1]);
-    for (r, got) in region.chunks(rx).enumerate() {
-        let mut rem = r;
-        let mut off = origin[d - 1];
-        let mut stride = w;
-        for i in (0..d - 1).rev() {
-            off += (origin[i] + rem % extent[i]) * stride;
+    // Compare element by element against the reference.
+    for (k, got) in region.iter().enumerate() {
+        let mut rem = k;
+        let mut flat = 0;
+        let mut stride = 1;
+        for i in (0..d).rev() {
+            flat += (origin[i] + rem % extent[i]) * stride;
             rem /= extent[i];
             stride *= shape[i];
         }
         prop_assert_eq!(
             got,
-            &full[off..off + rx],
-            "codec {} row {} of region {:?}+{:?}",
+            &want[flat],
+            "codec {} element {} of region {:?}+{:?}",
             codec.name(),
-            r,
+            k,
             origin,
             extent
         );
+    }
+    Ok(())
+}
+
+/// Clamp a random origin/extent pair into `shape` (always non-empty,
+/// biased to straddle chunk boundaries by spanning up to the full shape).
+fn clamp_box(shape: &[usize], o: &[usize], e: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let origin: Vec<usize> = (0..shape.len()).map(|i| o[i] % shape[i]).collect();
+    let extent = (0..shape.len())
+        .map(|i| 1 + e[i] % (shape[i] - origin[i]))
+        .collect();
+    (origin, extent)
+}
+
+/// Every default codec, in f32 and (where supported) f64, on one shard
+/// geometry and box.
+fn check_every_codec(
+    shape: &[usize],
+    chunk: &[usize],
+    origin: &[usize],
+    extent: &[usize],
+) -> Result<(), TestCaseError> {
+    let n: usize = shape.iter().product();
+    let data = signal(n, 10.0, 0.5);
+    let wide: Vec<f64> = data.iter().map(|&v| f64::from_f32(v)).collect();
+    for codec in CodecRegistry::with_defaults().codecs() {
+        let id = codec.format_id();
+        check_region(id, &data, shape, chunk, origin, extent, 1e-3)?;
+        if codec.supports_dtype(DType::F64) {
+            check_region(id, &wide, shape, chunk, origin, extent, 1e-6)?;
+        }
     }
     Ok(())
 }
@@ -247,6 +357,23 @@ proptest! {
     }
 
     #[test]
+    fn region_reads_match_reference_every_codec_and_dtype(
+        rank in 1usize..4,
+        shape in (1usize..12, 1usize..24, 1usize..120),
+        chunk in (1usize..6, 1usize..12, 1usize..100),
+        o in (0usize..10_000, 0usize..10_000, 0usize..10_000),
+        e in (1usize..10_000, 1usize..10_000, 1usize..10_000),
+    ) {
+        // The last `rank` axes; the last one is up to 119 wide, so rows
+        // span several blocks.
+        let skip = 3 - rank;
+        let shape = &[shape.0, shape.1, shape.2][skip..];
+        let chunk = &[chunk.0, chunk.1, chunk.2][skip..];
+        let (origin, extent) = clamp_box(shape, &[o.0, o.1, o.2][skip..], &[e.0, e.1, e.2][skip..]);
+        check_every_codec(shape, chunk, &origin, &extent)?;
+    }
+
+    #[test]
     fn region_reads_match_full_reads_3d_f64(
         shape in (1usize..10, 1usize..24, 1usize..80),
         chunk in (1usize..6, 1usize..12, 1usize..48),
@@ -275,6 +402,24 @@ proptest! {
         for id in [*b"CZP1", *b"CZH1"] {
             check_region(id, &data, &shape, &chunk, &origin, &extent, 1e-6)?;
         }
+    }
+}
+
+/// Chunk rows of 100 elements (not a multiple of cuSZp's 32 or cuSZx's
+/// 128) on a ragged grid, read whole, in unaligned boxes, and in boxes
+/// narrower than a block.
+#[test]
+fn unaligned_chunk_rows_match_reference() {
+    let shape = [7usize, 11, 230];
+    let chunk = [3usize, 5, 100];
+    for (origin, extent) in [
+        ([0usize, 0, 0], [7usize, 11, 230]),
+        ([1, 2, 17], [5, 8, 190]),
+        ([2, 4, 95], [3, 3, 10]),
+        ([0, 0, 33], [7, 11, 3]),
+        ([6, 10, 229], [1, 1, 1]),
+    ] {
+        check_every_codec(&shape, &chunk, &origin, &extent).unwrap();
     }
 }
 
