@@ -1,11 +1,11 @@
-//! Entropy-stage kernel throughput at every SIMD tier the host
-//! supports: the multi-lane byte histogram, canonical Huffman one-way
+//! Entropy-stage kernel throughput: the 4-lane byte histogram,
+//! canonical Huffman one-way
 //! vs. the four-stream interleaved `Huffman4` (both directions), and
 //! the PackBits RLE scanner. These are the hot loops behind the hybrid
 //! `CUSZPHY1` second stage; `e2ebench` measures the end-to-end view
 //! (`hybrid.*` metrics on `snapshot`), while this target isolates the
 //! kernels themselves on a fixed 4 MiB chunk-shaped corpus, one row per
-//! mode and tier.
+//! mode. The stage has one kernel set, so no row is per SIMD tier.
 //!
 //! A 4 MiB buffer hides per-chunk fixed costs (code-length build, decode
 //! table), which dominate at the size the store actually codes: a 64 KiB
@@ -19,8 +19,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use cuszp_core::{fast, value_range, CuszpConfig};
 use cuszp_entropy::{
-    build_decode_table, decode_chunk, encode_chunk_at, histogram, select_mode_at, DecodeTable,
-    Mode, Tier,
+    build_decode_table, decode_chunk, encode_chunk, histogram, select_mode, DecodeTable, Mode,
 };
 use datasets::{generate_subset, DatasetId, Scale};
 use std::hint::black_box;
@@ -44,7 +43,7 @@ fn skewed_bytes(n: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Run lengths long enough that the RLE scanner's vector path dominates.
+/// Run lengths long enough that the RLE run scan dominates.
 fn runny_bytes(n: usize) -> Vec<u8> {
     (0..n).map(|i| ((i / 300) % 7) as u8).collect()
 }
@@ -73,12 +72,7 @@ fn bench_store_sized_chunks(c: &mut Criterion) {
         .iter()
         .map(|raw| {
             let mut comp = Vec::new();
-            let mode = encode_chunk_at(
-                Tier::Scalar,
-                select_mode_at(Tier::Scalar, raw),
-                raw,
-                &mut comp,
-            );
+            let mode = encode_chunk(select_mode(raw), raw, &mut comp);
             (mode, comp, raw.len())
         })
         .collect();
@@ -87,17 +81,15 @@ fn bench_store_sized_chunks(c: &mut Criterion) {
     let mut table = DecodeTable::new();
 
     let mut group = c.benchmark_group("entropy");
-    for tier in supported_tiers() {
-        group.bench_function(format!("chunk16k_encode_{tier}"), |b| {
-            b.iter(|| {
-                for raw in &raws {
-                    comp.clear();
-                    encode_chunk_at(tier, select_mode_at(tier, raw), black_box(raw), &mut comp);
-                }
-                black_box(comp.len())
-            })
-        });
-    }
+    group.bench_function("chunk16k_encode", |b| {
+        b.iter(|| {
+            for raw in &raws {
+                comp.clear();
+                encode_chunk(select_mode(raw), black_box(raw), &mut comp);
+            }
+            black_box(comp.len())
+        })
+    });
     group.bench_function("chunk16k_decode", |b| {
         b.iter(|| {
             for (mode, comp, n) in &coded {
@@ -117,11 +109,6 @@ fn bench_store_sized_chunks(c: &mut Criterion) {
     group.finish();
 }
 
-fn supported_tiers() -> Vec<Tier> {
-    let detected = Tier::detect();
-    Tier::ALL.into_iter().filter(|&t| t <= detected).collect()
-}
-
 fn bench_entropy(c: &mut Criterion) {
     let n = 4 << 20;
     let skewed = skewed_bytes(n);
@@ -131,65 +118,62 @@ fn bench_entropy(c: &mut Criterion) {
     let mut table = DecodeTable::new();
 
     let mut group = c.benchmark_group("entropy");
-    for tier in supported_tiers() {
-        group.bench_function(format!("histogram_{tier}"), |b| {
-            b.iter(|| black_box(histogram(tier, black_box(&skewed))[0]))
-        });
+    group.bench_function("histogram", |b| {
+        b.iter(|| black_box(histogram(black_box(&skewed))[0]))
+    });
 
-        group.bench_function(format!("huffman1_encode_{tier}"), |b| {
-            b.iter(|| {
-                comp.clear();
-                let got = encode_chunk_at(tier, Mode::Huffman, black_box(&skewed), &mut comp);
-                assert_eq!(got, Mode::Huffman);
-                black_box(comp.len())
-            })
-        });
-        comp.clear();
-        encode_chunk_at(tier, Mode::Huffman, &skewed, &mut comp);
-        group.bench_function(format!("huffman1_decode_{tier}"), |b| {
-            b.iter(|| {
-                decode_chunk(Mode::Huffman, black_box(&comp), &mut back, &mut table)
-                    .expect("own chunk");
-                black_box(back[0])
-            })
-        });
+    group.bench_function("huffman1_encode", |b| {
+        b.iter(|| {
+            comp.clear();
+            let got = encode_chunk(Mode::Huffman, black_box(&skewed), &mut comp);
+            assert_eq!(got, Mode::Huffman);
+            black_box(comp.len())
+        })
+    });
+    comp.clear();
+    encode_chunk(Mode::Huffman, &skewed, &mut comp);
+    group.bench_function("huffman1_decode", |b| {
+        b.iter(|| {
+            decode_chunk(Mode::Huffman, black_box(&comp), &mut back, &mut table)
+                .expect("own chunk");
+            black_box(back[0])
+        })
+    });
 
-        group.bench_function(format!("huffman4_encode_{tier}"), |b| {
-            b.iter(|| {
-                comp.clear();
-                let got = encode_chunk_at(tier, Mode::Huffman4, black_box(&skewed), &mut comp);
-                assert_eq!(got, Mode::Huffman4);
-                black_box(comp.len())
-            })
-        });
-        comp.clear();
-        encode_chunk_at(tier, Mode::Huffman4, &skewed, &mut comp);
-        group.bench_function(format!("huffman4_decode_{tier}"), |b| {
-            b.iter(|| {
-                decode_chunk(Mode::Huffman4, black_box(&comp), &mut back, &mut table)
-                    .expect("own chunk");
-                black_box(back[0])
-            })
-        });
+    group.bench_function("huffman4_encode", |b| {
+        b.iter(|| {
+            comp.clear();
+            let got = encode_chunk(Mode::Huffman4, black_box(&skewed), &mut comp);
+            assert_eq!(got, Mode::Huffman4);
+            black_box(comp.len())
+        })
+    });
+    comp.clear();
+    encode_chunk(Mode::Huffman4, &skewed, &mut comp);
+    group.bench_function("huffman4_decode", |b| {
+        b.iter(|| {
+            decode_chunk(Mode::Huffman4, black_box(&comp), &mut back, &mut table)
+                .expect("own chunk");
+            black_box(back[0])
+        })
+    });
 
-        group.bench_function(format!("rle_encode_{tier}"), |b| {
-            b.iter(|| {
-                comp.clear();
-                let got = encode_chunk_at(tier, Mode::Rle, black_box(&runny), &mut comp);
-                assert_eq!(got, Mode::Rle);
-                black_box(comp.len())
-            })
-        });
-        comp.clear();
-        encode_chunk_at(tier, Mode::Rle, &runny, &mut comp);
-        group.bench_function(format!("rle_decode_{tier}"), |b| {
-            b.iter(|| {
-                decode_chunk(Mode::Rle, black_box(&comp), &mut back, &mut table)
-                    .expect("own chunk");
-                black_box(back[0])
-            })
-        });
-    }
+    group.bench_function("rle_encode", |b| {
+        b.iter(|| {
+            comp.clear();
+            let got = encode_chunk(Mode::Rle, black_box(&runny), &mut comp);
+            assert_eq!(got, Mode::Rle);
+            black_box(comp.len())
+        })
+    });
+    comp.clear();
+    encode_chunk(Mode::Rle, &runny, &mut comp);
+    group.bench_function("rle_decode", |b| {
+        b.iter(|| {
+            decode_chunk(Mode::Rle, black_box(&comp), &mut back, &mut table).expect("own chunk");
+            black_box(back[0])
+        })
+    });
     group.finish();
 }
 

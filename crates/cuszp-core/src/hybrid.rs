@@ -55,22 +55,9 @@ use crate::rows::{RowLayout, RowWalk};
 use crate::simd::resolve_level;
 pub use cuszp_entropy::Mode;
 use cuszp_entropy::{
-    decode_chunk, encode_chunk_at, select_mode_at, DecodeTable, Tier, ENCODE_SLACK_BYTES,
+    decode_chunk, encode_chunk, select_mode, DecodeTable, ENCODE_SLACK_BYTES,
     HUFFMAN4_HEADER_BYTES, HUFFMAN_TABLE_BYTES,
 };
-
-/// Map the host codec's dispatch level onto the entropy crate's [`Tier`]
-/// (the entropy crate is dependency-free, so it mirrors `SimdLevel` with
-/// its own enum). [`Tier::detect`] independently clamps to what the host
-/// supports, so the mapping never enables unsupported instructions.
-pub fn entropy_tier(level: SimdLevel) -> Tier {
-    let t = match level {
-        SimdLevel::Scalar => Tier::Scalar,
-        SimdLevel::Avx2 => Tier::Avx2,
-        SimdLevel::Avx512 => Tier::Avx512,
-    };
-    t.min(Tier::detect())
-}
 
 /// Magic bytes of the hybrid frame.
 pub const HYBRID_MAGIC: [u8; 8] = *b"CUSZPHY1";
@@ -201,8 +188,7 @@ pub fn max_frame_bytes<T: FloatData>(elems: usize, cfg: CuszpConfig, chunk_block
 }
 
 /// Encode `r` as a `CUSZPHY1` frame into `out` (cleared first), letting
-/// the sampled estimator pick each chunk's mode, at the default-resolved
-/// SIMD tier. See [`encode_with_at`].
+/// the sampled estimator pick each chunk's mode. See [`encode_with`].
 pub fn encode(
     r: &CompressedRef<'_>,
     chunk_blocks: usize,
@@ -212,28 +198,17 @@ pub fn encode(
     encode_with(r, chunk_blocks, None, hs, out)
 }
 
-/// [`encode`] at an explicit SIMD dispatch level (frames are
-/// byte-identical at every level; the level only selects kernels).
+/// [`encode`]; `level` is ignored, since the entropy stage has one
+/// kernel set. Kept only for the end-to-end benchmark's callers in
+/// `e2ebench/`; ROADMAP item 3 deletes it with the next benchmark change.
 pub fn encode_at(
     r: &CompressedRef<'_>,
     chunk_blocks: usize,
-    level: SimdLevel,
+    _level: SimdLevel,
     hs: &mut HybridScratch,
     out: &mut Vec<u8>,
 ) {
-    encode_with_at(r, chunk_blocks, None, level, hs, out)
-}
-
-/// [`encode_with`] at the default-resolved SIMD tier
-/// (`resolve_level(None)`: `CUSZP_SIMD`, then runtime detection).
-pub fn encode_with(
-    r: &CompressedRef<'_>,
-    chunk_blocks: usize,
-    force: Option<Mode>,
-    hs: &mut HybridScratch,
-    out: &mut Vec<u8>,
-) {
-    encode_with_at(r, chunk_blocks, force, resolve_level(None), hs, out)
+    encode(r, chunk_blocks, hs, out)
 }
 
 /// Encode `r` as a `CUSZPHY1` frame into `out` (cleared first).
@@ -242,9 +217,7 @@ pub fn encode_with(
 /// benchmark rows — while `None` runs the estimator per chunk. Either
 /// way [`cuszp_entropy::encode_chunk`]'s size check applies, so the
 /// recorded mode may still fall back to [`Mode::Pass`] and no chunk is
-/// ever stored larger than its raw bytes. `level` selects the entropy
-/// coders' SIMD kernels only — the emitted frame is byte-identical at
-/// every level (`tests/entropy_tiers.rs` pins this).
+/// ever stored larger than its raw bytes.
 ///
 /// # Panics
 /// Panics if `r` is not structurally valid ([`CompressedRef::validate`]),
@@ -252,15 +225,13 @@ pub fn encode_with(
 /// raw chunk size cannot be indexed by the table's `u32` fields — the
 /// same limits [`HybridRef::parse`] enforces, so every encoded frame
 /// parses.
-pub fn encode_with_at(
+pub fn encode_with(
     r: &CompressedRef<'_>,
     chunk_blocks: usize,
     force: Option<Mode>,
-    level: SimdLevel,
     hs: &mut HybridScratch,
     out: &mut Vec<u8>,
 ) {
-    let tier = entropy_tier(level);
     r.validate().expect("hybrid encode requires a valid stream");
     assert!(chunk_blocks >= 1, "chunk_blocks must be positive");
     assert!(
@@ -297,9 +268,9 @@ pub fn encode_with_at(
         hs.raw.extend_from_slice(&r.fixed_lengths[b0..b1]);
         hs.raw.extend_from_slice(&r.payload[span]);
 
-        let mode = force.unwrap_or_else(|| select_mode_at(tier, &hs.raw));
+        let mode = force.unwrap_or_else(|| select_mode(&hs.raw));
         let mark = out.len();
-        let used = encode_chunk_at(tier, mode, &hs.raw, out);
+        let used = encode_chunk(mode, &hs.raw, out);
         let comp_len = (out.len() - mark) as u32;
         let e = table_at + c * TABLE_ENTRY_BYTES;
         out[e] = used.to_byte();

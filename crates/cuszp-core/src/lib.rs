@@ -205,13 +205,7 @@ impl Cuszp {
             let mut hs = HybridScratch::new();
             let mut hy = Vec::new();
             let r = c.as_ref();
-            hybrid::encode_at(
-                &r,
-                hybrid::auto_chunk_blocks(&r),
-                simd::resolve_level(self.config.simd),
-                &mut hs,
-                &mut hy,
-            );
+            hybrid::encode(&r, hybrid::auto_chunk_blocks(&r), &mut hs, &mut hy);
             if (hy.len() as u64) < plain_len {
                 return hy;
             }

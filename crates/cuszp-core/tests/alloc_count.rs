@@ -156,10 +156,6 @@ fn warmed_hybrid_encode_is_free_from_the_first_call() {
     let stream = fast::compress(&data, 0.01, cfg);
     let r = stream.as_ref();
     let chunk = hybrid::DEFAULT_CHUNK_BLOCKS;
-    // Resolved up front: reading `CUSZP_SIMD` allocates (the entropy
-    // tier caches its own read on first use).
-    let level = simd::resolve_level(None);
-    hybrid::entropy_tier(level);
     for force in [
         None,
         Some(Mode::Huffman),
@@ -169,8 +165,7 @@ fn warmed_hybrid_encode_is_free_from_the_first_call() {
         let mut hs = HybridScratch::new();
         hs.warm_for::<f32>(data.len(), cfg, chunk);
         let mut frame = Vec::with_capacity(hybrid::max_frame_bytes::<f32>(data.len(), cfg, chunk));
-        let ops =
-            heap_ops_of(|| hybrid::encode_with_at(&r, chunk, force, level, &mut hs, &mut frame));
+        let ops = heap_ops_of(|| hybrid::encode_with(&r, chunk, force, &mut hs, &mut frame));
         assert_eq!(
             ops, 0,
             "warmed first hybrid encode ({force:?}) must be free"

@@ -1,11 +1,12 @@
-//! Differential tests for the entropy SIMD tier ladder (ISSUE 10).
+//! Byte-identity tests for the hybrid entropy stage.
 //!
-//! The ladder's core contract: a tier selects *kernels*, never output.
-//! `hybrid::encode_with_at` must emit byte-identical `CUSZPHY1` frames
-//! at every [`SimdLevel`] the host supports, for the adaptive estimator
-//! and for every forced mode — including the four-stream `Huffman4`
-//! mode this PR adds. On top of that, two compatibility directions are
-//! pinned with golden bytes:
+//! The stage once dispatched its histogram and RLE kernels over a SIMD
+//! tier ladder; every tier had to emit the same `CUSZPHY1` frames, and
+//! the fingerprints below pin those bytes so they stay fixed now that
+//! one kernel set is left. Frames must invert to the plain stream for
+//! the adaptive estimator and every forced mode, including `Huffman4`.
+//! On top of that, two compatibility directions are pinned with golden
+//! bytes:
 //!
 //! * **old frames, new decoder** — PR-9-era frames (checked into
 //!   `tests/data/`) still parse and decode byte-for-byte;
@@ -17,30 +18,15 @@ use cuszp_core::hybrid::{
     self, HybridRef, HybridScratch, Mode, DEFAULT_CHUNK_BLOCKS, HYBRID_HEADER_BYTES,
     TABLE_ENTRY_BYTES,
 };
-use cuszp_core::{fast, simd, CompressedRef, CuszpConfig, SimdLevel};
+use cuszp_core::{fast, CompressedRef, CuszpConfig};
 use proptest::prelude::*;
 
-/// Every tier the running host can execute (the ladder clamps to the
-/// detected level, so asking for more would silently re-test scalar).
-fn supported_tiers() -> Vec<SimdLevel> {
-    let detected = simd::detect_level();
-    SimdLevel::ALL
-        .into_iter()
-        .filter(|&l| l <= detected)
-        .collect()
-}
-
-/// Compress `data` to a plain stream, then hybrid-encode it at `level`.
-fn encode_frame_at(
-    plain: &[u8],
-    chunk_blocks: usize,
-    force: Option<Mode>,
-    level: SimdLevel,
-) -> Vec<u8> {
+/// Hybrid-encode a plain stream.
+fn encode_frame(plain: &[u8], chunk_blocks: usize, force: Option<Mode>) -> Vec<u8> {
     let r = CompressedRef::parse(plain).expect("own plain stream parses");
     let mut hs = HybridScratch::new();
     let mut frame = Vec::new();
-    hybrid::encode_with_at(&r, chunk_blocks, force, level, &mut hs, &mut frame);
+    hybrid::encode_with(&r, chunk_blocks, force, &mut hs, &mut frame);
     frame
 }
 
@@ -60,10 +46,10 @@ fn skewed_field(n: usize) -> Vec<f32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Frames are byte-identical across every supported tier, for the
-    /// adaptive estimator and every forced mode.
+    /// Frames invert to the plain stream, for the adaptive estimator and
+    /// every forced mode.
     #[test]
-    fn tiers_emit_identical_frames(
+    fn frames_invert_to_the_plain_stream(
         data in proptest::collection::vec(
             prop_oneof![
                 3 => -1.0e5f32..1.0e5,
@@ -83,17 +69,8 @@ proptest! {
         ],
     ) {
         let plain = compress_plain(&data, 0.01);
-        let tiers = supported_tiers();
-        let baseline = encode_frame_at(&plain, chunk_blocks, force, tiers[0]);
-        for &level in &tiers[1..] {
-            let frame = encode_frame_at(&plain, chunk_blocks, force, level);
-            prop_assert_eq!(
-                &baseline, &frame,
-                "tier {} diverged from {} (force {:?})", level, tiers[0], force
-            );
-        }
-        // And the frame actually inverts, whatever tier wrote it.
-        let r = HybridRef::parse(&baseline).expect("own frame parses");
+        let frame = encode_frame(&plain, chunk_blocks, force);
+        let r = HybridRef::parse(&frame).expect("own frame parses");
         let mut hs = HybridScratch::new();
         let mut back = Vec::new();
         hybrid::decode_stream_bytes(&r, &mut hs, &mut back).expect("own frame decodes");
@@ -102,20 +79,14 @@ proptest! {
 }
 
 /// A large skewed field drives the estimator into `Huffman4` (chunks
-/// clear [`cuszp_entropy::HUFFMAN4_MIN_CHUNK`]), and the frames still
-/// match across every tier byte-for-byte and invert to the plain
-/// stream.
+/// clear [`cuszp_entropy::HUFFMAN4_MIN_CHUNK`]), and the frame inverts
+/// to the plain stream.
 #[test]
-fn adaptive_huffman4_frames_identical_across_tiers() {
+fn adaptive_huffman4_frames_invert() {
     let data = skewed_field(400_000);
     let plain = compress_plain(&data, 1e-3);
-    let tiers = supported_tiers();
-    let baseline = encode_frame_at(&plain, DEFAULT_CHUNK_BLOCKS, None, tiers[0]);
-    for &level in &tiers[1..] {
-        let frame = encode_frame_at(&plain, DEFAULT_CHUNK_BLOCKS, None, level);
-        assert_eq!(baseline, frame, "tier {level} diverged on the large field");
-    }
-    let r = HybridRef::parse(&baseline).expect("own frame parses");
+    let frame = encode_frame(&plain, DEFAULT_CHUNK_BLOCKS, None);
+    let r = HybridRef::parse(&frame).expect("own frame parses");
     let hist = r.mode_histogram();
     assert!(
         hist[Mode::Huffman4.to_byte() as usize] > 0,
@@ -176,12 +147,7 @@ fn pr9_golden_frames_decode_unchanged() {
 fn huffman4_frame() -> (Vec<u8>, usize) {
     let data = skewed_field(8_000);
     let plain = compress_plain(&data, 1e-3);
-    let frame = encode_frame_at(
-        &plain,
-        DEFAULT_CHUNK_BLOCKS,
-        Some(Mode::Huffman4),
-        SimdLevel::Scalar,
-    );
+    let frame = encode_frame(&plain, DEFAULT_CHUNK_BLOCKS, Some(Mode::Huffman4));
     let r = HybridRef::parse(&frame).expect("own frame parses");
     let hist = r.mode_histogram();
     assert!(
@@ -286,20 +252,16 @@ fn skewed_chunk(len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Forced `mode` chunks over every length in `lens` at entropy `tier`,
-/// folded into one fingerprint: `(FNV-64 over mode byte ++ raw length ++
-/// coded bytes per chunk, total coded bytes)`.
-fn chunk_fingerprint(
-    tier: cuszp_entropy::Tier,
-    mode: Mode,
-    lens: std::ops::RangeInclusive<usize>,
-) -> (u64, usize) {
+/// Forced `mode` chunks over every length in `lens`, folded into one
+/// fingerprint: `(FNV-64 over mode byte ++ raw length ++ coded bytes per
+/// chunk, total coded bytes)`.
+fn chunk_fingerprint(mode: Mode, lens: std::ops::RangeInclusive<usize>) -> (u64, usize) {
     let (mut h, mut total) = (FNV_OFFSET, 0usize);
     let mut comp = Vec::new();
     for len in lens {
         let raw = skewed_chunk(len);
         comp.clear();
-        let used = cuszp_entropy::encode_chunk_at(tier, mode, &raw, &mut comp);
+        let used = cuszp_entropy::encode_chunk(mode, &raw, &mut comp);
         h = fnv64(h, &[used.to_byte()]);
         h = fnv64(h, &(len as u32).to_le_bytes());
         h = fnv64(h, &comp);
@@ -310,26 +272,28 @@ fn chunk_fingerprint(
 
 /// Forced `Huffman` and `Huffman4` chunks reproduce fingerprints taken
 /// from the previous encoder (per-symbol writes, four strided passes,
-/// rescan repair) at every supported tier. The length ranges hit every
-/// remainder of the 4-symbol groups of the one-stream writer and of the
-/// 16-byte groups of the interleaved one, around both the 4 KiB
-/// `Huffman4` floor and 8 KiB; lengths below the 128-byte table fall
-/// back to `Pass`, which the fingerprints cover too.
+/// rescan repair), and forced `Rle` chunks the fingerprints of the
+/// encoder that still had AVX2/AVX-512 run scanners (equal at every
+/// tier). The length ranges hit every remainder of the 4-symbol groups
+/// of the one-stream writer and of the 16-byte groups of the
+/// interleaved one, around both the 4 KiB `Huffman4` floor and 8 KiB;
+/// lengths below the 128-byte table fall back to `Pass`, which the
+/// fingerprints cover too.
 #[test]
 fn huffman_chunks_match_previous_encoder_fingerprints() {
-    let want: [(Mode, std::ops::RangeInclusive<usize>, (u64, usize)); 6] = [
+    let want: [(Mode, std::ops::RangeInclusive<usize>, (u64, usize)); 9] = [
         (Mode::Huffman, 1..=64, (0xb8935a37f8f67bff, 2080)),
         (Mode::Huffman, 4090..=4110, (0x2790632dae123d80, 25259)),
         (Mode::Huffman, 8192..=8208, (0x3b57f510e0c7e0c1, 38631)),
         (Mode::Huffman4, 1..=64, (0xb8935a37f8f67bff, 2080)),
         (Mode::Huffman4, 4090..=4110, (0xaede529fbd1a1452, 25536)),
         (Mode::Huffman4, 8192..=8208, (0x5b49af291b823b68, 38857)),
+        (Mode::Rle, 1..=64, (0x6053cdc26db2a66e, 1735)),
+        (Mode::Rle, 4090..=4110, (0xee68c72c3b86b7f3, 66127)),
+        (Mode::Rle, 8192..=8208, (0xedd1bae9d10705f9, 106873)),
     ];
-    for level in supported_tiers() {
-        let tier = hybrid::entropy_tier(level);
-        for (mode, lens, fp) in &want {
-            let got = chunk_fingerprint(tier, *mode, lens.clone());
-            assert_eq!(got, *fp, "tier {tier} mode {mode} lengths {lens:?}");
-        }
+    for (mode, lens, fp) in &want {
+        let got = chunk_fingerprint(*mode, lens.clone());
+        assert_eq!(got, *fp, "mode {mode} lengths {lens:?}");
     }
 }

@@ -215,12 +215,12 @@ fn serialized_hybrid_roundtrip_and_size() {
 }
 
 /// On the uniform-noise control at REL 1e-6 the estimator must get out
-/// of the way: at every tier the host runs, the adaptive frame codes
-/// every chunk as `Pass` and is byte-identical to the frame forced to
-/// `Pass`, so adaptivity costs no more than the passthrough copy itself.
+/// of the way: the adaptive frame codes every chunk as `Pass` and is
+/// byte-identical to the frame forced to `Pass`, so adaptivity costs no
+/// more than the passthrough copy itself.
 #[test]
 fn noise_control_adaptive_frame_is_all_pass() {
-    use cuszp_core::{simd, value_range, SimdLevel};
+    use cuszp_core::value_range;
     let data = noise(1 << 16);
     let eb = 1e-6 * value_range(&data);
     let mut scratch = fast::Scratch::new();
@@ -229,30 +229,20 @@ fn noise_control_adaptive_frame_is_all_pass() {
     let chunk_blocks = hybrid::auto_chunk_blocks(&r);
     let mut hs = HybridScratch::new();
     let (mut adaptive, mut pass) = (Vec::new(), Vec::new());
-    let detected = simd::detect_level();
-    for level in SimdLevel::ALL.into_iter().filter(|&l| l <= detected) {
-        hybrid::encode_with_at(&r, chunk_blocks, None, level, &mut hs, &mut adaptive);
-        let hist = HybridRef::parse(&adaptive)
-            .expect("own frame parses")
-            .mode_histogram();
-        let total: usize = hist.iter().sum();
-        assert!(total > 0, "{level}: frame has chunks");
-        assert_eq!(
-            hist[Mode::Pass.to_byte() as usize],
-            total,
-            "{level}: estimator must pick Pass on every noise chunk, got {hist:?}"
-        );
-        hybrid::encode_with_at(
-            &r,
-            chunk_blocks,
-            Some(Mode::Pass),
-            level,
-            &mut hs,
-            &mut pass,
-        );
-        assert_eq!(
-            adaptive, pass,
-            "{level}: adaptive frame must equal the forced-Pass frame"
-        );
-    }
+    hybrid::encode_with(&r, chunk_blocks, None, &mut hs, &mut adaptive);
+    let hist = HybridRef::parse(&adaptive)
+        .expect("own frame parses")
+        .mode_histogram();
+    let total: usize = hist.iter().sum();
+    assert!(total > 0, "frame has chunks");
+    assert_eq!(
+        hist[Mode::Pass.to_byte() as usize],
+        total,
+        "estimator must pick Pass on every noise chunk, got {hist:?}"
+    );
+    hybrid::encode_with(&r, chunk_blocks, Some(Mode::Pass), &mut hs, &mut pass);
+    assert_eq!(
+        adaptive, pass,
+        "adaptive frame must equal the forced-Pass frame"
+    );
 }

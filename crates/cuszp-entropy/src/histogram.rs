@@ -6,25 +6,9 @@
 //! zero runs after bit-shuffling) hit exactly that worst case. The
 //! classic fix — the same one FSE/zstd and the cuSZ Huffman build use —
 //! is to count into several independent sub-tables so consecutive bytes
-//! land in different tables, then merge once at the end:
-//!
-//! * [`Tier::Scalar`] counts into 4 interleaved sub-tables, 8 bytes per
-//!   iteration from one `u64` load.
-//! * [`Tier::Avx2`] widens to 8 sub-tables and 16 bytes per iteration —
-//!   on dense data every one of the 8 increments targets a distinct
-//!   table, so no pair can alias in the store buffer — and merges the
-//!   8 KiB of sub-tables with 256-bit adds.
-//! * [`Tier::Avx512`] uses the same 8-lane counting loop (a
-//!   gather/`vpconflictd` variant was considered and rejected: gathered
-//!   increments must serialize through conflict repair whenever a vector
-//!   holds duplicate bytes, which is the *common* case on quantized
-//!   planes) and performs the sub-table merge with 512-bit adds.
-//!
-//! Every tier produces identical counts — the tier selects instruction
-//! scheduling, never arithmetic — which is what keeps coded chunks
-//! byte-identical across the ladder.
-
-use crate::Tier;
+//! land in different tables, then merge once at the end. `Lanes4`
+//! counts into 4 interleaved sub-tables, 8 bytes per iteration from one
+//! `u64` load.
 
 /// Four interleaved count tables for incremental accumulation — the
 /// sampled estimator feeds its 64-byte windows through this so even the
@@ -67,142 +51,26 @@ impl Lanes4 {
     }
 }
 
-/// Full-slice byte histogram at `tier`. Counts are identical at every
-/// tier; the tier selects the counting/merge kernels only.
-pub fn histogram(tier: Tier, bytes: &[u8]) -> [u32; 256] {
-    let mut hist = [0u32; 256];
-    histogram_into(tier, bytes, &mut hist);
-    hist
-}
-
-/// [`histogram`] accumulating into a caller-owned table (added to its
-/// current contents — zero it first for a fresh count).
-pub fn histogram_into(tier: Tier, bytes: &[u8], hist: &mut [u32; 256]) {
-    match tier {
-        Tier::Scalar => hist4(bytes, hist),
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => hist8(bytes, hist, merge8_avx2),
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => hist8(bytes, hist, merge8_avx512),
-        #[cfg(not(target_arch = "x86_64"))]
-        Tier::Avx2 | Tier::Avx512 => hist4(bytes, hist),
-    }
-}
-
-fn hist4(bytes: &[u8], hist: &mut [u32; 256]) {
+/// Full-slice byte histogram.
+pub fn histogram(bytes: &[u8]) -> [u32; 256] {
     let mut lanes = Lanes4::new();
     lanes.accumulate(bytes);
-    lanes.merge_into(hist);
+    let mut hist = [0u32; 256];
+    lanes.merge_into(&mut hist);
+    hist
 }
 
 /// Four byte histograms partitioned by position: `result[s]` counts the
 /// bytes at positions `i ≡ s (mod 4)`. This is the `Huffman4` encoder's
 /// sizing pass — the per-stream code-length totals (and the shared
 /// frequency table, as the four-way sum) fall out of the same single
-/// pass the plain histogram already makes, because the multi-lane
-/// sub-tables *are* a positional partition: the 4-lane kernel's lane
-/// `k` holds positions `i ≡ k (mod 4)` directly, and the 8-lane
-/// kernel's lanes pair up as `k` and `k + 4`. Identical at every tier.
-pub(crate) fn stride4_histograms(tier: Tier, bytes: &[u8]) -> [[u32; 256]; 4] {
-    match tier {
-        Tier::Scalar => {
-            let mut lanes = Lanes4::new();
-            lanes.accumulate(bytes);
-            lanes.t
-        }
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 | Tier::Avx512 => {
-            let t = count8(bytes);
-            std::array::from_fn(|s| {
-                let mut h = [0u32; 256];
-                for b in 0..256 {
-                    h[b] = t[s][b] + t[s + 4][b];
-                }
-                h
-            })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        Tier::Avx2 | Tier::Avx512 => {
-            let mut lanes = Lanes4::new();
-            lanes.accumulate(bytes);
-            lanes.t
-        }
-    }
-}
-
-/// Eight sub-tables, 16 bytes per iteration; `merge` folds the 8 KiB of
-/// sub-tables into `hist` with the tier's vector adds.
-#[cfg(target_arch = "x86_64")]
-fn hist8(bytes: &[u8], hist: &mut [u32; 256], merge: unsafe fn(&[[u32; 256]; 8], &mut [u32; 256])) {
-    let t = count8(bytes);
-    // SAFETY: the caller dispatched on a detected/clamped tier, so the
-    // required target features are present on this host.
-    unsafe { merge(&t, hist) };
-}
-
-/// The 8-lane counting loop shared by the full histogram and the
-/// positional (stride-4) variant; lane `k` holds positions `i ≡ k
-/// (mod 8)`.
-#[cfg(target_arch = "x86_64")]
-fn count8(bytes: &[u8]) -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut it = bytes.chunks_exact(16);
-    for c in &mut it {
-        let a = u64::from_le_bytes(c[..8].try_into().expect("8"));
-        let b = u64::from_le_bytes(c[8..].try_into().expect("8"));
-        t[0][(a & 255) as usize] += 1;
-        t[1][((a >> 8) & 255) as usize] += 1;
-        t[2][((a >> 16) & 255) as usize] += 1;
-        t[3][((a >> 24) & 255) as usize] += 1;
-        t[4][((a >> 32) & 255) as usize] += 1;
-        t[5][((a >> 40) & 255) as usize] += 1;
-        t[6][((a >> 48) & 255) as usize] += 1;
-        t[7][((a >> 56) & 255) as usize] += 1;
-        t[0][(b & 255) as usize] += 1;
-        t[1][((b >> 8) & 255) as usize] += 1;
-        t[2][((b >> 16) & 255) as usize] += 1;
-        t[3][((b >> 24) & 255) as usize] += 1;
-        t[4][((b >> 32) & 255) as usize] += 1;
-        t[5][((b >> 40) & 255) as usize] += 1;
-        t[6][((b >> 48) & 255) as usize] += 1;
-        t[7][((b >> 56) & 255) as usize] += 1;
-    }
-    for (k, &b) in it.remainder().iter().enumerate() {
-        t[k & 7][b as usize] += 1;
-    }
-    t
-}
-
-/// Requires `avx2`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn merge8_avx2(t: &[[u32; 256]; 8], hist: &mut [u32; 256]) {
-    use std::arch::x86_64::*;
-    for chunk in 0..32 {
-        let at = chunk * 8;
-        let mut acc = _mm256_loadu_si256(hist.as_ptr().add(at).cast());
-        for lane in t.iter() {
-            let v = _mm256_loadu_si256(lane.as_ptr().add(at).cast());
-            acc = _mm256_add_epi32(acc, v);
-        }
-        _mm256_storeu_si256(hist.as_mut_ptr().add(at).cast(), acc);
-    }
-}
-
-/// Requires `avx512f`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn merge8_avx512(t: &[[u32; 256]; 8], hist: &mut [u32; 256]) {
-    use std::arch::x86_64::*;
-    for chunk in 0..16 {
-        let at = chunk * 16;
-        let mut acc = _mm512_loadu_si512(hist.as_ptr().add(at).cast());
-        for lane in t.iter() {
-            let v = _mm512_loadu_si512(lane.as_ptr().add(at).cast());
-            acc = _mm512_add_epi32(acc, v);
-        }
-        _mm512_storeu_si512(hist.as_mut_ptr().add(at).cast(), acc);
-    }
+/// pass the plain histogram already makes, because the 4-lane
+/// sub-tables *are* a positional partition: lane `k` holds positions
+/// `i ≡ k (mod 4)` directly.
+pub(crate) fn stride4_histograms(bytes: &[u8]) -> [[u32; 256]; 4] {
+    let mut lanes = Lanes4::new();
+    lanes.accumulate(bytes);
+    lanes.t
 }
 
 #[cfg(test)]
@@ -229,7 +97,7 @@ mod tests {
     }
 
     #[test]
-    fn every_tier_matches_the_reference_count() {
+    fn histogram_matches_the_reference_count() {
         let shapes: Vec<Vec<u8>> = vec![
             vec![],
             vec![7],
@@ -242,18 +110,7 @@ mod tests {
             (0..=255).collect(),
         ];
         for raw in &shapes {
-            let want = reference(raw);
-            for tier in Tier::ALL {
-                if tier > Tier::detect() {
-                    continue;
-                }
-                assert_eq!(
-                    histogram(tier, raw),
-                    want,
-                    "tier {tier:?} on len {}",
-                    raw.len()
-                );
-            }
+            assert_eq!(histogram(raw), reference(raw), "len {}", raw.len());
         }
     }
 

@@ -48,7 +48,7 @@
 //!   four lookups. The same table drives the four interleaved streams of
 //!   [`crate::Mode::Huffman4`] (see `interleave.rs`).
 
-use crate::{histogram, EntropyError, Tier};
+use crate::{histogram, EntropyError};
 
 /// Size of the packed-nibble code-length table that heads every chunk.
 pub const HUFFMAN_TABLE_BYTES: usize = 128;
@@ -63,9 +63,9 @@ pub(crate) const TABLE_SIZE: usize = 1 << HUFFMAN_MAX_CODE_LEN;
 /// is strictly smaller than `raw`; returns whether it was appended. The
 /// exact coded size is known from the code lengths before any byte is
 /// written, so a losing encode costs the histogram pass only.
-pub(crate) fn encode(tier: Tier, raw: &[u8], out: &mut Vec<u8>) -> bool {
+pub(crate) fn encode(raw: &[u8], out: &mut Vec<u8>) -> bool {
     debug_assert!(!raw.is_empty());
-    let freq = histogram::histogram(tier, raw);
+    let freq = histogram::histogram(raw);
     let mut lens = [0u8; 256];
     build_lengths(&freq, &mut lens);
 
@@ -684,7 +684,7 @@ mod tests {
 
     fn roundtrip(raw: &[u8]) -> Option<Vec<u8>> {
         let mut comp = Vec::new();
-        if !encode(Tier::detect(), raw, &mut comp) {
+        if !encode(raw, &mut comp) {
             return None;
         }
         assert!(comp.len() < raw.len());
@@ -713,10 +713,7 @@ mod tests {
             .map(|i| (i.wrapping_mul(2654435761)) as u8)
             .collect();
         let mut comp = Vec::new();
-        assert!(
-            !encode(Tier::detect(), &raw, &mut comp),
-            "8-bit-entropy data cannot win"
-        );
+        assert!(!encode(&raw, &mut comp), "8-bit-entropy data cannot win");
         assert!(comp.is_empty(), "a refused encode must append nothing");
     }
 
@@ -977,7 +974,7 @@ mod tests {
     fn nonzero_padding_rejected() {
         let raw: Vec<u8> = (0..600u32).map(|i| (i % 5) as u8).collect();
         let mut comp = Vec::new();
-        assert!(encode(Tier::detect(), &raw, &mut comp));
+        assert!(encode(&raw, &mut comp));
         let last = comp.len() - 1;
         comp[last] |= 1; // encode pads the final byte with zero bits
         let mut back = vec![0u8; raw.len()];

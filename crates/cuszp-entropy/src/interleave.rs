@@ -57,7 +57,7 @@ use crate::huffman::{
     build_lengths, parse_lens_table, push_lens_table, BitReader, Codebook, DecodeTable, WideWriter,
     HUFFMAN_TABLE_BYTES, WRITE_SLACK,
 };
-use crate::{histogram, EntropyError, Tier};
+use crate::{histogram, EntropyError};
 
 /// Number of interleaved bitstreams in a `Huffman4` chunk.
 pub const HUFFMAN4_STREAMS: usize = 4;
@@ -70,13 +70,13 @@ pub const HUFFMAN4_HEADER_BYTES: usize = HUFFMAN_TABLE_BYTES + 12;
 /// **iff** it is strictly smaller than `raw`; returns whether it was
 /// appended. Stream sizes are computed from the code lengths before any
 /// byte is written, so a losing encode costs the histogram pass only.
-pub(crate) fn encode(tier: Tier, raw: &[u8], out: &mut Vec<u8>) -> bool {
+pub(crate) fn encode(raw: &[u8], out: &mut Vec<u8>) -> bool {
     debug_assert!(!raw.is_empty());
     // One counting pass yields both the shared frequency table and the
-    // exact per-stream bit totals: the multi-lane histogram's lanes are
+    // exact per-stream bit totals: the 4-lane histogram's lanes are
     // already a positional partition, so no separate length-summing
     // sweep over `raw` is needed.
-    let lanes = histogram::stride4_histograms(tier, raw);
+    let lanes = histogram::stride4_histograms(raw);
     let mut freq = [0u32; 256];
     for b in 0..256 {
         freq[b] = lanes[0][b] + lanes[1][b] + lanes[2][b] + lanes[3][b];
@@ -447,7 +447,7 @@ mod tests {
 
     fn roundtrip(raw: &[u8]) -> Option<Vec<u8>> {
         let mut comp = Vec::new();
-        if !encode(Tier::detect(), raw, &mut comp) {
+        if !encode(raw, &mut comp) {
             return None;
         }
         assert!(comp.len() < raw.len());
@@ -470,7 +470,7 @@ mod tests {
         let raw = skewed(65_536, 5);
         let four = roundtrip(&raw).unwrap();
         let mut one = Vec::new();
-        assert!(crate::huffman::encode(Tier::detect(), &raw, &mut one));
+        assert!(crate::huffman::encode(&raw, &mut one));
         // 12 offset bytes + ≤ 3 extra partial-byte paddings.
         assert!(
             four.len() <= one.len() + 15,
@@ -486,7 +486,7 @@ mod tests {
         // input compresses enormously (~n/8 bits per stream).
         for n in 1..12usize {
             let mut comp = Vec::new();
-            assert!(!encode(Tier::detect(), &vec![1u8; n], &mut comp));
+            assert!(!encode(&vec![1u8; n], &mut comp));
             assert!(comp.is_empty());
         }
         roundtrip(&vec![200u8; 4096]).expect("constant input wins");
@@ -496,7 +496,7 @@ mod tests {
     fn uniform_bytes_refuse_to_encode() {
         let raw = noise(4096, 77);
         let mut comp = Vec::new();
-        assert!(!encode(Tier::detect(), &raw, &mut comp));
+        assert!(!encode(&raw, &mut comp));
     }
 
     #[test]

@@ -29,16 +29,13 @@
 //! so a stored chunk is never larger than its raw bytes regardless of
 //! estimator quality.
 //!
-//! ## The [`Tier`] ladder
+//! ## One kernel set
 //!
-//! The hot loops (histogram build, RLE scanning) dispatch over a SIMD
-//! [`Tier`] mirroring `cuszp_core`'s `SimdLevel`: scalar / AVX2 /
-//! AVX-512, runtime-detected and clamped down by the `CUSZP_SIMD`
-//! environment variable. **Every tier emits byte-identical chunks** —
-//! the tier selects instruction scheduling, never coded output — so
-//! frames are portable across hosts and tier overrides. (This crate has
-//! zero dependencies, so it cannot use `SimdLevel` itself; `cuszp_core`
-//! maps one enum onto the other.) Decoding is tier-independent: the
+//! The hot loops (histogram build, RLE scanning) are portable scalar
+//! code, still word-parallel where it is free: 4-lane histograms and
+//! `u64` bit accumulators. There is no runtime dispatch: AVX2/AVX-512
+//! variants of these loops measured within noise of them at store-chunk
+//! size and were removed, and the crate is safe Rust throughout. The
 //! Huffman decoders are table-driven word-at-a-time loops and the RLE
 //! decoder is `memcpy`/`fill` dominated.
 //!
@@ -50,17 +47,18 @@
 //! buffers rely on.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod histogram;
 mod huffman;
 mod interleave;
 mod rle;
 
-pub use histogram::{histogram, histogram_into};
+pub use histogram::histogram;
 pub use huffman::{DecodeTable, HUFFMAN_MAX_CODE_LEN, HUFFMAN_TABLE_BYTES};
 pub use interleave::{HUFFMAN4_HEADER_BYTES, HUFFMAN4_STREAMS};
 
-/// How far past its final length [`encode_chunk_at`] may briefly grow
+/// How far past its final length [`encode_chunk`] may briefly grow
 /// `out`: the Huffman writers store whole words, so each of `Huffman4`'s
 /// four streams is written into its own region with a word of padding
 /// (the one-stream form needs one), and the padding is cut before the
@@ -68,82 +66,6 @@ pub use interleave::{HUFFMAN4_HEADER_BYTES, HUFFMAN4_STREAMS};
 /// holds at most `raw.len() + ENCODE_SLACK_BYTES` bytes more than on
 /// entry; reserving that keeps the encode allocation-free.
 pub const ENCODE_SLACK_BYTES: usize = HUFFMAN4_STREAMS * huffman::WRITE_SLACK;
-
-/// SIMD dispatch tier for the entropy-stage hot loops.
-///
-/// Mirrors `cuszp_core::SimdLevel` (this crate is dependency-free, so
-/// the enum is duplicated rather than imported; `cuszp_core` converts
-/// between them). The contract is identical: every tier produces
-/// **byte-identical** output, and a tier above what the host supports is
-/// clamped down, never faulted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Tier {
-    /// Portable scalar kernels (still word-parallel where it is free:
-    /// 4-lane histograms, `u64` bit accumulators). Runs anywhere.
-    Scalar,
-    /// 256-bit kernels: 8-lane histogram merge, `vpcmpeqb`/`vpmovmskb`
-    /// RLE scanning.
-    Avx2,
-    /// 512-bit kernels: 16-wide histogram merge, 64-byte masked RLE
-    /// scanning (requires AVX-512 F and BW).
-    Avx512,
-}
-
-impl Tier {
-    /// All tiers, weakest first — iterate this to test every tier at or
-    /// below the detected one.
-    pub const ALL: [Tier; 3] = [Tier::Scalar, Tier::Avx2, Tier::Avx512];
-
-    /// The tier's `CUSZP_SIMD` name (same names as `SimdLevel`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Tier::Scalar => "scalar",
-            Tier::Avx2 => "avx2",
-            Tier::Avx512 => "avx512",
-        }
-    }
-
-    /// The best tier this process will use: runtime feature detection,
-    /// clamped down by `CUSZP_SIMD` when set to a valid tier name. An
-    /// invalid value is silently ignored here — `cuszp_core`'s resolver
-    /// already warns once per process, and this crate must not duplicate
-    /// that policy decision. Cached after the first call.
-    pub fn detect() -> Tier {
-        static CACHED: std::sync::OnceLock<Tier> = std::sync::OnceLock::new();
-        *CACHED.get_or_init(|| {
-            let hw = hw_tier();
-            match std::env::var("CUSZP_SIMD") {
-                Ok(s) => match s.to_ascii_lowercase().as_str() {
-                    "scalar" => Tier::Scalar,
-                    "avx2" => hw.min(Tier::Avx2),
-                    _ => hw,
-                },
-                Err(_) => hw,
-            }
-        })
-    }
-}
-
-impl std::fmt::Display for Tier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-fn hw_tier() -> Tier {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-        {
-            return Tier::Avx512;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Tier::Avx2;
-        }
-    }
-    Tier::Scalar
-}
 
 /// Per-chunk coding mode, stored as one byte in the `CUSZPHY1` table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -247,12 +169,6 @@ const HUFFMAN4_OVERHEAD: f64 = (HUFFMAN4_HEADER_BYTES + 5) as f64;
 /// [`Mode::Huffman`] (or better), never `Huffman4`.
 pub const HUFFMAN4_MIN_CHUNK: usize = 4096;
 
-/// Pick a coding mode for `raw` by sampling, not scanning
-/// ([`select_mode_at`] at the detected tier).
-pub fn select_mode(raw: &[u8]) -> Mode {
-    select_mode_at(Tier::detect(), raw)
-}
-
 /// Pick a coding mode for `raw` by sampling, not scanning.
 ///
 /// Constant detection probes a handful of spread positions and only pays
@@ -269,7 +185,7 @@ pub fn select_mode(raw: &[u8]) -> Mode {
 /// mispredicting *toward* Pass costs a little ratio, while mispredicting
 /// away from it costs encode time **and** gets reverted by
 /// [`encode_chunk`]'s size check anyway.
-pub fn select_mode_at(tier: Tier, raw: &[u8]) -> Mode {
+pub fn select_mode(raw: &[u8]) -> Mode {
     let n = raw.len();
     if n < 2 {
         return Mode::Pass;
@@ -284,11 +200,11 @@ pub fn select_mode_at(tier: Tier, raw: &[u8]) -> Mode {
     // drags the sampled entropy far below the payload's and mispredicts
     // Huffman on incompressible data.
     //
-    // Tier 1: two windows at 1/4 and 3/4, tracked with a 256-bit
+    // Stage 1: two windows at 1/4 and 3/4, tracked with a 256-bit
     // presence bitmap (32 bytes of state). On dense data — most chunks
     // of a field that doesn't compress — the distinct count alone rules
     // every coded mode out and the estimator exits here. The Pass path
-    // must stay within a few percent of a plain copy, so this tier never
+    // must stay within a few percent of a plain copy, so this stage never
     // touches the 1 KiB histogram: zeroing it per chunk is already
     // measurable against a cache-hot memcpy.
     if n > 4 * SAMPLE_WINDOW {
@@ -318,8 +234,8 @@ pub fn select_mode_at(tier: Tier, raw: &[u8]) -> Mode {
         }
     }
 
-    // Tier 2: the chunk looks codable (or is small enough to sample
-    // whole), so the full histogram pays for itself. Re-walk the tier-1
+    // Stage 2: the chunk looks codable (or is small enough to sample
+    // whole), so the full histogram pays for itself. Re-walk the stage-1
     // windows and add two more at 1/8 and 7/8 before the entropy
     // estimate below. The counting runs through the 4-lane accumulator
     // so even the sampling path dodges the store-forwarding chain.
@@ -377,11 +293,6 @@ pub fn select_mode_at(tier: Tier, raw: &[u8]) -> Mode {
     } else if est_rle <= est_huffman {
         Mode::Rle
     } else if n >= HUFFMAN4_MIN_CHUNK && bitstream + HUFFMAN4_OVERHEAD + margin < n_f {
-        // The tier only schedules instructions, but it still gates the
-        // *wire* upgrade consistently: the choice depends on chunk size
-        // and estimate alone, never on `tier`, so frames stay identical
-        // across the ladder.
-        let _ = tier;
         Mode::Huffman4
     } else {
         Mode::Huffman
@@ -401,13 +312,7 @@ fn probe_constant(raw: &[u8]) -> bool {
     raw.iter().all(|&x| x == b)
 }
 
-/// Encode `raw` under `mode` at the detected tier ([`encode_chunk_at`]).
-pub fn encode_chunk(mode: Mode, raw: &[u8], out: &mut Vec<u8>) -> Mode {
-    encode_chunk_at(Tier::detect(), mode, raw, out)
-}
-
-/// Encode `raw` under `mode`, appending the coded bytes to `out` using
-/// `tier`'s kernels (the coded bytes are identical at every tier).
+/// Encode `raw` under `mode`, appending the coded bytes to `out`.
 ///
 /// Returns the mode **actually** used: whenever the requested mode would
 /// not produce strictly fewer bytes than `raw` (or its precondition does
@@ -415,7 +320,7 @@ pub fn encode_chunk(mode: Mode, raw: &[u8], out: &mut Vec<u8>) -> Mode {
 /// chunk falls back to [`Mode::Pass`] and the raw bytes are appended
 /// instead. The returned mode is what belongs in the `CUSZPHY1` table,
 /// and the appended length never exceeds `raw.len()`.
-pub fn encode_chunk_at(tier: Tier, mode: Mode, raw: &[u8], out: &mut Vec<u8>) -> Mode {
+pub fn encode_chunk(mode: Mode, raw: &[u8], out: &mut Vec<u8>) -> Mode {
     if raw.is_empty() {
         return Mode::Pass;
     }
@@ -429,19 +334,19 @@ pub fn encode_chunk_at(tier: Tier, mode: Mode, raw: &[u8], out: &mut Vec<u8>) ->
             }
         }
         Mode::Rle => {
-            rle::encode(tier, raw, out);
+            rle::encode(raw, out);
             if out.len() - mark < raw.len() {
                 return Mode::Rle;
             }
             out.truncate(mark);
         }
         Mode::Huffman => {
-            if huffman::encode(tier, raw, out) {
+            if huffman::encode(raw, out) {
                 return Mode::Huffman;
             }
         }
         Mode::Huffman4 => {
-            if interleave::encode(tier, raw, out) {
+            if interleave::encode(raw, out) {
                 return Mode::Huffman4;
             }
         }
@@ -451,8 +356,7 @@ pub fn encode_chunk_at(tier: Tier, mode: Mode, raw: &[u8], out: &mut Vec<u8>) ->
 }
 
 /// Decode a chunk coded by [`encode_chunk`] into `out`, whose length must
-/// be the chunk's recorded raw length. Tier-independent: the decoders
-/// are table-driven and already word-parallel.
+/// be the chunk's recorded raw length.
 ///
 /// The [`Mode::Huffman`] and [`Mode::Huffman4`] decoders build their
 /// decode table in `table`, which the caller keeps across chunks; its
@@ -585,36 +489,13 @@ mod tests {
             skewed(5000, 3),
             (0..=255).collect(),
             noise(3, 1),
-        ];
-        for raw in &shapes {
-            for mode in Mode::ALL {
-                roundtrip(mode, raw);
-            }
-        }
-    }
-
-    #[test]
-    fn every_tier_encodes_identical_chunks() {
-        let shapes: Vec<Vec<u8>> = vec![
             skewed(20_000, 3),
             noise(4096, 9),
-            vec![7; 1000],
             skewed(300, 5),
         ];
         for raw in &shapes {
             for mode in Mode::ALL {
-                let mut want = Vec::new();
-                let want_mode = encode_chunk_at(Tier::Scalar, mode, raw, &mut want);
-                for tier in Tier::ALL {
-                    if tier > Tier::detect() {
-                        continue;
-                    }
-                    let mut got = Vec::new();
-                    let got_mode = encode_chunk_at(tier, mode, raw, &mut got);
-                    assert_eq!(got_mode, want_mode, "tier {tier} mode {mode}");
-                    assert_eq!(got, want, "tier {tier} mode {mode} bytes");
-                    assert_eq!(select_mode_at(tier, raw), select_mode_at(Tier::Scalar, raw));
-                }
+                roundtrip(mode, raw);
             }
         }
     }

@@ -8,45 +8,14 @@
 //! is one control byte per 128 literals — and the chunk layer falls back
 //! to `Pass` before even that is stored.
 //!
-//! The encoder's two scans — "how far does this run extend?" and "where
-//! does the next run of ≥ 3 start?" — are the hot loops, and both
-//! vectorize as equality bitmaps: compare a window against its
-//! one-byte-shifted self (`vpcmpeqb` + `vpmovmskb`, or the AVX-512 mask
-//! compare), then a run boundary is the first zero bit
-//! (`trailing_ones`) and a triple is the first set bit of `m & (m >>
-//! 1)`. The tier selects only these scan kernels; every tier emits
-//! byte-identical output (the cross-tier frame-identity contract), and
-//! decode is tier-independent — it is `memcpy`/`fill` dominated already.
+//! Decode is `memcpy`/`fill` dominated.
 
-use crate::{EntropyError, Tier};
+use crate::EntropyError;
 
-/// Append the PackBits coding of `raw` to `out` using `tier`'s scan
-/// kernels. Never reads `out`'s existing contents; may append up to
-/// `raw.len() + raw.len()/128 + 1` bytes (the caller compares sizes and
-/// discards a losing encode).
-pub(crate) fn encode(tier: Tier, raw: &[u8], out: &mut Vec<u8>) {
-    match tier {
-        Tier::Scalar => encode_impl(raw, out, run_end_scalar, next_triple_scalar),
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => encode_impl(raw, out, run_end_avx2_d, next_triple_avx2_d),
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => encode_impl(raw, out, run_end_avx512_d, next_triple_avx512_d),
-        #[cfg(not(target_arch = "x86_64"))]
-        Tier::Avx2 | Tier::Avx512 => encode_impl(raw, out, run_end_scalar, next_triple_scalar),
-    }
-}
-
-/// The mode-independent PackBits emitter. `run_end(raw, i, cap)` returns
-/// the first index in `(i, cap]`… precisely: the smallest `j` in
-/// `(i, cap)` with `raw[j] != raw[i]`, or `cap`. `next_triple(raw, from,
-/// cap)` returns the smallest `j` in `[from, cap)` starting a run of ≥ 3
-/// (`j + 2 < raw.len()` and three equal bytes), or `cap`.
-fn encode_impl(
-    raw: &[u8],
-    out: &mut Vec<u8>,
-    run_end: fn(&[u8], usize, usize) -> usize,
-    next_triple: fn(&[u8], usize, usize) -> usize,
-) {
+/// Append the PackBits coding of `raw` to `out`. Never reads `out`'s
+/// existing contents; may append up to `raw.len() + raw.len()/128 + 1`
+/// bytes (the caller compares sizes and discards a losing encode).
+pub(crate) fn encode(raw: &[u8], out: &mut Vec<u8>) {
     let mut i = 0usize;
     while i < raw.len() {
         let b = raw[i];
@@ -66,7 +35,8 @@ fn encode_impl(
     }
 }
 
-fn run_end_scalar(raw: &[u8], i: usize, cap: usize) -> usize {
+/// The smallest `j` in `(i, cap)` with `raw[j] != raw[i]`, or `cap`.
+fn run_end(raw: &[u8], i: usize, cap: usize) -> usize {
     let b = raw[i];
     let mut j = i + 1;
     while j < cap && raw[j] == b {
@@ -75,7 +45,9 @@ fn run_end_scalar(raw: &[u8], i: usize, cap: usize) -> usize {
     j
 }
 
-fn next_triple_scalar(raw: &[u8], from: usize, cap: usize) -> usize {
+/// The smallest `j` in `[from, cap)` starting a run of ≥ 3 (`j + 2 <
+/// raw.len()` and three equal bytes), or `cap`.
+fn next_triple(raw: &[u8], from: usize, cap: usize) -> usize {
     let mut j = from;
     while j < cap {
         if j + 2 < raw.len() && raw[j] == raw[j + 1] && raw[j + 1] == raw[j + 2] {
@@ -84,117 +56,6 @@ fn next_triple_scalar(raw: &[u8], from: usize, cap: usize) -> usize {
         j += 1;
     }
     cap
-}
-
-#[cfg(target_arch = "x86_64")]
-fn run_end_avx2_d(raw: &[u8], i: usize, cap: usize) -> usize {
-    // SAFETY: dispatched on a detected/clamped tier ≥ Avx2.
-    unsafe { run_end_avx2(raw, i, cap) }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn next_triple_avx2_d(raw: &[u8], from: usize, cap: usize) -> usize {
-    // SAFETY: dispatched on a detected/clamped tier ≥ Avx2.
-    unsafe { next_triple_avx2(raw, from, cap) }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn run_end_avx512_d(raw: &[u8], i: usize, cap: usize) -> usize {
-    // SAFETY: dispatched on a detected/clamped tier ≥ Avx512.
-    unsafe { run_end_avx512(raw, i, cap) }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn next_triple_avx512_d(raw: &[u8], from: usize, cap: usize) -> usize {
-    // SAFETY: dispatched on a detected/clamped tier ≥ Avx512.
-    unsafe { next_triple_avx512(raw, from, cap) }
-}
-
-/// Requires `avx2`. 32 bytes per probe against a splat of the run byte.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn run_end_avx2(raw: &[u8], i: usize, cap: usize) -> usize {
-    use std::arch::x86_64::*;
-    let splat = _mm256_set1_epi8(raw[i] as i8);
-    let mut p = i + 1;
-    while p + 32 <= cap {
-        let v = _mm256_loadu_si256(raw.as_ptr().add(p).cast());
-        let m = _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, splat)) as u32;
-        if m != u32::MAX {
-            return p + m.trailing_ones() as usize;
-        }
-        p += 32;
-    }
-    run_end_scalar_from(raw, raw[i], p, cap)
-}
-
-/// Requires `avx2`. Bit `k` of the window mask is `raw[p+k] ==
-/// raw[p+k+1]`; a triple at `p+k` is two adjacent set bits, `m & (m >>
-/// 1)` — 31 usable positions per 32-byte window (bit 31 would need the
-/// next window's first equality).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn next_triple_avx2(raw: &[u8], from: usize, cap: usize) -> usize {
-    use std::arch::x86_64::*;
-    let mut p = from;
-    while p + 33 <= raw.len() && p < cap {
-        let a = _mm256_loadu_si256(raw.as_ptr().add(p).cast());
-        let b = _mm256_loadu_si256(raw.as_ptr().add(p + 1).cast());
-        let m = _mm256_movemask_epi8(_mm256_cmpeq_epi8(a, b)) as u32;
-        let t = m & (m >> 1);
-        if t != 0 {
-            let j = p + t.trailing_zeros() as usize;
-            return j.min(cap);
-        }
-        p += 31;
-    }
-    next_triple_scalar(raw, p.min(cap), cap)
-}
-
-/// Requires `avx512bw`. 64 bytes per probe.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn run_end_avx512(raw: &[u8], i: usize, cap: usize) -> usize {
-    use std::arch::x86_64::*;
-    let splat = _mm512_set1_epi8(raw[i] as i8);
-    let mut p = i + 1;
-    while p + 64 <= cap {
-        let v = _mm512_loadu_si512(raw.as_ptr().add(p).cast());
-        let m = _mm512_cmpeq_epi8_mask(v, splat);
-        if m != u64::MAX {
-            return p + m.trailing_ones() as usize;
-        }
-        p += 64;
-    }
-    run_end_scalar_from(raw, raw[i], p, cap)
-}
-
-/// Requires `avx512bw`. 63 usable positions per 64-byte window.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn next_triple_avx512(raw: &[u8], from: usize, cap: usize) -> usize {
-    use std::arch::x86_64::*;
-    let mut p = from;
-    while p + 65 <= raw.len() && p < cap {
-        let a = _mm512_loadu_si512(raw.as_ptr().add(p).cast());
-        let b = _mm512_loadu_si512(raw.as_ptr().add(p + 1).cast());
-        let m = _mm512_cmpeq_epi8_mask(a, b);
-        let t = m & (m >> 1);
-        if t != 0 {
-            let j = p + t.trailing_zeros() as usize;
-            return j.min(cap);
-        }
-        p += 63;
-    }
-    next_triple_scalar(raw, p.min(cap), cap)
-}
-
-#[cfg(target_arch = "x86_64")]
-fn run_end_scalar_from(raw: &[u8], b: u8, mut j: usize, cap: usize) -> usize {
-    while j < cap && raw[j] == b {
-        j += 1;
-    }
-    j
 }
 
 /// Decode PackBits bytes into `out`, whose length must equal the
@@ -245,7 +106,7 @@ mod tests {
 
     fn roundtrip(raw: &[u8]) -> Vec<u8> {
         let mut comp = Vec::new();
-        encode(Tier::detect(), raw, &mut comp);
+        encode(raw, &mut comp);
         let mut back = vec![0xEEu8; raw.len()];
         decode(&comp, &mut back).unwrap();
         assert_eq!(back, raw);
@@ -284,9 +145,9 @@ mod tests {
     }
 
     #[test]
-    fn every_tier_emits_identical_bytes() {
-        // Shapes chosen to land runs and triples on and around the
-        // 31/63-position window boundaries of the vector scanners.
+    fn run_and_triple_boundaries_roundtrip() {
+        // Runs and triples at many periods, and a sparse alphabet so
+        // runs of 2 (the encoder-ambiguous zone) occur.
         let mut shapes: Vec<Vec<u8>> = vec![
             vec![],
             vec![1],
@@ -304,24 +165,11 @@ mod tests {
             seed ^= seed << 13;
             seed ^= seed >> 7;
             seed ^= seed << 17;
-            // Sparse alphabet so runs of 2 (encoder-ambiguous zone) occur.
             noisy.push(((seed >> 32) & 3) as u8);
         }
         shapes.push(noisy);
         for raw in &shapes {
-            let mut want = Vec::new();
-            encode(Tier::Scalar, raw, &mut want);
-            for tier in Tier::ALL {
-                if tier > Tier::detect() {
-                    continue;
-                }
-                let mut got = Vec::new();
-                encode(tier, raw, &mut got);
-                assert_eq!(got, want, "tier {tier:?} diverged on len {}", raw.len());
-            }
-            let mut back = vec![0u8; raw.len()];
-            decode(&want, &mut back).unwrap();
-            assert_eq!(&back, raw);
+            roundtrip(raw);
         }
     }
 }

@@ -306,8 +306,7 @@ fn process_compress_typed<T: WireFloat>(
     };
     if hybrid_stage {
         let r = fast::compress_into(scratch, floats, eb, codec, stage);
-        let level = cuszp_core::simd::resolve_level(codec.simd);
-        hybrid::encode_at(&r, hybrid::auto_chunk_blocks(&r), level, hs, out);
+        hybrid::encode(&r, hybrid::auto_chunk_blocks(&r), hs, out);
         Ok(if out.len() < stage.len() {
             Body::Hybrid
         } else {

@@ -344,8 +344,7 @@ impl CuszpHybridCodec {
         } = scratch;
         let cfg = Self::config();
         let r = fast::compress_into(cuszp, data, eb, cfg, stage);
-        let level = cuszp_core::simd::resolve_level(cfg.simd);
-        hybrid::encode_at(&r, hybrid::auto_chunk_blocks(&r), level, hs, out);
+        hybrid::encode(&r, hybrid::auto_chunk_blocks(&r), hs, out);
         if out.len() >= stage.len() {
             // Whole-frame fallback: the second stage did not pay for its
             // table, so store the plain frame (never larger than CUSZP1).
