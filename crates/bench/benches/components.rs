@@ -1,5 +1,6 @@
-//! Component microbenches: the four cuSZp pipeline steps plus the cuSZ
-//! Huffman coder, isolated.
+//! Component microbenches: the four cuSZp pipeline steps (their
+//! `host_ref` forms, and the fast codec's fused first stage over one
+//! store chunk) plus the cuSZ Huffman coder, isolated.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -19,6 +20,20 @@ fn bench(c: &mut Criterion) {
                 cuszp_core::quantize::quantize_block(black_box(block), eb, true, &mut out);
             }
             black_box(out[0])
+        })
+    });
+
+    // The host codec's first stage over one 64 KiB f32 store chunk: the
+    // tile quantize and tile encode kernels, warm arena and output.
+    group.bench_function("fast_compress_into_chunk64k", |b| {
+        let chunk = &data[..16_384];
+        let cfg = cuszp_core::CuszpConfig::default();
+        let mut scratch = cuszp_core::Scratch::new();
+        let mut out = Vec::new();
+        b.iter(|| {
+            let r =
+                cuszp_core::fast::compress_into(&mut scratch, black_box(chunk), eb, cfg, &mut out);
+            black_box(r.payload.len())
         })
     });
 

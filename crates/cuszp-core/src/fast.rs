@@ -6,21 +6,37 @@
 //! `Vec` as it goes. This module instead mirrors the GPU kernel's own
 //! **two-phase** structure on the host (paper §4.3):
 //!
-//! - **Phase 1** fuses quantize + Lorenzo + `(F, CmpL)` planning +
-//!   encoding per *tile* of blocks: residuals live in a small reused
-//!   scratch that stays cache-resident (never a data-sized buffer), the
-//!   quantization arithmetic runs through [`crate::simd`] (AVX-512 when
-//!   the host has it, bit-exact scalar otherwise), and the whole tile is
-//!   planned before any of its bytes are written — the host analogue of
-//!   the GPU kernel sizing its blocks before the global offsets exist.
+//! - **Phase 1** fuses quantize + Lorenzo + `(F, CmpL)` planning per
+//!   *tile* of blocks: residuals live in a small reused scratch that
+//!   stays cache-resident (never a data-sized buffer), and the whole tile
+//!   is planned before any of its bytes are written — the host analogue
+//!   of the GPU kernel sizing its blocks before the global offsets exist.
+//!   The quantization arithmetic runs through [`crate::simd`]: at the
+//!   AVX-512 tier with `L = 32` a tile's whole blocks are **one** kernel
+//!   call ([`simd::quantize_blocks`]), bit-exact scalar otherwise.
 //! - **Phase 2** emits each block's sign map + bit planes straight into
-//!   the output in block order. The payload is a plain concatenation of
-//!   the blocks' `CmpL` bytes (fraction ⓑ), so the sum of the `CmpL`
-//!   column is its size, and the decoder rebuilds every block's offset
-//!   from fraction ⓐ by an exclusive **prefix sum** — the host edition
-//!   of the paper's Global Synchronization step.
+//!   the output in block order — at the AVX-512 tier with `L = 32` one
+//!   [`simd::encode_blocks32`] call per tile, so residuals go from the
+//!   tile to the output without a dispatch per block. The payload is a
+//!   plain concatenation of the blocks' `CmpL` bytes (fraction ⓑ), so the
+//!   sum of the `CmpL` column is its size, and the decoder rebuilds every
+//!   block's offset from fraction ⓐ by an exclusive **prefix sum** — the
+//!   host edition of the paper's Global Synchronization step.
 //!
-//! The bit-plane work itself is word-parallel twice over: per 8-value
+//! ## Straight from the caller's rows
+//!
+//! [`compress_rows_into`] encodes the rows of a box in the caller's
+//! array — a store chunk — without first gathering them: blocks are
+//! independent (Lorenzo restarts at each block), so a block inside one
+//! row is quantized straight from the caller's memory, and only a block
+//! that straddles rows is copied, into a one-block bounce. The stream is
+//! appended to the caller's buffer, so a store writes each frame into
+//! its shard in place. It is byte-identical to [`compress_into`] over
+//! the gathered rows; [`compress_into`] is its one-row case. The
+//! decoders mirror it ([`decompress_rows_into`]).
+//!
+//! The portable strip codec's bit-plane work is word-parallel twice
+//! over: per 8-value
 //! group, the magnitudes' byte matrix is transposed
 //! ([`crate::bitshuffle::byte_transpose8x8`]) to expose each 8-plane
 //! chunk as one `u64`, each chunk is bit-transposed
@@ -97,6 +113,9 @@ pub struct Scratch {
     resid: Vec<i64>,
     /// Per-block max residual magnitude within the current tile.
     maxes: Vec<u64>,
+    /// On compression, the one-block bounce for a block that straddles
+    /// rows of the caller's array.
+    bounce: Vec<f64>,
 }
 
 impl Scratch {
@@ -112,6 +131,7 @@ impl Scratch {
             + 4 * self.cmps.capacity()
             + 8 * self.resid.capacity()
             + 8 * self.maxes.capacity()
+            + 8 * self.bounce.capacity()
     }
 
     /// Pre-grow every buffer a [`compress_into`] / [`decompress_into`]
@@ -151,6 +171,7 @@ impl Scratch {
         let blocks_per_tile = (tune::tile_elems(T::DTYPE, level) / l).max(1);
         grow(&mut self.resid, blocks_per_tile.max(2) * l);
         grow(&mut self.maxes, blocks_per_tile);
+        grow(&mut self.bounce, l);
     }
 }
 
@@ -204,18 +225,119 @@ fn check_compress_args(eb: f64, cfg: CuszpConfig) {
     );
 }
 
-/// Both compression phases: tile-fused quantize + Lorenzo + plan +
-/// encode. Fills the arena's `(F, CmpL)` table for every block of `data`
-/// and appends every non-zero block's payload bytes to `out` in block
-/// order.
+/// Both compression phases over one tile of blocks at a time. The
+/// blocks come from the caller's rows ([`plan_and_encode`]); this holds
+/// the tile being filled and where its blocks go in the `(F, CmpL)`
+/// table.
+struct TileEncoder<'s> {
+    l: usize,
+    level: SimdLevel,
+    eb: f64,
+    lorenzo: bool,
+    /// Widest `F` the tier's `L = 32` vector block codec handles.
+    vec_f: u8,
+    fls: &'s mut [u8],
+    cmps: &'s mut [u32],
+    /// The tile's residuals, block after block.
+    resid: &'s mut [i64],
+    /// Per block of the tile: a magnitude with its largest residual's
+    /// top bit ([`simd::quantize_blocks`]).
+    maxes: &'s mut [u64],
+    /// Stream index of the tile's first block.
+    first: usize,
+    /// Blocks quantized into the tile so far.
+    filled: usize,
+}
+
+impl TileEncoder<'_> {
+    /// Phase 1 over `src`: its elements are the stream's next whole
+    /// blocks (the last may be partial only at the stream's end), each
+    /// quantized straight from `src` into the tile. A full tile is
+    /// flushed.
+    fn blocks<T: FloatData>(&mut self, mut src: &[T], out: &mut Vec<u8>) {
+        let l = self.l;
+        while !src.is_empty() {
+            let (a, room) = (self.filled, self.maxes.len() - self.filled);
+            let b = a + src.len().div_ceil(l).min(room);
+            let take = ((b - a) * l).min(src.len());
+            simd::quantize_blocks(
+                self.level,
+                &src[..take],
+                l,
+                self.eb,
+                self.lorenzo,
+                &mut self.resid[a * l..b * l],
+                &mut self.maxes[a..b],
+            );
+            self.filled = b;
+            src = &src[take..];
+            if b == self.maxes.len() {
+                self.flush(out);
+            }
+        }
+    }
+
+    /// Plan the tile — its encoded size is exact before a byte is
+    /// written — then phase 2: append every non-zero block's sign map and
+    /// bit planes to `out`, in block order.
+    fn flush(&mut self, out: &mut Vec<u8>) {
+        let (l, tile) = (self.l, self.filled);
+        let fls = &mut self.fls[self.first..self.first + tile];
+        let cmps = &mut self.cmps[self.first..self.first + tile];
+        let mut tile_cmp = 0usize;
+        for ((fl, cmp), &max_abs) in fls.iter_mut().zip(cmps.iter_mut()).zip(&*self.maxes) {
+            let f = (64 - max_abs.leading_zeros()) as u8;
+            *fl = f;
+            *cmp = cmp_bytes_for(f, l);
+            tile_cmp += *cmp as usize;
+        }
+        let at = out.len();
+        out.resize(at + tile_cmp, 0);
+        let dst = &mut out[at..];
+        let resid = &self.resid[..tile * l];
+        if self.level == SimdLevel::Avx512 && l == 32 {
+            simd::encode_blocks32(resid, fls, dst);
+        } else {
+            let mut at = 0;
+            for ((block, &f), &cmp) in resid.chunks_exact(l).zip(&*fls).zip(&*cmps) {
+                let cmp = cmp as usize;
+                if f == 0 {
+                    continue;
+                } else if f <= self.vec_f {
+                    simd::encode_block32(self.level, block, f, &mut dst[at..at + cmp]);
+                } else {
+                    encode_block(block, f, &mut dst[at..at + cmp]);
+                }
+                at += cmp;
+            }
+        }
+        self.first += tile;
+        self.filled = 0;
+    }
+}
+
+/// Both compression phases over the elements `rows` selects from `data`,
+/// row after row: fills the arena's `(F, CmpL)` table for every block of
+/// that stream and appends every non-zero block's payload bytes to `out`
+/// in block order.
+///
+/// A block inside one row is quantized straight from `data`; a block
+/// that straddles rows is first gathered into the arena's one-block
+/// bounce (as `f64`, which quantizes identically: [`quantize`] widens
+/// first). Blocks are independent, since Lorenzo restarts at each block,
+/// so where a block's elements come from never changes its bytes.
 ///
 /// `out` grows only by each tile's exact `CmpL` sum (known before the
 /// tile's first byte is written), so it never reallocates once the
 /// caller has reserved the Eq-2 dtype bound, and a cold owned payload
 /// faults in only the pages it fills. `out` may be the serialized stream
-/// itself ([`compress_into`]): the payload is then encoded in place.
+/// itself ([`compress_rows_into`]): the payload is then encoded in place.
+///
+/// [`quantize`]: crate::quantize::quantize
+#[allow(clippy::too_many_arguments)]
 fn plan_and_encode<T: FloatData>(
     data: &[T],
+    rows: &RowLayout,
     eb: f64,
     cfg: CuszpConfig,
     level: SimdLevel,
@@ -224,62 +346,64 @@ fn plan_and_encode<T: FloatData>(
     out: &mut Vec<u8>,
 ) {
     let l = cfg.block_len;
-    let n = data.len();
+    let row_len = rows.row_len();
+    let n = rows.elements();
     let num_blocks = n.div_ceil(l);
     if num_blocks == 0 {
         return;
     }
     let blocks_per_tile = (tile_elems / l).max(1);
-    let fls = grow(&mut scratch.fls, num_blocks);
-    let cmps = grow(&mut scratch.cmps, num_blocks);
-    let resid = grow(&mut scratch.resid, blocks_per_tile * l);
-    let maxes = grow(&mut scratch.maxes, blocks_per_tile);
-    let vec_f = if l == 32 {
-        simd::block32_max_f(level)
-    } else {
-        0
+    let bounce = grow(&mut scratch.bounce, l);
+    let mut enc = TileEncoder {
+        l,
+        level,
+        eb,
+        lorenzo: cfg.lorenzo,
+        vec_f: if l == 32 {
+            simd::block32_max_f(level)
+        } else {
+            0
+        },
+        fls: grow(&mut scratch.fls, num_blocks),
+        cmps: grow(&mut scratch.cmps, num_blocks),
+        resid: grow(&mut scratch.resid, blocks_per_tile * l),
+        maxes: grow(&mut scratch.maxes, blocks_per_tile),
+        first: 0,
+        filled: 0,
     };
-
-    let mut i = 0;
-    while i < num_blocks {
-        let tile = (num_blocks - i).min(blocks_per_tile);
-        let start = i * l;
-        let end = (start + tile * l).min(n);
-        simd::quantize_blocks(
-            level,
-            &data[start..end],
-            l,
-            eb,
-            cfg.lorenzo,
-            &mut resid[..tile * l],
-            &mut maxes[..tile],
-        );
-        // Plan the whole tile first: the tile's encoded size is exact
-        // before a single byte is written.
-        let mut tile_cmp = 0usize;
-        for (k, &max_abs) in maxes[..tile].iter().enumerate() {
-            let f = (64 - max_abs.leading_zeros()) as u8;
-            let cmp = cmp_bytes_for(f, l);
-            fls[i + k] = f;
-            cmps[i + k] = cmp;
-            tile_cmp += cmp as usize;
-        }
-        let mut at = out.len();
-        out.resize(at + tile_cmp, 0);
-        for (k, &f) in fls[i..i + tile].iter().enumerate() {
-            if f == 0 {
-                continue;
+    // `at` elements of the stream are placed; the last `at % l` of them
+    // wait in the bounce.
+    let mut at = 0;
+    for (src, _) in rows.iter() {
+        let mut row = &data[src..src + row_len];
+        let held = at % l;
+        if held > 0 {
+            let k = (l - held).min(row.len());
+            for (b, &v) in bounce[held..held + k].iter_mut().zip(&row[..k]) {
+                *b = v.to_f64();
             }
-            let cmp = cmps[i + k] as usize;
-            let block = &resid[k * l..(k + 1) * l];
-            if f <= vec_f {
-                simd::encode_block32(level, block, f, &mut out[at..at + cmp]);
-            } else {
-                encode_block(block, f, &mut out[at..at + cmp]);
+            row = &row[k..];
+            at += k;
+            if at % l == 0 || at == n {
+                enc.blocks(&bounce[..held + k], out);
             }
-            at += cmp;
         }
-        i += tile;
+        // Whole blocks, and at the stream's end its ragged last block,
+        // straight from the row; what is left opens the next bounce.
+        let whole = if at + row.len() == n {
+            row.len()
+        } else {
+            row.len() / l * l
+        };
+        enc.blocks(&row[..whole], out);
+        for (b, &v) in bounce.iter_mut().zip(&row[whole..]) {
+            *b = v.to_f64();
+        }
+        at += row.len();
+    }
+    debug_assert_eq!(at, n);
+    if enc.filled > 0 {
+        enc.flush(out);
     }
 }
 
@@ -318,6 +442,7 @@ pub fn compress_with<T: FloatData>(
     let mut payload = Vec::new();
     plan_and_encode(
         data,
+        &RowLayout::contiguous(0, data.len()),
         eb,
         cfg,
         level,
@@ -348,13 +473,49 @@ pub fn compress_into<'a, T: FloatData>(
     cfg: CuszpConfig,
     out: &'a mut Vec<u8>,
 ) -> CompressedRef<'a> {
+    out.clear();
+    compress_rows_into(
+        scratch,
+        data,
+        &RowLayout::contiguous(0, data.len()),
+        eb,
+        cfg,
+        out,
+    )
+}
+
+/// Compress the elements `rows` selects from `data` — row after row, in
+/// [`RowLayout::iter`] order (the rows' output positions are not used) —
+/// and **append** the serialized stream to `out`, after whatever it
+/// already holds. The returned [`CompressedRef`] borrows the appended
+/// bytes. The stream is byte-identical to [`compress_into`] over the
+/// rows gathered into one array; the rows are encoded straight from
+/// `data` instead (see the module docs).
+///
+/// `out` is reserved by the Eq-2 dtype bound of the rows' element count
+/// ([`max_stream_bytes`]), so a store appending chunk after chunk to one
+/// buffer only ever grows it by doubling; with a warm [`Scratch`] and
+/// enough capacity the call performs **zero heap allocations**.
+///
+/// # Panics
+/// Panics if `cfg` or `eb` is unusable, or the rows reach past `data`.
+pub fn compress_rows_into<'a, T: FloatData>(
+    scratch: &mut Scratch,
+    data: &[T],
+    rows: &RowLayout,
+    eb: f64,
+    cfg: CuszpConfig,
+    out: &'a mut Vec<u8>,
+) -> CompressedRef<'a> {
     check_compress_args(eb, cfg);
+    assert!(rows.src_end() <= data.len(), "rows reach past the data");
     let l = cfg.block_len;
-    let num_blocks = data.len().div_ceil(l);
+    let n = rows.elements();
+    let num_blocks = n.div_ceil(l);
 
     // The header depends only on metadata known up front.
     let header = CompressedRef {
-        num_elements: data.len() as u64,
+        num_elements: n as u64,
         block_len: l as u32,
         eb,
         lorenzo: cfg.lorenzo,
@@ -364,20 +525,22 @@ pub fn compress_into<'a, T: FloatData>(
     }
     .header_bytes();
 
-    out.clear();
     // Reserve from the Eq-2 dtype bound rather than this payload's exact
     // size: capacity then depends only on the input *shape*, so a reused
     // `out` never reallocates once warm even when a later payload of the
     // same shape compresses worse than the warm-up one did.
-    out.reserve(max_stream_bytes::<T>(data.len(), cfg));
+    let mark = out.len();
+    out.reserve(max_stream_bytes::<T>(n, cfg));
     out.extend_from_slice(&header);
-    out.resize(header.len() + num_blocks, 0); // fraction-ⓐ placeholder
+    let table = out.len();
+    out.resize(table + num_blocks, 0); // fraction-ⓐ placeholder
 
     // Encode payload bytes *directly* into the serialized stream — no
     // staging buffer, no placement copy.
     let level = simd::resolve_level(cfg.simd);
     plan_and_encode(
         data,
+        rows,
         eb,
         cfg,
         level,
@@ -385,11 +548,11 @@ pub fn compress_into<'a, T: FloatData>(
         scratch,
         out,
     );
-    out[header.len()..header.len() + num_blocks].copy_from_slice(&scratch.fls[..num_blocks]);
+    out[table..table + num_blocks].copy_from_slice(&scratch.fls[..num_blocks]);
 
-    let (fixed_lengths, payload) = out[header.len()..].split_at(num_blocks);
+    let (fixed_lengths, payload) = out[mark..][header.len()..].split_at(num_blocks);
     CompressedRef {
-        num_elements: data.len() as u64,
+        num_elements: n as u64,
         block_len: l as u32,
         eb,
         lorenzo: cfg.lorenzo,
@@ -835,6 +998,7 @@ pub(crate) fn tune_probe(dtype: crate::DType, level: SimdLevel, tile_elems: usiz
             let t0 = std::time::Instant::now();
             plan_and_encode(
                 &data,
+                &RowLayout::contiguous(0, N),
                 1e-3,
                 CuszpConfig::default(),
                 level,
@@ -938,6 +1102,7 @@ mod tests {
             let mut payload = Vec::new();
             plan_and_encode(
                 &data,
+                &RowLayout::contiguous(0, data.len()),
                 0.01,
                 CuszpConfig::default(),
                 level,

@@ -211,6 +211,18 @@ pub fn encode_at(
     encode(r, chunk_blocks, hs, out)
 }
 
+/// Encode `r` as a `CUSZPHY1` frame and **append** it to `out`, after
+/// whatever it already holds — how the store writes a chunk's frame
+/// straight into its shard buffer. Otherwise [`encode`].
+pub fn encode_append(
+    r: &CompressedRef<'_>,
+    chunk_blocks: usize,
+    hs: &mut HybridScratch,
+    out: &mut Vec<u8>,
+) {
+    append_frame(r, chunk_blocks, None, hs, out)
+}
+
 /// Encode `r` as a `CUSZPHY1` frame into `out` (cleared first).
 ///
 /// `force` pins every chunk to one requested mode — the per-mode
@@ -232,6 +244,18 @@ pub fn encode_with(
     hs: &mut HybridScratch,
     out: &mut Vec<u8>,
 ) {
+    out.clear();
+    append_frame(r, chunk_blocks, force, hs, out)
+}
+
+/// [`encode_with`], appending the frame to `out`.
+fn append_frame(
+    r: &CompressedRef<'_>,
+    chunk_blocks: usize,
+    force: Option<Mode>,
+    hs: &mut HybridScratch,
+    out: &mut Vec<u8>,
+) {
     r.validate().expect("hybrid encode requires a valid stream");
     assert!(chunk_blocks >= 1, "chunk_blocks must be positive");
     assert!(
@@ -246,7 +270,6 @@ pub fn encode_with(
     let chunks = num_blocks.div_ceil(chunk_blocks);
     assert!(chunks <= u32::MAX as usize, "chunk count must fit u32");
 
-    out.clear();
     out.extend_from_slice(&HYBRID_MAGIC);
     out.push(r.lorenzo as u8);
     out.push(r.dtype.to_byte());

@@ -112,6 +112,11 @@ impl RowLayout {
         self.counts[..self.axes].iter().product()
     }
 
+    /// Number of elements the rows select.
+    pub fn elements(&self) -> usize {
+        self.num_rows() * self.row_len
+    }
+
     /// One past the last row's last source index.
     pub fn src_end(&self) -> usize {
         let last: usize = (0..self.axes)

@@ -13,9 +13,9 @@
 //!
 //! | kernel | scalar | AVX2 | AVX-512 |
 //! |---|---|---|---|
-//! | quantize + Lorenzo | ✓ | (scalar) | 8-lane `vcvtpd2qq` |
+//! | quantize + Lorenzo | ✓ | (scalar) | 8-lane, one call per tile at `L = 32` |
 //! | dequantize | ✓ | (scalar) | 8-lane `vcvtqq2pd` |
-//! | `L = 32` block encode | strip codec | `F ≤ 16` | `F ≤ 64` |
+//! | `L = 32` block encode | strip codec | `F ≤ 16` | `F ≤ 64`, one call per tile |
 //! | `L = 32` block decode | strip codec | `F ≤ 16`, fused | `F ≤ 64`, fused |
 //!
 //! The AVX2 tier leaves quantize/dequantize scalar on purpose: AVX2 has
@@ -32,14 +32,24 @@
 //! instruction) and in the saturating float→int cast. The vector path
 //! reproduces both **bit-exactly**:
 //!
-//! - *Rounding*: `t = trunc(x)`, `r = x − t` (exact — Sterbenz for
-//!   `|t| ≥ 1`, trivially exact for `t = 0` or integral `x`), add
+//! - *Rounding, the tile kernel*: for a vector whose lanes all have
+//!   `|x| < 2⁵¹`, `q = vcvttpd2qq(x + copysign(0.5 − 2⁻⁵⁴, x))`. The
+//!   biased sum reaches the next integer exactly when the fraction is at
+//!   least ½ — `0.5 − 2⁻⁵⁴` is the largest double below ½, which keeps
+//!   the `x = 0.49999…94` case the classic `trunc(x + 0.5)` trick gets
+//!   wrong at 0 — and no lane can overflow the convert. A vector with a
+//!   lane at or past 2⁵¹, or a NaN lane, takes the general path below.
+//! - *Rounding, general*: `t = trunc(x)`, `r = x − t` (exact — Sterbenz
+//!   for `|t| ≥ 1`, trivially exact for `t = 0` or integral `x`), add
 //!   `copysign(1, x)` where `|r| ≥ 0.5`. Branch-free, one lane step, and
-//!   exactly round-half-away-from-zero including the `x = 0.49999…94`
-//!   cases the classic `trunc(x + 0.5)` trick gets wrong.
+//!   exactly round-half-away-from-zero for every finite `x`.
 //! - *Saturation*: `vcvtpd2qq` yields `i64::MIN` for negative overflow
 //!   (matching Rust's `as i64`) but also for positive overflow and NaN;
 //!   two masked fix-ups restore `i64::MAX` / `0` for those lanes.
+//!
+//! `tests/simd_tiers.rs` pins both against the scalar oracle on exact
+//! `k + ½` ties, one ulp either side, the 2⁵¹/2⁵² boundaries,
+//! saturation, ±0, subnormals, NaN and ±∞.
 //!
 //! ## Fused block decode
 //!
@@ -197,8 +207,15 @@ fn quantize_lorenzo_scalar<T: FloatData>(
 /// Quantize + Lorenzo a run of whole blocks at tier `level`: `data`
 /// covers blocks of length `l` (the last may be partial), `resid` holds
 /// `max_abs.len() · l` residuals (tail block zero-padded), and
-/// `max_abs[b]` receives block `b`'s maximum residual magnitude. The
+/// `max_abs[b]` receives a magnitude whose highest set bit is that of
+/// block `b`'s largest `|residual|` — the maximum itself, or on the
+/// AVX-512 `L = 32` tile kernel the OR of the magnitudes — so
+/// `64 − leading_zeros` is the block's fixed length `F` either way. The
 /// Lorenzo predecessor resets at every block boundary.
+///
+/// At [`SimdLevel::Avx512`] with `l = 32`, the whole blocks are one
+/// kernel call (constants hoisted, rounding inlined); a ragged final
+/// block and every other tier or block length go block by block.
 pub fn quantize_blocks<T: FloatData>(
     level: SimdLevel,
     data: &[T],
@@ -210,8 +227,39 @@ pub fn quantize_blocks<T: FloatData>(
 ) {
     debug_assert_eq!(resid.len(), max_abs.len() * l);
     debug_assert!(data.len() <= resid.len());
+    // A real check, once per call: every kernel below relies on it.
+    assert!(level <= detect_level(), "{level} is above the host's tier");
     let n = data.len();
-    for (b, m) in max_abs.iter_mut().enumerate() {
+    let mut tiled = 0;
+    #[cfg(target_arch = "x86_64")]
+    if level == SimdLevel::Avx512 && l == 32 {
+        tiled = n / 32;
+        let e = 32 * tiled;
+        // SAFETY: `level ≤ detect_level()` (asserted above) implies
+        // avx512f/dq; the kernel gets exactly `tiled` whole blocks of
+        // data, residuals and maxima (the slicing is bounds-checked);
+        // FloatData is sealed, so T::DTYPE faithfully tags the element
+        // type.
+        unsafe {
+            match T::DTYPE {
+                DType::F32 => avx512_impl::quantize_tile32_f32(
+                    std::slice::from_raw_parts(data.as_ptr().cast::<f32>(), e),
+                    eb,
+                    lorenzo,
+                    &mut resid[..e],
+                    &mut max_abs[..tiled],
+                ),
+                DType::F64 => avx512_impl::quantize_tile32_f64(
+                    std::slice::from_raw_parts(data.as_ptr().cast::<f64>(), e),
+                    eb,
+                    lorenzo,
+                    &mut resid[..e],
+                    &mut max_abs[..tiled],
+                ),
+            }
+        }
+    }
+    for (b, m) in max_abs.iter_mut().enumerate().skip(tiled) {
         let start = b * l;
         let end = (start + l).min(n);
         let r = &mut resid[start..start + l];
@@ -286,6 +334,40 @@ pub fn encode_block32(level: SimdLevel, resid: &[i64], f: u8, out: &mut [u8]) {
         // SAFETY: as above; `f ≤ 16` bounds magnitudes to u16.
         SimdLevel::Avx2 => unsafe { avx2_impl::encode_block32(resid, f, out) },
         _ => unreachable!("no vector block codec at the {level} tier"),
+    }
+}
+
+/// Encode a tile of `L = 32` blocks with the AVX-512 block kernel:
+/// block `k` holds residuals `resid[32k..32k + 32]` and fixed length
+/// `fls[k]`, and each non-zero block's sign map + bit planes are written
+/// back to back into `out` (zero blocks write nothing). Byte-identical to
+/// [`encode_block32`] per block, in one kernel call for the whole tile.
+/// The other tiers have no tile kernel; they call [`encode_block32`] per
+/// block.
+///
+/// # Panics
+/// Panics if the host lacks [`SimdLevel::Avx512`]. Debug-asserts the
+/// other preconditions (the kernel's slicing is bounds-checked either
+/// way); call only when `resid.len() == 32 · fls.len()`, every
+/// `fls[k] ≤ 64`, and `out.len()` is the tile's Eq-2 size (the sum of
+/// `4 + 4F` over its non-zero blocks).
+pub fn encode_blocks32(resid: &[i64], fls: &[u8], out: &mut [u8]) {
+    assert_eq!(detect_level(), SimdLevel::Avx512, "the host lacks avx512");
+    debug_assert_eq!(resid.len(), 32 * fls.len());
+    debug_assert!(fls.iter().all(|&f| f <= 64));
+    debug_assert_eq!(
+        out.len(),
+        fls.iter()
+            .map(|&f| crate::encode::cmp_bytes_for(f, 32) as usize)
+            .sum::<usize>()
+    );
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the host has the AVX-512 tier (asserted above), so the
+    // features; the kernel slices each block's 32 residuals and `4 + 4F`
+    // output bytes with bounds checks, and the block kernel loads and
+    // stores only inside those slices.
+    unsafe {
+        avx512_impl::encode_tile32(resid, fls, out)
     }
 }
 
@@ -443,9 +525,14 @@ mod avx512_impl {
     /// iteration.
     ///
     /// # Safety
-    /// Requires `avx512f`, `avx512dq`, `avx512bw`, `avx512vbmi`.
+    /// Requires `avx512f`, `avx512dq`, `avx512bw`, `avx512vbmi`;
+    /// `resid.len() == 32`, `1 ≤ f ≤ 64` and `out.len() == 4 + 4f` (the
+    /// loads read 32 residuals, the masked stores write `4 + 4f` bytes).
+    #[inline]
     #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vbmi")]
     pub unsafe fn encode_block32(resid: &[i64], f: u8, out: &mut [u8]) {
+        debug_assert!(resid.len() == 32 && (1..=64).contains(&f));
+        debug_assert_eq!(out.len(), 4 + 4 * f as usize);
         let bt = _mm512_loadu_si512(BT_IDX.as_ptr() as *const _);
         // Per value-group: sign mask straight off the qword sign bits,
         // then |v| byte-transposed so qword t holds chunk t's 8 bytes.
@@ -482,6 +569,28 @@ mod avx512_impl {
             };
             _mm512_mask_storeu_epi8(out.as_mut_ptr().add(4 + 64 * p) as *mut _, mask, planes);
         }
+    }
+
+    /// A tile's non-zero blocks, each through the inlined
+    /// [`encode_block32`], written back to back into `out`.
+    ///
+    /// # Safety
+    /// Requires `avx512f`, `avx512dq`, `avx512bw`, `avx512vbmi`;
+    /// `resid.len() == 32 · fls.len()`, every `fls[k] ≤ 64`, and
+    /// `out.len()` equals the sum of `4 + 4F` over the non-zero blocks.
+    #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vbmi")]
+    pub unsafe fn encode_tile32(resid: &[i64], fls: &[u8], out: &mut [u8]) {
+        debug_assert_eq!(resid.len(), 32 * fls.len());
+        let mut at = 0;
+        for (k, &f) in fls.iter().enumerate() {
+            if f == 0 {
+                continue;
+            }
+            let cmp = 4 + 4 * f as usize;
+            encode_block32(&resid[32 * k..32 * k + 32], f, &mut out[at..at + cmp]);
+            at += cmp;
+        }
+        debug_assert_eq!(at, out.len());
     }
 
     /// Decode one block's 32 quantization integers into four 8-lane
@@ -740,6 +849,85 @@ mod avx512_impl {
         _mm512_cvtps_pd(_mm256_loadu_ps(p))
     });
     quantize_lorenzo!(quantize_lorenzo_f64, f64, |p: *const f64| {
+        _mm512_loadu_pd(p)
+    });
+
+    /// `|x|` below which [`quantize_tile32_f32`]/[`quantize_tile32_f64`]
+    /// round by `trunc(x + copysign(0.5⁻, x))`: 2⁵¹.
+    const FAST_ROUND_LIMIT: f64 = 2_251_799_813_685_248.0;
+
+    /// The largest double below ½ (`0.5 − 2⁻⁵⁴`).
+    const HALF_BELOW: f64 = 0.499_999_999_999_999_94;
+
+    macro_rules! quantize_tile32 {
+        ($name:ident, $elem:ty, $load:expr) => {
+            /// Quantize + Lorenzo `maxes.len()` whole 32-value blocks:
+            /// `resid` receives the residuals, `maxes[b]` the OR of block
+            /// `b`'s residual magnitudes (same top bit as their maximum).
+            ///
+            /// A vector whose lanes all have `|x| < 2⁵¹` rounds half away
+            /// from zero as `trunc(x + copysign(0.5 − 2⁻⁵⁴, x))`: the
+            /// biased sum never crosses the next integer unless the
+            /// fraction is at least ½, and it never overflows the convert.
+            /// Any other vector — a lane at or past 2⁵¹, or NaN — takes
+            /// [`round_to_i64`], which keeps `as i64` saturation and
+            /// NaN → 0.
+            ///
+            /// # Safety
+            /// Requires `avx512f` and `avx512dq`;
+            /// `data.len() == resid.len() == 32 · maxes.len()`.
+            #[target_feature(enable = "avx512f,avx512dq")]
+            pub unsafe fn $name(
+                data: &[$elem],
+                eb: f64,
+                lorenzo: bool,
+                resid: &mut [i64],
+                maxes: &mut [u64],
+            ) {
+                debug_assert!(data.len() == 32 * maxes.len() && resid.len() == data.len());
+                let veb = _mm512_set1_pd(2.0 * eb);
+                let absmask = _mm512_castsi512_pd(_mm512_set1_epi64(i64::MAX));
+                let limit = _mm512_set1_pd(FAST_ROUND_LIMIT);
+                let half = _mm512_set1_pd(HALF_BELOW);
+                let zero = _mm512_setzero_si512();
+                let src = data.as_ptr();
+                let dst = resid.as_mut_ptr();
+                for (b, m) in maxes.iter_mut().enumerate() {
+                    let mut prev = zero;
+                    let mut acc = zero;
+                    for g in 0..4 {
+                        let i = 32 * b + 8 * g;
+                        #[allow(clippy::redundant_closure_call)]
+                        let x = _mm512_div_pd(($load)(src.add(i)), veb);
+                        let q = if _mm512_cmp_pd_mask(_mm512_and_pd(x, absmask), limit, _CMP_LT_OQ)
+                            == 0xFF
+                        {
+                            let bias = _mm512_or_pd(half, _mm512_andnot_pd(absmask, x));
+                            _mm512_cvttpd_epi64(_mm512_add_pd(x, bias))
+                        } else {
+                            round_to_i64(x)
+                        };
+                        let v = if lorenzo {
+                            // [prev₇, q₀ … q₆] — each lane's predecessor.
+                            let shifted = _mm512_alignr_epi64(q, prev, 7);
+                            prev = q;
+                            _mm512_sub_epi64(q, shifted)
+                        } else {
+                            q
+                        };
+                        acc = _mm512_or_si512(acc, _mm512_abs_epi64(v));
+                        _mm512_storeu_si512(dst.add(i) as *mut _, v);
+                    }
+                    *m = _mm512_reduce_or_epi64(acc) as u64;
+                }
+            }
+        };
+    }
+
+    quantize_tile32!(quantize_tile32_f32, f32, |p: *const f32| {
+        _mm512_cvtps_pd(_mm256_loadu_ps(p))
+    });
+    quantize_tile32!(quantize_tile32_f64, f64, |p: *const f64| {
         _mm512_loadu_pd(p)
     });
 

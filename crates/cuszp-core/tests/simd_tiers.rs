@@ -195,3 +195,89 @@ fn empty_and_constant_inputs_all_tiers() {
         assert_tiers_match_ref(&data, 0.01, CuszpConfig::default()).unwrap();
     }
 }
+
+/// `d` with `d / 2eb` on every rounding edge the quantizers must agree
+/// on, for a power-of-two `two_eb` (so each product below is exact):
+/// exact `k + ½` ties and one ulp either side of each, the 2⁵¹/2⁵²
+/// boundaries of the fast rounding path, values at and past 2⁶³ (where
+/// `as i64` saturates), ±0, subnormals, NaN and ±∞. The edges sit in
+/// every lane position, both in all-tie vectors and mixed with huge
+/// lanes, so the vector kernels' fast and fallback rounding both run.
+fn rounding_edges(two_eb: f64) -> Vec<f64> {
+    let mut q = Vec::new();
+    for k in -40i32..40 {
+        let tie = (f64::from(k) + 0.5) * two_eb;
+        q.extend([tie, tie.next_up(), tie.next_down(), f64::from(k) * two_eb]);
+    }
+    let ties = q.len();
+    for x in [
+        2f64.powi(51),
+        2f64.powi(51) + 0.5,
+        2f64.powi(51) - 0.5,
+        2f64.powi(51) - 0.25,
+        2f64.powi(52),
+        2f64.powi(52) - 0.5,
+        2f64.powi(52) + 1.0,
+        2f64.powi(53),
+        2f64.powi(63),
+        2f64.powi(64),
+        1e300,
+    ] {
+        let d = x * two_eb;
+        q.extend([
+            d,
+            d.next_up(),
+            d.next_down(),
+            -d,
+            -d.next_up(),
+            -d.next_down(),
+        ]);
+    }
+    q.extend([
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE / 2.0,
+        -f64::MIN_POSITIVE / 2.0,
+        5e-324,
+        -5e-324,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        f64::MIN,
+    ]);
+    // The ties alone (all-fast vectors), then every edge interleaved
+    // with ties at each lane offset.
+    let mut data = q[..ties].to_vec();
+    for shift in 0..8 {
+        for (i, &x) in q[ties..].iter().enumerate() {
+            data.extend_from_slice(&q[(i * 7 + shift) % ties..][..shift]);
+            data.push(x);
+        }
+    }
+    data
+}
+
+#[test]
+fn rounding_ties_and_saturation_all_tiers() {
+    for e in [-6i32, -1, 0, 4] {
+        let eb = 2f64.powi(e);
+        let data = rounding_edges(2.0 * eb);
+        // In f32 the ties stay exact, but their f64 neighbours round
+        // back onto them: add the f32 neighbours of every edge.
+        let mut data32: Vec<f32> = data.iter().map(|&x| x as f32).collect();
+        let neighbours: Vec<f32> = data32
+            .iter()
+            .flat_map(|&x| [x.next_up(), x.next_down()])
+            .collect();
+        data32.extend(neighbours);
+        for lorenzo in [false, true] {
+            let cfg = CuszpConfig {
+                lorenzo,
+                ..Default::default()
+            };
+            assert_tiers_match_ref(&data, eb, cfg).unwrap();
+            assert_tiers_match_ref(&data32, eb, cfg).unwrap();
+        }
+    }
+}

@@ -4,7 +4,9 @@
 //! partial decode: `decode_blocks(range)` reconstructs exactly the
 //! elements covered by a block range, reading only those blocks' payload
 //! bytes, and `decode_rows(layout)` writes the rows of a box straight
-//! into the caller's output, decoding each block they touch once. All
+//! into the caller's output, decoding each block they touch once. On the
+//! write side, `encode_rows(layout)` appends the frame of a box's rows
+//! to the shard buffer. All
 //! implementations are copy-free (they parse borrowed views over the
 //! frame bytes — never materialize the payload) and allocation-free
 //! after warm-up (scratch lives in [`CodecScratch`], the store's
@@ -17,7 +19,7 @@
 //! the hybrid `CZH1`) support both element types.
 
 use crate::error::StoreError;
-use crate::store::{tile_walk, StoreScratch};
+use crate::store::{gather_encode, tile_walk, StoreScratch};
 use baselines::{cuszx, cuzfp};
 use cuszp_core::hybrid::{self, HybridRef, HybridScratch, HYBRID_MAGIC};
 use cuszp_core::{fast, CompressedRef, CuszpConfig, DType, FloatData, RowLayout, Scratch};
@@ -56,7 +58,8 @@ impl CodecScratch {
 ///
 /// * `encode` replaces `out` with a frame that `num_elements` and the
 ///   decode methods accept; the frame embeds everything needed to decode
-///   (no out-of-band metadata).
+///   (no out-of-band metadata). `encode_rows` appends the frame `encode`
+///   would write for the rows' elements gathered into one array.
 /// * `decode_blocks(stream, b0..b1, ..)` writes exactly
 ///   `min(b1·L, N) − min(b0·L, N)` elements (`L = block_len()`, `N` the
 ///   frame's element count; the final block may be ragged), value-
@@ -152,6 +155,32 @@ pub trait ErrorBoundedCodec {
             self.decode_blocks(stream, blocks, scratch, tile)
         })
     }
+    /// Compress the elements `rows` selects from `data` — row after row,
+    /// in [`RowLayout::iter`] order; the rows' output positions are not
+    /// used — at absolute bound `eb`, and **append** the frame to `out`,
+    /// after whatever it already holds. The frame's bytes are exactly
+    /// what [`ErrorBoundedCodec::encode`] writes for those elements
+    /// gathered into one array.
+    ///
+    /// This is the store's one write path: [`crate::write_shard`] makes
+    /// one call per chunk, over the chunk's rows in the caller's array,
+    /// appending to the shard buffer. The provided method gathers the
+    /// rows into a tile in `scratch`, encodes the tile into a frame
+    /// buffer there and appends the frame. Codecs that can encode rows in
+    /// place override it (`CZP1`, `CZH1`).
+    fn encode_rows(
+        &self,
+        data: &[f32],
+        rows: &RowLayout,
+        eb: f64,
+        scratch: &mut StoreScratch,
+        out: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
+        gather_encode(data, rows, scratch, out, |tile, scratch, frame| {
+            self.encode(tile, eb, scratch, frame);
+            Ok(())
+        })
+    }
     /// Compress f64 `data` at absolute bound `eb` into `out`. Errors with
     /// [`StoreError::UnsupportedDtype`] unless the codec opted in via
     /// [`ErrorBoundedCodec::supports_dtype`].
@@ -166,6 +195,21 @@ pub trait ErrorBoundedCodec {
         Err(StoreError::UnsupportedDtype {
             codec: self.name(),
             dtype: DType::F64,
+        })
+    }
+    /// Encode rows of an f64 array; same contract as
+    /// [`ErrorBoundedCodec::encode_rows`], and the provided method goes
+    /// through [`ErrorBoundedCodec::encode_f64`] the same way.
+    fn encode_rows_f64(
+        &self,
+        data: &[f64],
+        rows: &RowLayout,
+        eb: f64,
+        scratch: &mut StoreScratch,
+        out: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
+        gather_encode(data, rows, scratch, out, |tile, scratch, frame| {
+            self.encode_f64(tile, eb, scratch, frame)
         })
     }
     /// Decode blocks of an f64 frame; same contract as
@@ -285,6 +329,42 @@ impl ErrorBoundedCodec for CuszpCodec {
             out,
         ))
     }
+    fn encode_rows(
+        &self,
+        data: &[f32],
+        rows: &RowLayout,
+        eb: f64,
+        scratch: &mut StoreScratch,
+        out: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
+        fast::compress_rows_into(
+            &mut scratch.codec.cuszp,
+            data,
+            rows,
+            eb,
+            Self::config(),
+            out,
+        );
+        Ok(())
+    }
+    fn encode_rows_f64(
+        &self,
+        data: &[f64],
+        rows: &RowLayout,
+        eb: f64,
+        scratch: &mut StoreScratch,
+        out: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
+        fast::compress_rows_into(
+            &mut scratch.codec.cuszp,
+            data,
+            rows,
+            eb,
+            Self::config(),
+            out,
+        );
+        Ok(())
+    }
     fn decode_rows(
         &self,
         stream: &[u8],
@@ -337,18 +417,33 @@ impl CuszpHybridCodec {
         scratch: &mut CodecScratch,
         out: &mut Vec<u8>,
     ) {
+        out.clear();
+        let rows = RowLayout::contiguous(0, data.len());
+        Self::encode_rows_any(data, &rows, eb, scratch, out);
+    }
+
+    /// The lossy stage over `rows` into the staging buffer, then the
+    /// hybrid frame appended to `out`.
+    fn encode_rows_any<T: FloatData>(
+        data: &[T],
+        rows: &RowLayout,
+        eb: f64,
+        scratch: &mut CodecScratch,
+        out: &mut Vec<u8>,
+    ) {
         let CodecScratch {
             cuszp,
             stage,
             hybrid: hs,
         } = scratch;
-        let cfg = Self::config();
-        let r = fast::compress_into(cuszp, data, eb, cfg, stage);
-        hybrid::encode(&r, hybrid::auto_chunk_blocks(&r), hs, out);
-        if out.len() >= stage.len() {
+        stage.clear();
+        let r = fast::compress_rows_into(cuszp, data, rows, eb, Self::config(), stage);
+        let mark = out.len();
+        hybrid::encode_append(&r, hybrid::auto_chunk_blocks(&r), hs, out);
+        if out.len() - mark >= stage.len() {
             // Whole-frame fallback: the second stage did not pay for its
             // table, so store the plain frame (never larger than CUSZP1).
-            out.clear();
+            out.truncate(mark);
             out.extend_from_slice(stage);
         }
     }
@@ -463,6 +558,28 @@ impl ErrorBoundedCodec for CuszpHybridCodec {
         out: &mut [f64],
     ) -> Result<usize, StoreError> {
         Self::decode_any(stream, blocks, scratch, out)
+    }
+    fn encode_rows(
+        &self,
+        data: &[f32],
+        rows: &RowLayout,
+        eb: f64,
+        scratch: &mut StoreScratch,
+        out: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
+        Self::encode_rows_any(data, rows, eb, &mut scratch.codec, out);
+        Ok(())
+    }
+    fn encode_rows_f64(
+        &self,
+        data: &[f64],
+        rows: &RowLayout,
+        eb: f64,
+        scratch: &mut StoreScratch,
+        out: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
+        Self::encode_rows_any(data, rows, eb, &mut scratch.codec, out);
+        Ok(())
     }
     fn decode_rows(
         &self,

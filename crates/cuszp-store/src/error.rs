@@ -3,12 +3,13 @@
 use crate::codec::FormatId;
 use cuszp_core::{DType, FormatError};
 
-/// Errors opening or reading a shard.
+/// Errors writing, opening or reading a shard.
 ///
 /// Marked `#[non_exhaustive]`: the shard format is versioned and future
 /// revisions may add failure modes, so downstream matches must keep a
-/// wildcard arm. Every variant is reachable from bytes — the store
-/// corruption tests construct each one from a concrete malformed shard.
+/// wildcard arm. Every variant a read of untrusted bytes can return is
+/// reachable from bytes — the store corruption tests construct each one
+/// from a concrete malformed shard.
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
@@ -49,6 +50,9 @@ pub enum StoreError {
         /// The element type it does not support.
         dtype: DType,
     },
+    /// The absolute error bound given to an error-bounded codec is not
+    /// finite and positive.
+    BadBound,
     /// An I/O error opening or mapping a shard file (the kind is kept;
     /// the `std::io::Error` payload is not, so the variant stays
     /// comparable).
@@ -80,6 +84,9 @@ impl std::fmt::Display for StoreError {
             }
             StoreError::UnsupportedDtype { codec, dtype } => {
                 write!(f, "codec {codec:?} does not support {dtype:?} elements")
+            }
+            StoreError::BadBound => {
+                write!(f, "absolute error bound must be finite and positive")
             }
             StoreError::Io(kind) => write!(f, "shard i/o failed: {kind}"),
         }

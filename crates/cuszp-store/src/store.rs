@@ -19,6 +19,17 @@
 //! in fixed `[usize; MAX_DIMS]` arrays and the only buffers — the codec
 //! arenas, and the tile of codecs that use the provided row walk — grow
 //! monotonically inside [`StoreScratch`].
+//!
+//! The write path mirrors it. Each chunk is one codec call
+//! ([`ErrorBoundedCodec::encode_rows`]) given the chunk's rows in the
+//! caller's array as a [`RowLayout`], and the frame is appended to the
+//! shard buffer. The `CZP1` and `CZH1` codecs quantize each block that
+//! lies inside one row straight from the caller's array and bounce only
+//! a block that straddles rows, so no chunk is gathered and no frame is
+//! copied; other codecs go through the provided gather-and-encode walk.
+//! A write reuses one [`StoreScratch`] chunk to chunk, so its heap
+//! operations do not grow with the chunk count beyond the shard buffer's
+//! own doublings.
 
 use crate::codec::{CodecScratch, ErrorBoundedCodec};
 use crate::error::StoreError;
@@ -28,9 +39,9 @@ use cuszp_core::{DType, RowLayout};
 use std::ops::Range;
 use std::path::Path;
 
-/// Reusable buffers for shard reads. Warm it with one read of the
-/// largest region you'll request; subsequent reads of any shape allocate
-/// nothing.
+/// Reusable buffers for shard reads (and, inside [`write_shard`], for
+/// its chunk encodes). Warm it with one read of the largest region
+/// you'll request; subsequent reads of any shape allocate nothing.
 #[derive(Default)]
 pub struct StoreScratch {
     /// Per-codec scratch (the cuSZp arena and the hybrid stage's chunk
@@ -38,11 +49,16 @@ pub struct StoreScratch {
     pub codec: CodecScratch,
     /// f32 decode tile of the provided [`ErrorBoundedCodec::decode_rows`]
     /// walk, covering one run's block span — at most one chunk
-    /// (monotonic growth). The `CZP1` and `CZH1` codecs decode straight
-    /// into the caller's output and never touch it.
+    /// (monotonic growth), and the gather tile of the provided
+    /// [`ErrorBoundedCodec::encode_rows`]. The `CZP1` and `CZH1` codecs
+    /// work straight on the caller's arrays and never touch it.
     tile: Vec<f32>,
-    /// f64 decode tile (same role, other element type).
+    /// f64 tile (same roles, other element type).
     tile64: Vec<f64>,
+    /// Frame buffer of the provided [`ErrorBoundedCodec::encode_rows`],
+    /// which gathers a chunk into the tile and encodes it here before
+    /// appending the frame to the shard.
+    frame: Vec<u8>,
 }
 
 mod sealed {
@@ -58,13 +74,14 @@ mod sealed {
 pub trait ShardElement: sealed::Sealed + Copy + Default + 'static {
     /// The dtype tag recorded in the shard index.
     const DTYPE: DType;
-    /// Encode one gathered chunk through `codec`.
+    /// Append the frame of one chunk's `rows` of `data` through `codec`.
     #[doc(hidden)]
-    fn encode_chunk(
+    fn encode_chunk_rows(
         codec: &dyn ErrorBoundedCodec,
         data: &[Self],
+        rows: &RowLayout,
         eb: f64,
-        scratch: &mut CodecScratch,
+        scratch: &mut StoreScratch,
         out: &mut Vec<u8>,
     ) -> Result<(), StoreError>;
     /// Decode `rows` of one frame through `codec`.
@@ -84,15 +101,15 @@ pub trait ShardElement: sealed::Sealed + Copy + Default + 'static {
 
 impl ShardElement for f32 {
     const DTYPE: DType = DType::F32;
-    fn encode_chunk(
+    fn encode_chunk_rows(
         codec: &dyn ErrorBoundedCodec,
         data: &[Self],
+        rows: &RowLayout,
         eb: f64,
-        scratch: &mut CodecScratch,
+        scratch: &mut StoreScratch,
         out: &mut Vec<u8>,
     ) -> Result<(), StoreError> {
-        codec.encode(data, eb, scratch, out);
-        Ok(())
+        codec.encode_rows(data, rows, eb, scratch, out)
     }
     fn decode_chunk_rows(
         codec: &dyn ErrorBoundedCodec,
@@ -113,14 +130,15 @@ impl ShardElement for f32 {
 
 impl ShardElement for f64 {
     const DTYPE: DType = DType::F64;
-    fn encode_chunk(
+    fn encode_chunk_rows(
         codec: &dyn ErrorBoundedCodec,
         data: &[Self],
+        rows: &RowLayout,
         eb: f64,
-        scratch: &mut CodecScratch,
+        scratch: &mut StoreScratch,
         out: &mut Vec<u8>,
     ) -> Result<(), StoreError> {
-        codec.encode_f64(data, eb, scratch, out)
+        codec.encode_rows_f64(data, rows, eb, scratch, out)
     }
     fn decode_chunk_rows(
         codec: &dyn ErrorBoundedCodec,
@@ -169,6 +187,30 @@ pub(crate) fn tile_walk<T: ShardElement>(
     Ok(read)
 }
 
+/// The provided [`ErrorBoundedCodec::encode_rows`]: gather the rows of
+/// `data` into the scratch tile, `encode` the tile into the scratch
+/// frame buffer, and append the frame to `out`.
+pub(crate) fn gather_encode<T: ShardElement>(
+    data: &[T],
+    rows: &RowLayout,
+    scratch: &mut StoreScratch,
+    out: &mut Vec<u8>,
+    encode: impl FnOnce(&[T], &mut CodecScratch, &mut Vec<u8>) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
+    let (n, row_len) = (rows.elements(), rows.row_len());
+    let mut frame = std::mem::take(&mut scratch.frame);
+    let (tile, codec_scratch) = T::tile_and_codec(scratch, n);
+    for (dst, (src, _)) in tile[..n].chunks_exact_mut(row_len.max(1)).zip(rows.iter()) {
+        dst.copy_from_slice(&data[src..src + row_len]);
+    }
+    let encoded = encode(&tile[..n], codec_scratch, &mut frame);
+    if encoded.is_ok() {
+        out.extend_from_slice(&frame);
+    }
+    scratch.frame = frame;
+    encoded
+}
+
 impl StoreScratch {
     /// Fresh, cold scratch.
     pub fn new() -> Self {
@@ -202,7 +244,14 @@ fn c_strides(dims: &[usize], out: &mut [usize; MAX_DIMS]) {
 /// chunks of `chunk_shape` (edge chunks clamp), each encoded by `codec`
 /// at absolute bound `eb`, followed by the index and footer. The
 /// element type (`f32` or `f64`) is recorded in the index; the codec
-/// must support it ([`StoreError::UnsupportedDtype`] otherwise).
+/// must support it ([`StoreError::UnsupportedDtype`] otherwise), and an
+/// error-bounded codec needs a finite, positive `eb`
+/// ([`StoreError::BadBound`] otherwise).
+///
+/// Each chunk is one [`ErrorBoundedCodec::encode_rows`] call over the
+/// chunk's rows in `data`, appending its frame to the shard buffer; the
+/// `CZP1` and `CZH1` codecs encode the rows in place, with no gathered
+/// copy of the chunk and no per-chunk frame buffer.
 pub fn write_shard<T: ShardElement>(
     data: &[T],
     shape: &[usize],
@@ -215,6 +264,9 @@ pub fn write_shard<T: ShardElement>(
             codec: codec.name(),
             dtype: T::DTYPE,
         });
+    }
+    if codec.is_error_bounded() && !(eb.is_finite() && eb > 0.0) {
+        return Err(StoreError::BadBound);
     }
     let ndim = shape.len();
     if ndim == 0 || ndim > MAX_DIMS || chunk_shape.len() != ndim {
@@ -233,50 +285,33 @@ pub fn write_shard<T: ShardElement>(
         grid[i] = shape[i].div_ceil(chunk_shape[i]);
     }
     let num_chunks: usize = grid[..ndim].iter().product();
-    let mut strides = [1usize; MAX_DIMS];
-    c_strides(shape, &mut strides);
 
     let mut out = Vec::new();
     let mut entries = Vec::with_capacity(num_chunks);
-    let mut scratch = CodecScratch::new();
-    let mut gathered: Vec<T> = Vec::new();
-    let mut frame = Vec::new();
+    let mut scratch = StoreScratch::new();
     let mut cc = [0usize; MAX_DIMS];
     for _ in 0..num_chunks {
-        // Chunk origin and clamped dims.
+        // Chunk box and clamped dims; its rows are contiguous along the
+        // last axis of `data`, in C order.
         let mut origin = [0usize; MAX_DIMS];
+        let mut end = [0usize; MAX_DIMS];
         let mut cdim = [1usize; MAX_DIMS];
         for i in 0..ndim {
             origin[i] = cc[i] * chunk_shape[i];
             cdim[i] = chunk_shape[i].min(shape[i] - origin[i]);
+            end[i] = origin[i] + cdim[i];
         }
-        // Gather the chunk in C-order: rows contiguous along the last
-        // axis.
-        gathered.clear();
-        let rows: usize = cdim[..ndim - 1].iter().product();
-        let mut lc = [0usize; MAX_DIMS];
-        for _ in 0..rows.max(1) {
-            let mut base = origin[ndim - 1];
-            for i in 0..ndim - 1 {
-                base += (origin[i] + lc[i]) * strides[i];
-            }
-            gathered.extend_from_slice(&data[base..base + cdim[ndim - 1]]);
-            for axis in (0..ndim.saturating_sub(1)).rev() {
-                lc[axis] += 1;
-                if lc[axis] < cdim[axis] {
-                    break;
-                }
-                lc[axis] = 0;
-            }
-        }
-        T::encode_chunk(codec, &gathered, eb, &mut scratch, &mut frame)?;
+        let mut cstrides = [1usize; MAX_DIMS];
+        c_strides(&cdim[..ndim], &mut cstrides);
+        let rows = RowLayout::of_box(shape, &origin[..ndim], &end[..ndim], &cstrides[..ndim]);
+        let offset = out.len();
+        T::encode_chunk_rows(codec, data, &rows, eb, &mut scratch, &mut out)?;
         entries.push(ChunkEntry {
-            offset: out.len() as u64,
-            len: frame.len() as u64,
-            num_elements: gathered.len() as u64,
+            offset: offset as u64,
+            len: (out.len() - offset) as u64,
+            num_elements: rows.elements() as u64,
             format_id: codec.format_id(),
         });
-        out.extend_from_slice(&frame);
         for axis in (0..ndim).rev() {
             cc[axis] += 1;
             if cc[axis] < grid[axis] {
@@ -706,6 +741,31 @@ mod tests {
             write_shard(&data, &[], &[], &CuszpCodec, 0.1),
             Err(StoreError::Shape(_))
         ));
+    }
+
+    #[test]
+    fn bad_bounds_are_typed_errors() {
+        let data32 = vec![1.5f32; 300];
+        let data64 = vec![1.5f64; 300];
+        let registry = CodecRegistry::with_defaults();
+        for eb in [0.0, -0.0, -1e-3, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for id in [*b"CZP1", *b"CZH1", *b"CZX1"] {
+                let codec = registry.get(id).unwrap();
+                let got = write_shard(&data32, &[300], &[128], codec, eb);
+                assert_eq!(got, Err(StoreError::BadBound), "{} eb {eb}", codec.name());
+                if codec.supports_dtype(DType::F64) {
+                    let got = write_shard(&data64, &[300], &[128], codec, eb);
+                    assert_eq!(
+                        got,
+                        Err(StoreError::BadBound),
+                        "{} f64 eb {eb}",
+                        codec.name()
+                    );
+                }
+            }
+            // cuZFP ignores the bound, so any value writes.
+            assert!(write_shard(&data32, &[300], &[128], &CuzfpCodec { rate: 16 }, eb).is_ok());
+        }
     }
 
     #[test]
