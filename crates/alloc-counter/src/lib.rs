@@ -29,6 +29,8 @@
 //! the `repro` harness binary: throughput numbers measured under it are
 //! representative.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};

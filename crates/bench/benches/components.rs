@@ -13,7 +13,7 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("components");
 
-    group.bench_function("quantize_lorenzo_block", |b| {
+    group.bench_function("quantize_block", |b| {
         let mut out = vec![0i64; 32];
         b.iter(|| {
             for block in data.chunks(32) {

@@ -1,14 +1,14 @@
-//! Print the host's detected SIMD dispatch tier and the autotuned tile
-//! sizes — the diagnostic for "which kernels will my process run?".
+//! Print the host's detected SIMD dispatch tier and the first stage's
+//! tile size — the diagnostic for "which kernels will my process run?".
 //!
 //! ```text
 //! cargo run --release -p cuszp-core --example detect_tier
 //! ```
 //!
 //! Honors `CUSZP_SIMD` (the printout shows the *resolved* tier next to
-//! the detected one) and `CUSZP_TILE_ELEMS`.
+//! the detected one).
 
-use cuszp_core::{simd, tune, DType, SimdLevel};
+use cuszp_core::{simd, tune};
 
 fn main() {
     let detected = simd::detect_level();
@@ -17,12 +17,5 @@ fn main() {
     if resolved != detected {
         println!("resolved SIMD tier: {resolved} (CUSZP_SIMD override)");
     }
-    for (dtype, name) in [(DType::F32, "f32"), (DType::F64, "f64")] {
-        for level in SimdLevel::ALL {
-            if level <= detected {
-                let tile = tune::tile_elems(dtype, level);
-                println!("autotuned tile ({name}, {level}): {tile} elements");
-            }
-        }
-    }
+    println!("tile: {} elements", tune::TILE_ELEMS);
 }

@@ -7,13 +7,14 @@
 //! **two-phase** structure on the host (paper §4.3):
 //!
 //! - **Phase 1** fuses quantize + Lorenzo + `(F, CmpL)` planning per
-//!   *tile* of blocks: residuals live in a small reused scratch that
-//!   stays cache-resident (never a data-sized buffer), and the whole tile
-//!   is planned before any of its bytes are written — the host analogue
-//!   of the GPU kernel sizing its blocks before the global offsets exist.
-//!   The quantization arithmetic runs through [`crate::simd`]: at the
-//!   AVX-512 tier with `L = 32` a tile's whole blocks are **one** kernel
-//!   call ([`simd::quantize_blocks`]), bit-exact scalar otherwise.
+//!   *tile* of blocks ([`tune::TILE_ELEMS`] elements): residuals live in
+//!   a small reused scratch that stays cache-resident (never a data-sized
+//!   buffer), and the whole tile is planned before any of its bytes are
+//!   written — the host analogue of the GPU kernel sizing its blocks
+//!   before the global offsets exist. The quantization arithmetic runs
+//!   through [`crate::simd`]: at the AVX-512 tier a tile's whole blocks
+//!   are **one** kernel call at every block length
+//!   ([`simd::quantize_blocks`]), bit-exact scalar otherwise.
 //! - **Phase 2** emits each block's sign map + bit planes straight into
 //!   the output in block order — at the AVX-512 tier with `L = 32` one
 //!   [`simd::encode_blocks32`] call per tile, so residuals go from the
@@ -163,12 +164,8 @@ impl Scratch {
         grow(&mut self.fls, num_blocks);
         grow(&mut self.cmps, num_blocks);
         // The codec grows the tile buffers to a full tile regardless of
-        // the array size, so warming must match exactly — including the
-        // autotuned tile size the compress path will resolve (calling
-        // `tune::tile_elems` here also runs the one-shot probe, moving
-        // that cost into warm-up where it belongs).
-        let level = simd::resolve_level(cfg.simd);
-        let blocks_per_tile = (tune::tile_elems(T::DTYPE, level) / l).max(1);
+        // the array size, so warming must too.
+        let blocks_per_tile = (tune::TILE_ELEMS / l).max(1);
         grow(&mut self.resid, blocks_per_tile.max(2) * l);
         grow(&mut self.maxes, blocks_per_tile);
         grow(&mut self.bounce, l);
@@ -334,25 +331,23 @@ impl TileEncoder<'_> {
 /// itself ([`compress_rows_into`]): the payload is then encoded in place.
 ///
 /// [`quantize`]: crate::quantize::quantize
-#[allow(clippy::too_many_arguments)]
 fn plan_and_encode<T: FloatData>(
     data: &[T],
     rows: &RowLayout,
     eb: f64,
     cfg: CuszpConfig,
-    level: SimdLevel,
-    tile_elems: usize,
     scratch: &mut Scratch,
     out: &mut Vec<u8>,
 ) {
     let l = cfg.block_len;
+    let level = simd::resolve_level(cfg.simd);
     let row_len = rows.row_len();
     let n = rows.elements();
     let num_blocks = n.div_ceil(l);
     if num_blocks == 0 {
         return;
     }
-    let blocks_per_tile = (tile_elems / l).max(1);
+    let blocks_per_tile = (tune::TILE_ELEMS / l).max(1);
     let bounce = grow(&mut scratch.bounce, l);
     let mut enc = TileEncoder {
         l,
@@ -438,15 +433,12 @@ pub fn compress_with<T: FloatData>(
 ) -> Compressed {
     check_compress_args(eb, cfg);
     let num_blocks = data.len().div_ceil(cfg.block_len);
-    let level = simd::resolve_level(cfg.simd);
     let mut payload = Vec::new();
     plan_and_encode(
         data,
         &RowLayout::contiguous(0, data.len()),
         eb,
         cfg,
-        level,
-        tune::tile_elems(T::DTYPE, level),
         scratch,
         &mut payload,
     );
@@ -537,17 +529,7 @@ pub fn compress_rows_into<'a, T: FloatData>(
 
     // Encode payload bytes *directly* into the serialized stream — no
     // staging buffer, no placement copy.
-    let level = simd::resolve_level(cfg.simd);
-    plan_and_encode(
-        data,
-        rows,
-        eb,
-        cfg,
-        level,
-        tune::tile_elems(T::DTYPE, level),
-        scratch,
-        out,
-    );
+    plan_and_encode(data, rows, eb, cfg, scratch, out);
     out[table..table + num_blocks].copy_from_slice(&scratch.fls[..num_blocks]);
 
     let (fixed_lengths, payload) = out[mark..][header.len()..].split_at(num_blocks);
@@ -977,45 +959,6 @@ pub(crate) fn decode_window<T: FloatData>(
     dec.read
 }
 
-/// One timed compression pass for the autotuner ([`crate::tune`]): plan +
-/// encode a synthetic wave with the given tile size at tier `level`,
-/// best of three runs. Compression is the only tiled direction left
-/// (decode is tile-free), so this is exactly what the tile tunes.
-pub(crate) fn tune_probe(dtype: crate::DType, level: SimdLevel, tile_elems: usize) -> f64 {
-    fn probe<T: FloatData>(level: SimdLevel, tile_elems: usize) -> f64 {
-        const N: usize = 1 << 15;
-        let data: Vec<T> = (0..N)
-            .map(|i| {
-                let x = i as f64;
-                T::from_f64((x * 0.02).sin() * 40.0 + (x * 0.11).cos() * 3.0)
-            })
-            .collect();
-        let mut scratch = Scratch::new();
-        let mut payload = Vec::new();
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            payload.clear();
-            let t0 = std::time::Instant::now();
-            plan_and_encode(
-                &data,
-                &RowLayout::contiguous(0, N),
-                1e-3,
-                CuszpConfig::default(),
-                level,
-                tile_elems,
-                &mut scratch,
-                &mut payload,
-            );
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    }
-    match dtype {
-        crate::DType::F32 => probe::<f32>(level, tile_elems),
-        crate::DType::F64 => probe::<f64>(level, tile_elems),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1080,46 +1023,12 @@ mod tests {
 
     #[test]
     fn spans_many_tiles_identical() {
-        // > tile elements so tiling boundaries are exercised regardless
-        // of which candidate the autotuner picked.
+        // More than one tile, so tile boundaries are exercised.
         assert_identical(
-            &wave(3 * tune::DEFAULT_TILE_ELEMS + 17),
+            &wave(3 * tune::TILE_ELEMS + 17),
             0.01,
             CuszpConfig::default(),
         );
-    }
-
-    #[test]
-    fn tile_size_never_changes_output() {
-        // The autotuned tile is a pure performance knob: phase 1 must
-        // produce identical plans and staged bytes at every tile size.
-        let data = wave(10_000);
-        let level = simd::resolve_level(None);
-        let num_blocks = data.len().div_ceil(32);
-        let mut base: Option<(Vec<u8>, Vec<u32>, Vec<u8>)> = None;
-        for tile in [256usize, 2048, 8192, 32768, 1 << 20] {
-            let mut scratch = Scratch::new();
-            let mut payload = Vec::new();
-            plan_and_encode(
-                &data,
-                &RowLayout::contiguous(0, data.len()),
-                0.01,
-                CuszpConfig::default(),
-                level,
-                tile,
-                &mut scratch,
-                &mut payload,
-            );
-            let got = (
-                scratch.fls[..num_blocks].to_vec(),
-                scratch.cmps[..num_blocks].to_vec(),
-                payload,
-            );
-            match &base {
-                None => base = Some(got),
-                Some(want) => assert_eq!(&got, want, "tile={tile}"),
-            }
-        }
     }
 
     #[test]
@@ -1283,7 +1192,11 @@ mod tests {
                     let mut want = vec![0u8; cmp];
                     encode_block(&resid, f, &mut want);
                     let mut got = vec![0u8; cmp];
-                    simd::encode_block32(level, &resid, f, &mut got);
+                    if level == SimdLevel::Avx512 {
+                        simd::encode_blocks32(&resid, &[f], &mut got);
+                    } else {
+                        simd::encode_block32(level, &resid, f, &mut got);
+                    }
                     assert_eq!(got, want, "encode {level} f={f} trial={trial}");
 
                     for lorenzo in [false, true] {

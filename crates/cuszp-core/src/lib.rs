@@ -45,6 +45,7 @@
 //! `docs/FORMAT.md` at the repository root.
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bitshuffle;
 pub mod chunked;

@@ -13,7 +13,7 @@
 //!
 //! | kernel | scalar | AVX2 | AVX-512 |
 //! |---|---|---|---|
-//! | quantize + Lorenzo | ✓ | (scalar) | 8-lane, one call per tile at `L = 32` |
+//! | quantize + Lorenzo | ✓ | (scalar) | 8-lane, one call per tile at every `L` |
 //! | dequantize | ✓ | (scalar) | 8-lane `vcvtqq2pd` |
 //! | `L = 32` block encode | strip codec | `F ≤ 16` | `F ≤ 64`, one call per tile |
 //! | `L = 32` block decode | strip codec | `F ≤ 16`, fused | `F ≤ 64`, fused |
@@ -132,65 +132,16 @@ pub fn resolve_level(forced: Option<SimdLevel>) -> SimdLevel {
 
 /// Quantize `block` and apply the Lorenzo transform (`r₋₁ = 0` at the
 /// block start), writing residuals into `resid[..block.len()]`. Returns
-/// the maximum `unsigned_abs` over the residuals written. Dispatches at
-/// the default-resolved tier ([`resolve_level`]`(None)`).
-///
-/// Bit-identical to [`crate::quantize::quantize_block`] plus a max scan.
-pub fn quantize_lorenzo_block<T: FloatData>(
-    block: &[T],
-    eb: f64,
-    lorenzo: bool,
-    resid: &mut [i64],
-) -> u64 {
-    quantize_lorenzo_block_at(resolve_level(None), block, eb, lorenzo, resid)
-}
-
-/// [`quantize_lorenzo_block`] at an explicit tier (`level` must be at or
-/// below [`detect_level`] — [`resolve_level`] guarantees this).
-pub fn quantize_lorenzo_block_at<T: FloatData>(
-    level: SimdLevel,
-    block: &[T],
-    eb: f64,
-    lorenzo: bool,
-    resid: &mut [i64],
-) -> u64 {
-    debug_assert!(resid.len() >= block.len());
-    debug_assert!(level <= detect_level());
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: FloatData is sealed, so T::DTYPE faithfully tags the
-        // element type; `level ≤ detect_level()` implies the features.
-        SimdLevel::Avx512 => unsafe {
-            match T::DTYPE {
-                DType::F32 => avx512_impl::quantize_lorenzo_f32(
-                    std::slice::from_raw_parts(block.as_ptr().cast::<f32>(), block.len()),
-                    eb,
-                    lorenzo,
-                    resid,
-                ),
-                DType::F64 => avx512_impl::quantize_lorenzo_f64(
-                    std::slice::from_raw_parts(block.as_ptr().cast::<f64>(), block.len()),
-                    eb,
-                    lorenzo,
-                    resid,
-                ),
-            }
-        },
-        // The AVX2 tier quantizes scalar: no exact vector f64↔i64.
-        _ => quantize_lorenzo_scalar(block, eb, lorenzo, resid, 0),
-    }
-}
-
-/// Scalar form of [`quantize_lorenzo_block`], starting from predecessor
-/// `prev` (the vector path uses it for tails mid-block).
+/// the maximum `unsigned_abs` over the residuals written. The scalar form
+/// of [`quantize_blocks`]: bit-identical to
+/// [`crate::quantize::quantize_block`] plus a max scan.
 fn quantize_lorenzo_scalar<T: FloatData>(
     block: &[T],
     eb: f64,
     lorenzo: bool,
     resid: &mut [i64],
-    prev: i64,
 ) -> u64 {
-    let mut prev = prev;
+    let mut prev = 0i64;
     let mut max_abs = 0u64;
     for (dst, &d) in resid.iter_mut().zip(block) {
         let q = quantize(d, eb);
@@ -209,13 +160,17 @@ fn quantize_lorenzo_scalar<T: FloatData>(
 /// `max_abs.len() · l` residuals (tail block zero-padded), and
 /// `max_abs[b]` receives a magnitude whose highest set bit is that of
 /// block `b`'s largest `|residual|` — the maximum itself, or on the
-/// AVX-512 `L = 32` tile kernel the OR of the magnitudes — so
+/// AVX-512 tile kernel the OR of the magnitudes — so
 /// `64 − leading_zeros` is the block's fixed length `F` either way. The
 /// Lorenzo predecessor resets at every block boundary.
 ///
-/// At [`SimdLevel::Avx512`] with `l = 32`, the whole blocks are one
-/// kernel call (constants hoisted, rounding inlined); a ragged final
-/// block and every other tier or block length go block by block.
+/// At [`SimdLevel::Avx512`] the whole blocks are one kernel call
+/// (constants hoisted, rounding inlined) at every block length; a ragged
+/// final block and the other tiers run the scalar loop.
+///
+/// # Panics
+/// Panics if `level` is above the host's tier or `l` is not a non-zero
+/// multiple of 8.
 pub fn quantize_blocks<T: FloatData>(
     level: SimdLevel,
     data: &[T],
@@ -227,46 +182,51 @@ pub fn quantize_blocks<T: FloatData>(
 ) {
     debug_assert_eq!(resid.len(), max_abs.len() * l);
     debug_assert!(data.len() <= resid.len());
-    // A real check, once per call: every kernel below relies on it.
+    // Real checks, once per call: the tile kernel relies on both.
     assert!(level <= detect_level(), "{level} is above the host's tier");
+    assert!(
+        l > 0 && l.is_multiple_of(8),
+        "block length {l} is not a multiple of 8"
+    );
     let n = data.len();
-    let mut tiled = 0;
+    let mut whole = 0;
     #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Avx512 && l == 32 {
-        tiled = n / 32;
-        let e = 32 * tiled;
+    if level == SimdLevel::Avx512 {
+        whole = n / l;
+        let e = l * whole;
         // SAFETY: `level ≤ detect_level()` (asserted above) implies
-        // avx512f/dq; the kernel gets exactly `tiled` whole blocks of
-        // data, residuals and maxima (the slicing is bounds-checked);
+        // avx512f/dq; `l` is a non-zero multiple of 8 (asserted above);
+        // the kernel gets exactly `whole` blocks of data, residuals and
+        // maxima (`e ≤ n`, and the other two slicings are bounds-checked);
         // FloatData is sealed, so T::DTYPE faithfully tags the element
         // type.
         unsafe {
             match T::DTYPE {
-                DType::F32 => avx512_impl::quantize_tile32_f32(
+                DType::F32 => avx512_impl::quantize_tile_f32(
                     std::slice::from_raw_parts(data.as_ptr().cast::<f32>(), e),
+                    l,
                     eb,
                     lorenzo,
                     &mut resid[..e],
-                    &mut max_abs[..tiled],
+                    &mut max_abs[..whole],
                 ),
-                DType::F64 => avx512_impl::quantize_tile32_f64(
+                DType::F64 => avx512_impl::quantize_tile_f64(
                     std::slice::from_raw_parts(data.as_ptr().cast::<f64>(), e),
+                    l,
                     eb,
                     lorenzo,
                     &mut resid[..e],
-                    &mut max_abs[..tiled],
+                    &mut max_abs[..whole],
                 ),
             }
         }
     }
-    for (b, m) in max_abs.iter_mut().enumerate().skip(tiled) {
+    for (b, m) in max_abs.iter_mut().enumerate().skip(whole) {
         let start = b * l;
         let end = (start + l).min(n);
         let r = &mut resid[start..start + l];
-        *m = quantize_lorenzo_block_at(level, &data[start..end], eb, lorenzo, r);
-        for pad in r[end - start..].iter_mut() {
-            *pad = 0; // tail padding lives in the residual domain
-        }
+        *m = quantize_lorenzo_scalar(&data[start..end], eb, lorenzo, r);
+        r[end - start..].fill(0); // tail padding lives in the residual domain
     }
 }
 
@@ -278,7 +238,8 @@ pub fn dequantize_slice<T: FloatData>(level: SimdLevel, q: &[i64], eb: f64, out:
     debug_assert!(level <= detect_level());
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `quantize_lorenzo_block_at`.
+        // SAFETY: FloatData is sealed, so T::DTYPE faithfully tags the
+        // element type; `level ≤ detect_level()` implies the features.
         SimdLevel::Avx512 => unsafe {
             match T::DTYPE {
                 DType::F32 => avx512_impl::dequantize_f32(
@@ -316,24 +277,24 @@ pub fn block32_max_f(level: SimdLevel) -> u8 {
 }
 
 /// Encode one `L = 32` block (sign map + `f` bit planes, Fig 11 layout)
-/// from `resid[..32]` into `out[..4 + 4f]` at tier `level`.
-/// Byte-identical to the generic strip codec.
+/// from `resid[..32]` into `out[..4 + 4f]` at the AVX2 tier.
+/// Byte-identical to the generic strip codec. The AVX-512 tier encodes
+/// whole tiles instead ([`encode_blocks32`]).
 ///
 /// # Panics
-/// Debug-asserts the preconditions; call only when
-/// `1 ≤ f ≤ block32_max_f(level)` and `level ≤ detect_level()`.
+/// Debug-asserts the preconditions; call only when `level` is
+/// [`SimdLevel::Avx2`], `1 ≤ f ≤ block32_max_f(level)` and
+/// `level ≤ detect_level()`.
 pub fn encode_block32(level: SimdLevel, resid: &[i64], f: u8, out: &mut [u8]) {
     debug_assert!(level <= detect_level());
     debug_assert!(resid.len() == 32 && f >= 1 && f <= block32_max_f(level));
     debug_assert!(out.len() == 4 + 4 * f as usize);
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level ≤ detect_level()` implies the features.
-        SimdLevel::Avx512 => unsafe { avx512_impl::encode_block32(resid, f, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above; `f ≤ 16` bounds magnitudes to u16.
+        // SAFETY: `level ≤ detect_level()` implies the features; `f ≤ 16`
+        // bounds magnitudes to u16.
         SimdLevel::Avx2 => unsafe { avx2_impl::encode_block32(resid, f, out) },
-        _ => unreachable!("no vector block codec at the {level} tier"),
+        _ => unreachable!("no per-block vector encoder at the {level} tier"),
     }
 }
 
@@ -341,9 +302,9 @@ pub fn encode_block32(level: SimdLevel, resid: &[i64], f: u8, out: &mut [u8]) {
 /// block `k` holds residuals `resid[32k..32k + 32]` and fixed length
 /// `fls[k]`, and each non-zero block's sign map + bit planes are written
 /// back to back into `out` (zero blocks write nothing). Byte-identical to
-/// [`encode_block32`] per block, in one kernel call for the whole tile.
-/// The other tiers have no tile kernel; they call [`encode_block32`] per
-/// block.
+/// the generic strip codec per block, in one kernel call for the whole
+/// tile. The AVX2 tier has no tile kernel; it calls [`encode_block32`]
+/// per block.
 ///
 /// # Panics
 /// Panics if the host lacks [`SimdLevel::Avx512`]. Debug-asserts the
@@ -440,7 +401,6 @@ pub fn decode_block32_to<T: FloatData>(
 
 #[cfg(target_arch = "x86_64")]
 mod avx512_impl {
-    use super::quantize_lorenzo_scalar;
     use std::arch::x86_64::*;
 
     /// Byte-transpose permutation for `vpermb`: byte `8t + i` reads byte
@@ -530,7 +490,7 @@ mod avx512_impl {
     /// loads read 32 residuals, the masked stores write `4 + 4f` bytes).
     #[inline]
     #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vbmi")]
-    pub unsafe fn encode_block32(resid: &[i64], f: u8, out: &mut [u8]) {
+    unsafe fn encode_block32(resid: &[i64], f: u8, out: &mut [u8]) {
         debug_assert!(resid.len() == 32 && (1..=64).contains(&f));
         debug_assert_eq!(out.len(), 4 + 4 * f as usize);
         let bt = _mm512_loadu_si512(BT_IDX.as_ptr() as *const _);
@@ -797,137 +757,110 @@ mod avx512_impl {
         _mm512_mask_mov_epi64(q, m_nan, _mm512_setzero_si512())
     }
 
-    macro_rules! quantize_lorenzo {
-        ($name:ident, $elem:ty, $load:expr) => {
-            /// # Safety
-            /// Requires `avx512f` and `avx512dq`.
-            #[target_feature(enable = "avx512f,avx512dq")]
-            pub unsafe fn $name(block: &[$elem], eb: f64, lorenzo: bool, resid: &mut [i64]) -> u64 {
-                let n = block.len();
-                let veb = _mm512_set1_pd(2.0 * eb);
-                let mut maxv = _mm512_setzero_si512();
-                // Previous vector of quantization integers, for the
-                // cross-lane Lorenzo shift; lane 7 seeds the next step.
-                let mut prevv = _mm512_setzero_si512();
-                let mut i = 0;
-                while i + 8 <= n {
-                    #[allow(clippy::redundant_closure_call)]
-                    let x = _mm512_div_pd(($load)(block.as_ptr().add(i)), veb);
-                    let q = round_to_i64(x);
-                    let v = if lorenzo {
-                        // [prev₇, q₀ … q₆] — the predecessor of each lane.
-                        let shifted = _mm512_alignr_epi64(q, prevv, 7);
-                        prevv = q;
-                        _mm512_sub_epi64(q, shifted)
-                    } else {
-                        q
-                    };
-                    maxv = _mm512_max_epu64(maxv, _mm512_abs_epi64(v));
-                    _mm512_storeu_si512(resid.as_mut_ptr().add(i) as *mut _, v);
-                    i += 8;
-                }
-                let mut max_abs = _mm512_reduce_max_epu64(maxv) as u64;
-                if i < n {
-                    // Scalar tail, seeded with the last vector lane's q.
-                    let mut lanes = [0i64; 8];
-                    _mm512_storeu_si512(lanes.as_mut_ptr() as *mut _, prevv);
-                    let tail_max = quantize_lorenzo_scalar(
-                        &block[i..],
-                        eb,
-                        lorenzo,
-                        &mut resid[i..n],
-                        if i == 0 { 0 } else { lanes[7] },
-                    );
-                    max_abs = max_abs.max(tail_max);
-                }
-                max_abs
-            }
-        };
-    }
-
-    quantize_lorenzo!(quantize_lorenzo_f32, f32, |p: *const f32| {
-        _mm512_cvtps_pd(_mm256_loadu_ps(p))
-    });
-    quantize_lorenzo!(quantize_lorenzo_f64, f64, |p: *const f64| {
-        _mm512_loadu_pd(p)
-    });
-
-    /// `|x|` below which [`quantize_tile32_f32`]/[`quantize_tile32_f64`]
-    /// round by `trunc(x + copysign(0.5⁻, x))`: 2⁵¹.
+    /// `|x|` below which [`quantize_tile`] rounds by
+    /// `trunc(x + copysign(0.5⁻, x))`: 2⁵¹.
     const FAST_ROUND_LIMIT: f64 = 2_251_799_813_685_248.0;
 
     /// The largest double below ½ (`0.5 − 2⁻⁵⁴`).
     const HALF_BELOW: f64 = 0.499_999_999_999_999_94;
 
-    macro_rules! quantize_tile32 {
+    /// Quantize + Lorenzo `maxes.len()` whole blocks of `l` values, each
+    /// 8-lane group loaded by `load`: `resid` receives the residuals,
+    /// `maxes[b]` the OR of block `b`'s residual magnitudes (same top bit
+    /// as their maximum).
+    ///
+    /// A vector whose lanes all have `|x| < 2⁵¹` rounds half away from
+    /// zero as `trunc(x + copysign(0.5 − 2⁻⁵⁴, x))`: the biased sum never
+    /// crosses the next integer unless the fraction is at least ½, and it
+    /// never overflows the convert. Any other vector — a lane at or past
+    /// 2⁵¹, or NaN — takes [`round_to_i64`], which keeps `as i64`
+    /// saturation and NaN → 0.
+    ///
+    /// Always inlined, so it runs with its caller's target features and
+    /// a literal `l` gives the group loop a constant trip count.
+    ///
+    /// # Safety
+    /// The caller enables `avx512f` and `avx512dq`; `l` is a non-zero
+    /// multiple of 8 and `data.len() == resid.len() == l · maxes.len()`.
+    #[inline(always)]
+    unsafe fn quantize_tile<E>(
+        data: &[E],
+        l: usize,
+        eb: f64,
+        lorenzo: bool,
+        resid: &mut [i64],
+        maxes: &mut [u64],
+        load: impl Fn(*const E) -> __m512d,
+    ) {
+        debug_assert!(
+            l.is_multiple_of(8) && data.len() == l * maxes.len() && resid.len() == data.len()
+        );
+        let veb = _mm512_set1_pd(2.0 * eb);
+        let absmask = _mm512_castsi512_pd(_mm512_set1_epi64(i64::MAX));
+        let limit = _mm512_set1_pd(FAST_ROUND_LIMIT);
+        let half = _mm512_set1_pd(HALF_BELOW);
+        let zero = _mm512_setzero_si512();
+        let src = data.as_ptr();
+        let dst = resid.as_mut_ptr();
+        for (b, m) in maxes.iter_mut().enumerate() {
+            let mut prev = zero;
+            let mut acc = zero;
+            for g in 0..l / 8 {
+                let i = l * b + 8 * g;
+                let x = _mm512_div_pd(load(src.add(i)), veb);
+                let q = if _mm512_cmp_pd_mask(_mm512_and_pd(x, absmask), limit, _CMP_LT_OQ) == 0xFF
+                {
+                    let bias = _mm512_or_pd(half, _mm512_andnot_pd(absmask, x));
+                    _mm512_cvttpd_epi64(_mm512_add_pd(x, bias))
+                } else {
+                    round_to_i64(x)
+                };
+                let v = if lorenzo {
+                    // [prev₇, q₀ … q₆] — each lane's predecessor.
+                    let shifted = _mm512_alignr_epi64(q, prev, 7);
+                    prev = q;
+                    _mm512_sub_epi64(q, shifted)
+                } else {
+                    q
+                };
+                acc = _mm512_or_si512(acc, _mm512_abs_epi64(v));
+                _mm512_storeu_si512(dst.add(i) as *mut _, v);
+            }
+            *m = _mm512_reduce_or_epi64(acc) as u64;
+        }
+    }
+
+    macro_rules! quantize_tile_of {
         ($name:ident, $elem:ty, $load:expr) => {
-            /// Quantize + Lorenzo `maxes.len()` whole 32-value blocks:
-            /// `resid` receives the residuals, `maxes[b]` the OR of block
-            /// `b`'s residual magnitudes (same top bit as their maximum).
-            ///
-            /// A vector whose lanes all have `|x| < 2⁵¹` rounds half away
-            /// from zero as `trunc(x + copysign(0.5 − 2⁻⁵⁴, x))`: the
-            /// biased sum never crosses the next integer unless the
-            /// fraction is at least ½, and it never overflows the convert.
-            /// Any other vector — a lane at or past 2⁵¹, or NaN — takes
-            /// [`round_to_i64`], which keeps `as i64` saturation and
-            /// NaN → 0.
+            /// [`quantize_tile`] over `$elem` data; the default block
+            /// length runs its own copy of the loop, with a constant trip
+            /// count.
             ///
             /// # Safety
-            /// Requires `avx512f` and `avx512dq`;
-            /// `data.len() == resid.len() == 32 · maxes.len()`.
+            /// Requires `avx512f` and `avx512dq`; `l` is a non-zero
+            /// multiple of 8 and `data.len() == resid.len() == l · maxes.len()`.
             #[target_feature(enable = "avx512f,avx512dq")]
             pub unsafe fn $name(
                 data: &[$elem],
+                l: usize,
                 eb: f64,
                 lorenzo: bool,
                 resid: &mut [i64],
                 maxes: &mut [u64],
             ) {
-                debug_assert!(data.len() == 32 * maxes.len() && resid.len() == data.len());
-                let veb = _mm512_set1_pd(2.0 * eb);
-                let absmask = _mm512_castsi512_pd(_mm512_set1_epi64(i64::MAX));
-                let limit = _mm512_set1_pd(FAST_ROUND_LIMIT);
-                let half = _mm512_set1_pd(HALF_BELOW);
-                let zero = _mm512_setzero_si512();
-                let src = data.as_ptr();
-                let dst = resid.as_mut_ptr();
-                for (b, m) in maxes.iter_mut().enumerate() {
-                    let mut prev = zero;
-                    let mut acc = zero;
-                    for g in 0..4 {
-                        let i = 32 * b + 8 * g;
-                        #[allow(clippy::redundant_closure_call)]
-                        let x = _mm512_div_pd(($load)(src.add(i)), veb);
-                        let q = if _mm512_cmp_pd_mask(_mm512_and_pd(x, absmask), limit, _CMP_LT_OQ)
-                            == 0xFF
-                        {
-                            let bias = _mm512_or_pd(half, _mm512_andnot_pd(absmask, x));
-                            _mm512_cvttpd_epi64(_mm512_add_pd(x, bias))
-                        } else {
-                            round_to_i64(x)
-                        };
-                        let v = if lorenzo {
-                            // [prev₇, q₀ … q₆] — each lane's predecessor.
-                            let shifted = _mm512_alignr_epi64(q, prev, 7);
-                            prev = q;
-                            _mm512_sub_epi64(q, shifted)
-                        } else {
-                            q
-                        };
-                        acc = _mm512_or_si512(acc, _mm512_abs_epi64(v));
-                        _mm512_storeu_si512(dst.add(i) as *mut _, v);
-                    }
-                    *m = _mm512_reduce_or_epi64(acc) as u64;
+                if l == 32 {
+                    quantize_tile(data, 32, eb, lorenzo, resid, maxes, $load)
+                } else {
+                    quantize_tile(data, l, eb, lorenzo, resid, maxes, $load)
                 }
             }
         };
     }
 
-    quantize_tile32!(quantize_tile32_f32, f32, |p: *const f32| {
+    quantize_tile_of!(quantize_tile_f32, f32, |p: *const f32| {
         _mm512_cvtps_pd(_mm256_loadu_ps(p))
     });
-    quantize_tile32!(quantize_tile32_f64, f64, |p: *const f64| {
+    quantize_tile_of!(quantize_tile_f64, f64, |p: *const f64| {
         _mm512_loadu_pd(p)
     });
 
@@ -1276,36 +1209,47 @@ mod tests {
         v
     }
 
+    /// [`quantize_blocks`] at every runnable tier against the scalar loop,
+    /// block by block: identical residuals (the ragged tail block
+    /// zero-padded) and, per block, a magnitude with the scalar maximum's
+    /// top bit.
+    fn assert_quantize_blocks_match<T: FloatData>(data: &[T], l: usize, eb: f64) {
+        let num_blocks = data.len().div_ceil(l);
+        for level in SimdLevel::ALL.into_iter().filter(|&v| v <= detect_level()) {
+            for lorenzo in [false, true] {
+                let tag = format!("level={level} l={l} len={} lorenzo={lorenzo}", data.len());
+                // A dirty residual buffer, so missing tail padding shows.
+                let mut resid = vec![-1i64; num_blocks * l];
+                let mut maxes = vec![0u64; num_blocks];
+                quantize_blocks(level, data, l, eb, lorenzo, &mut resid, &mut maxes);
+                for (b, block) in data.chunks(l).enumerate() {
+                    let mut want = vec![0i64; l];
+                    let want_max = quantize_lorenzo_scalar(block, eb, lorenzo, &mut want);
+                    assert_eq!(resid[b * l..][..l], want, "{tag} block {b}");
+                    assert_eq!(
+                        maxes[b].leading_zeros(),
+                        want_max.leading_zeros(),
+                        "{tag} block {b}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn quantize_matches_scalar_f64() {
         let data = nasty_f64();
-        for level in SimdLevel::ALL {
-            if level > detect_level() {
-                continue;
-            }
-            for lorenzo in [false, true] {
-                let mut fast = vec![0i64; data.len()];
-                let got = quantize_lorenzo_block_at(level, &data, 0.01, lorenzo, &mut fast);
-                let mut want = vec![0i64; data.len()];
-                let want_max = quantize_lorenzo_scalar(&data, 0.01, lorenzo, &mut want, 0);
-                assert_eq!(fast, want, "level={level} lorenzo={lorenzo}");
-                assert_eq!(got, want_max);
-            }
+        for l in [8, 32, 64] {
+            assert_quantize_blocks_match(&data, l, 0.01);
         }
     }
 
     #[test]
     fn quantize_matches_scalar_f32() {
         let data: Vec<f32> = nasty_f64().into_iter().map(|v| v as f32).collect();
-        for lorenzo in [false, true] {
-            for len in [0, 1, 7, 8, 9, 16, 31, data.len()] {
-                let block = &data[..len];
-                let mut fast = vec![0i64; len];
-                let got = quantize_lorenzo_block(block, 0.05, lorenzo, &mut fast);
-                let mut want = vec![0i64; len];
-                let want_max = quantize_lorenzo_scalar(block, 0.05, lorenzo, &mut want, 0);
-                assert_eq!(fast, want, "lorenzo={lorenzo} len={len}");
-                assert_eq!(got, want_max, "lorenzo={lorenzo} len={len}");
+        for len in [0, 1, 7, 8, 9, 16, 31, 32, 33, 95, data.len()] {
+            for l in [8, 32, 64] {
+                assert_quantize_blocks_match(&data[..len], l, 0.05);
             }
         }
     }
@@ -1334,11 +1278,22 @@ mod tests {
     #[test]
     fn tie_rounds_away_from_zero() {
         // 2eb = 0.5 exactly, so d = ±0.75 / ±1.25 are exact ±x.5 ties;
-        // round half AWAY from zero (not to even) must come out.
-        let data = [0.75f64, -0.75, 1.25, -1.25, 0.25, -0.25, 0.0, 0.0];
-        let mut out = [0i64; 8];
-        quantize_lorenzo_block(&data, 0.25, false, &mut out);
-        assert_eq!(&out[..6], &[2, -2, 3, -3, 1, -1]);
+        // round half AWAY from zero (not to even) must come out, in the
+        // vector block and in the ragged scalar tail alike.
+        let ties = [0.75f64, -0.75, 1.25, -1.25, 0.25, -0.25];
+        let data: Vec<f64> = ties
+            .iter()
+            .chain(&[0.0, 0.0])
+            .chain(&ties)
+            .copied()
+            .collect();
+        for level in SimdLevel::ALL.into_iter().filter(|&v| v <= detect_level()) {
+            let mut out = [0i64; 16];
+            quantize_blocks(level, &data, 8, 0.25, false, &mut out, &mut [0; 2]);
+            let want = [2, -2, 3, -3, 1, -1];
+            assert_eq!(&out[..6], &want, "{level}");
+            assert_eq!(&out[8..14], &want, "{level} tail");
+        }
     }
 
     #[test]

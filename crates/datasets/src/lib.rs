@@ -20,6 +20,8 @@
 //! the statistical character, not the byte count, is what the experiments
 //! depend on.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod cesm;
 pub mod field;
 pub mod hacc;

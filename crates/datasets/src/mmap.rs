@@ -74,6 +74,7 @@ pub struct MappedSlice<T: Copy + 'static> {
 // with no interior mutability; `&[T]` access from any thread is sound
 // (same argument as `Arc<Vec<T>>`).
 unsafe impl<T: Copy + Send + 'static> Send for MappedSlice<T> {}
+// SAFETY: as for `Send`: shared access only ever reads immutable memory.
 unsafe impl<T: Copy + Sync + 'static> Sync for MappedSlice<T> {}
 
 impl<T: Copy + 'static> Deref for MappedSlice<T> {

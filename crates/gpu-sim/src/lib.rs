@@ -53,6 +53,8 @@
 //! assert!(gpu.timeline().total_time() > 0.0);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod counters;
 pub mod device;
 pub mod kernel;

@@ -21,6 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub unsafe trait DeviceCopy: Copy + Send + Sync + Default + 'static {}
 
 macro_rules! impl_device_copy {
+    // SAFETY: primitive integers, floats and `bool` are `Copy`, with no
+    // interior mutability and no drop glue.
     ($($t:ty),*) => { $(unsafe impl DeviceCopy for $t {})* };
 }
 impl_device_copy!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64, usize, bool);
@@ -78,6 +80,8 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
     /// Copy contents back to a host `Vec` (no simulated-time charge; use
     /// [`crate::Gpu::d2h`] to account for the PCIe transfer).
     pub fn to_host(&self) -> Vec<T> {
+        // SAFETY: a kernel launch joins its blocks before it returns, so
+        // no kernel writes a cell while the host reads it here.
         self.cells.iter().map(|c| unsafe { *c.0.get() }).collect()
     }
 
