@@ -44,8 +44,8 @@ use std::time::Instant;
 pub mod pool;
 pub mod stats;
 
-pub use pool::{JobSource, Submitter, WorkerPool};
-pub use stats::{BatchStats, LatencyHistogram, ServiceMetrics, StreamStats};
+pub use pool::{JobSource, WorkerPool};
+pub use stats::{BatchStats, StreamStats};
 
 /// Pipeline shape: worker count, queue bound, chunking, codec.
 #[derive(Debug, Clone)]
@@ -159,8 +159,8 @@ pub struct Pipeline<T: FloatData> {
 }
 
 impl<T: FloatData> Pipeline<T> {
-    /// Spawn the worker pool (a [`WorkerPool`] shared with the socket
-    /// service — same bounded admission queue, same drain semantics).
+    /// Spawn the worker pool: `cfg.workers` threads over one bounded
+    /// chunk queue (see [`WorkerPool`]).
     pub fn new(cfg: PipelineConfig) -> Self {
         cfg.validate();
         let (done_tx, done_rx) = std::sync::mpsc::channel::<Done>();

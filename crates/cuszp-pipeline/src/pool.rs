@@ -1,14 +1,10 @@
-//! A bounded-admission worker pool, factored out of [`crate::Pipeline`]
-//! so batch compression and the long-running socket service
-//! (`cuszp-service`) share one pool implementation.
+//! The bounded worker pool behind [`crate::Pipeline`].
 //!
 //! The shape mirrors a CUDA stream pool: `workers` threads each drain a
-//! single **bounded** job queue. The queue bound is the admission policy —
-//! [`WorkerPool::submit`] blocks (backpressure, the batch pipeline's
-//! behavior), while [`WorkerPool::try_submit`] fails fast and hands the
-//! job back (the service's overload behavior: reply `BUSY` instead of
-//! stalling a client). Each worker runs a caller-supplied loop body over a
-//! [`JobSource`] and returns a summary value collected at [`close`].
+//! single **bounded** job queue. The queue bound is the admission policy:
+//! [`WorkerPool::submit`] blocks while the queue is full (backpressure).
+//! Each worker runs a caller-supplied loop body over a [`JobSource`] and
+//! returns a summary value collected at [`close`].
 //!
 //! Steady-state submissions perform **no heap allocations**: the queue is
 //! a rendezvous/array channel and jobs move by value.
@@ -16,7 +12,7 @@
 //! [`close`]: WorkerPool::close
 
 use parking_lot::Mutex;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -93,66 +89,14 @@ impl<J: Send + 'static, R: Send + 'static> WorkerPool<J, R> {
             .expect("worker pool alive");
     }
 
-    /// Submit a job only if the queue has room **right now**; on a full
-    /// queue the job is handed back untouched so the caller can reply
-    /// `BUSY` (or retry) without blocking.
-    pub fn try_submit(&self, job: J) -> Result<(), J> {
-        match self.tx.as_ref().expect("pool not closed").try_send(job) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(j)) | Err(TrySendError::Disconnected(j)) => Err(j),
-        }
-    }
-
-    /// A clonable submitter handle, so each service connection can submit
-    /// without sharing the pool itself. The pool drains and its workers
-    /// exit only after the pool **and** every handle are closed/dropped.
-    pub fn handle(&self) -> Submitter<J> {
-        Submitter {
-            tx: self.tx.as_ref().expect("pool not closed").clone(),
-        }
-    }
-
     /// Close the queue, wait for the workers to drain every queued job,
     /// and collect their summaries (in worker-index order).
-    ///
-    /// Outstanding [`Submitter`] handles keep the queue open; workers exit
-    /// once those are dropped too.
     pub fn close(mut self) -> Vec<R> {
         drop(self.tx.take());
         self.handles
             .drain(..)
             .map(|h| h.join().expect("worker panicked"))
             .collect()
-    }
-}
-
-/// A clonable job submitter for a [`WorkerPool`] (see
-/// [`WorkerPool::handle`]).
-pub struct Submitter<J> {
-    tx: SyncSender<J>,
-}
-
-impl<J> Clone for Submitter<J> {
-    fn clone(&self) -> Self {
-        Submitter {
-            tx: self.tx.clone(),
-        }
-    }
-}
-
-impl<J> Submitter<J> {
-    /// Non-blocking submit; hands the job back if the queue is full or
-    /// the pool is gone. See [`WorkerPool::try_submit`].
-    pub fn try_submit(&self, job: J) -> Result<(), J> {
-        match self.tx.try_send(job) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(j)) | Err(TrySendError::Disconnected(j)) => Err(j),
-        }
-    }
-
-    /// Blocking submit. See [`WorkerPool::submit`].
-    pub fn submit(&self, job: J) {
-        self.tx.send(job).expect("worker pool alive");
     }
 }
 
@@ -179,34 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_reports_full_queue() {
-        // One worker parked on a gate; rendezvous queue: the first job is
-        // taken by the waiting worker, the second has nowhere to go.
-        let gate = Arc::new(AtomicUsize::new(0));
-        let g = Arc::clone(&gate);
-        let pool: WorkerPool<u32, ()> = WorkerPool::new(1, 0, move |_, src| {
-            while let Some(_j) = src.next() {
-                while g.load(Ordering::Acquire) == 0 {
-                    std::thread::yield_now();
-                }
-            }
-        });
-        pool.submit(1); // rendezvous: accepted the moment the worker takes it
-                        // Worker is now spinning on the gate; queue has capacity 0.
-        let mut saw_full = false;
-        for _ in 0..1000 {
-            if let Err(j) = pool.try_submit(7) {
-                assert_eq!(j, 7); // job handed back untouched
-                saw_full = true;
-                break;
-            }
-        }
-        assert!(saw_full, "try_submit must fail while the worker is busy");
-        gate.store(1, Ordering::Release);
-        pool.close();
-    }
-
-    #[test]
     fn close_drains_queued_jobs() {
         let done = Arc::new(AtomicUsize::new(0));
         let d = Arc::clone(&done);
@@ -220,25 +136,5 @@ mod tests {
         }
         pool.close();
         assert_eq!(done.load(Ordering::Relaxed), 50);
-    }
-
-    #[test]
-    fn submitter_handles_keep_pool_open() {
-        let pool: WorkerPool<u32, u32> = WorkerPool::new(1, 2, |_, src| {
-            let mut n = 0;
-            while src.next().is_some() {
-                n += 1;
-            }
-            n
-        });
-        let h = pool.handle();
-        let t = std::thread::spawn(move || {
-            for _ in 0..10 {
-                h.submit(1);
-            }
-            // handle dropped here
-        });
-        t.join().unwrap();
-        assert_eq!(pool.close(), vec![10]);
     }
 }

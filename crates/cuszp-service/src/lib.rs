@@ -17,17 +17,20 @@
 //!    [`Scratch`] arena plus staging buffers, all pre-warmed at
 //!    handshake time to the tenant's declared payload cap
 //!    ([`Scratch::warm_for`] / [`cuszp_core::fast::max_stream_bytes`]).
-//!    The bundle travels to a codec worker *by value* through an
-//!    array-backed bounded channel and comes back the same way — after
-//!    the first request, a connection's request loop performs **no heap
-//!    operations** (proven by `tests/zero_alloc.rs`).
-//! 2. **Bounded admission.** Requests are admitted to a shared
-//!    [`WorkerPool`] via [`Submitter::try_submit`]; a full queue yields
-//!    an immediate `BUSY` reply, never a stalled client. The queue bound
-//!    is the only admission policy — there is no hidden buffering.
+//!    The connection's own thread runs the codec on them, so after the
+//!    first request its request loop performs **no heap operations**
+//!    (proven by `tests/zero_alloc.rs`).
+//! 2. **Bounded admission.** A request runs the codec only under a
+//!    permit from the server's one admission counter: at most
+//!    [`ServiceConfig::workers`] requests run at once and at most
+//!    [`ServiceConfig::queue_depth`] more wait for a slot. A request
+//!    beyond that gets an immediate `BUSY` reply, never a stalled
+//!    client. The two bounds are the only admission policy — there is
+//!    no hidden buffering.
 //! 3. **Honest overload and shutdown.** [`Server::shutdown`] stops
-//!    accepting, half-closes live connections so in-flight requests
-//!    drain and their responses are delivered, then joins the pool.
+//!    accepting, half-closes live connections so running and waiting
+//!    requests drain and their responses are delivered, then joins every
+//!    connection thread.
 //!
 //! Live counters — request counts, socket and codec byte totals, the
 //! achieved compression ratio, and a p50/p99 service-latency histogram —
@@ -60,22 +63,22 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod client;
+mod metrics;
 pub mod protocol;
 mod wire;
 
 pub use client::{Client, ServiceError};
+pub use metrics::{LatencyHistogram, ServiceMetrics, LATENCY_BUCKETS};
 pub use protocol::Tenant;
 
 use cuszp_core::fast;
 use cuszp_core::hybrid::{self, HybridScratch, DEFAULT_CHUNK_BLOCKS, HYBRID_MAGIC};
 use cuszp_core::{chunk_ref_iter, CuszpConfig, DType, ErrorBound, Scratch};
-use cuszp_pipeline::{ServiceMetrics, Submitter, WorkerPool};
 use protocol::*;
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wire::WireFloat;
@@ -86,22 +89,22 @@ pub struct ServiceConfig {
     /// Bind address; use port `0` to let the OS pick (read it back from
     /// [`Server::addr`]).
     pub addr: String,
-    /// Codec worker threads draining the shared admission queue.
+    /// Requests that may run the codec at once, each on its own
+    /// connection's thread (`0` is taken as `1`).
     pub workers: usize,
-    /// Jobs that may wait *queued* beyond the ones being processed;
-    /// `0` makes admission a rendezvous (a request is admitted only when
-    /// a worker is free right now). Once the bound is hit, further
-    /// requests get `BUSY`.
+    /// Requests that may wait for a codec slot beyond the ones running;
+    /// `0` admits a request only when a slot is free right now. Once the
+    /// bound is hit, further requests get `BUSY`.
     pub queue_depth: usize,
     /// Server-wide cap on a connection's raw payload size; tenant asks
     /// are clamped to this.
     pub max_payload: u32,
     /// Codec configuration applied to every compress request.
     pub codec: CuszpConfig,
-    /// Artificial minimum per-job service time, applied inside the
-    /// worker. `ZERO` (the default) for production; nonzero makes
-    /// overload deterministic for tests and lets the load generator
-    /// emulate slower codecs.
+    /// Artificial minimum per-request service time, slept while the
+    /// request holds its codec slot. `ZERO` (the default) for
+    /// production; nonzero makes overload deterministic for tests and
+    /// lets the load generator emulate slower codecs.
     pub service_floor: Duration,
 }
 
@@ -118,10 +121,8 @@ impl Default for ServiceConfig {
     }
 }
 
-/// A connection's session arena: every buffer a request needs, owned as
-/// one bundle so the handler can move it to a codec worker and get it
-/// back without copies or allocations. Boxed so the move through the
-/// job channel is one pointer, not a memcpy of the whole struct.
+/// A connection's session arena: every buffer a request needs, owned by
+/// the connection's thread, which runs the codec on them in place.
 ///
 /// Element payloads never pass through a byte staging buffer: a compress
 /// payload is read off the socket straight into the bytes of the typed
@@ -130,11 +131,6 @@ impl Default for ServiceConfig {
 struct ConnBufs {
     tenant: Tenant,
     codec: CuszpConfig,
-    floor: Duration,
-    /// Request op being processed (`OP_COMPRESS`/`OP_DECOMPRESS`).
-    op: u8,
-    /// Request payload length in bytes.
-    len: usize,
     /// Payloads that are not element data: decompress requests, and a
     /// compress request whose length is not a whole number of elements
     /// (read only to keep the stream in sync before its `ERR`). Its
@@ -156,12 +152,6 @@ struct ConnBufs {
     /// Hybrid chunk staging, warmed alongside `scratch`.
     hs: HybridScratch,
     scratch: Scratch,
-    /// Result of processing: a response `STATUS_*`.
-    status: u8,
-    /// Error message when `status == STATUS_ERR`.
-    err: &'static str,
-    /// Where the body of an `OK` response sits.
-    body: Body,
 }
 
 /// Where a processed request's `OK` response body sits in its
@@ -180,13 +170,10 @@ enum Body {
 }
 
 impl ConnBufs {
-    fn new(tenant: Tenant, codec: CuszpConfig, floor: Duration) -> Box<ConnBufs> {
-        let mut b = Box::new(ConnBufs {
+    fn new(tenant: Tenant, codec: CuszpConfig) -> ConnBufs {
+        let mut b = ConnBufs {
             tenant,
             codec,
-            floor,
-            op: 0,
-            len: 0,
             input: Vec::new(),
             f32s: Vec::new(),
             f64s: Vec::new(),
@@ -194,10 +181,7 @@ impl ConnBufs {
             stage: Vec::new(),
             hs: HybridScratch::new(),
             scratch: Scratch::new(),
-            status: STATUS_OK,
-            err: "",
-            body: Body::Decoded(0),
-        });
+        };
         b.warm();
         b
     }
@@ -250,8 +234,6 @@ impl ConnBufs {
     /// buffer's bytes, anything else into `input`. `len` must be within
     /// the tenant cap, which the staging buffers were sized to.
     fn read_payload(&mut self, r: &mut impl Read, op: u8, len: usize) -> std::io::Result<()> {
-        self.op = op;
-        self.len = len;
         let size = self.tenant.dtype.size();
         if op == OP_COMPRESS && len.is_multiple_of(size) {
             return match self.tenant.dtype {
@@ -264,19 +246,6 @@ impl ConnBufs {
         }
         r.read_exact(&mut self.input[..len])
     }
-
-    fn fail(&mut self, msg: &'static str) {
-        self.status = STATUS_ERR;
-        self.err = msg;
-    }
-}
-
-/// A unit of admitted work: the connection's buffer bundle plus the
-/// channel that returns it. Both ends are array-backed, so neither the
-/// submit nor the reply allocates.
-struct Job {
-    bufs: Box<ConnBufs>,
-    reply: SyncSender<Box<ConnBufs>>,
 }
 
 /// Compress `floats` (the request payload) under the tenant's bound.
@@ -371,14 +340,13 @@ fn process_decompress_typed<T: WireFloat>(
     Ok(Body::Decoded(total))
 }
 
-/// Run one admitted job in place: dispatch on (op, dtype), leave the
-/// result status and where its response body sits in the bundle.
-fn process(b: &mut ConnBufs) {
-    b.status = STATUS_OK;
-    b.err = "";
-    let n = b.len / b.tenant.dtype.size();
-    let result = match (b.op, b.tenant.dtype) {
-        (OP_COMPRESS, dtype) if !b.len.is_multiple_of(dtype.size()) => {
+/// Run request `op` over its `len`-byte payload, already read into `b`:
+/// dispatch on (op, dtype) and return where the `OK` response body sits,
+/// or the `ERR` message.
+fn process(b: &mut ConnBufs, op: u8, len: usize) -> Result<Body, &'static str> {
+    let n = len / b.tenant.dtype.size();
+    match (op, b.tenant.dtype) {
+        (OP_COMPRESS, dtype) if !len.is_multiple_of(dtype.size()) => {
             Err("compress payload is not a whole number of elements")
         }
         (OP_COMPRESS, DType::F32) => process_compress_typed(
@@ -402,7 +370,7 @@ fn process(b: &mut ConnBufs) {
             b.tenant.hybrid,
         ),
         (OP_DECOMPRESS, DType::F32) => process_decompress_typed::<f32>(
-            &b.input[..b.len],
+            &b.input[..len],
             &mut b.f32s,
             &mut b.scratch,
             &mut b.hs,
@@ -410,21 +378,99 @@ fn process(b: &mut ConnBufs) {
             b.tenant.hybrid,
         ),
         (OP_DECOMPRESS, DType::F64) => process_decompress_typed::<f64>(
-            &b.input[..b.len],
+            &b.input[..len],
             &mut b.f64s,
             &mut b.scratch,
             &mut b.hs,
             b.tenant.max_payload,
             b.tenant.hybrid,
         ),
-        _ => Err("internal: unknown op reached worker"),
-    };
-    match result {
-        Ok(body) => b.body = body,
-        Err(msg) => b.fail(msg),
+        _ => Err("internal: unknown op reached the codec"),
     }
-    if !b.floor.is_zero() {
-        std::thread::sleep(b.floor);
+}
+
+/// The server's one admission counter, shared by every connection
+/// thread: at most `slots` requests run the codec at once and at most
+/// `queue_depth` more wait for a slot. A request holds its slot as a
+/// [`Permit`].
+struct Admission {
+    slots: usize,
+    queue_depth: usize,
+    state: Mutex<Slots>,
+    /// Signalled when a released slot is handed to a waiting request.
+    handed_over: Condvar,
+}
+
+/// [`Admission`]'s counts. While any request waits, every slot is held:
+/// a released slot passes straight to a waiter, so a request that
+/// arrives later never takes it first.
+#[derive(Default)]
+struct Slots {
+    /// Slots held, counting ones handed over to a waiter not yet awake.
+    running: usize,
+    /// Requests blocked for a slot.
+    waiting: usize,
+    /// Slots handed over to waiters and not yet taken up.
+    handed_over: usize,
+    /// Permits released over the server's lifetime.
+    processed: u64,
+}
+
+impl Admission {
+    fn new(slots: usize, queue_depth: usize) -> Admission {
+        Admission {
+            slots,
+            queue_depth,
+            state: Mutex::new(Slots::default()),
+            handed_over: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Slots> {
+        // Each update under the lock is a few integer steps that cannot
+        // panic, so a poisoned lock still holds consistent counts.
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// A codec slot: at once if one is free, after a wait if the wait
+    /// queue has room, or `None` (reply `BUSY`) if it has not.
+    fn admit(&self) -> Option<Permit<'_>> {
+        let mut s = self.lock();
+        if s.running < self.slots {
+            s.running += 1;
+        } else if s.waiting < self.queue_depth {
+            s.waiting += 1;
+            while s.handed_over == 0 {
+                s = self.handed_over.wait(s).unwrap_or_else(|e| e.into_inner());
+            }
+            s.handed_over -= 1;
+        } else {
+            return None;
+        }
+        Some(Permit(self))
+    }
+
+    /// Permits released so far: requests that ran the codec.
+    fn processed(&self) -> u64 {
+        self.lock().processed
+    }
+}
+
+/// A held codec slot. Dropping it hands the slot to a waiting request,
+/// or frees it when none waits.
+struct Permit<'a>(&'a Admission);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut s = self.0.lock();
+        s.processed += 1;
+        if s.waiting > 0 {
+            s.waiting -= 1;
+            s.handed_over += 1;
+            self.0.handed_over.notify_one();
+        } else {
+            s.running -= 1;
+        }
     }
 }
 
@@ -436,12 +482,14 @@ pub struct Server {
     stop: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<TcpStream>>>,
     accept: Option<JoinHandle<()>>,
-    pool: Option<WorkerPool<Job, u64>>,
+    admission: Arc<Admission>,
 }
 
 impl Server {
-    /// Bind, spawn the codec worker pool and the accept loop, and return
-    /// a handle. The server is ready for connections when this returns.
+    /// Bind, spawn the accept loop, and return a handle. Each accepted
+    /// connection gets its own thread, which runs its requests' codec
+    /// under the admission bounds. The server is ready for connections
+    /// when this returns.
     pub fn start(cfg: ServiceConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
@@ -451,30 +499,14 @@ impl Server {
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
 
-        let pool: WorkerPool<Job, u64> = WorkerPool::new(
-            cfg.workers.max(1),
-            cfg.queue_depth,
-            |_, src: cuszp_pipeline::JobSource<Job>| {
-                let mut processed = 0u64;
-                while let Some(mut job) = src.next() {
-                    process(&mut job.bufs);
-                    processed += 1;
-                    // The handler is guaranteed to be blocked on the
-                    // matching recv; a send can only fail if the whole
-                    // connection thread died, in which case the bundle
-                    // is simply dropped.
-                    let _ = job.reply.send(job.bufs);
-                }
-                processed
-            },
-        );
-        let submitter = pool.handle();
+        let admission = Arc::new(Admission::new(cfg.workers.max(1), cfg.queue_depth));
 
         let accept = {
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
             let metrics = Arc::clone(&metrics);
-            std::thread::spawn(move || accept_loop(listener, stop, conns, metrics, submitter, cfg))
+            let admission = Arc::clone(&admission);
+            std::thread::spawn(move || accept_loop(listener, stop, conns, metrics, admission, cfg))
         };
 
         Ok(Server {
@@ -483,7 +515,7 @@ impl Server {
             stop,
             conns,
             accept: Some(accept),
-            pool: Some(pool),
+            admission,
         })
     }
 
@@ -502,28 +534,23 @@ impl Server {
         // 1. Stop admitting new connections.
         self.stop.store(true, Ordering::SeqCst);
         // 2. Half-close live connections: handlers finish the request
-        //    they are on (its response is still written — the write side
-        //    stays open), then see EOF and exit.
+        //    they are on, running or waiting for a slot (its response is
+        //    still written — the write side stays open), then see EOF and
+        //    exit.
         for c in self.conns.lock().expect("conn registry").iter() {
             let _ = c.shutdown(Shutdown::Read);
         }
-        // 3. The accept thread joins every handler; handlers drop their
-        //    submitter clones as they exit.
+        // 3. The accept thread joins every handler.
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        // 4. With all submitters gone, the pool drains and its workers
-        //    exit.
-        match self.pool.take() {
-            Some(pool) => pool.close().into_iter().sum(),
-            None => 0,
-        }
+        self.admission.processed()
     }
 
-    /// Graceful shutdown: stop accepting, drain in-flight requests
-    /// (their responses are delivered), join every thread. Returns the
-    /// total number of jobs the codec workers processed over the
-    /// server's lifetime.
+    /// Graceful shutdown: stop accepting, drain in-flight requests, both
+    /// running and waiting for a codec slot (their responses are
+    /// delivered), join every thread. Returns the total number of
+    /// requests that ran the codec over the server's lifetime.
     pub fn shutdown(mut self) -> u64 {
         self.shutdown_impl()
     }
@@ -531,7 +558,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.accept.is_some() || self.pool.is_some() {
+        if self.accept.is_some() {
             self.shutdown_impl();
         }
     }
@@ -542,7 +569,7 @@ fn accept_loop(
     stop: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<TcpStream>>>,
     metrics: Arc<ServiceMetrics>,
-    submitter: Submitter<Job>,
+    admission: Arc<Admission>,
     cfg: ServiceConfig,
 ) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
@@ -566,13 +593,13 @@ fn accept_loop(
                         reg.push(clone);
                     }
                 }
-                let submitter = submitter.clone();
+                let admission = Arc::clone(&admission);
                 let metrics = Arc::clone(&metrics);
                 let server_cap = cfg.max_payload;
                 let codec = cfg.codec;
                 let floor = cfg.service_floor;
                 handlers.push(std::thread::spawn(move || {
-                    handle_conn(stream, submitter, metrics, server_cap, codec, floor);
+                    handle_conn(stream, &admission, metrics, server_cap, codec, floor);
                 }));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -591,7 +618,7 @@ fn accept_loop(
 /// happen during the handshake warm-up.
 fn handle_conn(
     mut stream: TcpStream,
-    submitter: Submitter<Job>,
+    admission: &Admission,
     metrics: Arc<ServiceMetrics>,
     server_cap: u32,
     codec: CuszpConfig,
@@ -601,14 +628,14 @@ fn handle_conn(
     metrics.active_connections.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_nodelay(true);
 
-    let result = run_session(&mut stream, submitter, &metrics, server_cap, codec, floor);
+    let result = run_session(&mut stream, admission, &metrics, server_cap, codec, floor);
     let _ = result; // all exits are normal teardown: EOF, error reply, or shutdown
     metrics.active_connections.fetch_sub(1, Ordering::Relaxed);
 }
 
 fn run_session(
     stream: &mut TcpStream,
-    submitter: Submitter<Job>,
+    admission: &Admission,
     metrics: &ServiceMetrics,
     server_cap: u32,
     codec: CuszpConfig,
@@ -633,8 +660,7 @@ fn run_session(
     stream.write_all(&encode_handshake_reply(STATUS_OK, 0, effective))?;
 
     // --- Session arena (the connection's entire allocation budget) ---
-    let mut bufs = Some(ConnBufs::new(tenant, codec, floor));
-    let (reply_tx, reply_rx) = sync_channel::<Box<ConnBufs>>(1);
+    let mut bufs = ConnBufs::new(tenant, codec);
     let mut metrics_text = String::with_capacity(8192);
 
     // --- Request loop ------------------------------------------------
@@ -668,27 +694,25 @@ fn run_session(
                     reply_err(stream, metrics, "request exceeds tenant payload cap")?;
                     return Ok(());
                 }
-                let mut b = bufs.take().expect("session bundle present");
-                if b.read_payload(stream, op, len as usize).is_err() {
+                let len = len as usize;
+                if bufs.read_payload(stream, op, len).is_err() {
                     return Ok(());
                 }
-                metrics.bytes_in.fetch_add(
-                    (REQUEST_HEADER_BYTES + len as usize) as u64,
-                    Ordering::Relaxed,
-                );
+                metrics
+                    .bytes_in
+                    .fetch_add((REQUEST_HEADER_BYTES + len) as u64, Ordering::Relaxed);
 
-                match submitter.try_submit(Job {
-                    bufs: b,
-                    reply: reply_tx.clone(),
-                }) {
-                    Ok(()) => {
-                        let b = reply_rx.recv().expect("worker returns the bundle");
-                        write_codec_response(stream, metrics, &b)?;
+                match admission.admit() {
+                    Some(permit) => {
+                        let result = process(&mut bufs, op, len);
+                        if !floor.is_zero() {
+                            std::thread::sleep(floor);
+                        }
+                        drop(permit);
+                        write_codec_response(stream, metrics, &bufs, len, result)?;
                         metrics.latency.record(t0.elapsed());
-                        bufs = Some(b);
                     }
-                    Err(job) => {
-                        bufs = Some(job.bufs);
+                    None => {
                         stream.write_all(&encode_response_header(STATUS_BUSY, 0))?;
                         metrics.busy_rejections.fetch_add(1, Ordering::Relaxed);
                         metrics
@@ -728,27 +752,24 @@ fn reply_err(
     Ok(())
 }
 
-/// Write the response for a processed codec job and account for it.
-/// Every response goes out in one vectored write, straight from the
+/// Write the response to a processed `len`-byte request and account for
+/// it. Every response goes out in one vectored write, straight from the
 /// buffer the codec left it in.
 fn write_codec_response(
     stream: &mut TcpStream,
     metrics: &ServiceMetrics,
     b: &ConnBufs,
+    len: usize,
+    result: Result<Body, &'static str>,
 ) -> std::io::Result<()> {
-    if b.status != STATUS_OK {
-        write_reply(stream, STATUS_ERR, b.err.as_bytes())?;
-        metrics.errors.fetch_add(1, Ordering::Relaxed);
-        metrics.bytes_out.fetch_add(
-            (RESPONSE_HEADER_BYTES + b.err.len()) as u64,
-            Ordering::Relaxed,
-        );
-        return Ok(());
-    }
+    let body = match result {
+        Ok(body) => body,
+        Err(msg) => return reply_err(stream, metrics, msg),
+    };
     // Compress: a single-chunk CUSZPCH1 container, written as header +
     // frame without materializing it — or, when the hybrid second stage
     // won, the raw self-framing CUSZPHY1 frame.
-    let (frame, wrapped) = match b.body {
+    let (frame, wrapped) = match body {
         Body::Plain { in_stage } => (if in_stage { &b.stage } else { &b.out }, true),
         Body::Hybrid => (&b.out, false),
         Body::Decoded(n) => {
@@ -763,7 +784,7 @@ fn write_codec_response(
             metrics.raw_bytes.fetch_add(raw as u64, Ordering::Relaxed);
             metrics
                 .stream_bytes
-                .fetch_add(b.len as u64, Ordering::Relaxed);
+                .fetch_add(len as u64, Ordering::Relaxed);
             metrics
                 .bytes_out
                 .fetch_add((RESPONSE_HEADER_BYTES + raw) as u64, Ordering::Relaxed);
@@ -786,7 +807,7 @@ fn write_codec_response(
         ],
     )?;
     metrics.compress_requests.fetch_add(1, Ordering::Relaxed);
-    metrics.raw_bytes.fetch_add(b.len as u64, Ordering::Relaxed);
+    metrics.raw_bytes.fetch_add(len as u64, Ordering::Relaxed);
     metrics
         .stream_bytes
         .fetch_add(total as u64, Ordering::Relaxed);

@@ -1,11 +1,14 @@
 //! End-to-end service tests over real sockets: concurrent byte-identical
-//! round trips, deterministic BUSY under a full admission queue,
-//! graceful shutdown drain, per-tenant cap enforcement, and error
-//! semantics.
+//! round trips, bounded admission (a request waits for a codec slot, or
+//! gets BUSY at once when the wait queue is full), graceful shutdown
+//! drain, per-tenant cap enforcement, and error semantics.
 
 use cuszp_core::{CuszpConfig, DType, ErrorBound};
-use cuszp_service::{Client, Server, ServiceConfig, ServiceError, Tenant};
-use std::time::Duration;
+use cuszp_service::protocol::REQUEST_HEADER_BYTES;
+use cuszp_service::{Client, Server, ServiceConfig, ServiceError, ServiceMetrics, Tenant};
+use std::sync::atomic::Ordering;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 fn wave(n: usize, phase: f32) -> Vec<f32> {
     (0..n)
@@ -21,6 +24,38 @@ fn tenant_f32(cap: u32) -> Tenant {
         max_payload: cap,
         hybrid: false,
     }
+}
+
+/// Request bytes a 4096-element f32 compress puts on the wire.
+const WAVE_REQUEST_BYTES: u64 = (REQUEST_HEADER_BYTES + 4096 * 4) as u64;
+
+/// Send one 4096-element compress on `client` from a new thread; it
+/// yields whether the reply was `OK` and when it arrived, since `t0`.
+fn compress_in_background(
+    mut client: Client,
+    phase: f32,
+    t0: Instant,
+) -> JoinHandle<(bool, Duration)> {
+    std::thread::spawn(move || {
+        let ok = client.compress_f32(&wave(4096, phase)).is_ok();
+        (ok, t0.elapsed())
+    })
+}
+
+/// Wait until the server has read `n` request bytes in all, so every
+/// request sent so far has reached its connection thread. That thread
+/// asks for a codec slot right after the read; the short settle covers
+/// that step.
+fn await_bytes_in(metrics: &ServiceMetrics, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while metrics.bytes_in.load(Ordering::Relaxed) < n {
+        assert!(
+            Instant::now() < deadline,
+            "request never reached the server"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(20));
 }
 
 #[test]
@@ -181,6 +216,107 @@ fn shutdown_drains_in_flight_requests() {
         result.unwrap() > 0,
         "client must receive the drained response"
     );
+}
+
+#[test]
+fn queued_request_waits_for_a_free_slot() {
+    // One codec slot and one waiting place, 200 ms floor: A runs, B waits
+    // for A's slot and then runs, and C, finding both taken, bounces with
+    // BUSY at once.
+    let server = Server::start(ServiceConfig {
+        workers: 1,
+        queue_depth: 1,
+        service_floor: Duration::from_millis(200),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let metrics = server.metrics();
+    let connect = || Client::connect(server.addr(), tenant_f32(1 << 16)).unwrap();
+    let (a, b, mut c) = (connect(), connect(), connect());
+
+    let t0 = Instant::now();
+    let a = compress_in_background(a, 0.0, t0);
+    await_bytes_in(&metrics, WAVE_REQUEST_BYTES);
+    let b = compress_in_background(b, 1.0, t0);
+    await_bytes_in(&metrics, 2 * WAVE_REQUEST_BYTES);
+
+    let sent = Instant::now();
+    match c.compress_f32(&wave(4096, 2.0)) {
+        Err(ServiceError::Busy) => {}
+        other => panic!("expected BUSY, got {:?}", other.map(<[u8]>::len)),
+    }
+    assert!(
+        sent.elapsed() < Duration::from_millis(120),
+        "BUSY must be immediate, not queued behind the floor"
+    );
+
+    let (a_ok, _) = a.join().unwrap();
+    let (b_ok, b_done) = b.join().unwrap();
+    assert!(
+        a_ok && b_ok,
+        "the running and the waiting request both succeed"
+    );
+    assert!(
+        b_done >= Duration::from_millis(400),
+        "B must run after A's floor, not beside it (done after {b_done:?})"
+    );
+    assert_eq!(metrics.busy_rejections.load(Ordering::Relaxed), 1);
+    assert_eq!(server.shutdown(), 2);
+}
+
+#[test]
+fn shutdown_drains_running_and_waiting_requests() {
+    // When shutdown starts, A holds the one codec slot (floor = 300 ms)
+    // and B waits for it: both responses must still be delivered.
+    let server = Server::start(ServiceConfig {
+        workers: 1,
+        queue_depth: 1,
+        service_floor: Duration::from_millis(300),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let metrics = server.metrics();
+    let connect = || Client::connect(server.addr(), tenant_f32(1 << 16)).unwrap();
+    let (a, b) = (connect(), connect());
+
+    let t0 = Instant::now();
+    let a = compress_in_background(a, 0.0, t0);
+    await_bytes_in(&metrics, WAVE_REQUEST_BYTES);
+    let b = compress_in_background(b, 1.0, t0);
+    await_bytes_in(&metrics, 2 * WAVE_REQUEST_BYTES);
+
+    assert_eq!(server.shutdown(), 2, "both requests are processed");
+    assert!(
+        a.join().unwrap().0,
+        "the running request's response is delivered"
+    );
+    assert!(
+        b.join().unwrap().0,
+        "the waiting request's response is delivered"
+    );
+}
+
+#[test]
+fn error_reply_releases_its_codec_slot() {
+    // One slot and no waiting place: if an `ERR` reply kept its slot, the
+    // next request would get BUSY.
+    let server = Server::start(ServiceConfig {
+        workers: 1,
+        queue_depth: 0,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.addr(), tenant_f32(1 << 16)).unwrap();
+    let data = wave(2048, 0.0);
+    let mut container = client.compress_f32(&data).unwrap().to_vec();
+    container[9] ^= 0xFF;
+    let mut out = Vec::new();
+    match client.decompress_f32(&container, &mut out) {
+        Err(ServiceError::Remote) => {}
+        other => panic!("expected Remote rejection, got {other:?}"),
+    }
+    assert!(client.compress_f32(&data).is_ok(), "the slot was released");
+    assert_eq!(server.shutdown(), 3);
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! The service's headline contract, proven executable: with the
-//! counting allocator installed for this whole test binary (server
-//! threads, codec workers, and client alike), a warmed connection's
-//! request loop performs **zero heap operations** — across compress,
-//! decompress, and metrics scrapes.
+//! counting allocator installed for this whole test binary (the server's
+//! accept and connection threads, which run the codec, and the client
+//! alike), a warmed connection's request loop performs **zero heap
+//! operations** — across compress, decompress, and metrics scrapes.
 
 use cuszp_core::{DType, ErrorBound};
 use cuszp_service::{Client, Server, ServiceConfig, Tenant};
@@ -79,8 +79,8 @@ fn steady_state_request_loop_is_allocation_free() {
     assert_eq!(restored.len(), data.len());
 
     // Steady state: the entire process — connection handler, admission
-    // queue, codec worker, reply path, metrics render, client — does
-    // zero heap operations across 20 round trips.
+    // permit, codec, reply path, metrics render, client — does zero heap
+    // operations across 20 round trips.
     let ops = heap_ops_of(|| {
         for _ in 0..20 {
             roundtrip(
