@@ -1,11 +1,9 @@
-//! Entropy-stage kernel throughput: the 4-lane byte histogram,
-//! canonical Huffman one-way
-//! vs. the four-stream interleaved `Huffman4` (both directions), and
-//! the PackBits RLE scanner. These are the hot loops behind the hybrid
-//! `CUSZPHY1` second stage; `e2ebench` measures the end-to-end view
-//! (`hybrid.*` metrics on `snapshot`), while this target isolates the
-//! kernels themselves on a fixed 4 MiB chunk-shaped corpus, one row per
-//! mode. The stage has one kernel set, so no row is per SIMD tier.
+//! Entropy-stage kernel throughput: the four-stream interleaved
+//! `Huffman4` coder in both directions, the one coded mode the hybrid
+//! `CUSZPHY1` second stage writes. `e2ebench` measures the end-to-end
+//! view (`hybrid.*` metrics on `snapshot`), while this target isolates
+//! the kernels themselves on a fixed 4 MiB chunk-shaped corpus. The
+//! stage has one kernel set, so no row is per SIMD tier.
 //!
 //! A 4 MiB buffer hides per-chunk fixed costs (code-length build, decode
 //! table), which dominate at the size the store actually codes: a 64 KiB
@@ -19,14 +17,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use cuszp_core::{fast, value_range, CuszpConfig};
 use cuszp_entropy::{
-    build_decode_table, decode_chunk, encode_chunk, histogram, select_mode, DecodeTable, Mode,
+    build_decode_table, decode_chunk, encode_chunk, select_mode, DecodeTable, Mode,
 };
 use datasets::{generate_subset, DatasetId, Scale};
 use std::hint::black_box;
 
 /// Skewed bytes shaped like a bit-shuffled residual plane: a few hot
-/// symbols, a long zero tail, occasional runs — Huffman and RLE both
-/// have real work to do.
+/// symbols, a long zero tail, occasional runs.
 fn skewed_bytes(n: usize) -> Vec<u8> {
     let mut s = 0x1234_5678_9abc_def0u64;
     (0..n)
@@ -41,11 +38,6 @@ fn skewed_bytes(n: usize) -> Vec<u8> {
             }
         })
         .collect()
-}
-
-/// Run lengths long enough that the RLE run scan dominates.
-fn runny_bytes(n: usize) -> Vec<u8> {
-    (0..n).map(|i| ((i / 300) % 7) as u8).collect()
 }
 
 /// Raw entropy chunks (fixed lengths ++ payload, as the hybrid frame
@@ -112,34 +104,11 @@ fn bench_store_sized_chunks(c: &mut Criterion) {
 fn bench_entropy(c: &mut Criterion) {
     let n = 4 << 20;
     let skewed = skewed_bytes(n);
-    let runny = runny_bytes(n);
     let mut comp = Vec::new();
     let mut back = vec![0u8; n];
     let mut table = DecodeTable::new();
 
     let mut group = c.benchmark_group("entropy");
-    group.bench_function("histogram", |b| {
-        b.iter(|| black_box(histogram(black_box(&skewed))[0]))
-    });
-
-    group.bench_function("huffman1_encode", |b| {
-        b.iter(|| {
-            comp.clear();
-            let got = encode_chunk(Mode::Huffman, black_box(&skewed), &mut comp);
-            assert_eq!(got, Mode::Huffman);
-            black_box(comp.len())
-        })
-    });
-    comp.clear();
-    encode_chunk(Mode::Huffman, &skewed, &mut comp);
-    group.bench_function("huffman1_decode", |b| {
-        b.iter(|| {
-            decode_chunk(Mode::Huffman, black_box(&comp), &mut back, &mut table)
-                .expect("own chunk");
-            black_box(back[0])
-        })
-    });
-
     group.bench_function("huffman4_encode", |b| {
         b.iter(|| {
             comp.clear();
@@ -154,23 +123,6 @@ fn bench_entropy(c: &mut Criterion) {
         b.iter(|| {
             decode_chunk(Mode::Huffman4, black_box(&comp), &mut back, &mut table)
                 .expect("own chunk");
-            black_box(back[0])
-        })
-    });
-
-    group.bench_function("rle_encode", |b| {
-        b.iter(|| {
-            comp.clear();
-            let got = encode_chunk(Mode::Rle, black_box(&runny), &mut comp);
-            assert_eq!(got, Mode::Rle);
-            black_box(comp.len())
-        })
-    });
-    comp.clear();
-    encode_chunk(Mode::Rle, &runny, &mut comp);
-    group.bench_function("rle_decode", |b| {
-        b.iter(|| {
-            decode_chunk(Mode::Rle, black_box(&comp), &mut back, &mut table).expect("own chunk");
             black_box(back[0])
         })
     });

@@ -103,27 +103,24 @@ impl std::error::Error for FormatError {}
 impl Compressed {
     /// Number of blocks (`⌈N / L⌉`).
     pub fn num_blocks(&self) -> usize {
-        (self.num_elements as usize).div_ceil(self.block_len as usize)
+        self.as_ref().num_blocks()
     }
 
     /// The paper's compressed size: fixed-length bytes + payload (what
     /// compression ratios are computed from).
     pub fn stream_bytes(&self) -> u64 {
-        (self.fixed_lengths.len() + self.payload.len()) as u64
+        self.as_ref().stream_bytes()
     }
 
     /// Stream size plus the file header.
     pub fn total_bytes(&self) -> u64 {
-        self.stream_bytes() + HEADER_BYTES as u64
+        self.as_ref().total_bytes()
     }
 
     /// Expected payload size from the fixed lengths (Eq 2 applied per
     /// block) — must equal `payload.len()` for a well-formed stream.
     pub fn expected_payload_bytes(&self) -> u64 {
-        self.fixed_lengths
-            .iter()
-            .map(|&f| cmp_bytes_for(f, self.block_len as usize) as u64)
-            .sum()
+        self.as_ref().expected_payload_bytes()
     }
 
     /// Borrow this stream's fractions as a [`CompressedRef`].
@@ -166,26 +163,9 @@ impl Compressed {
         self.as_ref().payload_span(blocks)
     }
 
-    /// Cheap structural sanity check: payload length matches Eq 2
-    /// **exactly** — neither truncated nor overlong. The fast decoder
-    /// ([`crate::fast`]) preallocates its output and slices the payload
-    /// at Eq-2 offsets without further bounds checks, so an overlong
-    /// payload must be rejected here, not tolerated.
+    /// Cheap structural sanity check; see [`CompressedRef::validate`].
     pub fn validate(&self) -> Result<(), FormatError> {
-        CuszpConfig {
-            block_len: self.block_len as usize,
-            lorenzo: self.lorenzo,
-            simd: None,
-            hybrid: false,
-        }
-        .validate();
-        if self.fixed_lengths.len() != self.num_blocks() {
-            return Err(FormatError::Corrupt("fixed-length array size"));
-        }
-        if self.expected_payload_bytes() != self.payload.len() as u64 {
-            return Err(FormatError::Corrupt("payload size vs Eq 2"));
-        }
-        Ok(())
+        self.as_ref().validate()
     }
 }
 
@@ -347,9 +327,11 @@ impl<'a> CompressedRef<'a> {
         Ok(start as usize..end as usize)
     }
 
-    /// Structural sanity check — identical to [`Compressed::validate`]:
-    /// the fast decoder trusts Eq-2 offsets for direct payload slicing,
-    /// so the payload length must match **exactly**.
+    /// Cheap structural sanity check: payload length matches Eq 2
+    /// **exactly** — neither truncated nor overlong. The fast decoder
+    /// ([`crate::fast`]) preallocates its output and slices the payload
+    /// at Eq-2 offsets without further bounds checks, so an overlong
+    /// payload must be rejected here, not tolerated.
     pub fn validate(&self) -> Result<(), FormatError> {
         CuszpConfig {
             block_len: self.block_len as usize,

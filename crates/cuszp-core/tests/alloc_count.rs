@@ -147,20 +147,22 @@ fn warmed_arena_makes_even_the_first_call_free() {
 
 #[test]
 fn warmed_hybrid_encode_is_free_from_the_first_call() {
-    // The Huffman writers briefly grow the frame past each chunk's final
+    // The Huffman4 writers briefly grow the frame past each chunk's final
     // size (padded stream regions); `max_frame_bytes` covers that slack,
     // so a frame buffer reserved to it never reallocates — on the first
-    // encode, in every coded mode.
+    // encode, in every mode the encoder writes. The leading zeros make
+    // the first chunks constant.
     let cfg = CuszpConfig::default();
-    let data = wave(40_000);
+    let mut data = wave(40_000);
+    data[..16_384].fill(0.0);
     let stream = fast::compress(&data, 0.01, cfg);
     let r = stream.as_ref();
     let chunk = hybrid::DEFAULT_CHUNK_BLOCKS;
     for force in [
         None,
-        Some(Mode::Huffman),
+        Some(Mode::Pass),
+        Some(Mode::Constant),
         Some(Mode::Huffman4),
-        Some(Mode::Rle),
     ] {
         let mut hs = HybridScratch::new();
         hs.warm_for::<f32>(data.len(), cfg, chunk);
@@ -184,28 +186,53 @@ fn warmed_hybrid_decode_is_free_from_the_first_call() {
     // `warm_for` sizes the chunk staging and allocates the Huffman
     // decode table, so the first decode of every coded mode — whole
     // frame and a partial block range — touches the heap zero times.
+    // `Huffman4` chunks come from the encoder; `Huffman` and `Rle`
+    // chunks, which no encoder writes any more, from the golden frames.
     let cfg = CuszpConfig::default();
     let data = wave(40_000);
     let stream = fast::compress(&data, 0.01, cfg);
     let r = stream.as_ref();
     let chunk = hybrid::DEFAULT_CHUNK_BLOCKS;
     let want: Vec<f32> = fast::decompress(&stream);
+    let mut huffman4 = Vec::new();
+    hybrid::encode_with(
+        &r,
+        chunk,
+        Some(Mode::Huffman4),
+        &mut HybridScratch::new(),
+        &mut huffman4,
+    );
+    let golden = CompressedRef::parse(include_bytes!("data/pr9_plain_stream.bin"))
+        .expect("golden plain stream parses")
+        .to_owned();
+    let golden_want: Vec<f32> = fast::decompress(&golden);
     // Resolved up front: reading `CUSZP_SIMD` allocates once per process.
     simd::resolve_level(None);
-    for mode in [Mode::Huffman, Mode::Huffman4, Mode::Rle] {
-        let mut frame = Vec::new();
-        hybrid::encode_with(&r, chunk, Some(mode), &mut HybridScratch::new(), &mut frame);
-        let h = HybridRef::parse(&frame).expect("own frame parses");
+    for (mode, frame, want) in [
+        (Mode::Huffman4, &huffman4[..], &want[..]),
+        (
+            Mode::Huffman,
+            &include_bytes!("data/pr9_hybrid_frame.bin")[..],
+            &golden_want[..],
+        ),
+        (
+            Mode::Rle,
+            &include_bytes!("data/pr9_hybrid_frame_rle.bin")[..],
+            &golden_want[..],
+        ),
+    ] {
+        let h = HybridRef::parse(frame).expect("frame parses");
         assert!(
             h.mode_histogram()[mode.to_byte() as usize] > 0,
-            "{mode} must stick"
+            "{mode} chunks present"
         );
 
+        let n = h.num_elements as usize;
         let mut hs = HybridScratch::new();
-        hs.warm_for::<f32>(data.len(), cfg, chunk);
+        hs.warm_for::<f32>(n, cfg, h.chunk_blocks as usize);
         let mut scratch = Scratch::new();
-        scratch.warm_for::<f32>(data.len(), cfg);
-        let mut out = vec![0f32; data.len()];
+        scratch.warm_for::<f32>(n, cfg);
+        let mut out = vec![0f32; n];
         let mut part = vec![0f32; 300 * 32];
         let ops = heap_ops_of(|| {
             hybrid::decode_into(&h, &mut hs, &mut scratch, &mut out).expect("decodes");

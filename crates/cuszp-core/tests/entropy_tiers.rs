@@ -4,12 +4,14 @@
 //! tier ladder; every tier had to emit the same `CUSZPHY1` frames, and
 //! the fingerprints below pin those bytes so they stay fixed now that
 //! one kernel set is left. Frames must invert to the plain stream for
-//! the adaptive estimator and every forced mode, including `Huffman4`.
-//! On top of that, two compatibility directions are pinned with golden
-//! bytes:
+//! the adaptive estimator and every forced mode, and the encoder writes
+//! only `Pass`, `Constant` and `Huffman4`. On top of that, two
+//! compatibility directions are pinned with golden bytes:
 //!
 //! * **old frames, new decoder** — PR-9-era frames (checked into
-//!   `tests/data/`) still parse and decode byte-for-byte;
+//!   `tests/data/`) still parse and decode byte-for-byte; they hold the
+//!   only `Rle` and one-stream `Huffman` chunks left, since no encoder
+//!   writes those modes any more;
 //! * **new frames, old mode set** — a frame carrying `Huffman4` chunks
 //!   misread under the previous mode ids yields a typed error, never a
 //!   panic, and truncation of such a frame is caught at every prefix.
@@ -19,7 +21,28 @@ use cuszp_core::hybrid::{
     TABLE_ENTRY_BYTES,
 };
 use cuszp_core::{fast, CompressedRef, CuszpConfig};
+use cuszp_entropy::{encode_chunk, select_mode};
 use proptest::prelude::*;
+
+/// The plain `CUSZP1` stream both golden frames were encoded from.
+const PR9_PLAIN: &[u8] = include_bytes!("data/pr9_plain_stream.bin");
+
+/// PR-9-era golden frames and their mode tables as written (counts by
+/// mode byte): the adaptive frame holds twelve `Huffman` chunks, the
+/// forced-RLE frame nineteen `Rle` chunks.
+const GOLDEN: [(&[u8], [usize; 5]); 2] = [
+    (
+        include_bytes!("data/pr9_hybrid_frame.bin"),
+        [4, 4, 0, 12, 0],
+    ),
+    (
+        include_bytes!("data/pr9_hybrid_frame_rle.bin"),
+        [1, 0, 19, 0, 0],
+    ),
+];
+
+/// Mode bytes the encoder writes: `Pass`, `Constant` and `Huffman4`.
+const WRITTEN_BYTES: [u8; 3] = [0, 1, 4];
 
 /// Hybrid-encode a plain stream.
 fn encode_frame(plain: &[u8], chunk_blocks: usize, force: Option<Mode>) -> Vec<u8> {
@@ -63,8 +86,6 @@ proptest! {
             Just(None),
             Just(Some(Mode::Pass)),
             Just(Some(Mode::Constant)),
-            Just(Some(Mode::Rle)),
-            Just(Some(Mode::Huffman)),
             Just(Some(Mode::Huffman4)),
         ],
     ) {
@@ -76,11 +97,75 @@ proptest! {
         hybrid::decode_stream_bytes(&r, &mut hs, &mut back).expect("own frame decodes");
         prop_assert_eq!(&back, &plain);
     }
+
+    /// The legacy `Rle` and `Huffman` chunks of the golden frames invert
+    /// to the golden plain stream, also through a scratch (staging buffer
+    /// and decode table) that a freshly encoded frame left dirty.
+    #[test]
+    fn legacy_frames_invert_after_a_fresh_frame(
+        data in proptest::collection::vec(-1.0e3f32..1.0e3, 1..3000),
+        chunk_blocks in prop_oneof![Just(1usize), Just(3), Just(256)],
+        golden in 0..GOLDEN.len(),
+    ) {
+        let fresh = encode_frame(&compress_plain(&data, 0.01), chunk_blocks, None);
+        let mut hs = HybridScratch::new();
+        let mut back = Vec::new();
+        let r = HybridRef::parse(&fresh).expect("own frame parses");
+        hybrid::decode_stream_bytes(&r, &mut hs, &mut back).expect("own frame decodes");
+        let r = HybridRef::parse(GOLDEN[golden].0).expect("golden frame parses");
+        hybrid::decode_stream_bytes(&r, &mut hs, &mut back).expect("golden frame decodes");
+        prop_assert!(back == PR9_PLAIN, "golden frame {} diverged", golden);
+    }
+
+    /// The encoder writes only `Pass`, `Constant` and `Huffman4`: on
+    /// noise, skewed, runny and constant chunks the estimator's pick
+    /// (after the size check) is one of them, and so is every entry of
+    /// the mode table of every adaptive frame.
+    #[test]
+    fn encoder_writes_only_pass_constant_and_huffman4(
+        shape in 0..4u8,
+        len in 1..12_000usize,
+        seed in any::<u64>(),
+        wave_len in 1..60_000usize,
+        freq in 1e-4f32..0.1,
+        eb in prop_oneof![Just(1e-4), Just(1e-3), Just(1e-2)],
+        chunk_blocks in prop_oneof![Just(1usize), Just(3), Just(16), Just(256)],
+    ) {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 32) as u8
+        };
+        let period = 3 + (seed % 300) as usize;
+        let raw: Vec<u8> = match shape {
+            0 => (0..len).map(|_| next()).collect(),
+            1 => (0..len).map(|_| match next() { 0..=199 => 0, b => b & 7 }).collect(),
+            2 => (0..len).map(|i| ((i / period) % 7) as u8).collect(),
+            _ => vec![seed as u8; len],
+        };
+        let mut comp = Vec::new();
+        let used = encode_chunk(select_mode(&raw), &raw, &mut comp);
+        prop_assert!(
+            WRITTEN_BYTES.contains(&used.to_byte()),
+            "shape {} len {} wrote {}", shape, len, used
+        );
+
+        let data: Vec<f32> = (0..wave_len).map(|i| (i as f32 * freq).sin() * 8.0).collect();
+        let frame = encode_frame(&compress_plain(&data, eb), chunk_blocks, None);
+        let hist = HybridRef::parse(&frame).expect("own frame parses").mode_histogram();
+        for (byte, &count) in hist.iter().enumerate() {
+            prop_assert!(
+                count == 0 || WRITTEN_BYTES.contains(&(byte as u8)),
+                "frame wrote mode byte {}: {:?}", byte, hist
+            );
+        }
+    }
 }
 
-/// A large skewed field drives the estimator into `Huffman4` (chunks
-/// clear [`cuszp_entropy::HUFFMAN4_MIN_CHUNK`]), and the frame inverts
-/// to the plain stream.
+/// A large skewed field drives the estimator into `Huffman4`, and the
+/// frame inverts to the plain stream.
 #[test]
 fn adaptive_huffman4_frames_invert() {
     let data = skewed_field(400_000);
@@ -90,7 +175,7 @@ fn adaptive_huffman4_frames_invert() {
     let hist = r.mode_histogram();
     assert!(
         hist[Mode::Huffman4.to_byte() as usize] > 0,
-        "large skewed chunks must upgrade to Huffman4, got {hist:?}"
+        "skewed chunks must pick Huffman4, got {hist:?}"
     );
     let mut hs = HybridScratch::new();
     let mut back = Vec::new();
@@ -107,17 +192,8 @@ fn adaptive_huffman4_frames_invert() {
 /// mode tables read back exactly as written.
 #[test]
 fn pr9_golden_frames_decode_unchanged() {
-    let plain: &[u8] = include_bytes!("data/pr9_plain_stream.bin");
-    for (frame, want_hist) in [
-        (
-            &include_bytes!("data/pr9_hybrid_frame.bin")[..],
-            [4usize, 4, 0, 12, 0],
-        ),
-        (
-            &include_bytes!("data/pr9_hybrid_frame_rle.bin")[..],
-            [1, 0, 19, 0, 0],
-        ),
-    ] {
+    let plain = PR9_PLAIN;
+    for (frame, want_hist) in GOLDEN {
         let r = HybridRef::parse(frame).expect("golden frame parses");
         assert_eq!(
             r.mode_histogram(),
@@ -261,7 +337,7 @@ fn chunk_fingerprint(mode: Mode, lens: std::ops::RangeInclusive<usize>) -> (u64,
     for len in lens {
         let raw = skewed_chunk(len);
         comp.clear();
-        let used = cuszp_entropy::encode_chunk(mode, &raw, &mut comp);
+        let used = encode_chunk(mode, &raw, &mut comp);
         h = fnv64(h, &[used.to_byte()]);
         h = fnv64(h, &(len as u32).to_le_bytes());
         h = fnv64(h, &comp);
@@ -270,27 +346,17 @@ fn chunk_fingerprint(mode: Mode, lens: std::ops::RangeInclusive<usize>) -> (u64,
     (h, total)
 }
 
-/// Forced `Huffman` and `Huffman4` chunks reproduce fingerprints taken
-/// from the previous encoder (per-symbol writes, four strided passes,
-/// rescan repair), and forced `Rle` chunks the fingerprints of the
-/// encoder that still had AVX2/AVX-512 run scanners (equal at every
-/// tier). The length ranges hit every remainder of the 4-symbol groups
-/// of the one-stream writer and of the 16-byte groups of the
-/// interleaved one, around both the 4 KiB `Huffman4` floor and 8 KiB;
-/// lengths below the 128-byte table fall back to `Pass`, which the
-/// fingerprints cover too.
+/// Forced `Huffman4` chunks reproduce fingerprints taken from the
+/// previous encoder (per-symbol writes, four strided passes, rescan
+/// repair). The length ranges hit every remainder of the 16-byte groups
+/// of the interleaved writer, around 4 KiB and 8 KiB; lengths below the
+/// 140-byte header fall back to `Pass`, which the fingerprints cover too.
 #[test]
 fn huffman_chunks_match_previous_encoder_fingerprints() {
-    let want: [(Mode, std::ops::RangeInclusive<usize>, (u64, usize)); 9] = [
-        (Mode::Huffman, 1..=64, (0xb8935a37f8f67bff, 2080)),
-        (Mode::Huffman, 4090..=4110, (0x2790632dae123d80, 25259)),
-        (Mode::Huffman, 8192..=8208, (0x3b57f510e0c7e0c1, 38631)),
+    let want: [(Mode, std::ops::RangeInclusive<usize>, (u64, usize)); 3] = [
         (Mode::Huffman4, 1..=64, (0xb8935a37f8f67bff, 2080)),
         (Mode::Huffman4, 4090..=4110, (0xaede529fbd1a1452, 25536)),
         (Mode::Huffman4, 8192..=8208, (0x5b49af291b823b68, 38857)),
-        (Mode::Rle, 1..=64, (0x6053cdc26db2a66e, 1735)),
-        (Mode::Rle, 4090..=4110, (0xee68c72c3b86b7f3, 66127)),
-        (Mode::Rle, 8192..=8208, (0xedd1bae9d10705f9, 106873)),
     ];
     for (mode, lens, fp) in &want {
         let got = chunk_fingerprint(*mode, lens.clone());

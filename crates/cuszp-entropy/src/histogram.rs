@@ -51,22 +51,12 @@ impl Lanes4 {
     }
 }
 
-/// Full-slice byte histogram.
-pub fn histogram(bytes: &[u8]) -> [u32; 256] {
-    let mut lanes = Lanes4::new();
-    lanes.accumulate(bytes);
-    let mut hist = [0u32; 256];
-    lanes.merge_into(&mut hist);
-    hist
-}
-
 /// Four byte histograms partitioned by position: `result[s]` counts the
 /// bytes at positions `i ≡ s (mod 4)`. This is the `Huffman4` encoder's
 /// sizing pass — the per-stream code-length totals (and the shared
-/// frequency table, as the four-way sum) fall out of the same single
-/// pass the plain histogram already makes, because the 4-lane
-/// sub-tables *are* a positional partition: lane `k` holds positions
-/// `i ≡ k (mod 4)` directly.
+/// frequency table, as the four-way sum) fall out of one counting pass,
+/// because the 4-lane sub-tables *are* a positional partition: lane `k`
+/// holds positions `i ≡ k (mod 4)` directly.
 pub(crate) fn stride4_histograms(bytes: &[u8]) -> [[u32; 256]; 4] {
     let mut lanes = Lanes4::new();
     lanes.accumulate(bytes);
@@ -97,7 +87,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_matches_the_reference_count() {
+    fn stride4_histograms_match_the_reference_count() {
         let shapes: Vec<Vec<u8>> = vec![
             vec![],
             vec![7],
@@ -110,7 +100,11 @@ mod tests {
             (0..=255).collect(),
         ];
         for raw in &shapes {
-            assert_eq!(histogram(raw), reference(raw), "len {}", raw.len());
+            let lanes = stride4_histograms(raw);
+            for (s, lane) in lanes.iter().enumerate() {
+                let stream: Vec<u8> = raw.iter().skip(s).step_by(4).copied().collect();
+                assert_eq!(*lane, reference(&stream), "len {} lane {s}", raw.len());
+            }
         }
     }
 

@@ -1,8 +1,10 @@
 //! Canonical, length-limited Huffman coding over bytes.
 //!
-//! The chunk layout is a 128-byte packed-nibble code-length table (one
-//! 4-bit length per symbol, low nibble = even symbol) followed by the
-//! MSB-first bitstream. Lengths are capped at
+//! Every Huffman chunk starts with a 128-byte packed-nibble code-length
+//! table (one 4-bit length per symbol, low nibble = even symbol); a
+//! one-stream `Huffman` chunk, which only earlier encoders wrote, follows
+//! it with one MSB-first bitstream, a `Huffman4` chunk with four (see
+//! `interleave.rs`). Lengths are capped at
 //! [`HUFFMAN_MAX_CODE_LEN`] = 12 bits so the decoder is a single lookup
 //! into a 4096-entry table — the table-driven decode the hybrid frame's
 //! throughput numbers depend on. Codes are *canonical*: the lengths fully
@@ -31,7 +33,7 @@
 //! * **Writer.** [`WideWriter`] joins the codes of four symbols (≤ 48
 //!   bits) into one branchless 8-byte store instead of storing once per
 //!   symbol; the ≤ 7 bits still pending from earlier stores fit beside
-//!   them in the `u64`.
+//!   them in the `u64`. The `Huffman4` encoder runs four of them.
 //! * **Decode table.** Built in one pass over the codes in canonical
 //!   order, writing every entry once and reading none: each code's run
 //!   of prefixes starts with the two-symbol entries for the codes that
@@ -48,7 +50,7 @@
 //!   four lookups. The same table drives the four interleaved streams of
 //!   [`crate::Mode::Huffman4`] (see `interleave.rs`).
 
-use crate::{histogram, EntropyError};
+use crate::EntropyError;
 
 /// Size of the packed-nibble code-length table that heads every chunk.
 pub const HUFFMAN_TABLE_BYTES: usize = 128;
@@ -58,50 +60,6 @@ pub const HUFFMAN_MAX_CODE_LEN: u32 = 12;
 
 pub(crate) const LIMIT: u8 = HUFFMAN_MAX_CODE_LEN as u8;
 pub(crate) const TABLE_SIZE: usize = 1 << HUFFMAN_MAX_CODE_LEN;
-
-/// Append the coded form of `raw` (table + bitstream) to `out` **iff** it
-/// is strictly smaller than `raw`; returns whether it was appended. The
-/// exact coded size is known from the code lengths before any byte is
-/// written, so a losing encode costs the histogram pass only.
-pub(crate) fn encode(raw: &[u8], out: &mut Vec<u8>) -> bool {
-    debug_assert!(!raw.is_empty());
-    let freq = histogram::histogram(raw);
-    let mut lens = [0u8; 256];
-    build_lengths(&freq, &mut lens);
-
-    let total_bits: u64 = freq
-        .iter()
-        .zip(lens.iter())
-        .map(|(&f, &l)| u64::from(f) * u64::from(l))
-        .sum();
-    let coded = HUFFMAN_TABLE_BYTES as u64 + total_bits.div_ceil(8);
-    if coded >= raw.len() as u64 {
-        return false;
-    }
-
-    out.reserve(coded as usize + WRITE_SLACK);
-    push_lens_table(&lens, out);
-    let book = Codebook::new(&lens);
-    let base = out.len();
-    let stream = coded as usize - HUFFMAN_TABLE_BYTES;
-    out.resize(base + stream + WRITE_SLACK, 0);
-    let buf = &mut out[..];
-    let mut w = WideWriter::at(base);
-    let mut quads = raw.chunks_exact(4);
-    for q in &mut quads {
-        let (bits, len) = book.join4(q[0], q[1], q[2], q[3]);
-        w.put(bits, len, buf);
-    }
-    for &b in quads.remainder() {
-        let (bits, len) = book.code(b);
-        w.put(bits, len, buf);
-    }
-    // A wrong size precomputation would emit a bad chunk; one compare
-    // per chunk keeps that loud in release builds too.
-    assert_eq!(w.end(), base + stream, "coded size precomputation");
-    out.truncate(base + stream);
-    true
-}
 
 /// Bytes a [`WideWriter`] region needs past its stream's end: a store
 /// runs at most 7 bytes past the final (partial) byte, and 8 keeps the
@@ -421,7 +379,7 @@ impl BitReader {
     }
 }
 
-/// Decode a chunk produced by [`encode`] into `out` (whose length is the
+/// Decode a one-stream `Huffman` chunk into `out` (whose length is the
 /// chunk's recorded raw length). Every malformation — truncated table,
 /// over-limit or Kraft-overfull lengths, a bit pattern matching no code,
 /// a bitstream that ends early or carries unused bytes or non-zero
@@ -682,41 +640,6 @@ pub(crate) fn assign_codes(lens: &[u8; 256]) -> [u16; 256] {
 mod tests {
     use super::*;
 
-    fn roundtrip(raw: &[u8]) -> Option<Vec<u8>> {
-        let mut comp = Vec::new();
-        if !encode(raw, &mut comp) {
-            return None;
-        }
-        assert!(comp.len() < raw.len());
-        let mut back = vec![0u8; raw.len()];
-        decode(&comp, &mut back, &mut DecodeTable::new()).unwrap();
-        assert_eq!(back, raw);
-        Some(comp)
-    }
-
-    #[test]
-    fn skewed_bytes_compress_and_roundtrip() {
-        let raw: Vec<u8> = (0..4096u32).map(|i| (i % 7).pow(2) as u8).collect();
-        let comp = roundtrip(&raw).expect("skewed data must compress");
-        assert!(comp.len() < raw.len() / 2);
-    }
-
-    #[test]
-    fn single_symbol_stream_roundtrips() {
-        let raw = vec![200u8; 3000];
-        roundtrip(&raw).expect("one-symbol data compresses to ~n/8");
-    }
-
-    #[test]
-    fn uniform_bytes_refuse_to_encode() {
-        let raw: Vec<u8> = (0..2048u32)
-            .map(|i| (i.wrapping_mul(2654435761)) as u8)
-            .collect();
-        let mut comp = Vec::new();
-        assert!(!encode(&raw, &mut comp), "8-bit-entropy data cannot win");
-        assert!(comp.is_empty(), "a refused encode must append nothing");
-    }
-
     #[test]
     fn lengths_never_exceed_limit() {
         // An exponential histogram drives unlimited Huffman depths far
@@ -737,12 +660,16 @@ mod tests {
             }
         }
         assert!(kraft <= 1 << LIMIT, "repaired lengths must satisfy Kraft");
-        // And a stream drawn from that distribution still round trips.
+        // And a skewed stream over those symbols still round trips.
         let mut raw = Vec::new();
         for s in 0..30u8 {
             raw.extend(std::iter::repeat_n(s, (s as usize + 1) * 3));
         }
-        roundtrip(&raw);
+        let mut comp = Vec::new();
+        assert!(crate::interleave::encode(&raw, &mut comp));
+        let mut back = vec![0u8; raw.len()];
+        crate::interleave::decode(&comp, &mut back, &mut DecodeTable::new()).unwrap();
+        assert_eq!(back, raw);
     }
 
     /// The builder this module shipped before the O(1) repair, kept as
@@ -972,13 +899,19 @@ mod tests {
 
     #[test]
     fn nonzero_padding_rejected() {
-        let raw: Vec<u8> = (0..600u32).map(|i| (i % 5) as u8).collect();
-        let mut comp = Vec::new();
-        assert!(encode(&raw, &mut comp));
-        let last = comp.len() - 1;
-        comp[last] |= 1; // encode pads the final byte with zero bits
-        let mut back = vec![0u8; raw.len()];
-        assert!(decode(&comp, &mut back, &mut DecodeTable::new()).is_err());
+        // Symbol 0 is `0` and symbol 1 is `10`: `0 10 0 0 10` is seven
+        // bits, so the final byte carries one bit of padding.
+        let mut comp = vec![0u8; HUFFMAN_TABLE_BYTES];
+        comp[0] = 1 | 2 << 4;
+        comp.push(0b0100_0100);
+        let mut back = [0u8; 5];
+        decode(&comp, &mut back, &mut DecodeTable::new()).unwrap();
+        assert_eq!(back, [0, 1, 0, 0, 1]);
+        comp[HUFFMAN_TABLE_BYTES] |= 1;
+        assert_eq!(
+            decode(&comp, &mut back, &mut DecodeTable::new()),
+            Err(EntropyError("huffman padding not zero"))
+        );
     }
 
     #[test]

@@ -7,21 +7,26 @@
 //! bitshuffle-then-dictionary pipeline), this crate supplies the lossless
 //! stage that runs *after* the error-bounded quantization — so it can
 //! never affect the error bound — together with the estimator that
-//! decides, per chunk, whether the stage pays for itself:
+//! decides, per chunk, whether the stage pays for itself. The encoder
+//! writes three modes:
 //!
 //! - [`Mode::Pass`] — store the fixed-length bytes unchanged (cuSZp's
 //!   native representation; always available, never loses).
 //! - [`Mode::Constant`] — SZx-style constant-block flush: a chunk whose
 //!   bytes are all equal stores one byte.
-//! - [`Mode::Rle`] — PackBits run-length coding, cheap and effective on
-//!   the long zero runs bit-shuffling produces at tight bounds.
-//! - [`Mode::Huffman`] — canonical, length-limited Huffman with a
-//!   table-driven decoder, for chunks with skewed but non-degenerate
-//!   byte histograms.
-//! - [`Mode::Huffman4`] — the same canonical code split across four
-//!   interleaved bitstreams (round-robin symbol assignment), so decode
-//!   runs four dependency chains in parallel; chosen for large Huffman
-//!   chunks where its 12 extra header bytes are noise.
+//! - [`Mode::Huffman4`] — canonical, length-limited Huffman split across
+//!   four interleaved bitstreams (round-robin symbol assignment), so
+//!   decode runs four dependency chains in parallel; for chunks with
+//!   skewed byte histograms.
+//!
+//! The decoders also read two modes that earlier encoders wrote, so old
+//! frames and shards still open: [`Mode::Rle`] (PackBits run-length
+//! coding) and [`Mode::Huffman`] (the same canonical code in one
+//! bitstream). On the benchmark's store chunks, writing `Huffman4` where
+//! the estimator once picked either of them cost 0.17 % of the ratio
+//! (16.258 → 16.231), and the switched chunks decoded and encoded within
+//! noise of the one-stream form: too little to keep two more encoders
+//! and estimator branches for.
 //!
 //! [`select_mode`] samples a few windows of the chunk instead of scanning
 //! it; [`encode_chunk`] *verifies* the choice by size and falls back to
@@ -31,7 +36,7 @@
 //!
 //! ## One kernel set
 //!
-//! The hot loops (histogram build, RLE scanning) are portable scalar
+//! The hot loops (histogram build, bit packing) are portable scalar
 //! code, still word-parallel where it is free: 4-lane histograms and
 //! `u64` bit accumulators. There is no runtime dispatch: AVX2/AVX-512
 //! variants of these loops measured within noise of them at store-chunk
@@ -54,17 +59,16 @@ mod huffman;
 mod interleave;
 mod rle;
 
-pub use histogram::histogram;
 pub use huffman::{DecodeTable, HUFFMAN_MAX_CODE_LEN, HUFFMAN_TABLE_BYTES};
 pub use interleave::{HUFFMAN4_HEADER_BYTES, HUFFMAN4_STREAMS};
 
 /// How far past its final length [`encode_chunk`] may briefly grow
 /// `out`: the Huffman writers store whole words, so each of `Huffman4`'s
-/// four streams is written into its own region with a word of padding
-/// (the one-stream form needs one), and the padding is cut before the
-/// call returns. While a chunk of `raw.len()` bytes is coded, `out`
-/// holds at most `raw.len() + ENCODE_SLACK_BYTES` bytes more than on
-/// entry; reserving that keeps the encode allocation-free.
+/// four streams is written into its own region with a word of padding,
+/// and the padding is cut before the call returns. While a chunk of
+/// `raw.len()` bytes is coded, `out` holds at most `raw.len() +
+/// ENCODE_SLACK_BYTES` bytes more than on entry; reserving that keeps
+/// the encode allocation-free.
 pub const ENCODE_SLACK_BYTES: usize = HUFFMAN4_STREAMS * huffman::WRITE_SLACK;
 
 /// Per-chunk coding mode, stored as one byte in the `CUSZPHY1` table.
@@ -74,9 +78,10 @@ pub enum Mode {
     Pass,
     /// All bytes equal; one stored byte repeated `raw_len` times.
     Constant,
-    /// PackBits run-length coding.
+    /// PackBits run-length coding. Read only: decoded, never written.
     Rle,
-    /// Canonical length-limited Huffman coding, one bitstream.
+    /// Canonical length-limited Huffman coding, one bitstream. Read
+    /// only: decoded, never written.
     Huffman,
     /// Canonical length-limited Huffman coding, four interleaved
     /// bitstreams (round-robin symbols, per-stream end offsets in the
@@ -154,33 +159,21 @@ impl std::error::Error for EntropyError {}
 /// the chunk, so at most 256 bytes are inspected however large it is.
 const SAMPLE_WINDOW: usize = 64;
 
-/// Fixed per-chunk overhead of a Huffman chunk (its code-length table
-/// plus slack for the final partial byte) the estimator charges.
-const HUFFMAN_OVERHEAD: f64 = (HUFFMAN_TABLE_BYTES + 2) as f64;
-
-/// Fixed per-chunk overhead of a `Huffman4` chunk: the table, the three
-/// stream-end offsets, and slack for four final partial bytes.
+/// Fixed per-chunk overhead of a `Huffman4` chunk the estimator
+/// charges: the table, the three stream-end offsets, and slack for four
+/// final partial bytes.
 const HUFFMAN4_OVERHEAD: f64 = (HUFFMAN4_HEADER_BYTES + 5) as f64;
 
-/// Smallest chunk the estimator will route to [`Mode::Huffman4`]. Below
-/// this the 4-way form's extra header is a measurable ratio cost while
-/// its decode advantage is amortized over too few symbols; above it the
-/// ~15 extra bytes are noise. Tiny chunks therefore always pick 1-way
-/// [`Mode::Huffman`] (or better), never `Huffman4`.
-pub const HUFFMAN4_MIN_CHUNK: usize = 4096;
-
-/// Pick a coding mode for `raw` by sampling, not scanning.
+/// Pick a coding mode for `raw` by sampling, not scanning. The answer is
+/// always [`Mode::Pass`], [`Mode::Constant`] or [`Mode::Huffman4`].
 ///
 /// Constant detection probes a handful of spread positions and only pays
-/// for a full scan when all probes match. The RLE and Huffman estimates
-/// come from four 64-byte windows: the adjacent-repeat fraction stands in
-/// for run coverage, and the sampled byte histogram's entropy `H` bounds
-/// the Huffman bitstream at `n·H/8` bits plus the table overhead. A
-/// Huffman win is upgraded to [`Mode::Huffman4`] when the chunk is at
-/// least [`HUFFMAN4_MIN_CHUNK`] bytes **and** the 4-way overhead charge
-/// still clears the margin.
+/// for a full scan when all probes match. The Huffman estimate comes from
+/// four 64-byte windows: the sampled byte histogram's entropy `H` bounds
+/// the bitstream at `n·H/8` bits, to which the `Huffman4` header is
+/// added.
 ///
-/// The estimate errs toward [`Mode::Pass`]: a coded mode is chosen only
+/// The estimate errs toward [`Mode::Pass`]: `Huffman4` is chosen only
 /// when its estimated size undercuts the raw size by more than 1/16 —
 /// mispredicting *toward* Pass costs a little ratio, while mispredicting
 /// away from it costs encode time **and** gets reverted by
@@ -240,16 +233,10 @@ pub fn select_mode(raw: &[u8]) -> Mode {
     // estimate below. The counting runs through the 4-lane accumulator
     // so even the sampling path dodges the store-forwarding chain.
     let mut lanes = histogram::Lanes4::new();
-    let mut pairs = 0u32;
-    let mut repeats = 0u32;
     let mut samples = 0u32;
     let mut sample = |win: &[u8]| {
         lanes.accumulate(win);
         samples += win.len() as u32;
-        for k in 1..win.len() {
-            pairs += 1;
-            repeats += u32::from(win[k] == win[k - 1]);
-        }
     };
     if n <= 4 * SAMPLE_WINDOW {
         sample(raw);
@@ -264,14 +251,6 @@ pub fn select_mode(raw: &[u8]) -> Mode {
     let distinct = hist.iter().filter(|&&c| c > 0).count() as u32;
 
     let n_f = n as f64;
-    let rho = if pairs == 0 {
-        0.0
-    } else {
-        f64::from(repeats) / f64::from(pairs)
-    };
-    // Literal bytes cost ~1 byte each; run bytes amortize to well under
-    // one (2 stored bytes per run). 0.3 models short-ish runs.
-    let est_rle = n_f * (1.0 - rho) + n_f * rho * 0.3 + 2.0;
     let mut entropy_bits = 0.0;
     for &c in &hist {
         if c > 0 {
@@ -284,18 +263,12 @@ pub fn select_mode(raw: &[u8]) -> Mode {
     // (uniform noise would otherwise look compressible).
     entropy_bits += f64::from(distinct - 1) / (2.0 * f64::from(samples) * std::f64::consts::LN_2);
     let bitstream = n_f * entropy_bits.min(8.0) / 8.0;
-    let est_huffman = bitstream + HUFFMAN_OVERHEAD;
 
     let margin = n_f / 16.0;
-    let best = est_rle.min(est_huffman);
-    if best + margin >= n_f {
-        Mode::Pass
-    } else if est_rle <= est_huffman {
-        Mode::Rle
-    } else if n >= HUFFMAN4_MIN_CHUNK && bitstream + HUFFMAN4_OVERHEAD + margin < n_f {
+    if bitstream + HUFFMAN4_OVERHEAD + margin < n_f {
         Mode::Huffman4
     } else {
-        Mode::Huffman
+        Mode::Pass
     }
 }
 
@@ -320,29 +293,23 @@ fn probe_constant(raw: &[u8]) -> bool {
 /// chunk falls back to [`Mode::Pass`] and the raw bytes are appended
 /// instead. The returned mode is what belongs in the `CUSZPHY1` table,
 /// and the appended length never exceeds `raw.len()`.
+///
+/// # Panics
+/// Panics if `mode` is [`Mode::Rle`] or [`Mode::Huffman`]: those modes
+/// are read only, and no encoder for them exists.
 pub fn encode_chunk(mode: Mode, raw: &[u8], out: &mut Vec<u8>) -> Mode {
+    assert!(
+        !matches!(mode, Mode::Rle | Mode::Huffman),
+        "{mode} is a read-only mode; encode as huffman4"
+    );
     if raw.is_empty() {
         return Mode::Pass;
     }
-    let mark = out.len();
     match mode {
-        Mode::Pass => {}
         Mode::Constant => {
             if raw.iter().all(|&b| b == raw[0]) {
                 out.push(raw[0]);
                 return Mode::Constant;
-            }
-        }
-        Mode::Rle => {
-            rle::encode(raw, out);
-            if out.len() - mark < raw.len() {
-                return Mode::Rle;
-            }
-            out.truncate(mark);
-        }
-        Mode::Huffman => {
-            if huffman::encode(raw, out) {
-                return Mode::Huffman;
             }
         }
         Mode::Huffman4 => {
@@ -350,13 +317,15 @@ pub fn encode_chunk(mode: Mode, raw: &[u8], out: &mut Vec<u8>) -> Mode {
                 return Mode::Huffman4;
             }
         }
+        Mode::Pass | Mode::Rle | Mode::Huffman => {}
     }
     out.extend_from_slice(raw);
     Mode::Pass
 }
 
-/// Decode a chunk coded by [`encode_chunk`] into `out`, whose length must
-/// be the chunk's recorded raw length.
+/// Decode a chunk of any of the five modes — coded by [`encode_chunk`] or
+/// by an earlier encoder — into `out`, whose length must be the chunk's
+/// recorded raw length.
 ///
 /// The [`Mode::Huffman`] and [`Mode::Huffman4`] decoders build their
 /// decode table in `table`, which the caller keeps across chunks; its
@@ -421,6 +390,9 @@ pub fn build_decode_table(
 mod tests {
     use super::*;
 
+    /// The modes [`encode_chunk`] writes.
+    const WRITTEN: [Mode; 3] = [Mode::Pass, Mode::Constant, Mode::Huffman4];
+
     /// Deterministic xorshift bytes (the crate has no dependencies).
     fn noise(len: usize, mut seed: u64) -> Vec<u8> {
         (0..len)
@@ -442,6 +414,45 @@ mod tests {
             .collect()
     }
 
+    /// Long runs of a few values: the shape the estimator once sent to
+    /// `Rle`.
+    fn runny(len: usize, seed: u64) -> Vec<u8> {
+        let period = 3 + (seed as usize % 300);
+        (0..len).map(|i| ((i / period) % 7) as u8).collect()
+    }
+
+    /// The `(mode, stored bytes, raw length)` of every chunk of a
+    /// `CUSZPHY1` frame, read straight from its 38-byte header and 9-byte
+    /// table entries (`docs/FORMAT.md`).
+    fn frame_chunks(frame: &[u8]) -> Vec<(Mode, &[u8], usize)> {
+        let word = |at: usize| u32::from_le_bytes(frame[at..at + 4].try_into().unwrap()) as usize;
+        let chunks = word(34);
+        let mut at = 38 + 9 * chunks;
+        (0..chunks)
+            .map(|c| {
+                let e = 38 + 9 * c;
+                let comp = &frame[at..at + word(e + 1)];
+                at += comp.len();
+                (Mode::from_byte(frame[e]).unwrap(), comp, word(e + 5))
+            })
+            .collect()
+    }
+
+    /// The `mode` chunks of the golden frames an earlier encoder wrote:
+    /// twelve `Huffman` chunks in one, nineteen `Rle` chunks in the other.
+    fn golden_chunks(mode: Mode) -> Vec<(&'static [u8], usize)> {
+        let frames: [&'static [u8]; 2] = [
+            include_bytes!("../../cuszp-core/tests/data/pr9_hybrid_frame.bin"),
+            include_bytes!("../../cuszp-core/tests/data/pr9_hybrid_frame_rle.bin"),
+        ];
+        frames
+            .into_iter()
+            .flat_map(frame_chunks)
+            .filter(|&(m, _, _)| m == mode)
+            .map(|(_, comp, raw_len)| (comp, raw_len))
+            .collect()
+    }
+
     fn roundtrip(mode: Mode, raw: &[u8]) -> Mode {
         let mut comp = Vec::new();
         let used = encode_chunk(mode, raw, &mut comp);
@@ -452,17 +463,25 @@ mod tests {
         used
     }
 
-    /// A decode table left behind by an unrelated `Huffman` chunk whose
-    /// code is complete (Kraft sum 1), so every one of its entries is a
-    /// valid code.
+    /// A decode table left behind by a golden `Huffman` chunk whose code
+    /// is complete (Kraft sum 1), so every one of its entries is a valid
+    /// code.
     fn dirty_table() -> DecodeTable {
-        let raw: Vec<u8> = noise(3000, 5).iter().map(|b| b % 61).collect();
-        let mut comp = Vec::new();
-        assert_eq!(encode_chunk(Mode::Huffman, &raw, &mut comp), Mode::Huffman);
+        let (comp, raw_len) = golden_chunks(Mode::Huffman)
+            .into_iter()
+            .find(|(comp, _)| {
+                let (lens, _) = huffman::parse_lens_table(&comp[..HUFFMAN_TABLE_BYTES]).unwrap();
+                let kraft: u32 = lens
+                    .iter()
+                    .filter(|&&l| l > 0)
+                    .map(|&l| 1 << (12 - l))
+                    .sum();
+                kraft == 1 << 12
+            })
+            .expect("a golden Huffman chunk has a complete code");
         let mut table = DecodeTable::new();
-        let mut back = vec![0u8; raw.len()];
-        decode_chunk(Mode::Huffman, &comp, &mut back, &mut table).unwrap();
-        assert_eq!(back, raw);
+        let mut back = vec![0u8; raw_len];
+        decode_chunk(Mode::Huffman, comp, &mut back, &mut table).unwrap();
         table
     }
 
@@ -480,7 +499,7 @@ mod tests {
     }
 
     #[test]
-    fn every_mode_roundtrips_on_every_shape() {
+    fn every_written_mode_roundtrips_on_every_shape() {
         let shapes: Vec<Vec<u8>> = vec![
             vec![],
             vec![42],
@@ -492,12 +511,25 @@ mod tests {
             skewed(20_000, 3),
             noise(4096, 9),
             skewed(300, 5),
+            runny(5000, 4),
         ];
         for raw in &shapes {
-            for mode in Mode::ALL {
+            for mode in WRITTEN {
                 roundtrip(mode, raw);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "read-only mode")]
+    fn encoding_rle_is_api_misuse() {
+        encode_chunk(Mode::Rle, &[1, 1, 1, 1], &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "read-only mode")]
+    fn encoding_one_way_huffman_is_api_misuse() {
+        encode_chunk(Mode::Huffman, &skewed(1000, 1), &mut Vec::new());
     }
 
     #[test]
@@ -523,11 +555,9 @@ mod tests {
     #[test]
     fn incompressible_chunks_fall_back_to_pass() {
         let raw = noise(300, 5);
-        for mode in [Mode::Rle, Mode::Huffman, Mode::Huffman4] {
-            let mut comp = Vec::new();
-            assert_eq!(encode_chunk(mode, &raw, &mut comp), Mode::Pass);
-            assert_eq!(comp, raw, "fallback must store the raw bytes");
-        }
+        let mut comp = Vec::new();
+        assert_eq!(encode_chunk(Mode::Huffman4, &raw, &mut comp), Mode::Pass);
+        assert_eq!(comp, raw, "fallback must store the raw bytes");
     }
 
     #[test]
@@ -535,43 +565,34 @@ mod tests {
         assert_eq!(select_mode(&[]), Mode::Pass);
         assert_eq!(select_mode(&vec![3u8; 10_000]), Mode::Constant);
         assert_eq!(select_mode(&noise(10_000, 17)), Mode::Pass);
-        // Skewed-but-varied bytes should pick a coded mode, and the coded
-        // mode must actually win.
-        let raw = skewed(10_000, 11);
-        let mode = select_mode(&raw);
-        assert_ne!(mode, Mode::Pass, "skewed data should compress");
-        let mut comp = Vec::new();
-        assert_eq!(encode_chunk(mode, &raw, &mut comp), mode);
-        assert!(comp.len() < raw.len());
+        // Skewed-but-varied bytes pick Huffman4 at any size where its
+        // header pays, and the coded mode must actually win.
+        for len in [1000, 3000, 10_000] {
+            let raw = skewed(len, 11);
+            assert_eq!(select_mode(&raw), Mode::Huffman4, "len {len}");
+            let mut comp = Vec::new();
+            assert_eq!(
+                encode_chunk(Mode::Huffman4, &raw, &mut comp),
+                Mode::Huffman4
+            );
+            assert!(comp.len() < raw.len());
+        }
     }
 
     #[test]
-    fn large_huffman_chunks_upgrade_to_four_streams() {
-        // A 10 KiB skewed chunk is exactly the shape Huffman4 exists
-        // for; the same texture below the size floor must stay 1-way.
-        let raw = skewed(10_000, 11);
-        assert_eq!(select_mode(&raw), Mode::Huffman4);
-        let raw = skewed(HUFFMAN4_MIN_CHUNK - 1, 11);
-        let mode = select_mode(&raw);
-        assert_ne!(mode, Mode::Huffman4, "tiny chunks must not pick Huffman4");
-    }
-
-    #[test]
-    fn tiny_chunks_never_pick_huffman4() {
-        // Sweep textures and sizes below the floor: whatever the
-        // estimator picks, it is never the 4-way form, whose header
-        // would eat the win on chunks this small.
+    fn estimator_never_picks_a_read_only_mode() {
         for seed in 0..12u64 {
-            for len in [64usize, 300, 1000, 2048, HUFFMAN4_MIN_CHUNK - 1] {
-                let raw = match seed % 3 {
+            for len in [2usize, 64, 300, 1000, 2048, 4095, 4096, 10_000] {
+                let raw = match seed % 4 {
                     0 => skewed(len, seed + 1),
                     1 => noise(len, seed + 1),
+                    2 => runny(len, seed),
                     _ => noise(len, seed + 1).into_iter().map(|b| b & 0x1F).collect(),
                 };
-                assert_ne!(
-                    select_mode(&raw),
-                    Mode::Huffman4,
-                    "len {len} seed {seed} picked Huffman4 below the floor"
+                let mode = select_mode(&raw);
+                assert!(
+                    WRITTEN.contains(&mode),
+                    "len {len} seed {seed} picked {mode}"
                 );
             }
         }
@@ -603,10 +624,8 @@ mod tests {
 
     #[test]
     fn rle_corruption_is_typed() {
-        let raw = vec![5u8; 64];
-        let mut comp = Vec::new();
-        assert_eq!(encode_chunk(Mode::Rle, &raw, &mut comp), Mode::Rle);
-        let mut out = vec![0u8; 64];
+        let (comp, raw_len) = golden_chunks(Mode::Rle)[0];
+        let mut out = vec![0u8; raw_len];
         // Reserved control byte.
         assert_eq!(
             decode_both(Mode::Rle, &[128], &mut out),
@@ -616,30 +635,30 @@ mod tests {
         assert!(decode_both(Mode::Rle, &[200], &mut out).is_err());
         // Truncated literal run.
         assert!(decode_both(Mode::Rle, &[10, 1, 2], &mut out).is_err());
+        // Truncated chunk.
+        assert!(decode_both(Mode::Rle, &comp[..comp.len() - 1], &mut out).is_err());
         // Output overflow: declared runs overshoot the raw length.
         let mut tiny = vec![0u8; 3];
-        assert!(decode_both(Mode::Rle, &comp, &mut tiny).is_err());
+        assert!(decode_both(Mode::Rle, comp, &mut tiny).is_err());
         // Underflow: runs end before the raw length is reached.
-        let mut long = vec![0u8; 65];
-        assert!(decode_both(Mode::Rle, &comp, &mut long).is_err());
+        let mut long = vec![0u8; raw_len + 1];
+        assert!(decode_both(Mode::Rle, comp, &mut long).is_err());
     }
 
     #[test]
     fn huffman_corruption_is_typed() {
-        let raw = skewed(2000, 7);
-        let mut comp = Vec::new();
-        assert_eq!(encode_chunk(Mode::Huffman, &raw, &mut comp), Mode::Huffman);
-        let mut out = vec![0u8; raw.len()];
+        let (comp, raw_len) = golden_chunks(Mode::Huffman)[0];
+        let mut out = vec![0u8; raw_len];
         // Table truncated below 128 bytes.
         assert!(decode_both(Mode::Huffman, &comp[..100], &mut out).is_err());
         // Bitstream truncated.
         assert!(decode_both(Mode::Huffman, &comp[..comp.len() - 1], &mut out).is_err());
         // Trailing bytes.
-        let mut long = comp.clone();
+        let mut long = comp.to_vec();
         long.push(0);
         assert!(decode_both(Mode::Huffman, &long, &mut out).is_err());
         // Overfull code-length table (all-one nibbles → Kraft > 1).
-        let mut bad = comp.clone();
+        let mut bad = comp.to_vec();
         for b in bad.iter_mut().take(HUFFMAN_TABLE_BYTES) {
             *b = 0x11;
         }

@@ -86,6 +86,12 @@ impl ScanState {
     /// spinning on predecessors until each publishes. Returns
     /// `(exclusive_prefix, simulated ops spent)`.
     ///
+    /// One op is counted per predecessor read that finds a published
+    /// flag (`A` or `P`). Polls of a tile that has not published yet are
+    /// free: how often they happen depends on how the host schedules its
+    /// worker threads, and counting them would make the simulated device
+    /// time vary from run to run.
+    ///
     /// Tile 0 returns 0 immediately. Requires the in-order block dispatch
     /// guarantee of [`crate::kernel::run_grid`]; see that module's docs.
     pub fn lookback(&self, tile: usize) -> (u64, u64) {
@@ -97,12 +103,12 @@ impl ScanState {
             loop {
                 let word = self.tiles.load(look);
                 let (flag, value) = Self::unpack(word);
-                ops += 1;
                 match flag {
                     FLAG_P => {
-                        return (running + value, ops);
+                        return (running + value, ops + 1);
                     }
                     FLAG_A => {
+                        ops += 1;
                         running += value;
                         break; // continue to the next predecessor
                     }
@@ -294,6 +300,22 @@ mod tests {
         let (p, ops) = s.lookback(0);
         assert_eq!(p, 0);
         assert_eq!(ops, 0);
+    }
+
+    #[test]
+    fn waiting_on_a_late_predecessor_costs_one_op() {
+        // Tile 0 publishes 10 ms after tile 1 starts looking back: the
+        // unpublished polls in between must not count, so the simulated
+        // cost is the same however long the host took to schedule tile 0.
+        let s = ScanState::new(2);
+        let (p, ops) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                s.publish_prefix(0, 7);
+            });
+            s.lookback(1)
+        });
+        assert_eq!((p, ops), (7, 1));
     }
 
     #[test]
