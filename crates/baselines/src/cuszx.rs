@@ -335,281 +335,6 @@ impl Compressor for CuszxLike {
     }
 }
 
-/// Host-side `CUSZXH1` byte-stream form of the cuSZx-like codec, with
-/// block-granular partial decode for the store layer.
-///
-/// Layout (all integers little-endian):
-///
-/// ```text
-/// magic            8 B   "CUSZXH1\0"
-/// eb               8 B   f64, absolute bound (finite, > 0)
-/// num_elements     8 B   u64
-/// descriptors      ⌈N/128⌉ B   0xFF = constant, else F ∈ [1, 64]
-/// payload          Σ block_bytes(descriptor)   exact — no trailing bytes
-/// ```
-///
-/// The per-block offsets are *not* stored; like cuSZp's Eq-2 table they
-/// are recomputed by prefix-summing `block_bytes` over the descriptor
-/// array, so a partial reader scans one byte per block and slices only
-/// the payload bytes of the blocks it needs.
-pub mod host {
-    use super::{decode_block, encode_block, CuszxStream, BLOCK, CONSTANT, MAX_BLOCK_BYTES};
-    use cuszp_core::FormatError;
-    use std::ops::Range;
-
-    /// Stream magic.
-    pub const MAGIC: [u8; 8] = *b"CUSZXH1\0";
-    /// Header size: magic + eb (f64 LE) + num_elements (u64 LE).
-    pub const HEADER_BYTES: usize = 24;
-
-    /// Compress `data` into a self-describing `CUSZXH1` stream, replacing
-    /// the contents of `out` (capacity is reused across calls).
-    pub fn compress(data: &[f32], eb: f64, out: &mut Vec<u8>) {
-        assert!(eb.is_finite() && eb > 0.0, "bound must be positive");
-        let num_blocks = data.len().div_ceil(BLOCK);
-        out.clear();
-        out.reserve(HEADER_BYTES + num_blocks * (1 + MAX_BLOCK_BYTES));
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&eb.to_le_bytes());
-        out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-        let desc_off = out.len();
-        out.resize(desc_off + num_blocks, 0);
-        let mut buf = Vec::with_capacity(MAX_BLOCK_BYTES);
-        let mut block = [0.0f32; BLOCK];
-        for b in 0..num_blocks {
-            let start = b * BLOCK;
-            let end = (start + BLOCK).min(data.len());
-            block[..end - start].copy_from_slice(&data[start..end]);
-            // Tail blocks pad with 0.0, matching the kernel path — the
-            // midpoint math still bounds the real elements.
-            block[end - start..].fill(0.0);
-            out[desc_off + b] = encode_block(&block, eb, &mut buf);
-            out.extend_from_slice(&buf);
-        }
-    }
-
-    /// Borrowed, fully validated view of a `CUSZXH1` stream.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct HostStream<'a> {
-        /// Absolute error bound the stream was quantized with.
-        pub eb: f64,
-        /// Element count of the original array.
-        pub num_elements: usize,
-        /// Per-block descriptors ([`CONSTANT`] or `F`).
-        pub descriptors: &'a [u8],
-        /// Concatenated block payload.
-        pub payload: &'a [u8],
-    }
-
-    impl<'a> HostStream<'a> {
-        /// Parse `bytes`, validating every descriptor and that the
-        /// payload length matches the descriptor accounting **exactly**
-        /// (the partial decoder slices at prefix-summed offsets without
-        /// further bounds checks).
-        pub fn parse(bytes: &'a [u8]) -> Result<HostStream<'a>, FormatError> {
-            if bytes.len() < HEADER_BYTES {
-                return Err(FormatError::Truncated);
-            }
-            if bytes[..8] != MAGIC {
-                return Err(FormatError::BadMagic);
-            }
-            let eb = f64::from_le_bytes(bytes[8..16].try_into().expect("len checked"));
-            if !(eb.is_finite() && eb > 0.0) {
-                return Err(FormatError::Corrupt("bad error bound"));
-            }
-            let n = u64::from_le_bytes(bytes[16..24].try_into().expect("len checked"));
-            let n = usize::try_from(n).map_err(|_| FormatError::Truncated)?;
-            let num_blocks = n.div_ceil(BLOCK);
-            let desc_end = HEADER_BYTES
-                .checked_add(num_blocks)
-                .ok_or(FormatError::Truncated)?;
-            if bytes.len() < desc_end {
-                return Err(FormatError::Truncated);
-            }
-            let descriptors = &bytes[HEADER_BYTES..desc_end];
-            let payload = &bytes[desc_end..];
-            let mut expected = 0u64;
-            for &d in descriptors {
-                if d != CONSTANT && !(1..=64).contains(&d) {
-                    return Err(FormatError::Corrupt("bad block descriptor"));
-                }
-                expected += CuszxStream::block_bytes(d) as u64;
-            }
-            if (payload.len() as u64) < expected {
-                return Err(FormatError::Truncated);
-            }
-            if (payload.len() as u64) > expected {
-                return Err(FormatError::Corrupt("trailing bytes"));
-            }
-            Ok(HostStream {
-                eb,
-                num_elements: n,
-                descriptors,
-                payload,
-            })
-        }
-
-        /// Number of 128-value blocks.
-        pub fn num_blocks(&self) -> usize {
-            self.descriptors.len()
-        }
-
-        /// Decode blocks `blocks` into `out` (which must hold exactly the
-        /// elements those blocks cover, the final block being ragged).
-        /// Returns the payload bytes read. Allocates nothing.
-        pub fn decode_blocks(&self, blocks: Range<usize>, out: &mut [f32]) -> usize {
-            let (b0, b1) = (blocks.start, blocks.end);
-            assert!(
-                b0 <= b1 && b1 <= self.num_blocks(),
-                "block range out of bounds"
-            );
-            let covered = (b1 * BLOCK).min(self.num_elements) - (b0 * BLOCK).min(self.num_elements);
-            assert_eq!(out.len(), covered, "output slice length");
-            let mut off = 0usize;
-            for &d in &self.descriptors[..b0] {
-                off += CuszxStream::block_bytes(d);
-            }
-            let start_off = off;
-            let mut abs_vals = [0u64; BLOCK];
-            let mut written = 0usize;
-            for &d in &self.descriptors[b0..b1] {
-                let nbytes = CuszxStream::block_bytes(d);
-                let take = BLOCK.min(out.len() - written);
-                decode_block(
-                    d,
-                    &self.payload[off..off + nbytes],
-                    self.eb,
-                    &mut abs_vals,
-                    &mut out[written..written + take],
-                );
-                off += nbytes;
-                written += take;
-            }
-            off - start_off
-        }
-
-        /// Decode the whole stream; `out.len()` must equal
-        /// [`HostStream::num_elements`].
-        pub fn decode_into(&self, out: &mut [f32]) -> usize {
-            self.decode_blocks(0..self.num_blocks(), out)
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        fn wave(n: usize) -> Vec<f32> {
-            (0..n).map(|i| (i as f32 * 0.03).sin() * 40.0).collect()
-        }
-
-        #[test]
-        fn roundtrip_respects_bound_and_exact_length() {
-            let data = wave(5000);
-            let eb = 0.05;
-            let mut bytes = Vec::new();
-            compress(&data, eb, &mut bytes);
-            let s = HostStream::parse(&bytes).unwrap();
-            assert_eq!(s.num_elements, 5000);
-            let mut out = vec![0f32; 5000];
-            s.decode_into(&mut out);
-            for (i, (&d, &r)) in data.iter().zip(&out).enumerate() {
-                assert!(
-                    (d as f64 - r as f64).abs()
-                        <= eb * (1.0 + 1e-6) + (d.abs().max(r.abs()) as f64) * 1.3e-7,
-                    "idx {i}: {d} vs {r}"
-                );
-            }
-        }
-
-        #[test]
-        fn matches_gpu_sim_reconstruction() {
-            use crate::common::Compressor;
-            use gpu_sim::{DeviceSpec, Gpu};
-            let data = wave(1300);
-            let eb = 0.02;
-            let mut gpu = Gpu::new(DeviceSpec::a100());
-            let input = gpu.h2d(&data);
-            let comp = super::super::CuszxLike::new();
-            let stream = comp.compress(&mut gpu, &input, &[data.len()], eb);
-            let sim_dev = comp.decompress(&mut gpu, stream.as_ref());
-            let sim = gpu.d2h(&sim_dev);
-            let mut bytes = Vec::new();
-            compress(&data, eb, &mut bytes);
-            let s = HostStream::parse(&bytes).unwrap();
-            let mut host_out = vec![0f32; data.len()];
-            s.decode_into(&mut host_out);
-            assert_eq!(sim, host_out, "host codec must mirror the kernel path");
-        }
-
-        #[test]
-        fn partial_decode_matches_full_slices() {
-            let data = wave(1000); // 8 blocks, ragged tail of 1000 − 7·128
-            let mut bytes = Vec::new();
-            compress(&data, 0.01, &mut bytes);
-            let s = HostStream::parse(&bytes).unwrap();
-            let mut full = vec![0f32; 1000];
-            let total = s.decode_into(&mut full);
-            assert_eq!(total, s.payload.len());
-            for range in [0..1, 2..5, 7..8, 0..8, 3..3] {
-                let lo = (range.start * BLOCK).min(1000);
-                let hi = (range.end * BLOCK).min(1000);
-                let mut part = vec![0f32; hi - lo];
-                s.decode_blocks(range, &mut part);
-                assert_eq!(part, full[lo..hi]);
-            }
-        }
-
-        #[test]
-        fn corruption_rejected() {
-            let mut bytes = Vec::new();
-            compress(&wave(300), 0.01, &mut bytes);
-            assert!(HostStream::parse(&bytes[..HEADER_BYTES - 1]).is_err());
-            assert_eq!(
-                HostStream::parse(&bytes[..bytes.len() - 1]),
-                Err(FormatError::Truncated),
-            );
-            let mut magic = bytes.clone();
-            magic[0] = b'X';
-            assert_eq!(HostStream::parse(&magic), Err(FormatError::BadMagic));
-            let mut trailing = bytes.clone();
-            trailing.push(0);
-            assert!(matches!(
-                HostStream::parse(&trailing),
-                Err(FormatError::Corrupt(_))
-            ));
-            let mut bad_desc = bytes.clone();
-            bad_desc[HEADER_BYTES] = 0x80; // 128 bits: impossible width
-            assert!(matches!(
-                HostStream::parse(&bad_desc),
-                Err(FormatError::Corrupt(_))
-            ));
-            let mut bad_eb = bytes;
-            bad_eb[8..16].copy_from_slice(&f64::NAN.to_le_bytes());
-            assert!(matches!(
-                HostStream::parse(&bad_eb),
-                Err(FormatError::Corrupt(_))
-            ));
-        }
-
-        #[test]
-        fn empty_and_constant_inputs() {
-            let mut bytes = Vec::new();
-            compress(&[], 0.1, &mut bytes);
-            let s = HostStream::parse(&bytes).unwrap();
-            assert_eq!(s.num_elements, 0);
-            assert_eq!(s.num_blocks(), 0);
-            s.decode_into(&mut []);
-
-            compress(&[7.25f32; 200], 0.1, &mut bytes);
-            let s = HostStream::parse(&bytes).unwrap();
-            let mut out = vec![0f32; 200];
-            s.decode_into(&mut out);
-            assert!(out.iter().all(|&v| (v - 7.25).abs() <= 0.1 + 1e-6));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -707,6 +432,21 @@ mod tests {
                 (d as f64 - r as f64).abs()
                     <= 0.5 * (1.0 + 1e-6) + (d.abs().max(r.abs()) as f64) * 1.3e-7
             );
+        }
+    }
+
+    #[test]
+    fn non_finite_inputs_never_panic() {
+        // ±Inf saturates a residual to 2^63, whose decode must negate
+        // without overflow; blocks without them stay bounded.
+        let mut data: Vec<f32> = (0..600).map(|i| (i as f32 * 0.1).sin()).collect();
+        data[3] = f32::NAN;
+        data[200] = f32::INFINITY;
+        data[300] = f32::NEG_INFINITY;
+        let (recon, _, _) = run(&data, 1e-3);
+        assert_eq!(recon.len(), data.len());
+        for (d, r) in data[400..].iter().zip(&recon[400..]) {
+            assert!((d - r).abs() <= 1e-3 * (1.0 + 1e-6) + 1e-6, "{d} vs {r}");
         }
     }
 

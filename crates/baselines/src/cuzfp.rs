@@ -536,339 +536,6 @@ impl Compressor for CuzfpLike {
     }
 }
 
-/// Host-side `CUZFPH1` byte-stream form of the cuZFP-like codec (1-D,
-/// fixed rate), with block-granular partial decode for the store layer.
-///
-/// Layout (all integers little-endian):
-///
-/// ```text
-/// magic            8 B   "CUZFPH1\0"
-/// rate             4 B   u32, bits per value ∈ [1, 32]
-/// num_elements     8 B   u64
-/// bits             ⌈N/4⌉ × block_bytes   exact — no trailing bytes
-/// ```
-///
-/// Fixed rate means block offsets are multiplications, so partial decode
-/// needs no offset table at all — the defining random-access property of
-/// the ZFP family. Each block budgets `max(rate × 4, 16 + 4)` bits
-/// (zfp's `minbits`: the 16-bit exponent plus one full plane), rounded up
-/// to whole bytes. **Not error-bounded** — the conformance suite branches
-/// on that.
-pub mod host {
-    use super::{fwd_lift, int2uint, inv_lift, uint2int, BitReader, BitWriter, EXP_BIAS, EXP_BITS};
-    use cuszp_core::FormatError;
-    use std::ops::Range;
-
-    /// Stream magic.
-    pub const MAGIC: [u8; 8] = *b"CUZFPH1\0";
-    /// Header size: magic + rate (u32 LE) + num_elements (u64 LE).
-    pub const HEADER_BYTES: usize = 20;
-    /// Values per 1-D block.
-    pub const BLOCK: usize = 4;
-
-    /// Bit budget of one block at `rate` bits/value (zfp `minbits` clamp).
-    pub fn budget_bits(rate: u32) -> usize {
-        (rate as usize * BLOCK).max(EXP_BITS + BLOCK)
-    }
-
-    /// Bytes of one block at `rate` bits/value.
-    pub fn block_bytes(rate: u32) -> usize {
-        budget_bits(rate).div_ceil(8)
-    }
-
-    /// Encode one gathered block of 4 values into `out`
-    /// (`block_bytes(rate)` bytes). Allocation-free mirror of the kernel
-    /// codec at d = 1, where the sequency order is the identity.
-    fn encode_block1(vals: &[f32; BLOCK], budget_bits: usize, out: &mut [u8]) {
-        out.fill(0);
-        let max = vals.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        // Clamped like the kernel codec: ±Inf must saturate, not overflow.
-        let e = if max > 0.0 {
-            max.log2().floor().min(127.0) as i32 + 1
-        } else {
-            -EXP_BIAS
-        };
-        let mut writer = BitWriter { out, pos: 0 };
-        writer.put(((e + EXP_BIAS) as u32 & 0xFFFF) as u64, EXP_BITS);
-        if max > 0.0 {
-            let scale = ((30 - e) as f64).exp2();
-            let mut q = [0i64; BLOCK];
-            for (qi, &v) in q.iter_mut().zip(vals) {
-                *qi = ((v as f64) * scale).round() as i64;
-            }
-            fwd_lift(&mut q, 0, 1);
-            let mut coeffs = [0u32; BLOCK];
-            for (c, &qi) in coeffs.iter_mut().zip(&q) {
-                *c = int2uint(qi as i32);
-            }
-            let mut remaining = budget_bits - EXP_BITS;
-            let mut plane = 31i32;
-            while remaining > 0 && plane >= 0 {
-                let take = remaining.min(BLOCK);
-                for &c in coeffs.iter().take(take) {
-                    writer.put(((c >> plane) & 1) as u64, 1);
-                }
-                remaining -= take;
-                plane -= 1;
-            }
-        }
-    }
-
-    /// Decode one block. Allocation-free inverse of [`encode_block1`].
-    fn decode_block1(bits: &[u8], budget_bits: usize, vals: &mut [f32; BLOCK]) {
-        let mut reader = BitReader { bits, pos: 0 };
-        let e = reader.get(EXP_BITS) as i32 - EXP_BIAS;
-        if e == -EXP_BIAS {
-            vals.fill(0.0);
-            return;
-        }
-        let mut coeffs = [0u32; BLOCK];
-        let mut remaining = budget_bits - EXP_BITS;
-        let mut plane = 31i32;
-        while remaining > 0 && plane >= 0 {
-            let take = remaining.min(BLOCK);
-            for c in coeffs.iter_mut().take(take) {
-                *c |= (reader.get(1) as u32) << plane;
-            }
-            remaining -= take;
-            plane -= 1;
-        }
-        let mut q = [0i64; BLOCK];
-        for (qi, &c) in q.iter_mut().zip(&coeffs) {
-            *qi = uint2int(c) as i64;
-        }
-        inv_lift(&mut q, 0, 1);
-        let scale = ((e - 30) as f64).exp2();
-        for (v, &qi) in vals.iter_mut().zip(&q) {
-            *v = ((qi as f64) * scale) as f32;
-        }
-    }
-
-    /// Compress `data` at `rate` bits/value into a self-describing
-    /// `CUZFPH1` stream, replacing the contents of `out`. Edge blocks pad
-    /// by clamping (repeat the last element), like the kernel's gather.
-    pub fn compress(data: &[f32], rate: u32, out: &mut Vec<u8>) {
-        assert!((1..=32).contains(&rate), "rate must be in 1..=32");
-        let num_blocks = data.len().div_ceil(BLOCK);
-        let bb = block_bytes(rate);
-        let budget = budget_bits(rate);
-        out.clear();
-        out.resize(HEADER_BYTES + num_blocks * bb, 0);
-        out[..8].copy_from_slice(&MAGIC);
-        out[8..12].copy_from_slice(&rate.to_le_bytes());
-        out[12..20].copy_from_slice(&(data.len() as u64).to_le_bytes());
-        let mut vals = [0.0f32; BLOCK];
-        for b in 0..num_blocks {
-            for (k, v) in vals.iter_mut().enumerate() {
-                *v = data[(b * BLOCK + k).min(data.len() - 1)];
-            }
-            let off = HEADER_BYTES + b * bb;
-            encode_block1(&vals, budget, &mut out[off..off + bb]);
-        }
-    }
-
-    /// Borrowed, fully validated view of a `CUZFPH1` stream.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct HostStream<'a> {
-        /// Rate in bits per value.
-        pub rate: u32,
-        /// Element count of the original array.
-        pub num_elements: usize,
-        /// Packed per-block bit stream, `block_bytes(rate)` per block.
-        pub bits: &'a [u8],
-    }
-
-    impl<'a> HostStream<'a> {
-        /// Parse `bytes`, validating the rate and that the bit stream is
-        /// **exactly** `num_blocks × block_bytes` long.
-        pub fn parse(bytes: &'a [u8]) -> Result<HostStream<'a>, FormatError> {
-            if bytes.len() < HEADER_BYTES {
-                return Err(FormatError::Truncated);
-            }
-            if bytes[..8] != MAGIC {
-                return Err(FormatError::BadMagic);
-            }
-            let rate = u32::from_le_bytes(bytes[8..12].try_into().expect("len checked"));
-            if !(1..=32).contains(&rate) {
-                return Err(FormatError::Corrupt("bad rate"));
-            }
-            let n = u64::from_le_bytes(bytes[12..20].try_into().expect("len checked"));
-            let n = usize::try_from(n).map_err(|_| FormatError::Truncated)?;
-            let num_blocks = n.div_ceil(BLOCK);
-            let expected = num_blocks
-                .checked_mul(block_bytes(rate))
-                .ok_or(FormatError::Truncated)?;
-            let bits = &bytes[HEADER_BYTES..];
-            if bits.len() < expected {
-                return Err(FormatError::Truncated);
-            }
-            if bits.len() > expected {
-                return Err(FormatError::Corrupt("trailing bytes"));
-            }
-            Ok(HostStream {
-                rate,
-                num_elements: n,
-                bits,
-            })
-        }
-
-        /// Number of 4-value blocks.
-        pub fn num_blocks(&self) -> usize {
-            self.num_elements.div_ceil(BLOCK)
-        }
-
-        /// Decode blocks `blocks` into `out` (which must hold exactly the
-        /// elements those blocks cover, the final block being ragged).
-        /// Returns the payload bytes read — fixed rate makes the offsets
-        /// pure multiplications. Allocates nothing.
-        pub fn decode_blocks(&self, blocks: Range<usize>, out: &mut [f32]) -> usize {
-            let (b0, b1) = (blocks.start, blocks.end);
-            assert!(
-                b0 <= b1 && b1 <= self.num_blocks(),
-                "block range out of bounds"
-            );
-            let covered = (b1 * BLOCK).min(self.num_elements) - (b0 * BLOCK).min(self.num_elements);
-            assert_eq!(out.len(), covered, "output slice length");
-            let bb = block_bytes(self.rate);
-            let budget = budget_bits(self.rate);
-            let mut vals = [0.0f32; BLOCK];
-            let mut written = 0usize;
-            for b in b0..b1 {
-                decode_block1(&self.bits[b * bb..(b + 1) * bb], budget, &mut vals);
-                let take = BLOCK.min(out.len() - written);
-                out[written..written + take].copy_from_slice(&vals[..take]);
-                written += take;
-            }
-            (b1 - b0) * bb
-        }
-
-        /// Decode the whole stream; `out.len()` must equal
-        /// [`HostStream::num_elements`].
-        pub fn decode_into(&self, out: &mut [f32]) -> usize {
-            self.decode_blocks(0..self.num_blocks(), out)
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::super::BlockCodec;
-        use super::*;
-
-        fn wave(n: usize) -> Vec<f32> {
-            (0..n).map(|i| (i as f32 * 0.05).sin() * 12.0).collect()
-        }
-
-        #[test]
-        fn block_codec_differential() {
-            // The stack-array block codec must be bit-identical to the
-            // kernel's allocating BlockCodec at d = 1.
-            let oracle = BlockCodec::new(1);
-            let data = wave(257); // ragged tail
-            for rate in [4u32, 8, 16, 24, 32] {
-                let mut bytes = Vec::new();
-                compress(&data, rate, &mut bytes);
-                let s = HostStream::parse(&bytes).unwrap();
-                let bb = block_bytes(rate);
-                let budget = budget_bits(rate);
-                let mut oracle_buf = vec![0u8; bb];
-                let mut vals = [0.0f32; BLOCK];
-                for b in 0..s.num_blocks() {
-                    for (k, v) in vals.iter_mut().enumerate() {
-                        *v = data[(b * BLOCK + k).min(data.len() - 1)];
-                    }
-                    oracle.encode(&vals, budget, &mut oracle_buf);
-                    assert_eq!(
-                        &s.bits[b * bb..(b + 1) * bb],
-                        &oracle_buf[..],
-                        "rate {rate} block {b}"
-                    );
-                    let mut host_out = [0.0f32; BLOCK];
-                    decode_block1(&oracle_buf, budget, &mut host_out);
-                    let mut oracle_out = vec![0.0f32; BLOCK];
-                    oracle.decode(&oracle_buf, budget, &mut oracle_out);
-                    assert_eq!(&host_out[..], &oracle_out[..], "rate {rate} block {b}");
-                }
-            }
-        }
-
-        #[test]
-        fn high_rate_high_quality() {
-            let data = wave(1000);
-            let mut bytes = Vec::new();
-            compress(&data, 24, &mut bytes);
-            let s = HostStream::parse(&bytes).unwrap();
-            let mut out = vec![0f32; 1000];
-            s.decode_into(&mut out);
-            let max_err = data
-                .iter()
-                .zip(&out)
-                .map(|(&d, &r)| (d - r).abs())
-                .fold(0.0f32, f32::max);
-            assert!(max_err < 0.01, "rate-24 near-lossless, err {max_err}");
-        }
-
-        #[test]
-        fn partial_decode_matches_full_slices() {
-            let data = wave(103); // 26 blocks, ragged tail of 3
-            let mut bytes = Vec::new();
-            compress(&data, 16, &mut bytes);
-            let s = HostStream::parse(&bytes).unwrap();
-            let mut full = vec![0f32; 103];
-            let total = s.decode_into(&mut full);
-            assert_eq!(total, s.bits.len());
-            for range in [0..1, 5..9, 25..26, 0..26, 13..13] {
-                let lo = (range.start * BLOCK).min(103);
-                let hi = (range.end * BLOCK).min(103);
-                let mut part = vec![0f32; hi - lo];
-                let read = s.decode_blocks(range.clone(), &mut part);
-                assert_eq!(read, (range.end - range.start) * block_bytes(16));
-                assert_eq!(part, full[lo..hi]);
-            }
-        }
-
-        #[test]
-        fn corruption_rejected() {
-            let mut bytes = Vec::new();
-            compress(&wave(64), 8, &mut bytes);
-            assert!(HostStream::parse(&bytes[..HEADER_BYTES - 1]).is_err());
-            assert_eq!(
-                HostStream::parse(&bytes[..bytes.len() - 1]),
-                Err(FormatError::Truncated),
-            );
-            let mut magic = bytes.clone();
-            magic[0] = b'X';
-            assert_eq!(HostStream::parse(&magic), Err(FormatError::BadMagic));
-            let mut trailing = bytes.clone();
-            trailing.push(0);
-            assert!(matches!(
-                HostStream::parse(&trailing),
-                Err(FormatError::Corrupt(_))
-            ));
-            let mut bad_rate = bytes;
-            bad_rate[8..12].copy_from_slice(&99u32.to_le_bytes());
-            assert!(matches!(
-                HostStream::parse(&bad_rate),
-                Err(FormatError::Corrupt(_))
-            ));
-        }
-
-        #[test]
-        fn empty_and_zero_inputs() {
-            let mut bytes = Vec::new();
-            compress(&[], 8, &mut bytes);
-            let s = HostStream::parse(&bytes).unwrap();
-            assert_eq!(s.num_blocks(), 0);
-            s.decode_into(&mut []);
-
-            compress(&[0.0f32; 40], 8, &mut bytes);
-            let s = HostStream::parse(&bytes).unwrap();
-            let mut out = vec![1f32; 40];
-            s.decode_into(&mut out);
-            assert!(out.iter().all(|&v| v == 0.0));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -901,6 +568,22 @@ mod tests {
         for x in [-1000000, -1, 0, 1, 42, i32::MAX / 2, i32::MIN / 2] {
             assert_eq!(uint2int(int2uint(x)), x);
         }
+    }
+
+    #[test]
+    fn non_finite_inputs_never_panic() {
+        // ±Inf has an infinite exponent, which must clamp to the f32
+        // range rather than overflow the block exponent.
+        let mut data: Vec<f32> = (0..200).map(|i| (i as f32 * 0.1).sin()).collect();
+        data[3] = f32::NAN;
+        data[77] = f32::INFINITY;
+        data[150] = f32::NEG_INFINITY;
+        let (recon, _) = run(&data, &[200], 16);
+        assert_eq!(recon.len(), data.len());
+        assert!(
+            (data[120] - recon[120]).abs() < 1e-3,
+            "clean block stays close"
+        );
     }
 
     #[test]

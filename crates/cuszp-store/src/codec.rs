@@ -1,4 +1,5 @@
-//! The [`ErrorBoundedCodec`] trait and its four implementations.
+//! The [`ErrorBoundedCodec`] trait and its two implementations, cuSZp
+//! (`CZP1`) and the hybrid two-stage cuSZp (`CZH1`).
 //!
 //! A codec is a self-describing byte-stream format with block-granular
 //! partial decode: `decode_blocks(range)` reconstructs exactly the
@@ -15,12 +16,11 @@
 //! The trait is f32-first (every codec must handle f32 frames); f64 is
 //! opt-in per codec through [`ErrorBoundedCodec::supports_dtype`] and the
 //! `*_f64` methods, whose defaults return
-//! [`StoreError::UnsupportedDtype`]. The cuSZp-backed codecs (`CZP1` and
-//! the hybrid `CZH1`) support both element types.
+//! [`StoreError::UnsupportedDtype`]. Both built-in codecs support both
+//! element types.
 
 use crate::error::StoreError;
 use crate::store::{gather_encode, tile_walk, StoreScratch};
-use baselines::{cuszx, cuzfp};
 use cuszp_core::hybrid::{self, HybridRef, HybridScratch, HYBRID_MAGIC};
 use cuszp_core::{fast, CompressedRef, CuszpConfig, DType, FloatData, RowLayout, Scratch};
 use std::ops::Range;
@@ -30,8 +30,7 @@ pub type FormatId = [u8; 4];
 
 /// Reusable per-codec scratch. One instance serves every registered
 /// codec; with warm buffers a partial decode performs zero heap
-/// allocations (the cuSZx/cuZFP adapters use only stack arrays, cuSZp
-/// uses the arena).
+/// allocations.
 #[derive(Default)]
 pub struct CodecScratch {
     /// Arena for the cuSZp fast codec (per-block lengths and sizes, Eq-2
@@ -51,8 +50,8 @@ impl CodecScratch {
     }
 }
 
-/// An error-bounded (or, for cuZFP, fixed-rate) codec with block-granular
-/// partial decode over its own self-describing byte-stream format.
+/// An error-bounded codec with block-granular partial decode over its own
+/// self-describing byte-stream format.
 ///
 /// # Contract
 ///
@@ -74,17 +73,13 @@ impl CodecScratch {
 /// * Corrupt frame bytes yield `Err`, never a panic or an over-read.
 ///   Out-of-range block ranges or rows, or wrong `out` lengths, are
 ///   caller bugs and may panic.
-/// * If `is_error_bounded()`, every decoded value is within `eb` of its
-///   original (the conformance suite enforces this table-wide).
+/// * Every decoded value is within `eb` of its original (the conformance
+///   suite enforces this registry-wide).
 pub trait ErrorBoundedCodec {
     /// Persisted identifier resolving this codec at read time.
     fn format_id(&self) -> FormatId;
     /// Human-readable name for reports.
     fn name(&self) -> &'static str;
-    /// Whether `encode`'s `eb` is honored as an absolute bound.
-    fn is_error_bounded(&self) -> bool {
-        true
-    }
     /// Whether this codec can encode and decode `dtype` elements. Every
     /// codec handles f32; f64 is opt-in (the default says no, matching
     /// the `*_f64` defaults below).
@@ -598,85 +593,5 @@ impl ErrorBoundedCodec for CuszpHybridCodec {
         out: &mut [f64],
     ) -> Result<usize, StoreError> {
         Self::decode_rows_any(stream, rows, &mut scratch.codec, out)
-    }
-}
-
-/// cuSZx frames (`CUSZXH1`): constant-block flush + midpoint fixed-length
-/// encoding, blocks of 128, offsets prefix-summed from the descriptor
-/// table.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CuszxCodec;
-
-impl ErrorBoundedCodec for CuszxCodec {
-    fn format_id(&self) -> FormatId {
-        *b"CZX1"
-    }
-    fn name(&self) -> &'static str {
-        "cuszx"
-    }
-    fn block_len(&self) -> usize {
-        cuszx::BLOCK
-    }
-    fn encode(&self, data: &[f32], eb: f64, _scratch: &mut CodecScratch, out: &mut Vec<u8>) {
-        cuszx::host::compress(data, eb, out);
-    }
-    fn num_elements(&self, stream: &[u8]) -> Result<usize, StoreError> {
-        Ok(cuszx::host::HostStream::parse(stream)?.num_elements)
-    }
-    fn decode_blocks(
-        &self,
-        stream: &[u8],
-        blocks: Range<usize>,
-        _scratch: &mut CodecScratch,
-        out: &mut [f32],
-    ) -> Result<usize, StoreError> {
-        let s = cuszx::host::HostStream::parse(stream)?;
-        Ok(s.decode_blocks(blocks, out))
-    }
-}
-
-/// cuZFP frames (`CUZFPH1`): fixed-rate transform coding, 1-D blocks of
-/// 4, block offsets are pure multiplications. **Not error-bounded** —
-/// `encode`'s `eb` is ignored; quality is set by the rate.
-#[derive(Debug, Clone, Copy)]
-pub struct CuzfpCodec {
-    /// Bits per value (1..=32).
-    pub rate: u32,
-}
-
-impl Default for CuzfpCodec {
-    fn default() -> Self {
-        CuzfpCodec { rate: 16 }
-    }
-}
-
-impl ErrorBoundedCodec for CuzfpCodec {
-    fn format_id(&self) -> FormatId {
-        *b"CZF1"
-    }
-    fn name(&self) -> &'static str {
-        "cuzfp"
-    }
-    fn is_error_bounded(&self) -> bool {
-        false
-    }
-    fn block_len(&self) -> usize {
-        cuzfp::host::BLOCK
-    }
-    fn encode(&self, data: &[f32], _eb: f64, _scratch: &mut CodecScratch, out: &mut Vec<u8>) {
-        cuzfp::host::compress(data, self.rate, out);
-    }
-    fn num_elements(&self, stream: &[u8]) -> Result<usize, StoreError> {
-        Ok(cuzfp::host::HostStream::parse(stream)?.num_elements)
-    }
-    fn decode_blocks(
-        &self,
-        stream: &[u8],
-        blocks: Range<usize>,
-        _scratch: &mut CodecScratch,
-        out: &mut [f32],
-    ) -> Result<usize, StoreError> {
-        let s = cuzfp::host::HostStream::parse(stream)?;
-        Ok(s.decode_blocks(blocks, out))
     }
 }

@@ -50,8 +50,8 @@ pub enum StoreError {
         /// The element type it does not support.
         dtype: DType,
     },
-    /// The absolute error bound given to an error-bounded codec is not
-    /// finite and positive.
+    /// The absolute error bound given to a write is not finite and
+    /// positive.
     BadBound,
     /// An I/O error opening or mapping a shard file (the kind is kept;
     /// the `std::io::Error` payload is not, so the variant stays

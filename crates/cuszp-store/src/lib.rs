@@ -7,13 +7,14 @@
 //! closes it in three layers:
 //!
 //! 1. [`ErrorBoundedCodec`] — encode/decode plus `decode_blocks(range)`
-//!    partial decode, implemented by cuSZp (via
+//!    partial decode, implemented by cuSZp (`CZP1`, via
 //!    [`cuszp_core::CompressedRef`] and the recomputed `(F, CmpL)` offset
-//!    table), the hybrid two-stage cuSZp (`CUSZPHY1` frames read through
-//!    their stored per-chunk offset table), and adapted for the
-//!    `baselines` compressors (cuSZx via its descriptor table, cuZFP via
-//!    fixed-rate multiplication). Frames are `f32` or `f64`; the shard
-//!    index records which, and the cuSZp-backed codecs accept both.
+//!    table) and the hybrid two-stage cuSZp (`CZH1`, `CUSZPHY1` frames
+//!    read through their stored per-chunk offset table). An application
+//!    may register its own codec; the trait's provided row walks serve a
+//!    codec that implements only the block-level methods. Frames are
+//!    `f32` or `f64`; the shard index records which, and both built-in
+//!    codecs accept both.
 //! 2. [`CodecRegistry`] — runtime dispatch keyed by a 4-byte format id,
 //!    so a stored shard names its codec and readers resolve it at open.
 //! 3. [`Shard`] — an n-D array split into chunks, each chunk one
@@ -42,9 +43,7 @@ pub mod index;
 pub mod registry;
 pub mod store;
 
-pub use codec::{
-    CodecScratch, CuszpCodec, CuszpHybridCodec, CuszxCodec, CuzfpCodec, ErrorBoundedCodec, FormatId,
-};
+pub use codec::{CodecScratch, CuszpCodec, CuszpHybridCodec, ErrorBoundedCodec, FormatId};
 pub use cuszp_core::RowLayout;
 pub use error::StoreError;
 pub use index::{ChunkEntry, ShardIndex};

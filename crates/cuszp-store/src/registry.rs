@@ -1,14 +1,11 @@
 //! Runtime codec dispatch keyed by format id.
 
-use crate::codec::{
-    CuszpCodec, CuszpHybridCodec, CuszxCodec, CuzfpCodec, ErrorBoundedCodec, FormatId,
-};
+use crate::codec::{CuszpCodec, CuszpHybridCodec, ErrorBoundedCodec, FormatId};
 
 /// A set of codecs a reader resolves shard chunk entries against.
 ///
 /// Registration is last-wins per format id, so an application can
-/// override a default codec (e.g. a different cuZFP rate for encoding —
-/// decode reads the rate from the frame regardless).
+/// override a default codec or add its own under a new id.
 #[derive(Default)]
 pub struct CodecRegistry {
     codecs: Vec<Box<dyn ErrorBoundedCodec + Send + Sync>>,
@@ -20,15 +17,14 @@ impl CodecRegistry {
         Self::default()
     }
 
-    /// Registry holding the four built-in codecs: cuSZp (`CZP1`), the
-    /// hybrid two-stage cuSZp (`CZH1`), cuSZx (`CZX1`), and cuZFP
-    /// (`CZF1`, rate 16).
+    /// Registry holding the two built-in codecs: cuSZp (`CZP1`) and the
+    /// hybrid two-stage cuSZp (`CZH1`). A shard chunk naming any other
+    /// id reads as [`crate::StoreError::UnknownCodec`] unless the caller
+    /// registers a codec for it.
     pub fn with_defaults() -> Self {
         let mut r = Self::new();
         r.register(Box::new(CuszpCodec));
         r.register(Box::new(CuszpHybridCodec));
-        r.register(Box::new(CuszxCodec));
-        r.register(Box::new(CuzfpCodec::default()));
         r
     }
 

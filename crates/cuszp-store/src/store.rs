@@ -244,9 +244,8 @@ fn c_strides(dims: &[usize], out: &mut [usize; MAX_DIMS]) {
 /// chunks of `chunk_shape` (edge chunks clamp), each encoded by `codec`
 /// at absolute bound `eb`, followed by the index and footer. The
 /// element type (`f32` or `f64`) is recorded in the index; the codec
-/// must support it ([`StoreError::UnsupportedDtype`] otherwise), and an
-/// error-bounded codec needs a finite, positive `eb`
-/// ([`StoreError::BadBound`] otherwise).
+/// must support it ([`StoreError::UnsupportedDtype`] otherwise), and `eb`
+/// must be finite and positive ([`StoreError::BadBound`] otherwise).
 ///
 /// Each chunk is one [`ErrorBoundedCodec::encode_rows`] call over the
 /// chunk's rows in `data`, appending its frame to the shard buffer; the
@@ -265,7 +264,7 @@ pub fn write_shard<T: ShardElement>(
             dtype: T::DTYPE,
         });
     }
-    if codec.is_error_bounded() && !(eb.is_finite() && eb > 0.0) {
+    if !(eb.is_finite() && eb > 0.0) {
         return Err(StoreError::BadBound);
     }
     let ndim = shape.len();
@@ -590,8 +589,40 @@ impl<'a> Shard<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{CuszpCodec, CuszxCodec, CuzfpCodec};
+    use crate::codec::{CodecScratch, CuszpCodec, FormatId};
     use cuszp_core::DType;
+    use std::ops::Range;
+
+    /// A cuSZp codec under another id that keeps the trait's f32-only
+    /// default, as an application codec without an f64 path would.
+    struct F32Only;
+
+    impl ErrorBoundedCodec for F32Only {
+        fn format_id(&self) -> FormatId {
+            *b"F32T"
+        }
+        fn name(&self) -> &'static str {
+            "f32-only"
+        }
+        fn block_len(&self) -> usize {
+            CuszpCodec.block_len()
+        }
+        fn encode(&self, data: &[f32], eb: f64, scratch: &mut CodecScratch, out: &mut Vec<u8>) {
+            CuszpCodec.encode(data, eb, scratch, out)
+        }
+        fn num_elements(&self, stream: &[u8]) -> Result<usize, StoreError> {
+            CuszpCodec.num_elements(stream)
+        }
+        fn decode_blocks(
+            &self,
+            stream: &[u8],
+            blocks: Range<usize>,
+            scratch: &mut CodecScratch,
+            out: &mut [f32],
+        ) -> Result<usize, StoreError> {
+            CuszpCodec.decode_blocks(stream, blocks, scratch, out)
+        }
+    }
 
     fn field2d(h: usize, w: usize) -> Vec<f32> {
         (0..h * w)
@@ -614,14 +645,12 @@ mod tests {
             let mut out = vec![0f32; 5000];
             let stats = shard.read_all(&registry, &mut scratch, &mut out).unwrap();
             assert_eq!(stats.chunks_touched, 5, "{}", codec.name());
-            if codec.is_error_bounded() {
-                for (i, (&d, &r)) in data.iter().zip(&out).enumerate() {
-                    assert!(
-                        (d as f64 - r as f64).abs() <= eb * (1.0 + 1e-6) + 1e-5,
-                        "{} idx {i}: {d} vs {r}",
-                        codec.name()
-                    );
-                }
+            for (i, (&d, &r)) in data.iter().zip(&out).enumerate() {
+                assert!(
+                    (d as f64 - r as f64).abs() <= eb * (1.0 + 1e-6) + 1e-5,
+                    "{} idx {i}: {d} vs {r}",
+                    codec.name()
+                );
             }
         }
     }
@@ -689,19 +718,18 @@ mod tests {
     #[test]
     fn unknown_codec_and_bad_regions() {
         let data = vec![1.0f32; 256];
-        let codec = CuszxCodec;
-        let shard_bytes = write_shard(&data, &[256], &[128], &codec, 0.1).unwrap();
+        let shard_bytes = write_shard(&data, &[256], &[128], &F32Only, 0.1).unwrap();
         let shard = Shard::open(&shard_bytes).unwrap();
         let mut scratch = StoreScratch::new();
         let mut out = vec![0f32; 256];
-        // Registry without cuSZx.
-        let mut registry = CodecRegistry::new();
-        registry.register(Box::new(CuszpCodec));
+        // The defaults know nothing of the shard's codec.
+        let registry = CodecRegistry::with_defaults();
         assert_eq!(
             shard.read_all(&registry, &mut scratch, &mut out),
-            Err(StoreError::UnknownCodec(*b"CZX1"))
+            Err(StoreError::UnknownCodec(*b"F32T"))
         );
-        let registry = CodecRegistry::with_defaults();
+        let mut registry = CodecRegistry::with_defaults();
+        registry.register(Box::new(F32Only));
         assert!(matches!(
             shard.read_region(&registry, &[200], &[100], &mut scratch, &mut out),
             Err(StoreError::Shape(_))
@@ -720,6 +748,37 @@ mod tests {
             .read_region::<f32>(&registry, &[0], &[0], &mut scratch, &mut [])
             .unwrap();
         assert_eq!(stats, ReadStats::default());
+    }
+
+    #[test]
+    fn retired_codec_ids_read_as_unknown() {
+        let ids: Vec<FormatId> = CodecRegistry::with_defaults()
+            .codecs()
+            .map(|c| c.format_id())
+            .collect();
+        assert_eq!(ids, [*b"CZP1", *b"CZH1"]);
+        // A shard from before the cuSZx (`CZX1`) and cuZFP (`CZF1`) codecs
+        // were retired: relabel the chunk entries of a valid shard.
+        let data: Vec<f32> = (0..256).map(|i| (i as f32 * 0.1).sin()).collect();
+        let good = write_shard(&data, &[256], &[128], &CuszpCodec, 1e-3).unwrap();
+        let mut index = Shard::open(&good).unwrap().index().clone();
+        let frames_end = index.entries.last().map(|e| e.offset + e.len).unwrap() as usize;
+        index.entries[0].format_id = *b"CZX1";
+        index.entries[1].format_id = *b"CZF1";
+        let mut old = good[..frames_end].to_vec();
+        index.append_to(&mut old);
+        let shard = Shard::open(&old).unwrap();
+        let registry = CodecRegistry::with_defaults();
+        let mut scratch = StoreScratch::new();
+        let mut out = vec![0f32; 256];
+        assert_eq!(
+            shard.read_all(&registry, &mut scratch, &mut out),
+            Err(StoreError::UnknownCodec(*b"CZX1"))
+        );
+        assert_eq!(
+            shard.read_region(&registry, &[128], &[128], &mut scratch, &mut out[..128]),
+            Err(StoreError::UnknownCodec(*b"CZF1"))
+        );
     }
 
     #[test]
@@ -749,8 +808,7 @@ mod tests {
         let data64 = vec![1.5f64; 300];
         let registry = CodecRegistry::with_defaults();
         for eb in [0.0, -0.0, -1e-3, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            for id in [*b"CZP1", *b"CZH1", *b"CZX1"] {
-                let codec = registry.get(id).unwrap();
+            for codec in registry.codecs().chain([&F32Only as _]) {
                 let got = write_shard(&data32, &[300], &[128], codec, eb);
                 assert_eq!(got, Err(StoreError::BadBound), "{} eb {eb}", codec.name());
                 if codec.supports_dtype(DType::F64) {
@@ -763,8 +821,6 @@ mod tests {
                     );
                 }
             }
-            // cuZFP ignores the bound, so any value writes.
-            assert!(write_shard(&data32, &[300], &[128], &CuzfpCodec { rate: 16 }, eb).is_ok());
         }
     }
 
@@ -805,9 +861,9 @@ mod tests {
     fn f64_write_through_unsupporting_codec_is_typed() {
         let data = vec![1.0f64; 256];
         assert_eq!(
-            write_shard(&data, &[256], &[128], &CuszxCodec, 0.1),
+            write_shard(&data, &[256], &[128], &F32Only, 0.1),
             Err(StoreError::UnsupportedDtype {
-                codec: "cuszx",
+                codec: "f32-only",
                 dtype: DType::F64,
             })
         );
@@ -845,10 +901,9 @@ mod tests {
         // check at parse catches inconsistent counts, so instead corrupt
         // the frame itself to disagree with the (valid) index.
         let data: Vec<f32> = (0..256).map(|i| i as f32).collect();
-        let codec = CuzfpCodec { rate: 16 };
-        let mut shard_bytes = write_shard(&data, &[256], &[128], &codec, 0.0).unwrap();
-        // Frame 0 starts at byte 0: CUZFPH1 header's num_elements at 12.
-        shard_bytes[12..20].copy_from_slice(&64u64.to_le_bytes());
+        let mut shard_bytes = write_shard(&data, &[256], &[128], &CuszpCodec, 0.5).unwrap();
+        // Frame 0 starts at byte 0: CUSZP1 header's num_elements at 8.
+        shard_bytes[8..16].copy_from_slice(&64u64.to_le_bytes());
         // Shrink claim: parse of the frame now sees fewer elements than
         // the index entry — but also a length mismatch; either way the
         // read must fail with a typed error, not panic.

@@ -34,9 +34,6 @@ impl ErrorBoundedCodec for Gathering<'_> {
     fn name(&self) -> &'static str {
         self.0.name()
     }
-    fn is_error_bounded(&self) -> bool {
-        self.0.is_error_bounded()
-    }
     fn supports_dtype(&self, dtype: DType) -> bool {
         self.0.supports_dtype(dtype)
     }

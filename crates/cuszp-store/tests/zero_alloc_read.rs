@@ -1,7 +1,11 @@
 //! The zero-allocation partial-read contract, proven executable: with
 //! the counting allocator installed as this binary's global allocator, a
 //! warm [`StoreScratch`] serves region reads — any codec, any shape —
-//! with **zero** heap operations.
+//! with **zero** heap operations. The 1-D suites also run the raw test
+//! codec, whose reads take the trait's provided row walk.
+
+#[path = "support/raw_codec.rs"]
+mod raw_codec;
 
 use cuszp_store::{write_shard, CodecRegistry, Shard, StoreScratch};
 
@@ -27,7 +31,7 @@ fn warm_partial_reads_allocate_nothing() {
         alloc_counter::is_installed(),
         "counting allocator must be this binary's #[global_allocator]"
     );
-    let registry = CodecRegistry::with_defaults();
+    let registry = raw_codec::registry();
 
     for codec in registry.codecs() {
         let bytes = write_shard(&data, &[100_000], &[8192], codec, 1e-3).unwrap();
@@ -87,7 +91,7 @@ fn warm_mmap_reads_allocate_nothing() {
     let data: Vec<f32> = (0..60_000)
         .map(|i| (i as f32 * 0.0017).sin() * 21.0)
         .collect();
-    let registry = CodecRegistry::with_defaults();
+    let registry = raw_codec::registry();
 
     for codec in registry.codecs() {
         let bytes = write_shard(&data, &[60_000], &[4096], codec, 1e-3).unwrap();

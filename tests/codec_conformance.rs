@@ -1,9 +1,9 @@
 //! Cross-codec conformance: one parameterized table run against **every**
-//! codec in the default registry (cuSZp, cuSZx, cuZFP). Each codec must
-//! pass round-trip identity, the ABS/REL error-bound contract (where it
-//! claims one), empty/constant/non-finite inputs, and exact-length frame
-//! validation. Registering a new codec makes it subject to this suite
-//! with zero test changes.
+//! codec in the default registry (cuSZp and hybrid cuSZp). Each codec
+//! must pass round-trip identity, the ABS/REL error-bound contract,
+//! empty/constant/non-finite inputs, and exact-length frame validation.
+//! Registering a new codec makes it subject to this suite with zero test
+//! changes.
 
 use cuszp_repro::cuszp_core::{value_range, DType};
 use cuszp_repro::cuszp_store::{CodecRegistry, CodecScratch, ErrorBoundedCodec, StoreError};
@@ -67,9 +67,6 @@ fn abs_bound_contract() {
         for (name, data) in datasets() {
             for eb in [1e-1, 1e-3] {
                 let out = roundtrip(codec, &data, eb, &mut scratch);
-                if !codec.is_error_bounded() {
-                    continue; // cuZFP: fixed rate, no bound to check
-                }
                 for (i, (&d, &r)) in data.iter().zip(&out).enumerate() {
                     let err = (d as f64 - r as f64).abs();
                     assert!(
@@ -89,7 +86,7 @@ fn rel_bound_contract() {
     // harness does; the resolved bound must then hold absolutely.
     let registry = CodecRegistry::with_defaults();
     let mut scratch = CodecScratch::new();
-    for codec in registry.codecs().filter(|c| c.is_error_bounded()) {
+    for codec in registry.codecs() {
         for (name, data) in datasets() {
             let range = value_range(&data);
             if !(range.is_finite() && range > 0.0) {
@@ -148,15 +145,13 @@ fn f64_bound_contract() {
         codec
             .decode_blocks_f64(&frame, 0..num_blocks, &mut scratch, &mut out)
             .expect("own f64 frame decodes");
-        if codec.is_error_bounded() {
-            for (i, (&d, &r)) in data.iter().zip(&out).enumerate() {
-                let err = (d - r).abs();
-                assert!(
-                    err <= eb * (1.0 + 1e-6) + d.abs() * f64::EPSILON + f64::EPSILON,
-                    "{} f64 idx {i}: |{d} - {r}| = {err}",
-                    codec.name()
-                );
-            }
+        for (i, (&d, &r)) in data.iter().zip(&out).enumerate() {
+            let err = (d - r).abs();
+            assert!(
+                err <= eb * (1.0 + 1e-6) + d.abs() * f64::EPSILON + f64::EPSILON,
+                "{} f64 idx {i}: |{d} - {r}| = {err}",
+                codec.name()
+            );
         }
     }
 }
@@ -169,16 +164,14 @@ fn empty_and_constant_inputs() {
         // Empty: a valid frame declaring zero elements.
         let out = roundtrip(codec, &[], 1e-2, &mut scratch);
         assert!(out.is_empty(), "{}", codec.name());
-        // Constant: error-bounded codecs must reproduce within bound.
+        // Constant: must reproduce within bound.
         let data = vec![0.125f32; 500];
         let out = roundtrip(codec, &data, 1e-2, &mut scratch);
-        if codec.is_error_bounded() {
-            assert!(
-                out.iter().all(|&v| (v - 0.125).abs() <= 1e-2 + 1e-6),
-                "{}: constant input must stay within bound",
-                codec.name()
-            );
-        }
+        assert!(
+            out.iter().all(|&v| (v - 0.125).abs() <= 1e-2 + 1e-6),
+            "{}: constant input must stay within bound",
+            codec.name()
+        );
     }
 }
 
@@ -198,14 +191,12 @@ fn non_finite_inputs_never_panic() {
         let out = roundtrip(codec, &data, 1e-3, &mut scratch);
         assert_eq!(out.len(), data.len(), "{}", codec.name());
         // Finite elements far from the poisoned blocks stay bounded.
-        if codec.is_error_bounded() {
-            let (d, r) = (data[120], out[120]);
-            assert!(
-                (d as f64 - r as f64).abs() <= 1e-3 * (1.0 + 1e-6) + slack(d) + slack(r),
-                "{}: finite element in a clean block must stay bounded",
-                codec.name()
-            );
-        }
+        let (d, r) = (data[120], out[120]);
+        assert!(
+            (d as f64 - r as f64).abs() <= 1e-3 * (1.0 + 1e-6) + slack(d) + slack(r),
+            "{}: finite element in a clean block must stay bounded",
+            codec.name()
+        );
     }
 }
 

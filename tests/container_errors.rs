@@ -8,11 +8,14 @@
 //! can still name and construct the variants — `#[non_exhaustive]` on an
 //! enum restricts exhaustive matching, not variant construction.)
 
+#[path = "../crates/cuszp-store/tests/support/raw_codec.rs"]
+mod raw_codec;
+
 use cuszp_repro::cuszp_core::{
-    hybrid, Compressed, CompressedRef, Cuszp, CuszpConfig, ErrorBound, FormatError,
+    hybrid, Compressed, CompressedRef, Cuszp, CuszpConfig, DType, ErrorBound, FormatError,
 };
 use cuszp_repro::cuszp_store::{
-    write_shard, CodecRegistry, CuszpCodec, CuszxCodec, Shard, StoreError, StoreScratch,
+    write_shard, CodecRegistry, CuszpCodec, Shard, StoreError, StoreScratch,
 };
 use std::collections::BTreeSet;
 
@@ -220,21 +223,29 @@ fn every_store_error_variant_is_reachable_from_bytes() {
             .read_all(&registry, &mut scratch, &mut out)
             .unwrap_err(),
     ));
-    // UnsupportedDtype: a cuSZx shard whose index dtype byte claims f64 —
-    // the codec has no f64 path, so an f64 read fails typed at the first
-    // chunk.
-    let xgood = write_shard(&data, &[256], &[64], &CuszxCodec, 1e-3).unwrap();
-    let xindex =
-        u64::from_le_bytes(xgood[xgood.len() - 16..xgood.len() - 8].try_into().unwrap()) as usize;
-    let mut bad = xgood.clone();
-    bad[xindex + 9] = 1; // dtype byte: f64
+    // UnsupportedDtype: a shard of the f32-only raw codec whose index
+    // dtype byte claims f64 — the registered codec has no f64 path, so an
+    // f64 read fails typed at the first chunk.
+    let raw_registry = raw_codec::registry();
+    let raw = raw_registry.get(*b"RAW4").unwrap();
+    let rgood = write_shard(&data, &[256], &[64], raw, 1e-3).unwrap();
+    let rindex =
+        u64::from_le_bytes(rgood[rgood.len() - 16..rgood.len() - 8].try_into().unwrap()) as usize;
+    let mut bad = rgood.clone();
+    bad[rindex + 9] = 1; // dtype byte: f64
     let shard = Shard::open(&bad).expect("index itself is intact");
     let mut out64 = vec![0f64; 256];
-    seen.insert(store_variant(
-        &shard
-            .read_all(&registry, &mut scratch, &mut out64)
-            .unwrap_err(),
-    ));
+    let err = shard
+        .read_all(&raw_registry, &mut scratch, &mut out64)
+        .unwrap_err();
+    assert_eq!(
+        err,
+        StoreError::UnsupportedDtype {
+            codec: "raw-4",
+            dtype: DType::F64,
+        }
+    );
+    seen.insert(store_variant(&err));
     // Io: opening a path that does not exist.
     let missing = std::env::temp_dir().join(format!("cuszp_missing_{}.shard", std::process::id()));
     seen.insert(store_variant(&Shard::open_path(&missing).unwrap_err()));

@@ -14,16 +14,22 @@
 //! A single-block read from the middle of a 1-D shard is held to a
 //! bytes-touched budget: one block, one chunk, and a payload share set by
 //! the codec's random-access granule.
+//!
+//! "Every codec" is the default registry plus the raw test codec at block
+//! lengths 4 and 128, which implements only the trait's required methods,
+//! so its shard reads and writes run the trait's provided row walks.
+
+#[path = "../crates/cuszp-store/tests/support/raw_codec.rs"]
+mod raw_codec;
 
 use cuszp_repro::cuszp_core::DType;
 use cuszp_repro::cuszp_store::{
-    write_shard, CodecRegistry, CodecScratch, ErrorBoundedCodec, FormatId, Shard, ShardElement,
-    StoreScratch,
+    write_shard, CodecScratch, ErrorBoundedCodec, FormatId, Shard, ShardElement, StoreScratch,
 };
 use proptest::prelude::*;
 
 /// Lengths that stress ragged tails of every codec's block size
-/// (cuSZp 32, cuSZx 128, cuZFP 4).
+/// (cuSZp 32, raw 4 and 128).
 fn awkward_len() -> impl Strategy<Value = usize> {
     prop_oneof![
         Just(1usize),
@@ -134,11 +140,15 @@ fn per_row_blocks(
 /// Element types the reference decoder handles: a codec's whole-frame
 /// decode for that type.
 trait Elem: ShardElement + PartialEq + std::fmt::Debug {
+    /// Relative rounding slack of the type, on top of the bound.
+    const EPS: f64;
     fn decode_frame(codec: &dyn ErrorBoundedCodec, frame: &[u8], out: &mut [Self]);
     fn from_f32(v: f32) -> Self;
+    fn to_f64(self) -> f64;
 }
 
 impl Elem for f32 {
+    const EPS: f64 = f32::EPSILON as f64;
     fn decode_frame(codec: &dyn ErrorBoundedCodec, frame: &[u8], out: &mut [f32]) {
         codec
             .decode_into(frame, &mut CodecScratch::new(), out)
@@ -147,9 +157,13 @@ impl Elem for f32 {
     fn from_f32(v: f32) -> f32 {
         v
     }
+    fn to_f64(self) -> f64 {
+        f64::from(self)
+    }
 }
 
 impl Elem for f64 {
+    const EPS: f64 = f64::EPSILON;
     fn decode_frame(codec: &dyn ErrorBoundedCodec, frame: &[u8], out: &mut [f64]) {
         let blocks = 0..out.len().div_ceil(codec.block_len());
         codec
@@ -158,6 +172,9 @@ impl Elem for f64 {
     }
     fn from_f32(v: f32) -> f64 {
         f64::from(v) * 1.001
+    }
+    fn to_f64(self) -> f64 {
+        self
     }
 }
 
@@ -201,7 +218,8 @@ fn reference<T: Elem>(
 }
 
 /// Write `data` as a shard through codec `id`, then check the store's
-/// readers against the independent [`reference`]: `read_all` equals it
+/// readers against the independent [`reference`], which must itself
+/// hold `data` within `eb`: `read_all` equals it
 /// and decodes each chunk's blocks exactly once (Σ ⌈chunk_n / L⌉, no
 /// duplicates), and the region equals its slice while decoding no more
 /// blocks than the per-row walk would.
@@ -215,11 +233,24 @@ fn check_region<T: Elem>(
     eb: f64,
 ) -> Result<(), TestCaseError> {
     let d = shape.len();
-    let registry = CodecRegistry::with_defaults();
-    let codec = registry.get(id).expect("default codec");
+    let registry = raw_codec::registry();
+    let codec = registry.get(id).expect("registered codec");
     let bytes = write_shard(data, shape, chunk, codec, eb).expect("write");
     let shard = Shard::open(&bytes).expect("open");
     let want = reference::<T>(codec, &bytes, &shard, shape, chunk);
+    // The frames hold the data within the bound (the raw codec exactly),
+    // which pins the write path's gathering of each chunk's rows.
+    for (k, (&d, &w)) in data.iter().zip(&want).enumerate() {
+        let (d, w) = (d.to_f64(), w.to_f64());
+        prop_assert!(
+            (d - w).abs() <= eb * (1.0 + 1e-6) + (d.abs() + w.abs()) * T::EPS,
+            "codec {} element {}: {} written as {}",
+            codec.name(),
+            k,
+            d,
+            w
+        );
+    }
     let l = codec.block_len();
     let mut scratch = StoreScratch::new();
     let mut full = vec![T::default(); data.len()];
@@ -290,8 +321,8 @@ fn clamp_box(shape: &[usize], o: &[usize], e: &[usize]) -> (Vec<usize>, Vec<usiz
     (origin, extent)
 }
 
-/// Every default codec, in f32 and (where supported) f64, on one shard
-/// geometry and box.
+/// Every registered codec, in f32 and (where supported) f64, on one
+/// shard geometry and box.
 fn check_every_codec(
     shape: &[usize],
     chunk: &[usize],
@@ -301,7 +332,7 @@ fn check_every_codec(
     let n: usize = shape.iter().product();
     let data = signal(n, 10.0, 0.5);
     let wide: Vec<f64> = data.iter().map(|&v| f64::from_f32(v)).collect();
-    for codec in CodecRegistry::with_defaults().codecs() {
+    for codec in raw_codec::registry().codecs() {
         let id = codec.format_id();
         check_region(id, &data, shape, chunk, origin, extent, 1e-3)?;
         if codec.supports_dtype(DType::F64) {
@@ -324,7 +355,7 @@ proptest! {
         hi in 0usize..10_000,
     ) {
         let data = signal(n, scale, phase);
-        let registry = CodecRegistry::with_defaults();
+        let registry = raw_codec::registry();
         let mut scratch = CodecScratch::new();
         for codec in registry.codecs() {
             check_codec(codec, &data, eb, lo, hi, &mut scratch)?;
@@ -350,7 +381,7 @@ proptest! {
         let ox = ox % w;
         let ey = 1 + ey % (h - oy);
         let ex = 1 + ex % (w - ox);
-        for codec in CodecRegistry::with_defaults().codecs() {
+        for codec in raw_codec::registry().codecs() {
             let id = codec.format_id();
             check_region(id, &data, &[h, w], &[ch, cw], &[oy, ox], &[ey, ex], 1e-3)?;
         }
@@ -405,8 +436,8 @@ proptest! {
     }
 }
 
-/// Chunk rows of 100 elements (not a multiple of cuSZp's 32 or cuSZx's
-/// 128) on a ragged grid, read whole, in unaligned boxes, and in boxes
+/// Chunk rows of 100 elements (not a multiple of cuSZp's 32 or the raw
+/// codec's 128) on a ragged grid, read whole, in unaligned boxes, and in boxes
 /// narrower than a block.
 #[test]
 fn unaligned_chunk_rows_match_reference() {
@@ -435,7 +466,7 @@ fn one_block_read_touches_one_granule_of_payload() {
     let data: Vec<f32> = (0..n)
         .map(|i| (i as f32 * 0.0021).sin() * 30.0 + (i as f32 * 0.00013).cos() * 4.0)
         .collect();
-    let registry = CodecRegistry::with_defaults();
+    let registry = raw_codec::registry();
     let mut scratch = StoreScratch::new();
     for codec in registry.codecs() {
         let name = codec.name();
