@@ -24,7 +24,6 @@
 //! whole batch of unrelated fields.
 
 use crate::format::{Compressed, CompressedRef, FormatError, HEADER_BYTES};
-use std::io::{self, Read, Write};
 
 /// Magic bytes of the chunked container serialization.
 pub const CHUNK_MAGIC: [u8; 8] = *b"CUSZPCH1";
@@ -95,46 +94,16 @@ impl ChunkedCompressed {
         out
     }
 
-    /// Deserialize a container produced by [`ChunkedCompressed::to_bytes`].
+    /// Deserialize a container produced by [`ChunkedCompressed::to_bytes`]:
+    /// [`chunk_ref_iter`] plus one copy per chunk.
     ///
     /// Malformed input — wrong magic, truncation anywhere, a length table
     /// whose sum disagrees with the buffer, or a corrupt inner frame —
     /// returns an error; it never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<ChunkedCompressed, FormatError> {
-        Ok(ChunkedCompressed {
-            chunks: chunk_refs(bytes)?.iter().map(|r| r.to_owned()).collect(),
-        })
-    }
-
-    /// Serialize to a [`Write`] sink without materializing the container:
-    /// identical bytes to [`ChunkedCompressed::to_bytes`], but the only
-    /// buffering is the sink's own, so a multi-GB archive streams through
-    /// constant memory.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(&CHUNK_MAGIC)?;
-        w.write_all(&(self.chunks.len() as u32).to_le_bytes())?;
-        for c in &self.chunks {
-            w.write_all(&c.total_bytes().to_le_bytes())?;
-        }
-        for c in &self.chunks {
-            c.write_to(w)?;
-        }
-        Ok(())
-    }
-
-    /// Deserialize a container from a [`Read`] source (the inverse of
-    /// [`ChunkedCompressed::write_to`]). Reads exactly the container and
-    /// no further, so containers can be embedded in larger streams.
-    /// Malformed input surfaces as [`io::ErrorKind::InvalidData`].
-    ///
-    /// For sequential chunk-at-a-time processing in constant memory, use
-    /// [`ChunkedReader`] instead — this method holds every decoded chunk.
-    pub fn read_from<R: Read>(r: &mut R) -> io::Result<ChunkedCompressed> {
-        let mut reader = ChunkedReader::new(r)?;
-        let mut chunks = Vec::with_capacity(reader.remaining_chunks().min(1024));
-        while let Some(c) = reader.next_chunk()? {
-            chunks.push(c.to_owned());
-        }
+        let chunks = chunk_ref_iter(bytes)?
+            .map(|r| r.map(|r| r.to_owned()))
+            .collect::<Result<_, _>>()?;
         Ok(ChunkedCompressed { chunks })
     }
 
@@ -147,24 +116,12 @@ impl ChunkedCompressed {
     }
 }
 
-/// Parse a serialized container into **borrowed** chunk views — the
-/// copy-free decode path. Each [`CompressedRef`] slices directly into
-/// `bytes`; nothing from the frames is copied, so decoding a chunk
-/// ([`crate::fast::decompress_into`]) reads payload bytes straight out of
-/// the container buffer (which may itself be a memory-mapped file).
-///
-/// Validation is identical to [`ChunkedCompressed::from_bytes`] — in fact
-/// `from_bytes` is this plus a deep copy per chunk. The only allocation
-/// is the returned `Vec` itself; a steady-state consumer that must not
-/// touch the heap at all iterates with [`chunk_ref_iter`] instead.
-pub fn chunk_refs(bytes: &[u8]) -> Result<Vec<CompressedRef<'_>>, FormatError> {
-    chunk_ref_iter(bytes)?.collect()
-}
-
-/// Walk a serialized container's chunks **without allocating**: the
-/// framing (magic, count, length table, total size) is validated up
-/// front, then each call to [`Iterator::next`] parses one frame into a
-/// borrowed [`CompressedRef`]. This is the wire-decode path of the
+/// Walk a serialized container's chunks **without allocating** — the
+/// one `CUSZPCH1` reader. The framing (magic, count, length table, total
+/// size) is validated up front, then each call to [`Iterator::next`]
+/// parses one frame into a [`CompressedRef`] that slices straight into
+/// `bytes` (which may itself be a memory-mapped file), so decoding a
+/// chunk copies nothing. This is the wire-decode path of the
 /// zero-allocation service — a request holding a container is decoded
 /// chunk by chunk with no heap traffic.
 ///
@@ -244,11 +201,6 @@ impl<'a> ChunkRefIter<'a> {
     pub fn num_chunks(&self) -> usize {
         self.num_chunks
     }
-
-    /// Chunks not yet yielded.
-    pub fn remaining_chunks(&self) -> usize {
-        self.num_chunks - self.next
-    }
 }
 
 impl<'a> Iterator for ChunkRefIter<'a> {
@@ -271,84 +223,8 @@ impl<'a> Iterator for ChunkRefIter<'a> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.remaining_chunks();
+        let rem = self.num_chunks - self.next;
         (rem, Some(rem))
-    }
-}
-
-/// Sequential chunk-at-a-time container reader over any [`Read`] source.
-///
-/// Holds the length table plus **one frame at a time** in a reused buffer
-/// — peak memory is the largest single frame, independent of container
-/// size, which is what lets a multi-GB archive decode through constant
-/// memory. Each [`ChunkedReader::next_chunk`] call overwrites the frame
-/// buffer, handing back a [`CompressedRef`] borrowing it (a *lending*
-/// iterator — decode or copy the chunk before requesting the next one).
-pub struct ChunkedReader<'r, R: Read> {
-    src: &'r mut R,
-    /// Frame lengths still to be read, in order (drained front to back).
-    lens: Vec<u64>,
-    next: usize,
-    /// Reused frame buffer; grown monotonically to the largest frame seen.
-    frame: Vec<u8>,
-}
-
-impl<'r, R: Read> ChunkedReader<'r, R> {
-    /// Read and validate the container header + length table, leaving the
-    /// source positioned at the first frame.
-    pub fn new(src: &'r mut R) -> io::Result<Self> {
-        let bad = |msg: &'static str| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let mut head = [0u8; CONTAINER_HEADER_BYTES];
-        src.read_exact(&mut head)?;
-        if head[..8] != CHUNK_MAGIC {
-            return Err(bad("bad container magic"));
-        }
-        let n = u32::from_le_bytes(head[8..12].try_into().expect("len checked"));
-        if n > MAX_CHUNKS {
-            return Err(bad("chunk count exceeds MAX_CHUNKS"));
-        }
-        let mut lens = Vec::with_capacity(n as usize);
-        let mut entry = [0u8; 8];
-        for _ in 0..n {
-            src.read_exact(&mut entry)?;
-            let len = u64::from_le_bytes(entry);
-            if len < HEADER_BYTES as u64 {
-                return Err(bad("chunk frame shorter than a header"));
-            }
-            lens.push(len);
-        }
-        Ok(ChunkedReader {
-            src,
-            lens,
-            next: 0,
-            frame: Vec::new(),
-        })
-    }
-
-    /// Total number of chunks in the container.
-    pub fn num_chunks(&self) -> usize {
-        self.lens.len()
-    }
-
-    /// Chunks not yet yielded.
-    pub fn remaining_chunks(&self) -> usize {
-        self.lens.len() - self.next
-    }
-
-    /// Read the next frame into the internal buffer and parse it.
-    /// Returns `Ok(None)` once every chunk has been yielded.
-    pub fn next_chunk(&mut self) -> io::Result<Option<CompressedRef<'_>>> {
-        let Some(&len) = self.lens.get(self.next) else {
-            return Ok(None);
-        };
-        self.next += 1;
-        let len = usize::try_from(len)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "chunk frame too large"))?;
-        self.frame.resize(len, 0);
-        self.src.read_exact(&mut self.frame)?;
-        CompressedRef::parse(&self.frame)
-            .map(Some)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 }
 
@@ -436,34 +312,22 @@ mod tests {
     }
 
     #[test]
-    fn chunk_refs_borrow_the_container() {
-        let c = ChunkedCompressed {
-            chunks: vec![chunk(100, 0.0), chunk(33, 1.0)],
-        };
-        let bytes = c.to_bytes();
-        let refs = chunk_refs(&bytes).unwrap();
-        assert_eq!(refs.len(), 2);
-        let range = bytes.as_ptr_range();
-        for (r, owned) in refs.iter().zip(&c.chunks) {
-            assert_eq!(&r.to_owned(), owned);
-            // Copy-free: the view's payload points inside `bytes`.
-            assert!(owned.payload.is_empty() || range.contains(&r.payload.as_ptr()));
-        }
-        // And the same malformed inputs fail identically.
-        assert_eq!(chunk_refs(&bytes[..5]).unwrap_err(), FormatError::Truncated);
-    }
-
-    #[test]
-    fn chunk_ref_iter_matches_chunk_refs_without_allocating() {
+    fn chunk_ref_iter_yields_borrowed_views() {
         let c = ChunkedCompressed {
             chunks: vec![chunk(100, 0.0), chunk(33, 1.0), chunk(1, 2.0)],
         };
         let bytes = c.to_bytes();
         let it = chunk_ref_iter(&bytes).unwrap();
         assert_eq!(it.num_chunks(), 3);
-        let via_iter: Vec<_> = it.map(|r| r.unwrap().to_owned()).collect();
-        assert_eq!(via_iter, c.chunks);
-        // Framing errors surface at construction, same as chunk_refs.
+        let refs: Vec<_> = it.map(|r| r.unwrap()).collect();
+        let owned: Vec<_> = refs.iter().map(|r| r.to_owned()).collect();
+        assert_eq!(owned, c.chunks);
+        // Copy-free: each view's payload points inside `bytes`.
+        let range = bytes.as_ptr_range();
+        for r in &refs {
+            assert!(r.payload.is_empty() || range.contains(&r.payload.as_ptr()));
+        }
+        // Framing errors surface at construction.
         assert_eq!(
             chunk_ref_iter(&bytes[..5]).unwrap_err(),
             FormatError::Truncated
@@ -482,58 +346,5 @@ mod tests {
         assert_eq!(items.len(), 3);
         assert_eq!(items[0], Err(FormatError::BadMagic));
         assert!(items[1].is_ok() && items[2].is_ok());
-    }
-
-    #[test]
-    fn streaming_roundtrip_matches_to_bytes() {
-        for c in [
-            ChunkedCompressed::new(),
-            ChunkedCompressed {
-                chunks: vec![chunk(100, 0.0), chunk(33, 1.0), chunk(1, 2.0)],
-            },
-        ] {
-            let mut streamed = Vec::new();
-            c.write_to(&mut streamed).unwrap();
-            assert_eq!(streamed, c.to_bytes());
-            let back = ChunkedCompressed::read_from(&mut streamed.as_slice()).unwrap();
-            assert_eq!(back, c);
-        }
-    }
-
-    #[test]
-    fn read_from_stops_at_container_end() {
-        let c = ChunkedCompressed::single(chunk(40, 0.0));
-        let mut bytes = c.to_bytes();
-        bytes.extend_from_slice(b"suffix"); // embedded in a larger stream
-        let mut src = bytes.as_slice();
-        assert_eq!(ChunkedCompressed::read_from(&mut src).unwrap(), c);
-        assert_eq!(src, b"suffix");
-    }
-
-    #[test]
-    fn chunked_reader_yields_in_order_constant_memory() {
-        let c = ChunkedCompressed {
-            chunks: vec![chunk(200, 0.0), chunk(7, 1.0), chunk(64, 2.0)],
-        };
-        let bytes = c.to_bytes();
-        let mut src = bytes.as_slice();
-        let mut reader = ChunkedReader::new(&mut src).unwrap();
-        assert_eq!(reader.num_chunks(), 3);
-        let mut seen = 0;
-        while let Some(r) = reader.next_chunk().unwrap() {
-            assert_eq!(r.to_owned(), c.chunks[seen]);
-            seen += 1;
-        }
-        assert_eq!(seen, 3);
-        assert_eq!(reader.remaining_chunks(), 0);
-        assert!(reader.next_chunk().unwrap().is_none());
-    }
-
-    #[test]
-    fn chunked_reader_rejects_truncated_frames() {
-        let bytes = ChunkedCompressed::single(chunk(40, 0.0)).to_bytes();
-        let mut src = &bytes[..bytes.len() - 1];
-        let mut reader = ChunkedReader::new(&mut src).unwrap();
-        assert!(reader.next_chunk().is_err());
     }
 }

@@ -188,13 +188,6 @@ impl CuszpConfig {
         );
         assert!(self.block_len <= 4096, "block_len unreasonably large");
     }
-
-    /// Maximum achievable compression ratio under this configuration
-    /// (an all-zero-block stream still stores one fixed-length byte per
-    /// block).
-    pub fn max_ratio(&self) -> f64 {
-        (self.block_len * 4) as f64
-    }
 }
 
 #[cfg(test)]
@@ -236,7 +229,6 @@ mod tests {
         cfg.validate();
         assert_eq!(cfg.block_len, 32);
         assert!(cfg.lorenzo);
-        assert_eq!(cfg.max_ratio(), 128.0);
     }
 
     #[test]

@@ -80,7 +80,7 @@ use crate::bitshuffle::{byte_transpose8x8, transpose8x8};
 use crate::config::{CuszpConfig, SimdLevel};
 use crate::dtype::FloatData;
 use crate::encode::cmp_bytes_for;
-use crate::format::{Compressed, CompressedRef};
+use crate::format::{check_header, Compressed, CompressedRef};
 use crate::rows::{RowLayout, RowWalk};
 
 use crate::{simd, tune};
@@ -770,15 +770,9 @@ impl<'c, 'q, T: FloatData> BlockDecoder<'c, 'q, T> {
 /// its element type is `T`.
 fn check_decode_args<T: FloatData>(c: &CompressedRef<'_>) {
     assert_eq!(c.dtype, T::DTYPE, "stream element type mismatch");
-    let l = c.block_len as usize;
-    assert!(
-        l > 0 && l.is_multiple_of(8) && l <= 4096,
-        "invalid stream: bad block length"
-    );
-    assert!(
-        c.eb.is_finite() && c.eb > 0.0,
-        "invalid stream: bad error bound"
-    );
+    if let Err(e) = check_header(c.block_len, c.eb) {
+        panic!("invalid stream: {e}");
+    }
     assert_eq!(
         c.fixed_lengths.len(),
         c.num_blocks(),
@@ -822,26 +816,17 @@ pub fn decompress_into_at<T: FloatData>(
     simd_level: Option<SimdLevel>,
     out: &mut [T],
 ) {
-    check_decode_args::<T>(&c);
-    let n = c.num_elements as usize;
-    assert_eq!(out.len(), n, "output slice length != num_elements");
+    assert_eq!(c.dtype, T::DTYPE, "stream element type mismatch");
     // The exact-length check matters for a whole-stream decode: a
     // payload longer than Eq 2 accounts for is malformed even though no
-    // block would read past it.
-    let l = c.block_len as usize;
-    let mut acc = 0u64;
-    for &f in c.fixed_lengths {
-        // Hard cap of the bit-plane layout (64-bit residual magnitudes),
-        // NOT `DType::max_fixed_len()`: extreme f32 amplitude/bound
-        // combinations legitimately push F past 33.
-        assert!(f <= 64, "invalid stream: fixed length exceeds 64");
-        acc += cmp_bytes_for(f, l) as u64;
+    // block would read past it. The fixed-length cap is the bit-plane
+    // layout's 64, not `DType::max_fixed_len()`: extreme f32
+    // amplitude/bound combinations legitimately push F past 33.
+    if let Err(e) = c.validate() {
+        panic!("invalid stream: {e}");
     }
-    assert_eq!(
-        acc,
-        c.payload.len() as u64,
-        "invalid stream: payload length disagrees with Eq-2 accounting"
-    );
+    let n = c.num_elements as usize;
+    assert_eq!(out.len(), n, "output slice length != num_elements");
     if n > 0 {
         let mut dec = BlockDecoder::new(c, simd::resolve_level(simd_level), &mut scratch.resid);
         dec.span(0, n, out);

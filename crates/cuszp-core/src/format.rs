@@ -14,11 +14,9 @@
 //! ([`crate::fast::compress_into`]). Decoding accepts either via the
 //! borrowed form, so nothing in the decompression path forces a copy.
 
-use crate::config::CuszpConfig;
 use crate::dtype::DType;
 use crate::encode::cmp_bytes_for;
 use serde::{Deserialize, Serialize};
-use std::io::{self, Write};
 
 /// Magic bytes of the file serialization.
 pub const MAGIC: [u8; 6] = *b"CUSZP1";
@@ -117,12 +115,6 @@ impl Compressed {
         self.as_ref().total_bytes()
     }
 
-    /// Expected payload size from the fixed lengths (Eq 2 applied per
-    /// block) — must equal `payload.len()` for a well-formed stream.
-    pub fn expected_payload_bytes(&self) -> u64 {
-        self.as_ref().expected_payload_bytes()
-    }
-
     /// Borrow this stream's fractions as a [`CompressedRef`].
     pub fn as_ref(&self) -> CompressedRef<'_> {
         CompressedRef {
@@ -139,12 +131,6 @@ impl Compressed {
     /// Serialize to a standalone byte stream.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.as_ref().to_bytes()
-    }
-
-    /// Stream the serialized form to a writer without building an
-    /// intermediate buffer.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        self.as_ref().write_to(w)
     }
 
     /// Deserialize a stream produced by [`Compressed::to_bytes`] into an
@@ -213,25 +199,14 @@ impl<'a> CompressedRef<'a> {
         let num_elements = u64::from_le_bytes(bytes[8..16].try_into().expect("len checked"));
         let block_len = u32::from_le_bytes(bytes[16..20].try_into().expect("len checked"));
         let eb = f64::from_le_bytes(bytes[20..28].try_into().expect("len checked"));
-        if block_len == 0 || block_len % 8 != 0 || block_len > 4096 {
-            return Err(FormatError::Corrupt("bad block length"));
-        }
-        if !(eb.is_finite() && eb > 0.0) {
-            return Err(FormatError::Corrupt("bad error bound"));
-        }
+        check_header(block_len, eb)?;
         let num_blocks = (num_elements as usize).div_ceil(block_len as usize);
         let fl_end = HEADER_BYTES + num_blocks;
         if bytes.len() < fl_end {
             return Err(FormatError::Truncated);
         }
         let fixed_lengths = &bytes[HEADER_BYTES..fl_end];
-        if fixed_lengths.iter().any(|&f| f > 64) {
-            return Err(FormatError::Corrupt("fixed length exceeds 64 bits"));
-        }
-        let expected: u64 = fixed_lengths
-            .iter()
-            .map(|&f| cmp_bytes_for(f, block_len as usize) as u64)
-            .sum();
+        let expected = eq2_payload_bytes(fixed_lengths, block_len as usize)?;
         let payload = &bytes[fl_end..];
         if (payload.len() as u64) < expected {
             return Err(FormatError::Truncated);
@@ -278,14 +253,6 @@ impl<'a> CompressedRef<'a> {
         self.stream_bytes() + HEADER_BYTES as u64
     }
 
-    /// Expected payload size from the fixed lengths (Eq 2 per block).
-    pub fn expected_payload_bytes(&self) -> u64 {
-        self.fixed_lengths
-            .iter()
-            .map(|&f| cmp_bytes_for(f, self.block_len as usize) as u64)
-            .sum()
-    }
-
     /// Byte span the payload bytes of blocks `blocks` occupy — the Eq-2
     /// prefix sum over fraction ⓐ, exported for partial decoders.
     ///
@@ -327,23 +294,22 @@ impl<'a> CompressedRef<'a> {
         Ok(start as usize..end as usize)
     }
 
-    /// Cheap structural sanity check: payload length matches Eq 2
-    /// **exactly** — neither truncated nor overlong. The fast decoder
-    /// ([`crate::fast`]) preallocates its output and slices the payload
-    /// at Eq-2 offsets without further bounds checks, so an overlong
-    /// payload must be rejected here, not tolerated.
+    /// Cheap structural sanity check, rejecting what
+    /// [`CompressedRef::parse`] rejects with the same errors: a bad block
+    /// length or bound, a fixed length above 64 bits, and a payload
+    /// length that does not match Eq 2 **exactly** — neither truncated
+    /// nor overlong. The fast decoder ([`crate::fast`]) preallocates its
+    /// output and slices the payload at Eq-2 offsets without further
+    /// bounds checks, so an overlong payload must be rejected here, not
+    /// tolerated.
     pub fn validate(&self) -> Result<(), FormatError> {
-        CuszpConfig {
-            block_len: self.block_len as usize,
-            lorenzo: self.lorenzo,
-            simd: None,
-            hybrid: false,
-        }
-        .validate();
+        check_header(self.block_len, self.eb)?;
         if self.fixed_lengths.len() != self.num_blocks() {
             return Err(FormatError::Corrupt("fixed-length array size"));
         }
-        if self.expected_payload_bytes() != self.payload.len() as u64 {
+        if eq2_payload_bytes(self.fixed_lengths, self.block_len as usize)?
+            != self.payload.len() as u64
+        {
             return Err(FormatError::Corrupt("payload size vs Eq 2"));
         }
         Ok(())
@@ -370,13 +336,36 @@ impl<'a> CompressedRef<'a> {
         out.extend_from_slice(self.payload);
         out
     }
+}
 
-    /// Stream the serialized form to a writer.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(&self.header_bytes())?;
-        w.write_all(self.fixed_lengths)?;
-        w.write_all(self.payload)
+/// The header fields both frame formats bound: a block length that is a
+/// multiple of 8 in `8..=4096`, and a finite positive bound.
+pub(crate) fn check_header(block_len: u32, eb: f64) -> Result<(), FormatError> {
+    if block_len == 0 || !block_len.is_multiple_of(8) || block_len > 4096 {
+        return Err(FormatError::Corrupt("bad block length"));
     }
+    if !(eb.is_finite() && eb > 0.0) {
+        return Err(FormatError::Corrupt("bad error bound"));
+    }
+    Ok(())
+}
+
+/// The Eq-2 payload size fraction ⓐ `fixed_lengths` accounts for, or
+/// `Corrupt` if a fixed length exceeds the 64-bit cap.
+pub(crate) fn eq2_payload_bytes(
+    fixed_lengths: &[u8],
+    block_len: usize,
+) -> Result<u64, FormatError> {
+    let mut max = 0u8;
+    let mut total = 0u64;
+    for &f in fixed_lengths {
+        max = max.max(f);
+        total += u64::from(cmp_bytes_for(f, block_len));
+    }
+    if max > 64 {
+        return Err(FormatError::Corrupt("fixed length exceeds 64 bits"));
+    }
+    Ok(total)
 }
 
 #[cfg(test)]
@@ -400,7 +389,7 @@ mod tests {
         let c = sample();
         assert_eq!(c.num_blocks(), 2);
         assert_eq!(c.stream_bytes(), 18);
-        assert_eq!(c.expected_payload_bytes(), 16);
+        assert_eq!(eq2_payload_bytes(&c.fixed_lengths, 32), Ok(16));
         c.validate().unwrap();
     }
 
@@ -476,6 +465,39 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_what_parse_rejects() {
+        // Each stream below serializes, and `parse` and `validate` must
+        // give the same typed error: no panic, and no `Ok`.
+        let odd_block = Compressed {
+            block_len: 12,
+            fixed_lengths: vec![0; 4],
+            payload: Vec::new(),
+            ..sample()
+        };
+        let wide_f = Compressed {
+            fixed_lengths: vec![65, 0],
+            payload: vec![0; 66 * 32 / 8],
+            ..sample()
+        };
+        for (c, why) in [
+            (odd_block, "bad block length"),
+            (wide_f, "fixed length exceeds 64 bits"),
+        ]
+        .into_iter()
+        .chain(
+            [0.0, -0.01, f64::NAN, f64::INFINITY]
+                .map(|eb| (Compressed { eb, ..sample() }, "bad error bound")),
+        ) {
+            assert_eq!(c.validate(), Err(FormatError::Corrupt(why)), "{why}");
+            assert_eq!(
+                CompressedRef::parse(&c.to_bytes()),
+                Err(FormatError::Corrupt(why)),
+                "{why}"
+            );
+        }
+    }
+
+    #[test]
     fn ref_parse_is_zero_copy_and_equivalent() {
         let c = sample();
         let bytes = c.to_bytes();
@@ -499,14 +521,6 @@ mod tests {
         assert!(CompressedRef::parse(&bytes[..bytes.len() - 1]).is_err());
         bytes[0] = b'X';
         assert_eq!(CompressedRef::parse(&bytes), Err(FormatError::BadMagic));
-    }
-
-    #[test]
-    fn write_to_matches_to_bytes() {
-        let c = sample();
-        let mut streamed = Vec::new();
-        c.write_to(&mut streamed).unwrap();
-        assert_eq!(streamed, c.to_bytes());
     }
 
     #[test]

@@ -225,7 +225,8 @@ mod tests {
     fn stream_size_matches_eq2_exactly() {
         let data: Vec<f32> = (0..320).map(|i| (i as f32 * 1.7).sin() * 1000.0).collect();
         let c = compress(&data, 0.1, CuszpConfig::default());
-        let expected: u64 = c.num_blocks() as u64 + c.expected_payload_bytes();
+        let payload = crate::format::eq2_payload_bytes(&c.fixed_lengths, 32).unwrap();
+        let expected = c.num_blocks() as u64 + payload;
         assert_eq!(c.stream_bytes(), expected);
     }
 }

@@ -35,9 +35,11 @@
 //! the (tiny) table, not the payloads. Because every chunk falls back to
 //! passthrough when coding would not shrink it, a hybrid frame's payload
 //! never exceeds the plain stream's — and whole-frame fallback at the
-//! call sites ([`crate::Cuszp::compress_serialized`], the store codec)
-//! guarantees the *serialized* hybrid path is never larger than plain
-//! `CUSZP1` either, per-frame header overhead included.
+//! call sites ([`crate::Cuszp::compress_serialized`], the store's `CZH1`
+//! codec) guarantees the *serialized* hybrid path is never larger than
+//! plain `CUSZP1` either, per-frame header overhead included. So a
+//! reader of such bytes may get either frame: [`crate::FrameRef::parse`]
+//! tells them apart, and is the library's one place that does.
 //!
 //! Decoding is single-pass per chunk: entropy-decode into a scratch
 //! buffer (Huffman chunks build their decode table in a table the
@@ -52,7 +54,7 @@ use crate::config::{CuszpConfig, SimdLevel};
 use crate::dtype::{DType, FloatData};
 use crate::encode::cmp_bytes_for;
 use crate::fast::{self, Scratch};
-use crate::format::{CompressedRef, FormatError, HEADER_BYTES};
+use crate::format::{check_header, eq2_payload_bytes, CompressedRef, FormatError, HEADER_BYTES};
 use crate::rows::{RowLayout, RowWalk};
 use crate::simd::resolve_level;
 pub use cuszp_entropy::Mode;
@@ -364,12 +366,7 @@ impl<'a> HybridRef<'a> {
         let eb = f64::from_le_bytes(bytes[22..30].try_into().expect("len checked"));
         let chunk_blocks = u32::from_le_bytes(bytes[30..34].try_into().expect("len checked"));
         let num_chunks = u32::from_le_bytes(bytes[34..38].try_into().expect("len checked"));
-        if block_len == 0 || block_len % 8 != 0 || block_len > 4096 {
-            return Err(FormatError::Corrupt("bad block length"));
-        }
-        if !(eb.is_finite() && eb > 0.0) {
-            return Err(FormatError::Corrupt("bad error bound"));
-        }
+        check_header(block_len, eb)?;
         if chunk_blocks == 0 {
             return Err(FormatError::Corrupt("bad chunk size"));
         }
@@ -588,7 +585,9 @@ pub fn decode_rows_into<T: FloatData>(
         let first = c * k;
         let bc = blocks_in_chunk(nb as u64, r.chunk_blocks, c as u64) as usize;
         let (fixed_lengths, payload) = raw.split_at(bc);
-        check_chunk(fixed_lengths, l, payload.len())?;
+        if eq2_payload_bytes(fixed_lengths, l)? != payload.len() as u64 {
+            return Err(FormatError::Corrupt("payload size vs Eq 2"));
+        }
         let chunk_ref = CompressedRef {
             num_elements: (n.min((first + bc) * l) - first * l) as u64,
             block_len: r.block_len,
@@ -602,24 +601,6 @@ pub fn decode_rows_into<T: FloatData>(
         c += 1;
     }
     Ok(touched)
-}
-
-/// Check a decoded chunk's fraction ⓐ: every fixed length within the
-/// 64-bit cap, and the payload exactly the Eq-2 total.
-fn check_chunk(fixed_lengths: &[u8], l: usize, payload_len: usize) -> Result<(), FormatError> {
-    let mut max = 0u8;
-    let mut total = 0u64;
-    for &f in fixed_lengths {
-        max = max.max(f);
-        total += u64::from(cmp_bytes_for(f, l));
-    }
-    if max > 64 {
-        return Err(FormatError::Corrupt("fixed length exceeds 64 bits"));
-    }
-    if total != payload_len as u64 {
-        return Err(FormatError::Corrupt("payload size vs Eq 2"));
-    }
-    Ok(())
 }
 
 /// Decode the whole frame into `out` (`out.len()` must equal the frame's

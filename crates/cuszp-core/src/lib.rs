@@ -54,6 +54,7 @@ pub mod dtype;
 pub mod encode;
 pub mod fast;
 pub mod format;
+pub mod frame;
 pub mod host_ref;
 pub mod hybrid;
 pub mod kernels;
@@ -63,11 +64,12 @@ pub mod simd;
 pub mod tune;
 pub mod verify;
 
-pub use chunked::{chunk_ref_iter, chunk_refs, ChunkRefIter, ChunkedCompressed, ChunkedReader};
+pub use chunked::{chunk_ref_iter, ChunkRefIter, ChunkedCompressed};
 pub use config::{CuszpConfig, ErrorBound, SimdLevel, DEFAULT_BLOCK_LEN};
 pub use dtype::{DType, FloatData};
 pub use fast::Scratch;
 pub use format::{Compressed, CompressedRef, FormatError};
+pub use frame::FrameRef;
 pub use hybrid::{HybridRef, HybridScratch};
 pub use kernels::{
     compress_kernel, compressed_h2d, decompress_kernel, DeviceCompressed, STEP_BB, STEP_FE,
@@ -118,24 +120,6 @@ impl Cuszp {
     /// Resolve an [`ErrorBound`] to its absolute value for `data`.
     pub fn resolve_bound<T: FloatData>(&self, data: &[T], bound: ErrorBound) -> f64 {
         bound.absolute(value_range(data))
-    }
-
-    /// Resolve an [`ErrorBound`] against device-resident data with a
-    /// single reduction kernel (what the reference `compx` CLI does before
-    /// launching compression, so REL mode never round-trips the data).
-    pub fn resolve_bound_device(
-        &self,
-        gpu: &mut Gpu,
-        input: &DeviceBuffer<f32>,
-        bound: ErrorBound,
-    ) -> f64 {
-        match bound {
-            ErrorBound::Abs(d) => bound.absolute(d), // validates positivity
-            ErrorBound::Rel(_) => {
-                let (lo, hi) = gpu_sim::reduce::min_max_f32(gpu, input, "range");
-                bound.absolute((hi - lo) as f64)
-            }
-        }
     }
 
     /// Compress on the host via the optimized word-parallel codec
@@ -215,10 +199,11 @@ impl Cuszp {
     }
 
     /// Decompress serialized bytes produced by
-    /// [`Cuszp::compress_serialized`], sniffing the magic: `CUSZPHY1`
-    /// frames run the single-pass hybrid decode, anything else parses as
-    /// a plain `CUSZP1` stream. Works identically whichever
-    /// [`CuszpConfig::hybrid`] setting produced the bytes.
+    /// [`Cuszp::compress_serialized`]: [`FrameRef::parse`] tells a
+    /// `CUSZPHY1` frame from a plain `CUSZP1` stream, and plain streams
+    /// decode at this codec's [`CuszpConfig::simd`] tier. Works
+    /// identically whichever [`CuszpConfig::hybrid`] setting produced the
+    /// bytes.
     ///
     /// The output allocation is sized from the stream's claimed element
     /// count, and a hybrid frame's claim can legitimately dwarf its
@@ -242,36 +227,21 @@ impl Cuszp {
         bytes: &[u8],
         max_elements: usize,
     ) -> Result<Vec<T>, FormatError> {
-        let mut scratch = Scratch::new();
-        if bytes.starts_with(&hybrid::HYBRID_MAGIC) {
-            let r = HybridRef::parse(bytes)?;
-            if r.dtype != T::DTYPE {
-                return Err(FormatError::Corrupt("stream element type mismatch"));
-            }
-            if r.num_elements > max_elements as u64 {
-                return Err(FormatError::LimitExceeded {
-                    claimed: r.num_elements,
-                    limit: max_elements as u64,
-                });
-            }
-            let mut out = vec![T::default(); r.num_elements as usize];
-            hybrid::decode_into(&r, &mut HybridScratch::new(), &mut scratch, &mut out)?;
-            Ok(out)
-        } else {
-            let r = CompressedRef::parse(bytes)?;
-            if r.dtype != T::DTYPE {
-                return Err(FormatError::Corrupt("stream element type mismatch"));
-            }
-            if r.num_elements > max_elements as u64 {
-                return Err(FormatError::LimitExceeded {
-                    claimed: r.num_elements,
-                    limit: max_elements as u64,
-                });
-            }
-            let mut out = vec![T::default(); r.num_elements as usize];
-            fast::decompress_into_at(r, &mut scratch, self.config.simd, &mut out);
-            Ok(out)
+        let frame = FrameRef::parse(bytes)?;
+        if frame.dtype() != T::DTYPE {
+            return Err(FormatError::Corrupt("stream element type mismatch"));
         }
+        let n = frame.num_elements();
+        if n > max_elements as u64 {
+            return Err(FormatError::LimitExceeded {
+                claimed: n,
+                limit: max_elements as u64,
+            });
+        }
+        let mut out = vec![T::default(); n as usize];
+        let (mut scratch, mut hs) = (Scratch::new(), HybridScratch::new());
+        frame.decode_into(self.config.simd, &mut scratch, &mut hs, &mut out)?;
+        Ok(out)
     }
 
     /// Compress `data` as a [`ChunkedCompressed`] container of
@@ -312,28 +282,6 @@ impl Cuszp {
             at += n;
         }
         out
-    }
-
-    /// Decompress a **serialized** chunked container directly from its
-    /// bytes, copy-free: chunk payloads are decoded as borrowed slices of
-    /// `bytes` ([`chunk_refs`]) — no frame is ever cloned, and one
-    /// [`Scratch`] arena serves every chunk. This is the path to point at
-    /// a memory-mapped archive.
-    pub fn decompress_container_bytes<T: FloatData>(
-        &self,
-        bytes: &[u8],
-    ) -> Result<Vec<T>, FormatError> {
-        let refs = chunk_refs(bytes)?;
-        let total: u64 = refs.iter().map(|r| r.num_elements).sum();
-        let mut scratch = Scratch::new();
-        let mut out = vec![T::default(); total as usize];
-        let mut at = 0usize;
-        for r in refs {
-            let n = r.num_elements as usize;
-            fast::decompress_into(r, &mut scratch, &mut out[at..at + n]);
-            at += n;
-        }
-        Ok(out)
     }
 
     /// Compress on the device in a single fused kernel. `eb` is absolute.

@@ -1,5 +1,6 @@
-//! The [`ErrorBoundedCodec`] trait and its two implementations, cuSZp
-//! (`CZP1`) and the hybrid two-stage cuSZp (`CZH1`).
+//! The [`ErrorBoundedCodec`] trait and its one implementation,
+//! [`CuszpCodec`], registered under two ids: cuSZp (`CZP1`) and the
+//! hybrid two-stage cuSZp (`CZH1`).
 //!
 //! A codec is a self-describing byte-stream format with block-granular
 //! partial decode: `decode_blocks(range)` reconstructs exactly the
@@ -7,22 +8,23 @@
 //! bytes, and `decode_rows(layout)` writes the rows of a box straight
 //! into the caller's output, decoding each block they touch once. On the
 //! write side, `encode_rows(layout)` appends the frame of a box's rows
-//! to the shard buffer. All
-//! implementations are copy-free (they parse borrowed views over the
-//! frame bytes — never materialize the payload) and allocation-free
-//! after warm-up (scratch lives in [`CodecScratch`], the store's
-//! [`StoreScratch`], or on the stack).
+//! to the shard buffer. [`CuszpCodec`] is copy-free (it parses borrowed
+//! views over the frame bytes — never materializes the payload) and
+//! allocation-free after warm-up (scratch lives in [`CodecScratch`] and
+//! the store's [`StoreScratch`]).
 //!
 //! The trait is f32-first (every codec must handle f32 frames); f64 is
 //! opt-in per codec through [`ErrorBoundedCodec::supports_dtype`] and the
 //! `*_f64` methods, whose defaults return
-//! [`StoreError::UnsupportedDtype`]. Both built-in codecs support both
+//! [`StoreError::UnsupportedDtype`]. Both built-in ids support both
 //! element types.
 
 use crate::error::StoreError;
 use crate::store::{gather_encode, tile_walk, StoreScratch};
-use cuszp_core::hybrid::{self, HybridRef, HybridScratch, HYBRID_MAGIC};
-use cuszp_core::{fast, CompressedRef, CuszpConfig, DType, FloatData, RowLayout, Scratch};
+use cuszp_core::hybrid::{self, HybridScratch};
+use cuszp_core::{
+    fast, CompressedRef, CuszpConfig, DType, FloatData, FormatError, FrameRef, RowLayout, Scratch,
+};
 use std::ops::Range;
 
 /// 4-byte codec identifier persisted in shard chunk entries.
@@ -137,7 +139,7 @@ pub trait ErrorBoundedCodec {
     /// [`ErrorBoundedCodec::decode_blocks`]: it groups the rows into the
     /// runs of [`RowLayout::block_runs`], decodes each run with one call
     /// into a tile in `scratch`, and copies the run's rows out. Codecs
-    /// that can place rows directly override it (`CZP1`, `CZH1`).
+    /// that can place rows directly override it ([`CuszpCodec`]).
     fn decode_rows(
         &self,
         stream: &[u8],
@@ -162,7 +164,7 @@ pub trait ErrorBoundedCodec {
     /// appending to the shard buffer. The provided method gathers the
     /// rows into a tile in `scratch`, encodes the tile into a frame
     /// buffer there and appends the frame. Codecs that can encode rows in
-    /// place override it (`CZP1`, `CZH1`).
+    /// place override it ([`CuszpCodec`]).
     fn encode_rows(
         &self,
         data: &[f32],
@@ -240,199 +242,63 @@ pub trait ErrorBoundedCodec {
     }
 }
 
-/// cuSZp frames (`CUSZP1`): quantize + Lorenzo, fixed-length blocks of
-/// 32, Eq-2 offsets recomputed from fraction ⓐ.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CuszpCodec;
+/// The cuSZp codec, registered twice: [`CuszpCodec::PLAIN`] (`CZP1`)
+/// stores `CUSZP1` frames — quantize + Lorenzo, fixed-length blocks of
+/// 32, Eq-2 offsets recomputed from fraction ⓐ — and
+/// [`CuszpCodec::HYBRID`] (`CZH1`) recodes that stream with the per-chunk
+/// adaptive entropy second stage into a `CUSZPHY1` frame, unless the
+/// hybrid frame would not be smaller, in which case it stores the plain
+/// `CUSZP1` frame as-is. The second stage is lossless over the lossy
+/// stage, so the error bound is untouched; its block random access goes
+/// through the stored per-chunk offset table.
+///
+/// Every decode is one call into [`FrameRef`]. `CZP1` reads only plain
+/// frames (a `CUSZPHY1` frame is a bad-magic `CUSZP1` frame), while
+/// `CZH1` reads whichever frame [`FrameRef::parse`] finds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CuszpCodec {
+    id: FormatId,
+    name: &'static str,
+    hybrid: bool,
+}
 
 impl CuszpCodec {
-    fn config() -> CuszpConfig {
-        CuszpConfig::default()
-    }
+    /// `CZP1`: plain `CUSZP1` frames.
+    pub const PLAIN: CuszpCodec = CuszpCodec {
+        id: *b"CZP1",
+        name: "cuszp",
+        hybrid: false,
+    };
+    /// `CZH1`: `CUSZPHY1` frames, or the plain frame when it is smaller.
+    pub const HYBRID: CuszpCodec = CuszpCodec {
+        id: *b"CZH1",
+        name: "cuszp-hybrid",
+        hybrid: true,
+    };
 
-    /// Parse a frame and require its element type to match the decode
-    /// request — a frame of the other dtype is a typed error, never an
-    /// assert (the decoder's dtype asserts are for caller bugs only).
-    fn parse_as(stream: &[u8], requested: DType) -> Result<CompressedRef<'_>, StoreError> {
-        let r = CompressedRef::parse(stream)?;
-        if r.dtype != requested {
-            return Err(StoreError::DtypeMismatch {
-                stored: r.dtype,
-                requested,
-            });
+    /// Compress the elements `rows` selects and append this codec's frame
+    /// to `out` — straight for `CZP1`, and through the staging buffer and
+    /// the second stage for `CZH1`.
+    fn write_rows<T: FloatData>(
+        &self,
+        data: &[T],
+        rows: &RowLayout,
+        eb: f64,
+        scratch: &mut CodecScratch,
+        out: &mut Vec<u8>,
+    ) {
+        let cfg = CuszpConfig::default();
+        if !self.hybrid {
+            fast::compress_rows_into(&mut scratch.cuszp, data, rows, eb, cfg, out);
+            return;
         }
-        Ok(r)
-    }
-}
-
-impl ErrorBoundedCodec for CuszpCodec {
-    fn format_id(&self) -> FormatId {
-        *b"CZP1"
-    }
-    fn name(&self) -> &'static str {
-        "cuszp"
-    }
-    fn supports_dtype(&self, _dtype: DType) -> bool {
-        true
-    }
-    fn block_len(&self) -> usize {
-        Self::config().block_len
-    }
-    fn encode(&self, data: &[f32], eb: f64, scratch: &mut CodecScratch, out: &mut Vec<u8>) {
-        fast::compress_into(&mut scratch.cuszp, data, eb, Self::config(), out);
-    }
-    fn num_elements(&self, stream: &[u8]) -> Result<usize, StoreError> {
-        Ok(CompressedRef::parse(stream)?.num_elements as usize)
-    }
-    fn decode_blocks(
-        &self,
-        stream: &[u8],
-        blocks: Range<usize>,
-        scratch: &mut CodecScratch,
-        out: &mut [f32],
-    ) -> Result<usize, StoreError> {
-        let r = Self::parse_as(stream, DType::F32)?;
-        Ok(fast::decompress_blocks_into(
-            r,
-            blocks,
-            &mut scratch.cuszp,
-            out,
-        ))
-    }
-    fn encode_f64(
-        &self,
-        data: &[f64],
-        eb: f64,
-        scratch: &mut CodecScratch,
-        out: &mut Vec<u8>,
-    ) -> Result<(), StoreError> {
-        fast::compress_into(&mut scratch.cuszp, data, eb, Self::config(), out);
-        Ok(())
-    }
-    fn decode_blocks_f64(
-        &self,
-        stream: &[u8],
-        blocks: Range<usize>,
-        scratch: &mut CodecScratch,
-        out: &mut [f64],
-    ) -> Result<usize, StoreError> {
-        let r = Self::parse_as(stream, DType::F64)?;
-        Ok(fast::decompress_blocks_into(
-            r,
-            blocks,
-            &mut scratch.cuszp,
-            out,
-        ))
-    }
-    fn encode_rows(
-        &self,
-        data: &[f32],
-        rows: &RowLayout,
-        eb: f64,
-        scratch: &mut StoreScratch,
-        out: &mut Vec<u8>,
-    ) -> Result<(), StoreError> {
-        fast::compress_rows_into(
-            &mut scratch.codec.cuszp,
-            data,
-            rows,
-            eb,
-            Self::config(),
-            out,
-        );
-        Ok(())
-    }
-    fn encode_rows_f64(
-        &self,
-        data: &[f64],
-        rows: &RowLayout,
-        eb: f64,
-        scratch: &mut StoreScratch,
-        out: &mut Vec<u8>,
-    ) -> Result<(), StoreError> {
-        fast::compress_rows_into(
-            &mut scratch.codec.cuszp,
-            data,
-            rows,
-            eb,
-            Self::config(),
-            out,
-        );
-        Ok(())
-    }
-    fn decode_rows(
-        &self,
-        stream: &[u8],
-        rows: &RowLayout,
-        scratch: &mut StoreScratch,
-        out: &mut [f32],
-    ) -> Result<usize, StoreError> {
-        let r = Self::parse_as(stream, DType::F32)?;
-        Ok(fast::decompress_rows_into(
-            r,
-            rows,
-            &mut scratch.codec.cuszp,
-            out,
-        ))
-    }
-    fn decode_rows_f64(
-        &self,
-        stream: &[u8],
-        rows: &RowLayout,
-        scratch: &mut StoreScratch,
-        out: &mut [f64],
-    ) -> Result<usize, StoreError> {
-        let r = Self::parse_as(stream, DType::F64)?;
-        Ok(fast::decompress_rows_into(
-            r,
-            rows,
-            &mut scratch.codec.cuszp,
-            out,
-        ))
-    }
-}
-
-/// Hybrid cuSZp frames (`CZH1`): the `CUSZP1` lossy stage recoded by the
-/// per-chunk adaptive entropy second stage into a `CUSZPHY1` frame —
-/// unless the hybrid frame would not be smaller, in which case the plain
-/// `CUSZP1` frame is stored as-is (the decode side sniffs the magic).
-/// Lossless over the lossy stage, so the error bound is untouched; block
-/// random access goes through the stored per-chunk offset table.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CuszpHybridCodec;
-
-impl CuszpHybridCodec {
-    fn config() -> CuszpConfig {
-        CuszpConfig::default()
-    }
-
-    fn encode_any<T: FloatData>(
-        data: &[T],
-        eb: f64,
-        scratch: &mut CodecScratch,
-        out: &mut Vec<u8>,
-    ) {
-        out.clear();
-        let rows = RowLayout::contiguous(0, data.len());
-        Self::encode_rows_any(data, &rows, eb, scratch, out);
-    }
-
-    /// The lossy stage over `rows` into the staging buffer, then the
-    /// hybrid frame appended to `out`.
-    fn encode_rows_any<T: FloatData>(
-        data: &[T],
-        rows: &RowLayout,
-        eb: f64,
-        scratch: &mut CodecScratch,
-        out: &mut Vec<u8>,
-    ) {
         let CodecScratch {
             cuszp,
             stage,
             hybrid: hs,
         } = scratch;
         stage.clear();
-        let r = fast::compress_rows_into(cuszp, data, rows, eb, Self::config(), stage);
+        let r = fast::compress_rows_into(cuszp, data, rows, eb, cfg, stage);
         let mark = out.len();
         hybrid::encode_append(&r, hybrid::auto_chunk_blocks(&r), hs, out);
         if out.len() - mark >= stage.len() {
@@ -443,88 +309,63 @@ impl CuszpHybridCodec {
         }
     }
 
-    /// Parse a frame as `T`: a `CUSZPHY1` frame, or the plain `CUSZP1`
-    /// frame stored when the second stage did not pay.
-    fn parse_any<T: FloatData>(stream: &[u8]) -> Result<Frame<'_>, StoreError> {
-        if stream.starts_with(&HYBRID_MAGIC) {
-            let r = HybridRef::parse(stream)?;
-            if r.dtype != T::DTYPE {
-                return Err(StoreError::DtypeMismatch {
-                    stored: r.dtype,
-                    requested: T::DTYPE,
-                });
-            }
-            Ok(Frame::Hybrid(r))
+    /// Parse a frame this codec reads: either format for `CZH1`, a plain
+    /// `CUSZP1` stream for `CZP1`.
+    fn parse<'a>(&self, stream: &'a [u8]) -> Result<FrameRef<'a>, FormatError> {
+        if self.hybrid {
+            FrameRef::parse(stream)
         } else {
-            Ok(Frame::Plain(CuszpCodec::parse_as(stream, T::DTYPE)?))
+            CompressedRef::parse(stream).map(FrameRef::Plain)
         }
     }
 
-    fn decode_any<T: FloatData>(
-        stream: &[u8],
-        blocks: Range<usize>,
-        scratch: &mut CodecScratch,
-        out: &mut [T],
-    ) -> Result<usize, StoreError> {
-        let CodecScratch {
-            cuszp, hybrid: hs, ..
-        } = scratch;
-        match Self::parse_any::<T>(stream)? {
-            Frame::Hybrid(r) => Ok(hybrid::decode_blocks_into(&r, blocks, hs, cuszp, out)?),
-            Frame::Plain(r) => Ok(fast::decompress_blocks_into(r, blocks, cuszp, out)),
+    /// [`CuszpCodec::parse`], requiring the frame's element type to match
+    /// the decode request — a frame of the other dtype is a typed error,
+    /// never an assert (the decoders' dtype asserts are for caller bugs
+    /// only).
+    fn frame<'a, T: FloatData>(&self, stream: &'a [u8]) -> Result<FrameRef<'a>, StoreError> {
+        let frame = self.parse(stream)?;
+        if frame.dtype() != T::DTYPE {
+            return Err(StoreError::DtypeMismatch {
+                stored: frame.dtype(),
+                requested: T::DTYPE,
+            });
         }
-    }
-
-    fn decode_rows_any<T: FloatData>(
-        stream: &[u8],
-        rows: &RowLayout,
-        scratch: &mut CodecScratch,
-        out: &mut [T],
-    ) -> Result<usize, StoreError> {
-        let CodecScratch {
-            cuszp, hybrid: hs, ..
-        } = scratch;
-        match Self::parse_any::<T>(stream)? {
-            Frame::Hybrid(r) => Ok(hybrid::decode_rows_into(&r, rows, hs, cuszp, out)?),
-            Frame::Plain(r) => Ok(fast::decompress_rows_into(r, rows, cuszp, out)),
-        }
+        Ok(frame)
     }
 }
 
-/// A parsed `CZH1` frame.
-enum Frame<'a> {
-    Hybrid(HybridRef<'a>),
-    Plain(CompressedRef<'a>),
-}
-
-impl ErrorBoundedCodec for CuszpHybridCodec {
+impl ErrorBoundedCodec for CuszpCodec {
     fn format_id(&self) -> FormatId {
-        *b"CZH1"
+        self.id
     }
     fn name(&self) -> &'static str {
-        "cuszp-hybrid"
+        self.name
     }
     fn supports_dtype(&self, _dtype: DType) -> bool {
         true
     }
     fn block_len(&self) -> usize {
-        Self::config().block_len
+        CuszpConfig::default().block_len
     }
     fn access_granularity_blocks(&self) -> usize {
-        // Chunk size is auto-tuned per stream ([`hybrid::auto_chunk_blocks`]);
-        // report the ceiling so callers budgeting a 1-block read cover the
-        // coarsest framing the encoder may pick.
-        hybrid::AUTO_CHUNK_MAX_BLOCKS
+        // A hybrid chunk size is auto-tuned per stream
+        // ([`hybrid::auto_chunk_blocks`]); report the ceiling so callers
+        // budgeting a 1-block read cover the coarsest framing the encoder
+        // may pick.
+        if self.hybrid {
+            hybrid::AUTO_CHUNK_MAX_BLOCKS
+        } else {
+            1
+        }
     }
     fn encode(&self, data: &[f32], eb: f64, scratch: &mut CodecScratch, out: &mut Vec<u8>) {
-        Self::encode_any(data, eb, scratch, out);
+        out.clear();
+        let all = RowLayout::contiguous(0, data.len());
+        self.write_rows(data, &all, eb, scratch, out);
     }
     fn num_elements(&self, stream: &[u8]) -> Result<usize, StoreError> {
-        if stream.starts_with(&HYBRID_MAGIC) {
-            Ok(HybridRef::parse(stream)?.num_elements as usize)
-        } else {
-            Ok(CompressedRef::parse(stream)?.num_elements as usize)
-        }
+        Ok(self.parse(stream)?.num_elements() as usize)
     }
     fn decode_blocks(
         &self,
@@ -533,7 +374,10 @@ impl ErrorBoundedCodec for CuszpHybridCodec {
         scratch: &mut CodecScratch,
         out: &mut [f32],
     ) -> Result<usize, StoreError> {
-        Self::decode_any(stream, blocks, scratch, out)
+        let CodecScratch { cuszp, hybrid, .. } = scratch;
+        Ok(self
+            .frame::<f32>(stream)?
+            .decode_blocks(blocks, cuszp, hybrid, out)?)
     }
     fn encode_f64(
         &self,
@@ -542,7 +386,9 @@ impl ErrorBoundedCodec for CuszpHybridCodec {
         scratch: &mut CodecScratch,
         out: &mut Vec<u8>,
     ) -> Result<(), StoreError> {
-        Self::encode_any(data, eb, scratch, out);
+        out.clear();
+        let all = RowLayout::contiguous(0, data.len());
+        self.write_rows(data, &all, eb, scratch, out);
         Ok(())
     }
     fn decode_blocks_f64(
@@ -552,7 +398,10 @@ impl ErrorBoundedCodec for CuszpHybridCodec {
         scratch: &mut CodecScratch,
         out: &mut [f64],
     ) -> Result<usize, StoreError> {
-        Self::decode_any(stream, blocks, scratch, out)
+        let CodecScratch { cuszp, hybrid, .. } = scratch;
+        Ok(self
+            .frame::<f64>(stream)?
+            .decode_blocks(blocks, cuszp, hybrid, out)?)
     }
     fn encode_rows(
         &self,
@@ -562,7 +411,7 @@ impl ErrorBoundedCodec for CuszpHybridCodec {
         scratch: &mut StoreScratch,
         out: &mut Vec<u8>,
     ) -> Result<(), StoreError> {
-        Self::encode_rows_any(data, rows, eb, &mut scratch.codec, out);
+        self.write_rows(data, rows, eb, &mut scratch.codec, out);
         Ok(())
     }
     fn encode_rows_f64(
@@ -573,7 +422,7 @@ impl ErrorBoundedCodec for CuszpHybridCodec {
         scratch: &mut StoreScratch,
         out: &mut Vec<u8>,
     ) -> Result<(), StoreError> {
-        Self::encode_rows_any(data, rows, eb, &mut scratch.codec, out);
+        self.write_rows(data, rows, eb, &mut scratch.codec, out);
         Ok(())
     }
     fn decode_rows(
@@ -583,7 +432,10 @@ impl ErrorBoundedCodec for CuszpHybridCodec {
         scratch: &mut StoreScratch,
         out: &mut [f32],
     ) -> Result<usize, StoreError> {
-        Self::decode_rows_any(stream, rows, &mut scratch.codec, out)
+        let CodecScratch { cuszp, hybrid, .. } = &mut scratch.codec;
+        Ok(self
+            .frame::<f32>(stream)?
+            .decode_rows(rows, cuszp, hybrid, out)?)
     }
     fn decode_rows_f64(
         &self,
@@ -592,6 +444,9 @@ impl ErrorBoundedCodec for CuszpHybridCodec {
         scratch: &mut StoreScratch,
         out: &mut [f64],
     ) -> Result<usize, StoreError> {
-        Self::decode_rows_any(stream, rows, &mut scratch.codec, out)
+        let CodecScratch { cuszp, hybrid, .. } = &mut scratch.codec;
+        Ok(self
+            .frame::<f64>(stream)?
+            .decode_rows(rows, cuszp, hybrid, out)?)
     }
 }

@@ -7,14 +7,16 @@
 //! closes it in three layers:
 //!
 //! 1. [`ErrorBoundedCodec`] — encode/decode plus `decode_blocks(range)`
-//!    partial decode, implemented by cuSZp (`CZP1`, via
-//!    [`cuszp_core::CompressedRef`] and the recomputed `(F, CmpL)` offset
-//!    table) and the hybrid two-stage cuSZp (`CZH1`, `CUSZPHY1` frames
-//!    read through their stored per-chunk offset table). An application
-//!    may register its own codec; the trait's provided row walks serve a
-//!    codec that implements only the block-level methods. Frames are
-//!    `f32` or `f64`; the shard index records which, and both built-in
-//!    codecs accept both.
+//!    partial decode, implemented by one type, [`CuszpCodec`], under two
+//!    ids: cuSZp ([`CuszpCodec::PLAIN`], `CZP1`, `CUSZP1` frames read
+//!    through the recomputed `(F, CmpL)` offset table) and the hybrid
+//!    two-stage cuSZp ([`CuszpCodec::HYBRID`], `CZH1`, `CUSZPHY1` frames
+//!    read through their stored per-chunk offset table). Both read
+//!    through [`cuszp_core::FrameRef`]. An application may register its
+//!    own codec; the trait's provided row walks serve a codec that
+//!    implements only the block-level methods. Frames are `f32` or
+//!    `f64`; the shard index records which, and both built-in ids accept
+//!    both.
 //! 2. [`CodecRegistry`] — runtime dispatch keyed by a 4-byte format id,
 //!    so a stored shard names its codec and readers resolve it at open.
 //! 3. [`Shard`] — an n-D array split into chunks, each chunk one
@@ -23,7 +25,7 @@
 //!    within each chunk only the 32-value (codec-defined) blocks — that
 //!    overlap the request, copy-free over the shard bytes and zero-alloc
 //!    after warm-up via the [`StoreScratch`] arena. Each touched chunk is
-//!    one `decode_rows` call, and the cuSZp codecs write its rows straight
+//!    one `decode_rows` call, and [`CuszpCodec`] writes its rows straight
 //!    into the caller's output.
 //!
 //! The partial-read path is pinned by differential tests (value-identical
@@ -43,7 +45,7 @@ pub mod index;
 pub mod registry;
 pub mod store;
 
-pub use codec::{CodecScratch, CuszpCodec, CuszpHybridCodec, ErrorBoundedCodec, FormatId};
+pub use codec::{CodecScratch, CuszpCodec, ErrorBoundedCodec, FormatId};
 pub use cuszp_core::RowLayout;
 pub use error::StoreError;
 pub use index::{ChunkEntry, ShardIndex};

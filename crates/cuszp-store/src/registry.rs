@@ -1,6 +1,6 @@
 //! Runtime codec dispatch keyed by format id.
 
-use crate::codec::{CuszpCodec, CuszpHybridCodec, ErrorBoundedCodec, FormatId};
+use crate::codec::{CuszpCodec, ErrorBoundedCodec, FormatId};
 
 /// A set of codecs a reader resolves shard chunk entries against.
 ///
@@ -17,14 +17,15 @@ impl CodecRegistry {
         Self::default()
     }
 
-    /// Registry holding the two built-in codecs: cuSZp (`CZP1`) and the
-    /// hybrid two-stage cuSZp (`CZH1`). A shard chunk naming any other
+    /// Registry holding the built-in codec under its two ids: cuSZp
+    /// ([`CuszpCodec::PLAIN`], `CZP1`) and the hybrid two-stage cuSZp
+    /// ([`CuszpCodec::HYBRID`], `CZH1`). A shard chunk naming any other
     /// id reads as [`crate::StoreError::UnknownCodec`] unless the caller
     /// registers a codec for it.
     pub fn with_defaults() -> Self {
         let mut r = Self::new();
-        r.register(Box::new(CuszpCodec));
-        r.register(Box::new(CuszpHybridCodec));
+        r.register(Box::new(CuszpCodec::PLAIN));
+        r.register(Box::new(CuszpCodec::HYBRID));
         r
     }
 

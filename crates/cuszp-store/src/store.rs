@@ -590,7 +590,7 @@ impl<'a> Shard<'a> {
 mod tests {
     use super::*;
     use crate::codec::{CodecScratch, CuszpCodec, FormatId};
-    use cuszp_core::DType;
+    use cuszp_core::{DType, FormatError};
     use std::ops::Range;
 
     /// A cuSZp codec under another id that keeps the trait's f32-only
@@ -605,13 +605,13 @@ mod tests {
             "f32-only"
         }
         fn block_len(&self) -> usize {
-            CuszpCodec.block_len()
+            CuszpCodec::PLAIN.block_len()
         }
         fn encode(&self, data: &[f32], eb: f64, scratch: &mut CodecScratch, out: &mut Vec<u8>) {
-            CuszpCodec.encode(data, eb, scratch, out)
+            CuszpCodec::PLAIN.encode(data, eb, scratch, out)
         }
         fn num_elements(&self, stream: &[u8]) -> Result<usize, StoreError> {
-            CuszpCodec.num_elements(stream)
+            CuszpCodec::PLAIN.num_elements(stream)
         }
         fn decode_blocks(
             &self,
@@ -620,7 +620,7 @@ mod tests {
             scratch: &mut CodecScratch,
             out: &mut [f32],
         ) -> Result<usize, StoreError> {
-            CuszpCodec.decode_blocks(stream, blocks, scratch, out)
+            CuszpCodec::PLAIN.decode_blocks(stream, blocks, scratch, out)
         }
     }
 
@@ -750,25 +750,32 @@ mod tests {
         assert_eq!(stats, ReadStats::default());
     }
 
+    /// `shard` with its chunk entries relabelled `ids`, in order.
+    fn relabel(shard: &[u8], ids: &[FormatId]) -> Vec<u8> {
+        let mut index = Shard::open(shard).unwrap().index().clone();
+        let frames_end = index.entries.last().map(|e| e.offset + e.len).unwrap() as usize;
+        for (e, &id) in index.entries.iter_mut().zip(ids) {
+            e.format_id = id;
+        }
+        let mut out = shard[..frames_end].to_vec();
+        index.append_to(&mut out);
+        out
+    }
+
     #[test]
     fn retired_codec_ids_read_as_unknown() {
-        let ids: Vec<FormatId> = CodecRegistry::with_defaults()
+        let registry = CodecRegistry::with_defaults();
+        let ids: Vec<(FormatId, &str)> = registry
             .codecs()
-            .map(|c| c.format_id())
+            .map(|c| (c.format_id(), c.name()))
             .collect();
-        assert_eq!(ids, [*b"CZP1", *b"CZH1"]);
+        assert_eq!(ids, [(*b"CZP1", "cuszp"), (*b"CZH1", "cuszp-hybrid")]);
         // A shard from before the cuSZx (`CZX1`) and cuZFP (`CZF1`) codecs
         // were retired: relabel the chunk entries of a valid shard.
         let data: Vec<f32> = (0..256).map(|i| (i as f32 * 0.1).sin()).collect();
-        let good = write_shard(&data, &[256], &[128], &CuszpCodec, 1e-3).unwrap();
-        let mut index = Shard::open(&good).unwrap().index().clone();
-        let frames_end = index.entries.last().map(|e| e.offset + e.len).unwrap() as usize;
-        index.entries[0].format_id = *b"CZX1";
-        index.entries[1].format_id = *b"CZF1";
-        let mut old = good[..frames_end].to_vec();
-        index.append_to(&mut old);
+        let good = write_shard(&data, &[256], &[128], &CuszpCodec::PLAIN, 1e-3).unwrap();
+        let old = relabel(&good, &[*b"CZX1", *b"CZF1"]);
         let shard = Shard::open(&old).unwrap();
-        let registry = CodecRegistry::with_defaults();
         let mut scratch = StoreScratch::new();
         let mut out = vec![0f32; 256];
         assert_eq!(
@@ -779,25 +786,40 @@ mod tests {
             shard.read_region(&registry, &[128], &[128], &mut scratch, &mut out[..128]),
             Err(StoreError::UnknownCodec(*b"CZF1"))
         );
+        // Each id reads what it read before: `CZP1` reads plain frames
+        // only, so a `CZH1` chunk holding a `CUSZPHY1` frame, relabelled
+        // `CZP1`, is a bad-magic frame.
+        let smooth: Vec<f32> = (0..4096).map(|i| (i as f32 * 0.001).sin()).collect();
+        let hybrid = write_shard(&smooth, &[4096], &[4096], &CuszpCodec::HYBRID, 1e-3).unwrap();
+        let frame_at = Shard::open(&hybrid).unwrap().index().entries[0].offset as usize;
+        assert!(hybrid[frame_at..].starts_with(&cuszp_core::hybrid::HYBRID_MAGIC));
+        let relabelled = relabel(&hybrid, &[*b"CZP1"]);
+        let mut out = vec![0f32; 4096];
+        assert_eq!(
+            Shard::open(&relabelled)
+                .unwrap()
+                .read_all(&registry, &mut scratch, &mut out),
+            Err(StoreError::Frame(FormatError::BadMagic))
+        );
     }
 
     #[test]
     fn write_shard_validates_shapes() {
         let data = vec![0f32; 10];
         assert!(matches!(
-            write_shard(&data, &[10, 2], &[4], &CuszpCodec, 0.1),
+            write_shard(&data, &[10, 2], &[4], &CuszpCodec::PLAIN, 0.1),
             Err(StoreError::Shape(_))
         ));
         assert!(matches!(
-            write_shard(&data, &[11], &[4], &CuszpCodec, 0.1),
+            write_shard(&data, &[11], &[4], &CuszpCodec::PLAIN, 0.1),
             Err(StoreError::Shape(_))
         ));
         assert!(matches!(
-            write_shard(&data, &[10], &[0], &CuszpCodec, 0.1),
+            write_shard(&data, &[10], &[0], &CuszpCodec::PLAIN, 0.1),
             Err(StoreError::Shape(_))
         ));
         assert!(matches!(
-            write_shard(&data, &[], &[], &CuszpCodec, 0.1),
+            write_shard(&data, &[], &[], &CuszpCodec::PLAIN, 0.1),
             Err(StoreError::Shape(_))
         ));
     }
@@ -901,7 +923,7 @@ mod tests {
         // check at parse catches inconsistent counts, so instead corrupt
         // the frame itself to disagree with the (valid) index.
         let data: Vec<f32> = (0..256).map(|i| i as f32).collect();
-        let mut shard_bytes = write_shard(&data, &[256], &[128], &CuszpCodec, 0.5).unwrap();
+        let mut shard_bytes = write_shard(&data, &[256], &[128], &CuszpCodec::PLAIN, 0.5).unwrap();
         // Frame 0 starts at byte 0: CUSZP1 header's num_elements at 8.
         shard_bytes[8..16].copy_from_slice(&64u64.to_le_bytes());
         // Shrink claim: parse of the frame now sees fewer elements than

@@ -15,8 +15,8 @@
 use cuszp_core::hybrid::{HybridRef, HYBRID_MAGIC};
 use cuszp_core::DType;
 use cuszp_store::{
-    write_shard, CodecRegistry, CodecScratch, CuszpHybridCodec, ErrorBoundedCodec, FormatId,
-    RowLayout, Shard, StoreError, StoreScratch,
+    write_shard, CodecRegistry, CodecScratch, CuszpCodec, ErrorBoundedCodec, FormatId, RowLayout,
+    Shard, StoreError, StoreScratch,
 };
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 /// `CZH1` with a shared counter of decode calls.
 struct Counting {
-    inner: CuszpHybridCodec,
+    inner: CuszpCodec,
     calls: Arc<AtomicUsize>,
 }
 
@@ -84,7 +84,7 @@ impl ErrorBoundedCodec for Counting {
 /// `CZH1` forwarding `decode_rows` to the built-in codec, with a shared
 /// counter of the calls that reach the codec by either method.
 struct Forwarding {
-    inner: CuszpHybridCodec,
+    inner: CuszpCodec,
     calls: Arc<AtomicUsize>,
 }
 
@@ -181,7 +181,7 @@ fn row_aware_codec_gets_one_call_per_touched_chunk() {
     let calls = Arc::new(AtomicUsize::new(0));
     let mut registry = CodecRegistry::with_defaults();
     registry.register(Box::new(Forwarding {
-        inner: CuszpHybridCodec,
+        inner: CuszpCodec::HYBRID,
         calls: Arc::clone(&calls),
     }));
     let codec = registry.get(*b"CZH1").unwrap();
@@ -240,7 +240,7 @@ fn reads_make_one_codec_call_per_merged_run() {
     let calls = Arc::new(AtomicUsize::new(0));
     let mut registry = CodecRegistry::with_defaults();
     registry.register(Box::new(Counting {
-        inner: CuszpHybridCodec,
+        inner: CuszpCodec::HYBRID,
         calls: Arc::clone(&calls),
     }));
     let codec = registry.get(*b"CZH1").unwrap();

@@ -25,8 +25,8 @@ fn main() {
     for field in &fields {
         let eb = bound.absolute(value_range(&field.data));
         let chunk: Vec<usize> = field.shape.iter().map(|&d| d.min(CHUNK_EDGE)).collect();
-        let shard =
-            write_shard(&field.data, &field.shape, &chunk, &CuszpCodec, eb).expect("write shard");
+        let shard = write_shard(&field.data, &field.shape, &chunk, &CuszpCodec::PLAIN, eb)
+            .expect("write shard");
         std::fs::write(dir.join(format!("{}.czp", field.name)), &shard).expect("write shard file");
         println!(
             "  {:<22} {:>9} -> {:>9} bytes ({:.2}x, eb {:.3e})",

@@ -154,7 +154,7 @@ fn every_format_error_variant_is_reachable_from_bytes() {
 #[test]
 fn every_store_error_variant_is_reachable_from_bytes() {
     let data: Vec<f32> = (0..256).map(|i| (i as f32 * 0.05).sin()).collect();
-    let good = write_shard(&data, &[256], &[64], &CuszpCodec, 1e-3).unwrap();
+    let good = write_shard(&data, &[256], &[64], &CuszpCodec::PLAIN, 1e-3).unwrap();
     let registry = CodecRegistry::with_defaults();
     let mut scratch = StoreScratch::new();
     let mut out = vec![0f32; 256];
