@@ -11,7 +11,7 @@
 //! rows therefore run on real cuSZp streams — Small Hurricane, NYX and
 //! RTM fields cut into 16 384-element pieces at a 1e-3 relative bound —
 //! and time one pass over all pieces: estimator + encode, decode, and
-//! the decode-table build alone. Decodes reuse one caller-owned
+//! the decode-table build alone, with and without the two-symbol graft. Decodes reuse one caller-owned
 //! `DecodeTable`, as the hybrid stage's scratch does.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -95,6 +95,15 @@ fn bench_store_sized_chunks(c: &mut Criterion) {
         b.iter(|| {
             for (mode, comp, n) in &coded {
                 build_decode_table(*mode, black_box(comp), *n, &mut table).expect("own chunk");
+            }
+        })
+    });
+    // The same builds without the two-symbol graft: a one-byte decode
+    // skips it, so the gap to the row above is the graft's build cost.
+    group.bench_function("chunk16k_decode_table_nograft", |b| {
+        b.iter(|| {
+            for (mode, comp, _) in &coded {
+                build_decode_table(*mode, black_box(comp), 1, &mut table).expect("own chunk");
             }
         })
     });

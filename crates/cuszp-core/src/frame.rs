@@ -55,8 +55,8 @@ impl<'a> FrameRef<'a> {
     }
 
     /// Decode the whole frame into `out` (`out.len()` must equal
-    /// [`FrameRef::num_elements`]). A plain stream decodes at tier
-    /// `simd` ([`fast::decompress_into_at`]).
+    /// [`FrameRef::num_elements`]). Either format's first stage decodes
+    /// at tier `simd` ([`fast::decompress_into_at`]).
     ///
     /// # Panics
     /// Panics on API misuse only: a dtype mismatch between `T` and the
@@ -73,7 +73,7 @@ impl<'a> FrameRef<'a> {
                 fast::decompress_into_at(*c, scratch, simd, out);
                 Ok(())
             }
-            FrameRef::Hybrid(r) => hybrid::decode_into(r, hs, scratch, out),
+            FrameRef::Hybrid(r) => hybrid::decode_into_at(r, simd, hs, scratch, out),
         }
     }
 

@@ -80,8 +80,10 @@ pub const DEFAULT_CHUNK_BLOCKS: usize = 256;
 /// `Huffman4` chunks of 16 384-element pieces of the benchmark's Medium
 /// Hurricane/NYX/RTM fields (Intel Xeon, 2 vCPUs, shared host), the
 /// code-length build takes ~5 µs (down from ~10–12 µs with a full
-/// rescan per Kraft repair step) and the decode table ~6–9 µs (down
-/// from ~12–15 µs with a per-prefix graft pass). So on highly
+/// rescan per Kraft repair step). The decode table, built from the
+/// canonical tiling in whole 8-entry stores, takes ~2 µs with the
+/// two-symbol graft and ~1 µs without on the Small fields' pieces
+/// (the bench crate's `chunk16k_decode_table*` rows). So on highly
 /// compressible planes (where the cuSZp stream is 16–60× smaller than
 /// the floats) the default 256-block chunk leaves only a couple of KiB
 /// of coded work to amortize them over and table builds dominate the
@@ -204,7 +206,7 @@ pub fn encode(
 
 /// [`encode`]; `level` is ignored, since the entropy stage has one
 /// kernel set. Kept only for the end-to-end benchmark's callers in
-/// `e2ebench/`; ROADMAP item 3 deletes it with the next benchmark change.
+/// `e2ebench/`; ROADMAP item 1 deletes it with the next benchmark change.
 pub fn encode_at(
     r: &CompressedRef<'_>,
     chunk_blocks: usize,
@@ -556,6 +558,20 @@ pub fn decode_rows_into<T: FloatData>(
     scratch: &mut Scratch,
     out: &mut [T],
 ) -> Result<usize, FormatError> {
+    decode_rows_at(r, rows, None, hs, scratch, out)
+}
+
+/// [`decode_rows_into`] with the first stage at tier `simd`, resolved as
+/// [`fast::decompress_into_at`] resolves it (`None` = env override or
+/// detected tier, never above the host's).
+pub(crate) fn decode_rows_at<T: FloatData>(
+    r: &HybridRef<'_>,
+    rows: &RowLayout,
+    simd: Option<SimdLevel>,
+    hs: &mut HybridScratch,
+    scratch: &mut Scratch,
+    out: &mut [T],
+) -> Result<usize, FormatError> {
     assert_eq!(r.dtype, T::DTYPE, "frame element type mismatch");
     let n = r.num_elements as usize;
     assert!(rows.src_end() <= n, "rows reach past the frame's elements");
@@ -563,7 +579,7 @@ pub fn decode_rows_into<T: FloatData>(
     let l = r.block_len as usize;
     let k = r.chunk_blocks as usize;
     let nb = r.num_blocks();
-    let level = resolve_level(None);
+    let level = resolve_level(simd);
     let mut walk = RowWalk::new(rows);
     let (mut c, mut offset, mut touched) = (0usize, 0usize, 0usize);
     while let Some((src, _, _)) = walk.seg() {
@@ -611,7 +627,21 @@ pub fn decode_into<T: FloatData>(
     scratch: &mut Scratch,
     out: &mut [T],
 ) -> Result<(), FormatError> {
-    decode_blocks_into(r, 0..r.num_blocks(), hs, scratch, out).map(|_| ())
+    decode_into_at(r, None, hs, scratch, out)
+}
+
+/// [`decode_into`] with the first stage at tier `simd` (see
+/// [`decode_rows_at`]).
+pub(crate) fn decode_into_at<T: FloatData>(
+    r: &HybridRef<'_>,
+    simd: Option<SimdLevel>,
+    hs: &mut HybridScratch,
+    scratch: &mut Scratch,
+    out: &mut [T],
+) -> Result<(), FormatError> {
+    assert_eq!(out.len() as u64, r.num_elements, "output length vs frame");
+    let rows = RowLayout::contiguous(0, out.len());
+    decode_rows_at(r, &rows, simd, hs, scratch, out).map(|_| ())
 }
 
 /// Reconstruct the exact plain `CUSZP1` serialization the frame was

@@ -8,7 +8,10 @@
 //! exercised in one process regardless of `CUSZP_SIMD` (the env override
 //! itself is covered by the forced-tier CI jobs).
 
-use cuszp_core::{fast, host_ref, simd, CuszpConfig, FloatData, Scratch, SimdLevel};
+use cuszp_core::{
+    fast, host_ref, hybrid, simd, CuszpConfig, FloatData, FrameRef, HybridScratch, Scratch,
+    SimdLevel,
+};
 use proptest::prelude::*;
 
 /// The tiers this host can actually run (forcing above the detected
@@ -185,6 +188,36 @@ fn forcing_above_detected_clamps_down() {
     };
     let c = fast::compress(&data, 0.01, forced);
     assert_eq!(c, host_ref::compress(&data, 0.01, CuszpConfig::default()));
+}
+
+#[test]
+fn hybrid_frame_decodes_identically_at_every_tier() {
+    // `FrameRef::decode_into` hands its tier to a `CUSZPHY1` frame's
+    // first stage as it does to a plain stream's: every runnable tier
+    // reconstructs the same floats as the scalar oracle, through one
+    // pair of arenas shared across tiers.
+    let data: Vec<f32> = (0..20_000)
+        .map(|i| (i as f32 * 0.013).sin() * 40.0 + (i % 97) as f32 * 0.01)
+        .collect();
+    let plain = fast::compress(&data, 0.01, CuszpConfig::default());
+    let mut frame = Vec::new();
+    hybrid::encode(&plain.as_ref(), 64, &mut HybridScratch::new(), &mut frame);
+    let parsed = FrameRef::parse(&frame).unwrap();
+    assert!(matches!(parsed, FrameRef::Hybrid(_)), "a hybrid frame");
+    let want: Vec<f32> = host_ref::decompress(&plain);
+    let (mut scratch, mut hs) = (Scratch::new(), HybridScratch::new());
+    for level in tiers() {
+        let mut back = vec![0f32; data.len()];
+        parsed
+            .decode_into(Some(level), &mut scratch, &mut hs, &mut back)
+            .unwrap();
+        assert!(
+            back.iter()
+                .zip(&want)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "hybrid decode differs at {level}"
+        );
+    }
 }
 
 #[test]

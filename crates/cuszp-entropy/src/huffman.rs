@@ -34,13 +34,23 @@
 //!   bits) into one branchless 8-byte store instead of storing once per
 //!   symbol; the ≤ 7 bits still pending from earlier stores fit beside
 //!   them in the `u64`. The `Huffman4` encoder runs four of them.
-//! * **Decode table.** Built in one pass over the codes in canonical
-//!   order, writing every entry once and reading none: each code's run
-//!   of prefixes starts with the two-symbol entries for the codes that
-//!   fit after it, then the one-symbol entry fills the rest of the run,
-//!   and prefixes no code starts are reset to the invalid marker. The
-//!   table is the caller's [`DecodeTable`], rebuilt in place per chunk,
-//!   so no chunk pays for zeroing or copying 16 KiB.
+//! * **Decode table.** One pass over the 128-byte header unpacks,
+//!   validates and counts the lengths; a counting sort puts the codes in
+//!   canonical order. Canonical codes tile the 12-bit prefixes from zero
+//!   without gaps, so each code's run of prefixes starts where the
+//!   previous one ended — no code values are computed. Each run starts
+//!   with the two-symbol entries for the codes that fit after it, then
+//!   the one-symbol entry fills the rest, and prefixes no code starts
+//!   are reset to the invalid marker, last. Every run is written with
+//!   whole 8-entry stores instead of a `fill` of runtime length (a
+//!   store-sized chunk has hundreds of runs, many 1–4 entries long);
+//!   what a store spills past its run is
+//!   overwritten by the later runs or lands in the table's 32-byte pad.
+//!   The table is the caller's [`DecodeTable`], rebuilt in place per
+//!   chunk, so no chunk pays for zeroing or copying 16 KiB. On the
+//!   `chunk16k_*` bench corpus (`crates/bench/benches/entropy.rs`, 70
+//!   `Huffman4` chunks; Intel Xeon, 2 vCPUs, shared host, pinned) a
+//!   build takes ~2.0 µs per chunk with the graft and ~1.1 µs without.
 //! * **Decoder.** A **multi-symbol** table (Fabian Giesen's "reading
 //!   bits in far too many ways" construction): each 12-bit prefix entry
 //!   carries up to two decoded symbols when both codes fit the window, so
@@ -109,34 +119,66 @@ pub(crate) fn push_lens_table(lens: &[u8; 256], out: &mut Vec<u8>) {
     }
 }
 
-/// Unpack a 128-byte nibble table into per-symbol lengths and validate
-/// the global invariants shared by the 1-way and 4-way chunk forms:
-/// every length ≤ [`LIMIT`] and the Kraft sum ≤ 1. Returns the lengths
-/// plus the number of coded symbols (0 for an empty table — legal only
-/// when nothing is to be decoded; the caller enforces that).
-pub(crate) fn parse_lens_table(table: &[u8]) -> Result<([u8; 256], u32), EntropyError> {
+/// A chunk's code lengths, unpacked from its 128-byte nibble table and
+/// validated: every length ≤ [`LIMIT`] and the Kraft sum ≤ 1. Only
+/// [`parse_lens_table`] makes one, so [`DecodeTable::build`] never sees
+/// an overfull code.
+pub(crate) struct CodeLengths {
+    lens: [u8; 256],
+    /// Symbols per length; index 0 counts the absent symbols, and the
+    /// over-limit lengths 13–15 count none.
+    count: [u16; 16],
+}
+
+impl CodeLengths {
+    /// Number of coded symbols (0 for an empty table — legal only when
+    /// nothing is to be decoded; the caller enforces that).
+    pub(crate) fn coded(&self) -> usize {
+        256 - usize::from(self.count[0])
+    }
+
+    /// Per-symbol lengths, 0 for an absent symbol.
+    #[cfg(test)]
+    pub(crate) fn lens(&self) -> &[u8; 256] {
+        &self.lens
+    }
+}
+
+/// Unpack a 128-byte nibble table and validate the global invariants
+/// shared by the 1-way and 4-way chunk forms, in one pass over the bytes
+/// that also counts the symbols per length (the counting sort
+/// [`DecodeTable::build`] orders the codes with). An over-limit length
+/// is reported before an overfull Kraft sum.
+pub(crate) fn parse_lens_table(table: &[u8]) -> Result<CodeLengths, EntropyError> {
     debug_assert_eq!(table.len(), HUFFMAN_TABLE_BYTES);
     let mut lens = [0u8; 256];
-    for (i, &b) in table.iter().enumerate() {
-        lens[2 * i] = b & 0x0F;
-        lens[2 * i + 1] = b >> 4;
+    // One count array per nibble, so consecutive equal lengths do not
+    // chain every increment through one counter.
+    let mut lo_count = [0u16; 16];
+    let mut hi_count = [0u16; 16];
+    for (pair, &b) in lens.chunks_exact_mut(2).zip(table) {
+        let (lo, hi) = (b & 0x0F, b >> 4);
+        pair[0] = lo;
+        pair[1] = hi;
+        lo_count[usize::from(lo)] += 1;
+        hi_count[usize::from(hi)] += 1;
     }
-    let mut kraft: u64 = 0;
-    let mut nonzero = 0u32;
-    for &l in &lens {
-        if l > LIMIT {
-            return Err(EntropyError("huffman code length exceeds limit"));
-        }
-        if l > 0 {
-            kraft += 1u64 << (LIMIT - l);
-            nonzero += 1;
-        }
+    let count: [u16; 16] = std::array::from_fn(|l| lo_count[l] + hi_count[l]);
+    if count[LIMIT as usize + 1..].iter().any(|&c| c > 0) {
+        return Err(EntropyError("huffman code length exceeds limit"));
     }
-    if nonzero > 0 && kraft > 1u64 << LIMIT {
+    let kraft: u32 = (1..=LIMIT)
+        .map(|l| u32::from(count[l as usize]) << (LIMIT - l))
+        .sum();
+    if count[0] < 256 && kraft > 1 << LIMIT {
         return Err(EntropyError("huffman table overfull"));
     }
-    Ok((lens, nonzero))
+    Ok(CodeLengths { lens, count })
 }
+
+/// Entries a build may write past the table: every run is filled with
+/// whole stores of this many entries.
+const STORE: usize = 8;
 
 /// Flat multi-symbol decode table over 12-bit prefixes, owned by the
 /// caller and rebuilt in place for every Huffman chunk.
@@ -146,15 +188,19 @@ pub(crate) fn parse_lens_table(table: &[u8]) -> Result<([u8; 256], u32), Entropy
 /// the entry carries two symbols. A zero entry marks a prefix no valid
 /// stream can produce.
 ///
-/// The 16 KiB of entries are allocated on first use (or by
-/// [`DecodeTable::warm`]) and reused by every later build, so a decode
-/// loop pays neither a fresh zeroed array nor a by-value copy per chunk.
-/// Every build writes all 4096 entries — prefixes that no code covers
-/// (Kraft sum < 1) are reset to the invalid marker — so a table left
-/// over from an earlier chunk can never decode a later one differently.
+/// The 16 KiB of entries, plus a 32-byte pad, are allocated on first use
+/// (or by [`DecodeTable::warm`]) and reused by every later build, so a
+/// decode loop pays neither a fresh zeroed array nor a by-value copy per
+/// chunk. A build fills each run of equal entries with whole 8-entry
+/// stores; a store may spill up to 7 entries past its run, into the next
+/// run (written later, since runs go in ascending order) or into the
+/// pad. Every build writes all 4096 entries — prefixes that no code
+/// covers (Kraft sum < 1) are reset to the invalid marker, last — so a
+/// table left over from an earlier chunk can never decode a later one
+/// differently.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeTable {
-    entries: Option<Box<[u32; TABLE_SIZE]>>,
+    entries: Option<Box<[u32; TABLE_SIZE + STORE]>>,
 }
 
 impl DecodeTable {
@@ -165,13 +211,13 @@ impl DecodeTable {
     /// graft decode to identical bytes — the flag trades build time
     /// against per-lookup yield, never output.
     ///
-    /// With the table built in place, the graft pays from about a
-    /// thousand symbols on: decoding the `Huffman`/`Huffman4` chunks of
-    /// 16 384-element pieces of the Small Hurricane, NYX and RTM fields
-    /// (one-way `Huffman` chunks average 2.5 KB there), alternating
-    /// floors in one pinned process, took 0.93–0.99 ms per pass at
-    /// 1024, within noise of 512 and of always grafting, against
-    /// 1.03–1.09 ms at the earlier floor of 4096.
+    /// The graft costs ~1 µs per chunk (the gap between the
+    /// `chunk16k_decode_table` and `chunk16k_decode_table_nograft`
+    /// rows) and pays from about a thousand symbols on: three
+    /// alternating pinned rounds of `chunk16k_decode` at floors 0, 256,
+    /// 512, 1024, 2048 and 4096 gave best passes of 467, 517, 460, 463,
+    /// 488 and 541 µs — 0 to 1024 within the host's noise, 4096
+    /// slower.
     pub(crate) const GRAFT_MIN_SYMBOLS: usize = 1024;
 
     /// An empty table; its entries are allocated by the first build.
@@ -192,84 +238,88 @@ impl DecodeTable {
             .map_or(0, |e| std::mem::size_of_val(&**e))
     }
 
-    fn slots(&mut self) -> &mut [u32; TABLE_SIZE] {
+    fn slots(&mut self) -> &mut [u32; TABLE_SIZE + STORE] {
         self.entries.get_or_insert_with(|| {
-            vec![0u32; TABLE_SIZE]
+            vec![0u32; TABLE_SIZE + STORE]
                 .into_boxed_slice()
                 .try_into()
                 .expect("table size")
         })
     }
 
-    /// Build the table from validated lengths (Kraft ≤ 1, all ≤ 12) and
-    /// return its entries. `two_symbol` enables the two-symbol graft.
-    pub(crate) fn build(
-        &mut self,
-        lens: &[u8; 256],
-        two_symbol: bool,
-    ) -> Result<&[u32; TABLE_SIZE], EntropyError> {
-        // The coded symbols in canonical `(length, symbol)` order, by a
-        // counting sort on the length.
-        let mut at = [0usize; LIMIT as usize + 1];
-        for &l in lens.iter().filter(|&&l| (1..LIMIT).contains(&l)) {
-            at[l as usize + 1] += 1;
+    /// Build the table for `code` and return its entries. `two_symbol`
+    /// enables the two-symbol graft.
+    pub(crate) fn build(&mut self, code: &CodeLengths, two_symbol: bool) -> &[u32; TABLE_SIZE] {
+        // The symbols in canonical `(length, symbol)` order, by a
+        // counting sort on the length. Absent symbols sort first and are
+        // dropped, so the pass takes no branch. Each slot holds `symbol |
+        // length << 16`, the one-symbol entry without its total length.
+        let mut at = [0usize; 16];
+        let mut sum = 0usize;
+        for (start, &c) in at.iter_mut().zip(&code.count) {
+            *start = sum;
+            sum += usize::from(c);
         }
-        for l in 1..=LIMIT as usize {
-            at[l] += at[l - 1];
+        let mut order = [0u32; 256];
+        for (s, &l) in code.lens.iter().enumerate() {
+            let slot = &mut at[usize::from(l)];
+            order[*slot] = s as u32 | u32::from(l) << 16;
+            *slot += 1;
         }
-        let mut order = [0u8; 256];
-        let mut coded = 0usize;
-        for (s, &l) in lens.iter().enumerate().filter(|&(_, &l)| l > 0) {
-            order[at[l as usize]] = s as u8;
-            at[l as usize] += 1;
-            coded += 1;
-        }
-        let order = &order[..coded];
-        let codes = assign_codes(lens);
+        // `at[l]` now ends length `l`: the codes no longer than `room`
+        // bits are the first `at[room] − count[0]` of `order`.
+        let absent = usize::from(code.count[0]);
+        let order = &order[absent..];
 
-        // Each code owns the run of prefixes it starts. With the graft,
-        // the run splits in two. After the first code c1 (l1 bits), the
-        // window's other 12 − l1 bits start with a second code c2 (l2
-        // bits) exactly on the prefixes `c1 ++ c2 ++ x`, 2^(12 − l1 − l2)
-        // of them. Canonical codes taken in order tile their range from
-        // zero without gaps, so the second codes that fit (shortest
-        // first) fill the head of the run back to back, each with a
-        // two-symbol entry. The tail — second codes too long for the
-        // window, or prefixes no code starts — keeps the one-symbol
-        // entry. Every entry is written once and none is read.
-        let shortest = order.first().map_or(0, |&s| u32::from(lens[s as usize]));
+        // Canonical codes taken in order tile the prefixes from zero
+        // without gaps, so each code owns the run of 2^(12 − l1)
+        // prefixes starting where the previous one ended. With the
+        // graft, the run splits in two. After the first code c1 (l1
+        // bits), the window's other 12 − l1 bits start with a second
+        // code c2 (l2 bits) exactly on the prefixes `c1 ++ c2 ++ x`,
+        // 2^(12 − l1 − l2) of them. Those second codes tile the head of
+        // the run the same way, shortest first, each with a two-symbol
+        // entry. The tail — second codes too long for the window, or
+        // prefixes no code starts — keeps the one-symbol entry. Runs go
+        // in ascending order, so what a store spills past its run is
+        // overwritten by a later run or by the closing invalid fill.
+        let shortest = order.first().map_or(0, |&t| t >> 16);
         let entries = self.slots();
         let mut covered = 0usize;
-        for &s1 in order {
-            let l1 = u32::from(lens[s1 as usize]);
+        for &t1 in order {
+            let l1 = t1 >> 16;
             let room = HUFFMAN_MAX_CODE_LEN - l1;
-            let base = (codes[s1 as usize] as usize) << room;
-            let end = base + (1 << room);
-            // Kraft ≤ 1 guarantees canonical codes fit; belt and braces.
-            if end > TABLE_SIZE {
-                return Err(EntropyError("huffman table overfull"));
-            }
-            let mut at = base;
+            let end = covered + (1 << room);
+            let mut from = covered;
             if two_symbol && room >= shortest {
-                let head = u32::from(s1) | l1 << 16 | 1 << 25;
-                for &s2 in order {
-                    let l2 = u32::from(lens[s2 as usize]);
-                    if l2 > room {
-                        break;
-                    }
-                    let run = 1 << (room - l2);
-                    entries[at..at + run].fill(head | u32::from(s2) << 8 | (l1 + l2) << 20);
-                    at += run;
+                let head = t1 | l1 << 20 | 1 << 25;
+                for &t2 in &order[..at[room as usize] - absent] {
+                    let l2 = t2 >> 16;
+                    let to = from + (1 << (room - l2));
+                    fill_run(entries, from, to, head + ((t2 & 0xFF) << 8) + (l2 << 20));
+                    from = to;
                 }
             }
-            entries[at..end].fill(u32::from(s1) | l1 << 16 | l1 << 20);
+            fill_run(entries, from, end, t1 | l1 << 20);
             covered = end;
         }
-        // The runs tile `0..covered`; what an incomplete code leaves
-        // uncovered must read as invalid, whatever an earlier build put
-        // there.
-        entries[covered..].fill(0);
-        Ok(entries)
+        // What an incomplete code leaves uncovered must read as invalid,
+        // whatever an earlier build put there.
+        fill_run(entries, covered, TABLE_SIZE, 0);
+        entries.first_chunk().expect("table size")
+    }
+}
+
+/// Fill `entries[from..to]` with `v` in whole [`STORE`]-entry stores,
+/// spilling up to `STORE − 1` entries past `to`. `to ≤ TABLE_SIZE`
+/// keeps every store inside the pad.
+#[inline(always)]
+fn fill_run(entries: &mut [u32; TABLE_SIZE + STORE], from: usize, to: usize, v: u32) {
+    debug_assert!(from <= to && to <= TABLE_SIZE, "run inside the table");
+    let mut k = from;
+    while k < to {
+        entries[k..k + STORE].copy_from_slice(&[v; STORE]);
+        k += STORE;
     }
 }
 
@@ -393,7 +443,7 @@ pub(crate) fn decode(
     if comp.len() < HUFFMAN_TABLE_BYTES {
         return Err(EntropyError("huffman table truncated"));
     }
-    let (lens, nonzero) = parse_lens_table(&comp[..HUFFMAN_TABLE_BYTES])?;
+    let code = parse_lens_table(&comp[..HUFFMAN_TABLE_BYTES])?;
     let bits = &comp[HUFFMAN_TABLE_BYTES..];
     if out.is_empty() {
         return if bits.is_empty() {
@@ -402,10 +452,10 @@ pub(crate) fn decode(
             Err(EntropyError("huffman trailing bytes"))
         };
     }
-    if nonzero == 0 {
+    if code.coded() == 0 {
         return Err(EntropyError("huffman table empty"));
     }
-    let tab = table.build(&lens, out.len() >= DecodeTable::GRAFT_MIN_SYMBOLS)?;
+    let tab = table.build(&code, out.len() >= DecodeTable::GRAFT_MIN_SYMBOLS);
 
     // Fast path: branchless refill (Fabian Giesen's variant — one
     // unconditional 8-byte big-endian load, accumulator kept
@@ -813,30 +863,55 @@ mod tests {
         check_lengths(&[0u32; 256], "no symbols");
     }
 
-    /// The two-symbol table as the per-prefix graft pass this module
-    /// shipped before builds it: for every prefix, look up the code that
-    /// follows the first one and graft it when both fit the window.
-    fn graft_per_prefix(lens: &[u8; 256]) -> [u32; TABLE_SIZE] {
-        let mut entries = *DecodeTable::new().build(lens, false).unwrap();
-        for p in 0..TABLE_SIZE {
-            let e = entries[p];
-            if e == 0 {
+    /// `lens` through the chunk header's nibble form.
+    fn parsed(lens: &[u8; 256]) -> CodeLengths {
+        let mut packed = Vec::new();
+        push_lens_table(lens, &mut packed);
+        parse_lens_table(&packed).unwrap()
+    }
+
+    /// The table a build must produce, computed per prefix from the
+    /// canonical codes alone: each code's prefixes get its one-symbol
+    /// entry, then (with `two_symbol`) every prefix whose first code
+    /// leaves room for a whole second code gets the pair.
+    fn per_prefix_table(lens: &[u8; 256], two_symbol: bool) -> [u32; TABLE_SIZE] {
+        let codes = assign_codes(lens);
+        let mut entries = [0u32; TABLE_SIZE];
+        for (s, &l) in lens.iter().enumerate().filter(|&(_, &l)| l > 0) {
+            let (l, room) = (u32::from(l), HUFFMAN_MAX_CODE_LEN - u32::from(l));
+            let base = usize::from(codes[s]) << room;
+            entries[base..base + (1 << room)].fill(s as u32 | l << 16 | l << 20);
+        }
+        if !two_symbol {
+            return entries;
+        }
+        let single = entries;
+        for (p, e) in entries.iter_mut().enumerate() {
+            if *e == 0 {
                 continue;
             }
-            let l1 = (e >> 16) & 0xF;
+            let l1 = (*e >> 16) & 0xF;
             if l1 >= HUFFMAN_MAX_CODE_LEN {
                 continue;
             }
-            let e2 = entries[(p << l1) & (TABLE_SIZE - 1)];
+            let e2 = single[(p << l1) & (TABLE_SIZE - 1)];
             if e2 == 0 {
                 continue;
             }
             let l2 = (e2 >> 16) & 0xF;
             if l1 + l2 <= HUFFMAN_MAX_CODE_LEN {
-                entries[p] = (e & 0x000F_00FF) | (e2 & 0xFF) << 8 | (l1 + l2) << 20 | 1 << 25;
+                *e = (*e & 0x000F_00FF) | (e2 & 0xFF) << 8 | (l1 + l2) << 20 | 1 << 25;
             }
         }
         entries
+    }
+
+    /// Lengths for the symbols in `shape` order (symbol `i` gets
+    /// `shape[i]`), the rest absent.
+    fn lens_of(shape: &[u8]) -> [u8; 256] {
+        let mut lens = [0u8; 256];
+        lens[..shape.len()].copy_from_slice(shape);
+        lens
     }
 
     #[test]
@@ -861,27 +936,74 @@ mod tests {
             build_lengths(&freq, &mut lens);
             cases.push(lens);
         }
-        // Degenerate and incomplete codes: one symbol (half the table
-        // invalid), two depth-1 codes, a single 12-bit code, a full
+        // A single code at every length: all but its own run invalid,
+        // down to one valid entry at 12 bits.
+        for l in 1..=LIMIT {
+            let mut one = [0u8; 256];
+            one[(next() % 256) as usize] = l;
+            cases.push(one);
+        }
+        // Kraft-complete codes whose last run ends at entry 4096 one to
+        // four entries long: a chain of lengths 1..=11 closed by two
+        // 12-bit codes, the same with its symbols scattered, 4-bit codes
+        // closed by 10-bit ones, and all 256 symbols, mostly 8-bit,
+        // closed by a 6..=12-bit chain.
+        let mut chain: Vec<u8> = (1..LIMIT).collect();
+        chain.extend([LIMIT, LIMIT]);
+        cases.push(lens_of(&chain));
+        let mut scattered = [0u8; 256];
+        for (i, &l) in chain.iter().enumerate() {
+            scattered[255 - 17 * i] = l;
+        }
+        cases.push(scattered);
+        let mut tens = vec![4u8; 15];
+        tens.extend([10u8; 64]);
+        cases.push(lens_of(&tens));
+        let mut wide = vec![8u8; 248];
+        wide.extend([6, 7, 8, 9, 10, 11, 12, 12]);
+        cases.push(lens_of(&wide));
+        // Degenerate and incomplete codes: two depth-1 codes, a full
         // 8-bit code, and a sparse mix with gaps.
-        let mut one = [0u8; 256];
-        one[9] = 1;
         let mut two = [0u8; 256];
         (two[0], two[255]) = (1, 1);
-        let mut deep = [0u8; 256];
-        deep[42] = LIMIT;
         let mut sparse = [0u8; 256];
         for (s, l) in [(1usize, 2u8), (5, 3), (6, 5), (200, 7), (201, 12)] {
             sparse[s] = l;
         }
-        cases.extend([one, two, deep, [8u8; 256], sparse]);
-        // One table for every case: each build must overwrite whatever
-        // the previous case left behind.
+        cases.extend([two, [8u8; 256], sparse]);
+        // One table for every case and both graft settings: each build
+        // must overwrite whatever the previous one left behind.
         let mut table = DecodeTable::new();
         for (i, lens) in cases.iter().enumerate() {
-            let got = table.build(lens, true).unwrap();
-            assert!(*got == graft_per_prefix(lens), "case {i}: tables differ");
+            let code = parsed(lens);
+            for two_symbol in [true, false] {
+                let got = table.build(&code, two_symbol);
+                assert!(
+                    *got == per_prefix_table(lens, two_symbol),
+                    "case {i}, two_symbol {two_symbol}: tables differ"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn rebuild_after_a_spill_into_the_pad() {
+        // The chain's last code owns entry 4095 alone, so its store
+        // spills seven entries into the pad. The next build — a code
+        // covering only the first half — must still match its reference.
+        let mut chain: Vec<u8> = (1..LIMIT).collect();
+        chain.extend([LIMIT, LIMIT]);
+        let full = lens_of(&chain);
+        let half = lens_of(&[1]);
+        let mut table = DecodeTable::new();
+        table.build(&parsed(&full), false);
+        let pad = &table.entries.as_ref().unwrap()[TABLE_SIZE..];
+        assert!(
+            pad[..STORE - 1].iter().all(|&e| e != 0),
+            "the last run spilled"
+        );
+        assert!(*table.build(&parsed(&half), true) == per_prefix_table(&half, true));
+        assert!(*table.build(&parsed(&full), true) == per_prefix_table(&full, true));
     }
 
     #[test]
@@ -922,7 +1044,7 @@ mod tests {
         lens[0] = 1;
         lens[1] = 1;
         let mut table = DecodeTable::new();
-        let tab = table.build(&lens, true).unwrap();
+        let tab = table.build(&parsed(&lens), true);
         for &e in tab.iter() {
             assert_ne!(e & (1 << 25), 0, "every prefix should be 2-symbol");
             assert_eq!((e >> 20) & 0x1F, 2, "two depth-1 codes consume 2 bits");

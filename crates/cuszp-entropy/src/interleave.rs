@@ -189,7 +189,7 @@ pub(crate) fn decode(
         return Err(EntropyError("huffman4 stream offsets out of order"));
     }
 
-    let (lens, nonzero) = parse_lens_table(&comp[..HUFFMAN_TABLE_BYTES])?;
+    let code = parse_lens_table(&comp[..HUFFMAN_TABLE_BYTES])?;
     if out.is_empty() {
         return if region.is_empty() {
             Ok(())
@@ -197,10 +197,10 @@ pub(crate) fn decode(
             Err(EntropyError("huffman trailing bytes"))
         };
     }
-    if nonzero == 0 {
+    if code.coded() == 0 {
         return Err(EntropyError("huffman table empty"));
     }
-    let tab = table.build(&lens, out.len() >= DecodeTable::GRAFT_MIN_SYMBOLS)?;
+    let tab = table.build(&code, out.len() >= DecodeTable::GRAFT_MIN_SYMBOLS);
 
     let n = out.len();
     let streams: [&[u8]; HUFFMAN4_STREAMS] =
