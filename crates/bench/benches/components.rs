@@ -37,6 +37,46 @@ fn bench(c: &mut Criterion) {
         })
     });
 
+    // The decoder's first stage over the same chunk: the fused decode
+    // kernels into a warm arena and a reused output.
+    group.bench_function("fast_decompress_into_chunk64k", |b| {
+        let chunk = &data[..16_384];
+        let c = cuszp_core::fast::compress(chunk, eb, cuszp_core::CuszpConfig::default());
+        let mut scratch = cuszp_core::Scratch::new();
+        let mut out = vec![0f32; chunk.len()];
+        b.iter(|| {
+            cuszp_core::fast::decompress_into(black_box(c.as_ref()), &mut scratch, &mut out);
+            black_box(out[0])
+        })
+    });
+
+    // A restore's shape: `snapshot`'s [4, 32, 128] store chunk decoded
+    // into its place among the rows of a [40, 224, 224] array, 128 rows
+    // of four blocks each.
+    group.bench_function("fast_decompress_rows_chunk64k", |b| {
+        let chunk = &data[..16_384];
+        let c = cuszp_core::fast::compress(chunk, eb, cuszp_core::CuszpConfig::default());
+        let rows = cuszp_core::RowLayout::of_box(
+            &[4, 32, 128],
+            &[0, 0, 0],
+            &[4, 32, 128],
+            &[224 * 224, 224, 1],
+        );
+        let mut scratch = cuszp_core::Scratch::new();
+        let mut array = vec![0f32; 40 * 224 * 224];
+        // The chunk at grid position (2, 3, 1): origin (8, 96, 128).
+        let at = 8 * 224 * 224 + 96 * 224 + 128;
+        b.iter(|| {
+            let out = &mut array[at..at + rows.dst_len()];
+            black_box(cuszp_core::fast::decompress_rows_into(
+                black_box(c.as_ref()),
+                &rows,
+                &mut scratch,
+                out,
+            ))
+        })
+    });
+
     group.bench_function("plan_block", |b| {
         let mut resid = vec![0i64; 32];
         cuszp_core::quantize::quantize_block(&data[..32], eb, true, &mut resid);

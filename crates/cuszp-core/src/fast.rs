@@ -34,7 +34,9 @@
 //! appended to the caller's buffer, so a store writes each frame into
 //! its shard in place. It is byte-identical to [`compress_into`] over
 //! the gathered rows; [`compress_into`] is its one-row case. The
-//! decoders mirror it ([`decompress_rows_into`]).
+//! decoders mirror it ([`decompress_rows_into`]): at the AVX-512 tier
+//! with `L = 32` the whole blocks of each row are one
+//! [`simd::decode_run32`] call, dequantization fused.
 //!
 //! The portable strip codec's bit-plane work is word-parallel twice
 //! over: per 8-value
@@ -608,7 +610,8 @@ struct BlockDecoder<'c, 'q, T> {
     l: usize,
     n: usize,
     level: SimdLevel,
-    /// Widest `F` the tier's fused `L = 32` block decode handles.
+    /// Widest `F` the AVX2 tier's fused `L = 32` block decode handles
+    /// (0 at every other tier).
     vec_f: u8,
     /// Integer block buffers: `[..L]` holds a block on the portable path,
     /// `[L..2L]` the bounced block when `L` > [`TYPED_BOUNCE`].
@@ -639,7 +642,7 @@ impl<'c, 'q, T: FloatData> BlockDecoder<'c, 'q, T> {
             l,
             n: c.num_elements as usize,
             level,
-            vec_f: if l == 32 {
+            vec_f: if l == 32 && level == SimdLevel::Avx2 {
                 simd::block32_max_f(level)
             } else {
                 0
@@ -653,43 +656,73 @@ impl<'c, 'q, T: FloatData> BlockDecoder<'c, 'q, T> {
         }
     }
 
-    /// Payload bytes of block `b`, at or after the scan's position:
-    /// blocks are visited front to back.
+    /// Advance the Eq-2 scan to block `b`, at or after its position
+    /// (blocks are visited front to back), folding in the sizes of the
+    /// blocks it skips.
+    #[inline]
+    fn skip_to(&mut self, b: usize) {
+        debug_assert!(b >= self.next, "blocks are visited front to back");
+        for &f in &self.c.fixed_lengths[self.next..b] {
+            assert!(f <= 64, "invalid stream: fixed length exceeds 64");
+            self.off += cmp_bytes_for(f, self.l) as usize;
+        }
+        self.next = b;
+    }
+
+    /// Payload bytes of block `b`, at or after the scan's position.
     #[inline]
     fn payload(&mut self, b: usize) -> &'c [u8] {
-        debug_assert!(b >= self.next, "blocks are visited front to back");
-        let mut cmp = 0;
-        for &f in &self.c.fixed_lengths[self.next..=b] {
-            assert!(f <= 64, "invalid stream: fixed length exceeds 64");
-            cmp = cmp_bytes_for(f, self.l) as usize;
-            self.off += cmp;
-        }
-        let at = self.off - cmp;
-        self.next = b + 1;
-        self.read += cmp;
+        self.skip_to(b);
+        let at = self.off;
+        self.skip_to(b + 1);
+        self.read += self.off - at;
         self.c
             .payload
-            .get(at..at + cmp)
+            .get(at..self.off)
             .expect("invalid stream: payload shorter than the Eq-2 span of the requested blocks")
     }
 
     /// Decode whole blocks `b0..b1` into `out` (the elements
-    /// `b0·L .. min(b1·L, N)`). Three exits per block:
+    /// `b0·L .. min(b1·L, N)`).
+    ///
+    /// At [`SimdLevel::Avx512`] with `L = 32`, the full blocks of the run
+    /// are **one** [`simd::decode_run32`] call: it undoes the bit-plane
+    /// layout *and* dequantizes in registers, storing finished elements
+    /// straight to `out`, and fills zero blocks with `+0.0`. The
+    /// quantization integers never exist in memory. Elsewhere, three
+    /// exits per block:
     ///
     /// - **Zero block** (`F = 0`): `dequantize(0)` is exactly `+0.0` for
     ///   both element types, so the block is a plain fill — sparse decode
     ///   degenerates to memset speed.
     /// - **Fused vector path** (full `L = 32` block with `F` within the
-    ///   tier's [`simd::block32_max_f`]): [`simd::decode_block32_to`]
-    ///   undoes the bit-plane layout *and* dequantizes in registers,
-    ///   storing finished elements straight to `out`. The quantization
-    ///   integers never exist in memory.
+    ///   AVX2 tier's [`simd::block32_max_f`]): [`simd::decode_block32_to`],
+    ///   fused as above, one block per call.
     /// - **Portable strip codec** (everything else, including the ragged
-    ///   final block): decode into the integer scratch, then dequantize
-    ///   that block.
+    ///   final block at every tier): decode into the integer scratch, then
+    ///   dequantize that block.
     fn whole(&mut self, b0: usize, b1: usize, out: &mut [T]) {
         let (l, n) = (self.l, self.n);
-        for b in b0..b1 {
+        let mut first = b0;
+        if self.level == SimdLevel::Avx512 && l == 32 {
+            // A ragged final block is left to the loop below.
+            let run_end = b1.min(n / l);
+            if run_end > b0 {
+                self.skip_to(b0);
+                let span = simd::decode_run32(
+                    &self.c.fixed_lengths[b0..run_end],
+                    self.c.payload.get(self.off..).unwrap_or_default(),
+                    self.c.lorenzo,
+                    self.c.eb,
+                    &mut out[..(run_end - b0) * l],
+                );
+                self.next = run_end;
+                self.off += span;
+                self.read += span;
+                first = run_end;
+            }
+        }
+        for b in first..b1 {
             let start = b * l;
             let dst = &mut out[start - b0 * l..(start + l).min(n) - b0 * l];
             let f = self.c.fixed_lengths[b];
@@ -1142,7 +1175,9 @@ mod tests {
         // tier covers, signs, zeros, and the exact 2^f−1 magnitude
         // boundaries — the vector encoders must emit the generic strip
         // codec's bytes, and the fused decoders must reproduce generic
-        // decode + dequantize for both element types.
+        // decode + dequantize for both element types. AVX-512 decodes
+        // each block as a run of one, and each f's trials again as one
+        // run with a zero block after every coded one.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut rng = move || {
             state ^= state << 13;
@@ -1156,6 +1191,12 @@ mod tests {
                 continue;
             }
             for f in 1u8..=simd::block32_max_f(level) {
+                // The run of every trial: fixed lengths, payload, and the
+                // expected elements per `lorenzo`.
+                let mut run_fls = Vec::new();
+                let mut run_payload = Vec::new();
+                let mut run_f32_want = [Vec::new(), Vec::new()];
+                let mut run_f64_want = [Vec::new(), Vec::new()];
                 for trial in 0..20 {
                     let top = if f == 64 { u64::MAX } else { (1u64 << f) - 1 };
                     let resid: Vec<i64> = (0..32)
@@ -1183,6 +1224,8 @@ mod tests {
                         simd::encode_block32(level, &resid, f, &mut got);
                     }
                     assert_eq!(got, want, "encode {level} f={f} trial={trial}");
+                    run_fls.extend([f, 0]);
+                    run_payload.extend_from_slice(&want);
 
                     for lorenzo in [false, true] {
                         let mut q_want = vec![0i64; 32];
@@ -1193,16 +1236,236 @@ mod tests {
                         simd::dequantize_slice(SimdLevel::Scalar, &q_want, eb, &mut f64_want);
 
                         let mut f32_got = vec![0f32; 32];
-                        simd::decode_block32_to(level, &want, f, lorenzo, eb, &mut f32_got);
                         let mut f64_got = vec![0f64; 32];
-                        simd::decode_block32_to(level, &want, f, lorenzo, eb, &mut f64_got);
+                        if level == SimdLevel::Avx512 {
+                            simd::decode_run32(&[f], &want, lorenzo, eb, &mut f32_got);
+                            simd::decode_run32(&[f], &want, lorenzo, eb, &mut f64_got);
+                        } else {
+                            simd::decode_block32_to(level, &want, f, lorenzo, eb, &mut f32_got);
+                            simd::decode_block32_to(level, &want, f, lorenzo, eb, &mut f64_got);
+                        }
                         let tag = format!("{level} f={f} lorenzo={lorenzo} trial={trial}");
                         assert_eq!(f32_got, f32_want, "fused f32 decode {tag}");
                         assert_eq!(f64_got, f64_want, "fused f64 decode {tag}");
+                        let li = usize::from(lorenzo);
+                        run_f32_want[li].extend(f32_want.iter().chain(&[0.0; 32]));
+                        run_f64_want[li].extend(f64_want.iter().chain(&[0.0; 32]));
+                    }
+                }
+                if level != SimdLevel::Avx512 {
+                    continue;
+                }
+                for lorenzo in [false, true] {
+                    let li = usize::from(lorenzo);
+                    let mut f32_got = vec![f32::NAN; 32 * run_fls.len()];
+                    let read =
+                        simd::decode_run32(&run_fls, &run_payload, lorenzo, eb, &mut f32_got);
+                    assert_eq!(read, run_payload.len(), "run span f={f}");
+                    let mut f64_got = vec![f64::NAN; 32 * run_fls.len()];
+                    simd::decode_run32(&run_fls, &run_payload, lorenzo, eb, &mut f64_got);
+                    let tag = format!("{level} run f={f} lorenzo={lorenzo}");
+                    assert_eq!(f32_got, run_f32_want[li], "fused f32 decode {tag}");
+                    assert_eq!(f64_got, run_f64_want[li], "fused f64 decode {tag}");
+                }
+            }
+        }
+    }
+
+    /// A deterministic xorshift64 stream.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// An `L = 32` stream of `n` elements whose block `k` has fixed
+    /// length `fls[k]`, written by the strip encoder from random
+    /// residuals below `2^F` in magnitude (the first at `2^F − 1`).
+    fn stream_of(
+        fls: &[u8],
+        n: usize,
+        lorenzo: bool,
+        dtype: crate::DType,
+        seed: u64,
+    ) -> Compressed {
+        assert_eq!(fls.len(), n.div_ceil(32));
+        let mut rng = xorshift(seed);
+        let mut payload = Vec::new();
+        for &f in fls.iter().filter(|&&f| f > 0) {
+            let top = if f == 64 { u64::MAX } else { (1u64 << f) - 1 };
+            let resid: Vec<i64> = (0..32)
+                .map(|i| {
+                    let v = (if i == 0 { top } else { rng() & top }) as i64;
+                    if rng() & 1 == 0 {
+                        v.wrapping_neg()
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            let at = payload.len();
+            payload.resize(at + cmp_bytes_for(f, 32) as usize, 0);
+            encode_block(&resid, f, &mut payload[at..]);
+        }
+        Compressed {
+            num_elements: n as u64,
+            block_len: 32,
+            eb: 0.01,
+            lorenzo,
+            dtype,
+            fixed_lengths: fls.to_vec(),
+            payload,
+        }
+    }
+
+    /// The portable strip codec's decode of `c`, block by block:
+    /// [`decode_block`] then scalar [`simd::dequantize_slice`], and `+0.0`
+    /// for a zero block.
+    fn strip_decode<T: FloatData>(c: &Compressed) -> Vec<T> {
+        let mut out = vec![T::default(); 32 * c.num_blocks()];
+        let mut q = [0i64; 32];
+        let mut off = 0;
+        for (dst, &f) in out.chunks_exact_mut(32).zip(&c.fixed_lengths) {
+            if f == 0 {
+                dst.fill(T::from_f64(0.0));
+                continue;
+            }
+            let cmp = cmp_bytes_for(f, 32) as usize;
+            decode_block(&c.payload[off..off + cmp], f, c.lorenzo, 32, &mut q);
+            simd::dequantize_slice(SimdLevel::Scalar, &q, c.eb, dst);
+            off += cmp;
+        }
+        out.truncate(c.num_elements as usize);
+        out
+    }
+
+    /// The tiers this host runs.
+    fn tiers() -> impl Iterator<Item = SimdLevel> {
+        SimdLevel::ALL
+            .into_iter()
+            .filter(|&l| l <= simd::detect_level())
+    }
+
+    /// Every `F` in 0..=64 as a run of one, then runs of 2, 7 and 256
+    /// blocks that mix zero and coded blocks (the 256-block run visits
+    /// every `F` several times).
+    fn run_patterns() -> Vec<Vec<u8>> {
+        let mut runs: Vec<Vec<u8>> = (0..=64).map(|f| vec![f]).collect();
+        runs.push(vec![0, 17]);
+        runs.push(vec![3, 0, 64, 16, 0, 0, 33]);
+        runs.push(
+            (0..256)
+                .map(|k| if k % 4 == 3 { 0 } else { (k * 7 % 65) as u8 })
+                .collect(),
+        );
+        runs
+    }
+
+    fn assert_runs_decode_identically<T: FloatData + std::fmt::Debug>() {
+        let avx512 = simd::detect_level() == SimdLevel::Avx512;
+        let mut scratch = Scratch::new();
+        for lorenzo in [false, true] {
+            for (i, run) in run_patterns().into_iter().enumerate() {
+                // The run alone, then followed by a ragged final block.
+                for ragged in [false, true] {
+                    let mut fls = run.clone();
+                    let mut n = 32 * fls.len();
+                    if ragged {
+                        fls.push(11);
+                        n += 9;
+                    }
+                    let c = stream_of(&fls, n, lorenzo, T::DTYPE, 0x9E37_79B9 + i as u64);
+                    let want = strip_decode::<T>(&c);
+                    let tag = format!("{:?} run {i} {fls:?} lorenzo={lorenzo}", T::DTYPE);
+                    assert_eq!(want, host_ref::decompress::<T>(&c), "host_ref, {tag}");
+                    if avx512 && !ragged {
+                        let mut got = vec![T::default(); n];
+                        let read = simd::decode_run32(&fls, &c.payload, lorenzo, c.eb, &mut got);
+                        assert_eq!(got, want, "decode_run32, {tag}");
+                        assert_eq!(read, c.payload.len(), "decode_run32 span, {tag}");
+                    }
+                    for level in tiers() {
+                        let mut got = vec![T::default(); n];
+                        decompress_into_at(c.as_ref(), &mut scratch, Some(level), &mut got);
+                        assert_eq!(got, want, "decompress at {level}, {tag}");
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn runs_decode_identically_f32() {
+        assert_runs_decode_identically::<f32>();
+    }
+
+    #[test]
+    fn runs_decode_identically_f64() {
+        assert_runs_decode_identically::<f64>();
+    }
+
+    #[test]
+    fn runs_decode_identically_into_rows() {
+        // Rows of one to five whole blocks (left unmerged by the padded
+        // output), then rows half a block longer, whose blocks straddle
+        // rows and go through the bounce; each box also in part.
+        let mut scratch = Scratch::new();
+        for k in 1..=5usize {
+            for extra in [0usize, 16] {
+                let row_len = 32 * k + extra;
+                let dims = [6usize, row_len];
+                let n = 6 * row_len;
+                let fls: Vec<u8> = (0..n.div_ceil(32))
+                    .map(|b| if b % 3 == 1 { 0 } else { (b * 11 % 65) as u8 })
+                    .collect();
+                let c = stream_of(&fls, n, true, crate::DType::F32, k as u64);
+                let full = strip_decode::<f32>(&c);
+                for (lo, hi) in [([0usize, 0], [6usize, row_len]), ([1, 5], [5, row_len - 3])] {
+                    let strides = padded_strides(&lo, &hi, 3);
+                    let rows = RowLayout::of_box(&dims, &lo, &hi, &strides);
+                    for level in tiers() {
+                        let what = format!("rows of {row_len}, {lo:?}..{hi:?} at {level}");
+                        let mut out = vec![f32::NAN; rows.dst_len() + 5];
+                        let mut walk = RowWalk::new(&rows);
+                        let read =
+                            decode_window(c.as_ref(), 0, &mut walk, level, &mut scratch, &mut out);
+                        let mut written = vec![false; out.len()];
+                        for (src, dst) in rows.iter() {
+                            let got = &out[dst..dst + row_len.min(hi[1] - lo[1])];
+                            assert_eq!(got, &full[src..src + got.len()], "{what}");
+                            written[dst..dst + got.len()].fill(true);
+                        }
+                        for (v, w) in out.iter().zip(&written) {
+                            assert!(*w || v.is_nan(), "{what}: wrote outside the rows");
+                        }
+                        let want: usize = rows
+                            .block_runs(32)
+                            .map(|(b, _)| c.payload_span(b).unwrap().len())
+                            .sum();
+                        assert_eq!(read, want, "{what}: bytes read");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fixed length exceeds 64")]
+    fn run_decode_rejects_a_fixed_length_over_64() {
+        let mut c = stream_of(&[5, 0, 9, 12, 64, 1, 0, 3], 256, true, crate::DType::F32, 7);
+        c.fixed_lengths[5] = 65;
+        decompress_blocks_into(c.as_ref(), 0..8, &mut Scratch::new(), &mut [0f32; 256]);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload shorter")]
+    fn run_decode_rejects_a_payload_short_of_the_span() {
+        let mut c = stream_of(&[5, 0, 9, 12, 64, 1, 0, 3], 256, true, crate::DType::F32, 7);
+        c.payload.pop();
+        decompress_blocks_into(c.as_ref(), 0..8, &mut Scratch::new(), &mut [0f32; 256]);
     }
 
     #[test]

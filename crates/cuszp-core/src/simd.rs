@@ -16,7 +16,7 @@
 //! | quantize + Lorenzo | ✓ | (scalar) | 8-lane, one call per tile at every `L` |
 //! | dequantize | ✓ | (scalar) | 8-lane `vcvtqq2pd` |
 //! | `L = 32` block encode | strip codec | `F ≤ 16` | `F ≤ 64`, one call per tile |
-//! | `L = 32` block decode | strip codec | `F ≤ 16`, fused | `F ≤ 64`, fused |
+//! | `L = 32` block decode | strip codec | `F ≤ 16`, fused | `F ≤ 64`, fused, one call per run |
 //!
 //! The AVX2 tier leaves quantize/dequantize scalar on purpose: AVX2 has
 //! no exact `f64`↔`i64` vector converts, and an approximate one would
@@ -53,13 +53,15 @@
 //!
 //! ## Fused block decode
 //!
-//! The block decoders ([`decode_block32_to`]) run the inverse bit-plane
-//! transposition *and* the dequantize multiply in registers, storing
-//! finished `f32`/`f64` elements straight to the output array. The
-//! q-integers never round-trip through a scratch tile, which halves the
-//! decode path's L2 traffic (16 bytes of `i64` per element, gone) — the
-//! host analogue of the paper's fused decompression kernel writing
-//! reconstructed data directly from shared memory.
+//! The block decoders run the inverse bit-plane transposition *and* the
+//! dequantize multiply in registers, storing finished `f32`/`f64`
+//! elements straight to the output array. The q-integers never
+//! round-trip through a scratch tile, which halves the decode path's L2
+//! traffic (16 bytes of `i64` per element, gone) — the host analogue of
+//! the paper's fused decompression kernel writing reconstructed data
+//! directly from shared memory. The AVX-512 tier decodes a whole run of
+//! blocks per call ([`decode_run32`], its span checked once up front);
+//! the AVX2 tier one block per call ([`decode_block32_to`]).
 //!
 //! Every public function here is a drop-in for the scalar loop it
 //! replaces: same outputs for every input, only faster. The differential
@@ -332,11 +334,78 @@ pub fn encode_blocks32(resid: &[i64], fls: &[u8], out: &mut [u8]) {
     }
 }
 
-/// Decode one `L = 32` block payload **fused with dequantization**:
-/// signs applied, Lorenzo prefix-summed when `lorenzo`, multiplied by
-/// `2eb` and narrowed to `T` — all in registers — then stored to
-/// `out[..32]`. Bit-identical to the generic decode followed by
-/// [`dequantize_slice`].
+/// Decode a run of whole `L = 32` blocks with the AVX-512 block kernel,
+/// **fused with dequantization**: block `k` has fixed length `fls[k]`,
+/// its payload follows the previous non-zero block's from the start of
+/// `payload`, and its 32 elements go to `out[32k..32k + 32]` — signs
+/// applied, Lorenzo prefix-summed when `lorenzo`, multiplied by `2eb`
+/// and narrowed to `T`, all in registers. Zero blocks (`F = 0`) are
+/// stores of `+0.0`. Bit-identical to the generic strip decode followed
+/// by [`dequantize_slice`], per block, in one kernel call for the whole
+/// run. Returns the run's Eq-2 span: the payload bytes it read.
+///
+/// # Panics
+/// Panics if the host lacks [`SimdLevel::Avx512`], if
+/// `out.len() != 32 · fls.len()`, if some `fls[k]` exceeds 64, or if
+/// `payload` is shorter than the run's span. These checks, made once per
+/// run, keep the kernel's unchecked loads inside `payload` whatever its
+/// bytes are.
+pub fn decode_run32<T: FloatData>(
+    fls: &[u8],
+    payload: &[u8],
+    lorenzo: bool,
+    eb: f64,
+    out: &mut [T],
+) -> usize {
+    assert_eq!(detect_level(), SimdLevel::Avx512, "the host lacks avx512");
+    assert_eq!(
+        out.len(),
+        32 * fls.len(),
+        "run output length != 32 · blocks"
+    );
+    let (mut span, mut f_max) = (0usize, 0u8);
+    for &f in fls {
+        f_max = f_max.max(f);
+        span += crate::encode::cmp_bytes_for(f, 32) as usize;
+    }
+    assert!(f_max <= 64, "invalid stream: fixed length exceeds 64");
+    let payload = payload
+        .get(..span)
+        .expect("invalid stream: payload shorter than the Eq-2 span of the requested blocks");
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the host has the AVX-512 tier (asserted above), so the
+    // features; every `F ≤ 64` and `payload` is exactly the run's Eq-2
+    // span (both checked above), so each block's sign load and masked
+    // plane loads stay inside it; `out` holds `32 · fls.len()` elements
+    // (asserted above); FloatData is sealed, so T::DTYPE faithfully tags
+    // the element type.
+    unsafe {
+        match T::DTYPE {
+            DType::F32 => avx512_impl::decode_run32_f32(
+                fls,
+                payload,
+                lorenzo,
+                eb,
+                std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<f32>(), out.len()),
+            ),
+            DType::F64 => avx512_impl::decode_run32_f64(
+                fls,
+                payload,
+                lorenzo,
+                eb,
+                std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<f64>(), out.len()),
+            ),
+        }
+    }
+    span
+}
+
+/// Decode one `L = 32` block payload **fused with dequantization** at
+/// the AVX2 tier: signs applied, Lorenzo prefix-summed when `lorenzo`,
+/// multiplied by `2eb` and narrowed to `T` — all in registers — then
+/// stored to `out[..32]`. Bit-identical to the generic decode followed
+/// by [`dequantize_slice`]. The AVX-512 tier decodes whole runs instead
+/// ([`decode_run32`]).
 ///
 /// # Panics
 /// Debug-asserts the same preconditions as [`encode_block32`].
@@ -354,29 +423,9 @@ pub fn decode_block32_to<T: FloatData>(
     match level {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: features implied by the level; FloatData is sealed so
-        // T::DTYPE faithfully tags the element type.
-        SimdLevel::Avx512 => unsafe {
-            match T::DTYPE {
-                DType::F32 => avx512_impl::decode_block32_f32(
-                    payload,
-                    f,
-                    lorenzo,
-                    eb,
-                    std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<f32>(), out.len()),
-                ),
-                DType::F64 => avx512_impl::decode_block32_f64(
-                    payload,
-                    f,
-                    lorenzo,
-                    eb,
-                    std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<f64>(), out.len()),
-                ),
-            }
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above; `f ≤ 16` bounds every decoded magnitude below
-        // 2¹⁶ and Lorenzo sums below 2²¹, inside the exact range of the
-        // magic-number i64→f64 conversion.
+        // T::DTYPE faithfully tags the element type; `f ≤ 16` bounds
+        // every decoded magnitude below 2¹⁶ and Lorenzo sums below 2²¹,
+        // inside the exact range of the magic-number i64→f64 conversion.
         SimdLevel::Avx2 => unsafe {
             match T::DTYPE {
                 DType::F32 => avx2_impl::decode_block32_f32(
@@ -395,7 +444,7 @@ pub fn decode_block32_to<T: FloatData>(
                 ),
             }
         },
-        _ => unreachable!("no vector block codec at the {level} tier"),
+        _ => unreachable!("no per-block vector decoder at the {level} tier"),
     }
 }
 
@@ -557,14 +606,22 @@ mod avx512_impl {
     /// vectors (value groups in order): inverse plane permute +
     /// bit transpose per chunk pair, then per group the magnitude chunks
     /// are gathered, byte-untransposed, sign-applied, and Lorenzo
-    /// prefix-summed. Shared by the fused `f32`/`f64` exits.
+    /// prefix-summed. `dec` and `bt` hold [`DEC_PLANES_IDX`] and
+    /// [`BT_IDX`], loaded once per run by the caller.
     ///
     /// # Safety
-    /// Requires `avx512f`, `avx512dq`, `avx512bw`, `avx512vbmi`.
+    /// Requires `avx512f`, `avx512dq`, `avx512bw`, `avx512vbmi`;
+    /// `1 ≤ f ≤ 64` and `block` is readable for the block's `4 + 4f`
+    /// payload bytes.
     #[inline]
     #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vbmi")]
-    unsafe fn decode_block32_groups(payload: &[u8], f: u8, lorenzo: bool) -> [__m512i; 4] {
-        let dec = _mm512_loadu_si512(DEC_PLANES_IDX.as_ptr() as *const _);
+    unsafe fn decode_block32_groups(
+        block: *const u8,
+        f: u8,
+        lorenzo: bool,
+        dec: __m512i,
+        bt: __m512i,
+    ) -> [__m512i; 4] {
         let fu = f as usize;
         let pairs = fu.div_ceil(16);
         // zs[p]: bit-transposed plane pair p — qword g holds chunk 2p's
@@ -578,12 +635,10 @@ mod avx512_impl {
             } else {
                 (1u64 << (4 * count)) - 1
             };
-            let planes =
-                _mm512_maskz_loadu_epi8(mask, payload.as_ptr().add(4 + 64 * p) as *const _);
+            let planes = _mm512_maskz_loadu_epi8(mask, block.add(4 + 64 * p) as *const _);
             *z = transpose8x8_x8(_mm512_permutexvar_epi8(dec, planes));
         }
-        let signs = u32::from_le_bytes(payload[..4].try_into().expect("sign map"));
-        let bt = _mm512_loadu_si512(BT_IDX.as_ptr() as *const _);
+        let signs = u32::from_le(block.cast::<u32>().read_unaligned());
         let zero = _mm512_setzero_si512();
         let mut carry = _mm512_setzero_si512();
         let mut out = [_mm512_setzero_si512(); 4];
@@ -626,21 +681,28 @@ mod avx512_impl {
     /// scan runs over 16 lanes in two rounds-of-five instead of four
     /// rounds-of-four. Prefix sums stay below `32 · 2¹⁶ < 2²¹`, so `i32`
     /// arithmetic is exact (identical to the scalar `i64` decode).
+    /// `dec` and `inter` hold [`DEC_PLANES_IDX`] and [`INTERLEAVE_IDX`],
+    /// loaded once per run by the caller.
     ///
     /// # Safety
-    /// Requires `avx512f`, `avx512dq`, `avx512bw`, `avx512vbmi`, and
-    /// `1 ≤ f ≤ 16`.
+    /// Requires `avx512f`, `avx512dq`, `avx512bw`, `avx512vbmi`;
+    /// `1 ≤ f ≤ 16` and `block` is readable for the block's `4 + 4f`
+    /// payload bytes.
     #[inline]
     #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vbmi")]
-    unsafe fn decode_block32_narrow(payload: &[u8], f: u8, lorenzo: bool) -> [__m512i; 2] {
+    unsafe fn decode_block32_narrow(
+        block: *const u8,
+        f: u8,
+        lorenzo: bool,
+        dec: __m512i,
+        inter: __m512i,
+    ) -> [__m512i; 2] {
         let fu = f as usize;
         let mask: u64 = if fu == 16 { !0 } else { (1u64 << (4 * fu)) - 1 };
-        let planes = _mm512_maskz_loadu_epi8(mask, payload.as_ptr().add(4) as *const _);
-        let dec = _mm512_loadu_si512(DEC_PLANES_IDX.as_ptr() as *const _);
+        let planes = _mm512_maskz_loadu_epi8(mask, block.add(4) as *const _);
         let z = transpose8x8_x8(_mm512_permutexvar_epi8(dec, planes));
-        let inter = _mm512_loadu_si512(INTERLEAVE_IDX.as_ptr() as *const _);
         let mags = _mm512_permutexvar_epi8(inter, z);
-        let signs = u32::from_le_bytes(payload[..4].try_into().expect("sign map"));
+        let signs = u32::from_le(block.cast::<u32>().read_unaligned());
         let zero = _mm512_setzero_si512();
         let mut carry = zero;
         let mut out = [zero; 2];
@@ -666,69 +728,98 @@ mod avx512_impl {
         out
     }
 
-    /// Fused decode + dequantize to `f32`.
+    /// Decode a run of `L = 32` blocks fused with dequantization: block
+    /// `k` has fixed length `fls[k]`, its payload follows the previous
+    /// non-zero block's in `payload`, and its 32 finished elements go to
+    /// `out + 32k`, eight at a time through `store` (`qᵢ · 2eb` in `f64`
+    /// lanes, narrowed by `store` where `E` is `f32`). A zero block is
+    /// four stores of `+0.0`, which is `dequantize(0)` for both element
+    /// types. The integers live in registers only.
+    ///
+    /// Always inlined, so it runs with its caller's target features.
     ///
     /// # Safety
-    /// Requires `avx512f`, `avx512dq`, `avx512bw`, `avx512vbmi`.
-    #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vbmi")]
-    pub unsafe fn decode_block32_f32(
+    /// The caller enables `avx512f`, `avx512dq`, `avx512bw` and
+    /// `avx512vbmi`; every `fls[k] ≤ 64`; `payload.len()` is the run's
+    /// Eq-2 span (the sum of `4 + 4F` over its non-zero blocks), so every
+    /// block's loads stay inside `payload`; and `out` is valid for writes
+    /// of `32 · fls.len()` elements.
+    #[inline(always)]
+    unsafe fn decode_run32<E>(
+        fls: &[u8],
         payload: &[u8],
-        f: u8,
         lorenzo: bool,
         eb: f64,
-        out: &mut [f32],
+        out: *mut E,
+        store: impl Fn(*mut E, __m512d),
     ) {
+        debug_assert!(fls.iter().all(|&f| f <= 64));
+        debug_assert_eq!(
+            payload.len(),
+            fls.iter()
+                .map(|&f| crate::encode::cmp_bytes_for(f, 32) as usize)
+                .sum::<usize>()
+        );
+        let dec = _mm512_loadu_si512(DEC_PLANES_IDX.as_ptr() as *const _);
+        let inter = _mm512_loadu_si512(INTERLEAVE_IDX.as_ptr() as *const _);
+        let bt = _mm512_loadu_si512(BT_IDX.as_ptr() as *const _);
         let veb = _mm512_set1_pd(2.0 * eb);
-        if f <= 16 {
-            let halves = decode_block32_narrow(payload, f, lorenzo);
-            for (h, v) in halves.iter().enumerate() {
-                let lo = _mm512_cvtepi32_pd(_mm512_castsi512_si256(*v));
-                let hi = _mm512_cvtepi32_pd(_mm512_extracti64x4_epi64(*v, 1));
-                let p = out.as_mut_ptr().add(16 * h);
-                _mm256_storeu_ps(p, _mm512_cvtpd_ps(_mm512_mul_pd(lo, veb)));
-                _mm256_storeu_ps(p.add(8), _mm512_cvtpd_ps(_mm512_mul_pd(hi, veb)));
+        let zero = _mm512_setzero_pd();
+        let mut block = payload.as_ptr();
+        for (k, &f) in fls.iter().enumerate() {
+            let dst = out.add(32 * k);
+            if f == 0 {
+                for g in 0..4 {
+                    store(dst.add(8 * g), zero);
+                }
+                continue;
             }
-        } else {
-            let groups = decode_block32_groups(payload, f, lorenzo);
-            for (g, v) in groups.iter().enumerate() {
-                let d = _mm512_mul_pd(_mm512_cvtepi64_pd(*v), veb);
-                _mm256_storeu_ps(out.as_mut_ptr().add(8 * g), _mm512_cvtpd_ps(d));
+            if f <= 16 {
+                let halves = decode_block32_narrow(block, f, lorenzo, dec, inter);
+                for (h, v) in halves.iter().enumerate() {
+                    let lo = _mm512_cvtepi32_pd(_mm512_castsi512_si256(*v));
+                    let hi = _mm512_cvtepi32_pd(_mm512_extracti64x4_epi64(*v, 1));
+                    store(dst.add(16 * h), _mm512_mul_pd(lo, veb));
+                    store(dst.add(16 * h + 8), _mm512_mul_pd(hi, veb));
+                }
+            } else {
+                let groups = decode_block32_groups(block, f, lorenzo, dec, bt);
+                for (g, v) in groups.iter().enumerate() {
+                    store(dst.add(8 * g), _mm512_mul_pd(_mm512_cvtepi64_pd(*v), veb));
+                }
             }
+            block = block.add(4 + 4 * f as usize);
         }
     }
 
-    /// Fused decode + dequantize to `f64`.
-    ///
-    /// # Safety
-    /// Requires `avx512f`, `avx512dq`, `avx512bw`, `avx512vbmi`.
-    #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vbmi")]
-    pub unsafe fn decode_block32_f64(
-        payload: &[u8],
-        f: u8,
-        lorenzo: bool,
-        eb: f64,
-        out: &mut [f64],
-    ) {
-        let veb = _mm512_set1_pd(2.0 * eb);
-        if f <= 16 {
-            let halves = decode_block32_narrow(payload, f, lorenzo);
-            for (h, v) in halves.iter().enumerate() {
-                let lo = _mm512_cvtepi32_pd(_mm512_castsi512_si256(*v));
-                let hi = _mm512_cvtepi32_pd(_mm512_extracti64x4_epi64(*v, 1));
-                let p = out.as_mut_ptr().add(16 * h);
-                _mm512_storeu_pd(p, _mm512_mul_pd(lo, veb));
-                _mm512_storeu_pd(p.add(8), _mm512_mul_pd(hi, veb));
+    macro_rules! decode_run32_of {
+        ($name:ident, $elem:ty, $store:expr) => {
+            /// [`decode_run32`] into `$elem` elements.
+            ///
+            /// # Safety
+            /// Requires `avx512f`, `avx512dq`, `avx512bw`, `avx512vbmi`;
+            /// every `fls[k] ≤ 64`, `payload.len()` is the run's Eq-2
+            /// span and `out.len() == 32 · fls.len()`.
+            #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vbmi")]
+            pub unsafe fn $name(
+                fls: &[u8],
+                payload: &[u8],
+                lorenzo: bool,
+                eb: f64,
+                out: &mut [$elem],
+            ) {
+                debug_assert_eq!(out.len(), 32 * fls.len());
+                decode_run32(fls, payload, lorenzo, eb, out.as_mut_ptr(), $store)
             }
-        } else {
-            let groups = decode_block32_groups(payload, f, lorenzo);
-            for (g, v) in groups.iter().enumerate() {
-                _mm512_storeu_pd(
-                    out.as_mut_ptr().add(8 * g),
-                    _mm512_mul_pd(_mm512_cvtepi64_pd(*v), veb),
-                );
-            }
-        }
+        };
     }
+
+    decode_run32_of!(decode_run32_f32, f32, |p: *mut f32, d: __m512d| {
+        _mm256_storeu_ps(p, _mm512_cvtpd_ps(d))
+    });
+    decode_run32_of!(decode_run32_f64, f64, |p: *mut f64, d: __m512d| {
+        _mm512_storeu_pd(p, d)
+    });
 
     /// `round(x)` (half away from zero) for 8 lanes, then saturating-cast
     /// to `i64` with Rust `as` semantics.
