@@ -77,6 +77,46 @@ fn bench(c: &mut Criterion) {
         })
     });
 
+    // The same restore through the hybrid stage, as a `CZH1` store chunk
+    // decodes: entropy decode of the chunk's frame, then the first stage
+    // into the array's rows.
+    group.bench_function("hybrid_decode_rows_chunk64k", |b| {
+        let chunk = &data[..16_384];
+        let c = cuszp_core::fast::compress(chunk, eb, cuszp_core::CuszpConfig::default());
+        let mut hs = cuszp_core::HybridScratch::new();
+        let mut frame = Vec::new();
+        let r = c.as_ref();
+        cuszp_core::hybrid::encode(
+            &r,
+            cuszp_core::hybrid::auto_chunk_blocks(&r),
+            &mut hs,
+            &mut frame,
+        );
+        let hr = cuszp_core::HybridRef::parse(&frame).expect("a frame it just wrote");
+        let rows = cuszp_core::RowLayout::of_box(
+            &[4, 32, 128],
+            &[0, 0, 0],
+            &[4, 32, 128],
+            &[224 * 224, 224, 1],
+        );
+        let mut scratch = cuszp_core::Scratch::new();
+        let mut array = vec![0f32; 40 * 224 * 224];
+        let at = 8 * 224 * 224 + 96 * 224 + 128;
+        b.iter(|| {
+            let out = &mut array[at..at + rows.dst_len()];
+            black_box(
+                cuszp_core::hybrid::decode_rows_into(
+                    black_box(&hr),
+                    &rows,
+                    &mut hs,
+                    &mut scratch,
+                    out,
+                )
+                .expect("a valid frame"),
+            )
+        })
+    });
+
     group.bench_function("plan_block", |b| {
         let mut resid = vec![0i64; 32];
         cuszp_core::quantize::quantize_block(&data[..32], eb, true, &mut resid);

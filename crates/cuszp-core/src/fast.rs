@@ -35,8 +35,14 @@
 //! its shard in place. It is byte-identical to [`compress_into`] over
 //! the gathered rows; [`compress_into`] is its one-row case. The
 //! decoders mirror it ([`decompress_rows_into`]): at the AVX-512 tier
-//! with `L = 32` the whole blocks of each row are one
-//! [`simd::decode_run32`] call, dequantization fused.
+//! with `L = 32`, rows of whole blocks that follow each other in the
+//! stream — every row of a store chunk read whole — are decoded a batch
+//! per [`simd::decode_rows32`] call, up to 128 rows, each row's blocks
+//! stored straight to its place in the output, dequantization fused.
+//! The batch's destinations come from the row layout's strides. A
+//! partial head or tail block, a block that straddles rows, the ragged
+//! final block, the other tiers and other block lengths take the
+//! per-row path.
 //!
 //! The portable strip codec's bit-plane work is word-parallel twice
 //! over: per 8-value
@@ -682,15 +688,38 @@ impl<'c, 'q, T: FloatData> BlockDecoder<'c, 'q, T> {
             .expect("invalid stream: payload shorter than the Eq-2 span of the requested blocks")
     }
 
+    /// Decode `dsts.len()` rows of `k` whole `L = 32` blocks each, the
+    /// first starting at block `b0` and each following the previous one
+    /// on in the stream, into `out[dsts[r]..]`: **one**
+    /// [`simd::decode_rows32`] call, so [`SimdLevel::Avx512`] only.
+    fn rows(&mut self, b0: usize, k: usize, dsts: &[usize], out: &mut [T]) {
+        self.skip_to(b0);
+        let b1 = b0 + dsts.len() * k;
+        let span = simd::decode_rows32(
+            &self.c.fixed_lengths[b0..b1],
+            self.c.payload.get(self.off..).unwrap_or_default(),
+            self.c.lorenzo,
+            self.c.eb,
+            k,
+            dsts,
+            out,
+        );
+        self.next = b1;
+        self.off += span;
+        self.read += span;
+    }
+
     /// Decode whole blocks `b0..b1` into `out` (the elements
     /// `b0·L .. min(b1·L, N)`).
     ///
     /// At [`SimdLevel::Avx512`] with `L = 32`, the full blocks of the run
-    /// are **one** [`simd::decode_run32`] call: it undoes the bit-plane
-    /// layout *and* dequantizes in registers, storing finished elements
-    /// straight to `out`, and fills zero blocks with `+0.0`. The
-    /// quantization integers never exist in memory. Elsewhere, three
-    /// exits per block:
+    /// are **one** kernel call, the one-row case of [`Self::rows`]: it
+    /// undoes the bit-plane layout *and* dequantizes in registers,
+    /// storing finished elements straight to `out`, and fills zero blocks
+    /// with `+0.0`. The quantization integers never exist in memory.
+    /// ([`decode_window`] hands rows of whole blocks to [`Self::rows`]
+    /// a batch at a time; this path serves a lone run, such as the whole
+    /// blocks of a row part.) Elsewhere, three exits per block:
     ///
     /// - **Zero block** (`F = 0`): `dequantize(0)` is exactly `+0.0` for
     ///   both element types, so the block is a plain fill — sparse decode
@@ -708,17 +737,7 @@ impl<'c, 'q, T: FloatData> BlockDecoder<'c, 'q, T> {
             // A ragged final block is left to the loop below.
             let run_end = b1.min(n / l);
             if run_end > b0 {
-                self.skip_to(b0);
-                let span = simd::decode_run32(
-                    &self.c.fixed_lengths[b0..run_end],
-                    self.c.payload.get(self.off..).unwrap_or_default(),
-                    self.c.lorenzo,
-                    self.c.eb,
-                    &mut out[..(run_end - b0) * l],
-                );
-                self.next = run_end;
-                self.off += span;
-                self.read += span;
+                self.rows(b0, run_end - b0, &[0], out);
                 first = run_end;
             }
         }
@@ -948,6 +967,11 @@ pub fn decompress_rows_into<T: FloatData>(
     decode_window(c, 0, &mut walk, simd::resolve_level(None), scratch, out)
 }
 
+/// Most rows one [`simd::decode_rows32`] call takes, their destinations
+/// on the stack: the 128 rows of a `[4, 32, 128]` store chunk are one
+/// batch.
+const ROW_BATCH: usize = 128;
+
 /// Decode every part of `walk`'s rows that lies in stream `c`, whose
 /// element 0 is element `base` of the rows' source coordinates, and
 /// advance the walk past them. A row running past the stream's end stays
@@ -965,11 +989,22 @@ pub(crate) fn decode_window<T: FloatData>(
 ) -> usize {
     let end = base + c.num_elements as usize;
     let mut dec = BlockDecoder::new(c, level, &mut scratch.resid);
+    // At the AVX-512 tier with `L = 32`, whole-block rows that follow each
+    // other on in the stream go to the row kernel a batch per call.
+    let batch = level == SimdLevel::Avx512 && dec.l == 32;
+    let mut dsts = [0usize; ROW_BATCH];
     while let Some((src, dst, len)) = walk.seg() {
         if src >= end {
             break;
         }
         debug_assert!(src >= base, "the walk starts inside the stream");
+        if batch && (src - base).is_multiple_of(32) && len.is_multiple_of(32) {
+            let rows = walk.take_rows(end, &mut dsts);
+            if rows > 0 {
+                dec.rows((src - base) / 32, len / 32, &dsts[..rows], out);
+                continue;
+            }
+        }
         let stop = (src + len).min(end);
         dec.span(src - base, stop - base, &mut out[dst..dst + (stop - src)]);
         walk.done_to(stop);
@@ -981,6 +1016,7 @@ pub(crate) fn decode_window<T: FloatData>(
 mod tests {
     use super::*;
     use crate::host_ref;
+    use crate::FormatError;
 
     fn wave(n: usize) -> Vec<f32> {
         (0..n)
@@ -1450,6 +1486,321 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The row boxes the batch tests decode, over an array whose rows
+    /// are `k` whole blocks: the whole array, a box of whole rows, a box
+    /// whose rows skip the first block (a gap in the stream between
+    /// rows), and, in 3-D, a box that skips rows within each plane.
+    fn batch_boxes(k: usize, three_d: bool) -> Vec<(Vec<usize>, Vec<usize>, Vec<usize>)> {
+        let w = 32 * k;
+        let (dims, inner, skip) = if three_d {
+            let skip = (vec![0, 0, 32], vec![3, 5, w]);
+            (vec![3usize, 5, w], (vec![1, 1, 0], vec![3, 4, w]), skip)
+        } else {
+            (
+                vec![13usize, w],
+                (vec![2, 0], vec![11, w]),
+                (vec![0, 32], vec![13, w]),
+            )
+        };
+        let zero = vec![0; dims.len()];
+        let mut boxes = vec![(dims.clone(), zero, dims.clone())];
+        boxes.push((dims.clone(), inner.0, inner.1));
+        if k > 1 {
+            boxes.push((dims, skip.0, skip.1));
+        }
+        boxes
+    }
+
+    /// Fixed lengths that mix zero and coded blocks and, over
+    /// `k = 1..=5`, visit every `F` in 0..=64.
+    fn batch_fls(blocks: usize, k: usize) -> Vec<u8> {
+        (0..blocks)
+            .map(|b| {
+                if b % 4 == 3 {
+                    0
+                } else {
+                    ((b * 7 + k) % 65) as u8
+                }
+            })
+            .collect()
+    }
+
+    /// Decode `rows` of stream `c` with [`decode_window`] at `level` into
+    /// a NaN-filled output and check every element: inside a row (up to
+    /// the stream's end) it equals `full`, anywhere else it is still NaN.
+    /// Also checks the bytes read against the touched blocks' Eq-2 span.
+    fn assert_rows_decode<T: FloatData>(
+        c: &Compressed,
+        rows: &RowLayout,
+        full: &[T],
+        level: SimdLevel,
+        scratch: &mut Scratch,
+        what: &str,
+    ) {
+        let n = c.num_elements as usize;
+        let mut out = vec![T::from_f64(f64::NAN); rows.dst_len() + 7];
+        let mut walk = RowWalk::new(rows);
+        let read = decode_window(c.as_ref(), 0, &mut walk, level, scratch, &mut out);
+        let mut written = vec![false; out.len()];
+        let mut want_read = 0;
+        for (src, dst) in rows.iter() {
+            let len = rows.row_len().min(n.saturating_sub(src));
+            assert_eq!(
+                &out[dst..dst + len],
+                &full[src..src + len],
+                "{what} at {src}"
+            );
+            written[dst..dst + len].fill(true);
+            if len > 0 {
+                want_read += c
+                    .payload_span(src / 32..(src + len).div_ceil(32))
+                    .unwrap()
+                    .len();
+            }
+        }
+        for (i, (v, w)) in out.iter().zip(&written).enumerate() {
+            assert!(
+                *w || v.to_f64().is_nan(),
+                "{what}: wrote outside the rows at {i}"
+            );
+        }
+        assert_eq!(read, want_read, "{what}: bytes read");
+    }
+
+    fn assert_row_batches_decode_identically<T: FloatData>() {
+        let mut scratch = Scratch::new();
+        let mut seen = [false; 65];
+        for lorenzo in [false, true] {
+            for k in 1..=5usize {
+                for three_d in [false, true] {
+                    for (dims, lo, hi) in batch_boxes(k, three_d) {
+                        let n: usize = dims.iter().product();
+                        let fls = batch_fls(n / 32, k);
+                        fls.iter().for_each(|&f| seen[f as usize] = true);
+                        let c = stream_of(&fls, n, lorenzo, T::DTYPE, 0xB47C + k as u64);
+                        let full = strip_decode::<T>(&c);
+                        assert_eq!(full, host_ref::decompress::<T>(&c), "host_ref, k = {k}");
+                        let strides = padded_strides(&lo, &hi, 5);
+                        let rows = RowLayout::of_box(&dims, &lo, &hi, &strides);
+                        for level in tiers() {
+                            let what = format!(
+                                "{:?} k = {k} {lo:?}..{hi:?} lorenzo={lorenzo} at {level}",
+                                T::DTYPE
+                            );
+                            assert_rows_decode(&c, &rows, &full, level, &mut scratch, &what);
+                            // The per-row path: one call per row.
+                            let mut per_row = vec![T::from_f64(f64::NAN); rows.dst_len()];
+                            for (src, dst) in rows.iter() {
+                                let one = RowLayout::contiguous(src, rows.row_len());
+                                let mut walk = RowWalk::new(&one);
+                                let out = &mut per_row[dst..];
+                                decode_window(c.as_ref(), 0, &mut walk, level, &mut scratch, out);
+                            }
+                            let mut batched = vec![T::from_f64(f64::NAN); rows.dst_len()];
+                            let mut walk = RowWalk::new(&rows);
+                            decode_window(
+                                c.as_ref(),
+                                0,
+                                &mut walk,
+                                level,
+                                &mut scratch,
+                                &mut batched,
+                            );
+                            let same = per_row.iter().zip(&batched).all(|(a, b)| {
+                                a == b || (a.to_f64().is_nan() && b.to_f64().is_nan())
+                            });
+                            assert!(same, "{what}: batched != per-row");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every F in 0..=64 is covered");
+    }
+
+    #[test]
+    fn row_batches_decode_identically_f32() {
+        assert_row_batches_decode_identically::<f32>();
+    }
+
+    #[test]
+    fn row_batches_decode_identically_f64() {
+        assert_row_batches_decode_identically::<f64>();
+    }
+
+    #[test]
+    fn row_batches_stop_at_the_stream_end_and_at_straddles() {
+        let mut scratch = Scratch::new();
+        for k in 1..=3usize {
+            let w = 32 * k;
+            // The stream ends 23 elements short of the last row's end:
+            // the last row runs into a ragged final block, past the
+            // stream, and is decoded up to the stream's end only.
+            let dims = [9usize, w];
+            let n = 9 * w - 23;
+            let fls = batch_fls(n.div_ceil(32), k);
+            let c = stream_of(&fls, n, true, crate::DType::F32, 0x5EED + k as u64);
+            let full = strip_decode::<f32>(&c);
+            let strides = padded_strides(&[0, 0], &dims, 3);
+            let rows = RowLayout::of_box(&dims, &[0, 0], &dims, &strides);
+            for level in tiers() {
+                let what = format!("ragged end, k = {k} at {level}");
+                assert_rows_decode(&c, &rows, &full, level, &mut scratch, &what);
+            }
+            // Array rows half a block longer than the box rows: every
+            // other box row starts mid-block, so whole-block rows
+            // alternate with rows whose blocks straddle, and gaps
+            // separate them in the stream.
+            let dims = [8usize, w + 16];
+            let n = 8 * (w + 16);
+            let fls = batch_fls(n.div_ceil(32), k);
+            let c = stream_of(&fls, n, false, crate::DType::F64, 0xFACE + k as u64);
+            let full = strip_decode::<f64>(&c);
+            let hi = [8usize, w];
+            let strides = padded_strides(&[0, 0], &hi, 3);
+            let rows = RowLayout::of_box(&dims, &[0, 0], &hi, &strides);
+            for level in tiers() {
+                let what = format!("straddles, k = {k} at {level}");
+                assert_rows_decode(&c, &rows, &full, level, &mut scratch, &what);
+            }
+        }
+    }
+
+    /// Decode the rows of a six-row, three-block-wide box of `c` at
+    /// `level` into a NaN-filled output and return the panic message,
+    /// after checking that nothing outside the rows was written.
+    fn corrupt_rows_panic(c: &Compressed, level: SimdLevel) -> String {
+        let dims = [6usize, 96];
+        let strides = padded_strides(&[0, 0], &dims, 4);
+        let rows = RowLayout::of_box(&dims, &[0, 0], &dims, &strides);
+        let mut out = vec![f32::NAN; rows.dst_len()];
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut walk = RowWalk::new(&rows);
+            decode_window(
+                c.as_ref(),
+                0,
+                &mut walk,
+                level,
+                &mut Scratch::new(),
+                &mut out,
+            );
+        }))
+        .expect_err("a corrupt stream must not decode");
+        let mut inside = vec![false; out.len()];
+        for (_, dst) in rows.iter() {
+            inside[dst..dst + 96].fill(true);
+        }
+        for (i, v) in out.iter().enumerate() {
+            assert!(inside[i] || v.is_nan(), "wrote outside the rows at {i}");
+        }
+        err.downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| err.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
+    /// The same box through a one-chunk `Pass` hybrid frame of `c`, with
+    /// `patch` applied to the frame's bytes: the chunk's re-validation
+    /// must turn the corruption into a typed error, writing nothing.
+    fn corrupt_rows_hybrid(c: &Compressed, patch: impl Fn(&mut Vec<u8>)) -> FormatError {
+        let r = c.as_ref();
+        let mut hs = crate::HybridScratch::new();
+        let mut frame = Vec::new();
+        let pass = Some(crate::hybrid::Mode::Pass);
+        crate::hybrid::encode_with(&r, c.num_blocks(), pass, &mut hs, &mut frame);
+        patch(&mut frame);
+        let hr = crate::HybridRef::parse(&frame).expect("the patched frame parses");
+        let dims = [6usize, 96];
+        let strides = padded_strides(&[0, 0], &dims, 4);
+        let rows = RowLayout::of_box(&dims, &[0, 0], &dims, &strides);
+        let mut out = vec![f32::NAN; rows.dst_len()];
+        let err =
+            crate::hybrid::decode_rows_into(&hr, &rows, &mut hs, &mut Scratch::new(), &mut out)
+                .expect_err("a corrupt chunk must not decode");
+        assert!(out.iter().all(|v| v.is_nan()), "nothing is written");
+        err
+    }
+
+    #[test]
+    fn corrupt_row_batches_panic_or_fail_typed() {
+        let fls = batch_fls(18, 3);
+        // The one chunk's raw bytes follow the header and its table entry.
+        let raw = crate::hybrid::HYBRID_HEADER_BYTES + crate::hybrid::TABLE_ENTRY_BYTES;
+        // F = 65 in row 4's middle block.
+        let c = stream_of(&fls, 18 * 32, true, crate::DType::F32, 0xBAD);
+        let bad = 4 * 3 + 1;
+        for level in tiers() {
+            let mut wide = c.clone();
+            wide.fixed_lengths[bad] = 65;
+            let msg = corrupt_rows_panic(&wide, level);
+            assert!(msg.contains("fixed length exceeds 64"), "{level}: {msg}");
+        }
+        let err = corrupt_rows_hybrid(&c, |frame| frame[raw + bad] = 65);
+        assert!(matches!(err, FormatError::Corrupt(_)), "{err:?}");
+        // A payload one byte short of the rows' span.
+        for level in tiers() {
+            let mut short = c.clone();
+            short.payload.pop();
+            let msg = corrupt_rows_panic(&short, level);
+            assert!(msg.contains("payload shorter"), "{level}: {msg}");
+        }
+        let err = corrupt_rows_hybrid(&c, |frame| {
+            frame.pop();
+            for at in [raw - 8, raw - 4] {
+                let len = u32::from_le_bytes(frame[at..at + 4].try_into().unwrap()) - 1;
+                frame[at..at + 4].copy_from_slice(&len.to_le_bytes());
+            }
+        });
+        assert_eq!(err, FormatError::Corrupt("payload size vs Eq 2"));
+    }
+
+    #[test]
+    fn row_kernel_checks_its_arguments() {
+        if simd::detect_level() != SimdLevel::Avx512 {
+            return;
+        }
+        let c = stream_of(&[3, 0, 17, 64], 128, true, crate::DType::F32, 0x51);
+        let panics = |dsts: &[usize], fls: &[u8], payload: &[u8], out: &mut [f32]| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                simd::decode_rows32(fls, payload, true, c.eb, 2, dsts, out)
+            }))
+            .is_err()
+        };
+        let mut out = vec![f32::NAN; 200];
+        // Rows of two blocks at 0 and 136: the second ends at 200.
+        let read = simd::decode_rows32(
+            &c.fixed_lengths,
+            &c.payload,
+            true,
+            c.eb,
+            2,
+            &[0, 136],
+            &mut out,
+        );
+        assert_eq!(read, c.payload.len());
+        let full = strip_decode::<f32>(&c);
+        assert_eq!(out[..64], full[..64]);
+        assert_eq!(out[136..], full[64..]);
+        assert!(out[64..136].iter().all(|v| v.is_nan()));
+        assert!(
+            panics(&[0, 137], &c.fixed_lengths, &c.payload, &mut out),
+            "past the output"
+        );
+        assert!(
+            panics(&[0], &c.fixed_lengths, &c.payload, &mut out),
+            "rows · k"
+        );
+        let short = &c.payload[..c.payload.len() - 1];
+        assert!(
+            panics(&[0, 136], &c.fixed_lengths, short, &mut out),
+            "short payload"
+        );
+        assert!(
+            panics(&[0, 136], &[3, 0, 65, 64], &c.payload, &mut out),
+            "F = 65"
+        );
     }
 
     #[test]

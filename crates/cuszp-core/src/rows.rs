@@ -181,32 +181,39 @@ impl Rows<'_> {
     fn peek(&self) -> Option<(usize, usize)> {
         (self.left > 0).then_some((self.src, self.dst))
     }
+
+    /// Skip `m ≥ 1` rows, all along the innermost axis: `m` is at most
+    /// the rows left on it (and so at most `left`).
+    fn advance(&mut self, m: usize) {
+        self.left -= m;
+        if self.left == 0 {
+            return;
+        }
+        // Odometer step over the leading axes, innermost first: `m` rows
+        // on the innermost, then a carry of one into each axis that wraps.
+        let g = self.layout;
+        let mut step = m;
+        for a in (0..g.axes).rev() {
+            self.idx[a] += step;
+            self.src += step * g.src_strides[a];
+            self.dst += step * g.dst_strides[a];
+            if self.idx[a] < g.counts[a] {
+                break;
+            }
+            self.idx[a] = 0;
+            self.src -= g.counts[a] * g.src_strides[a];
+            self.dst -= g.counts[a] * g.dst_strides[a];
+            step = 1;
+        }
+    }
 }
 
 impl Iterator for Rows<'_> {
     type Item = (usize, usize);
 
     fn next(&mut self) -> Option<(usize, usize)> {
-        if self.left == 0 {
-            return None;
-        }
-        let row = (self.src, self.dst);
-        self.left -= 1;
-        if self.left > 0 {
-            // Odometer step over the leading axes, innermost first.
-            let g = self.layout;
-            for a in (0..g.axes).rev() {
-                self.idx[a] += 1;
-                self.src += g.src_strides[a];
-                self.dst += g.dst_strides[a];
-                if self.idx[a] < g.counts[a] {
-                    break;
-                }
-                self.idx[a] = 0;
-                self.src -= g.counts[a] * g.src_strides[a];
-                self.dst -= g.counts[a] * g.dst_strides[a];
-            }
-        }
+        let row = self.peek()?;
+        self.advance(1);
         Some(row)
     }
 }
@@ -275,6 +282,50 @@ impl<'a> RowWalk<'a> {
     #[inline]
     pub(crate) fn seg(&self) -> Option<(usize, usize, usize)> {
         self.seg
+    }
+
+    /// Take the current row and the rows that follow it on in the
+    /// source, each starting where the previous one ends, while they end
+    /// by source index `end` and `dsts` has room: writes each row's
+    /// output index to `dsts` and returns how many rows it took, 0 unless
+    /// the current part is a whole row ending by `end`. The walk moves
+    /// past them. The output indices come from the innermost axis's
+    /// stride, one odometer step per run along that axis.
+    pub(crate) fn take_rows(&mut self, end: usize, dsts: &mut [usize]) -> usize {
+        let len = self.row_len;
+        let Some((src, dst, part)) = self.seg else {
+            return 0;
+        };
+        if part != len || src + len > end || dsts.is_empty() {
+            return 0;
+        }
+        dsts[0] = dst;
+        let (mut n, mut next) = (1, src + len);
+        let rows = &mut self.rows;
+        while n < dsts.len() && rows.peek().is_some_and(|(s, _)| s == next) {
+            // Rows along the innermost axis follow each other on when its
+            // source stride is the row length.
+            let g = rows.layout;
+            let a = g.axes - 1;
+            let along = if g.src_strides[a] == len {
+                g.counts[a] - rows.idx[a]
+            } else {
+                1
+            };
+            let m = along.min(dsts.len() - n).min((end - next) / len);
+            if m == 0 {
+                break;
+            }
+            let stride = g.dst_strides[a];
+            for (j, d) in dsts[n..n + m].iter_mut().enumerate() {
+                *d = rows.dst + j * stride;
+            }
+            rows.advance(m);
+            n += m;
+            next += m * len;
+        }
+        self.next_row();
+        n
     }
 
     /// Mark the current row part done up to source index `to`; the walk
@@ -365,6 +416,53 @@ mod tests {
         // A gap in the output keeps the rows apart.
         let gapped = RowLayout::of_box(&[4, 3, 5], &[1, 0, 0], &[3, 3, 5], &[18, 6, 1]);
         assert_eq!((gapped.row_len(), gapped.num_rows()), (5, 6));
+    }
+
+    #[test]
+    fn take_rows_follows_the_rows() {
+        // Rows that follow each other on in the source (whole planes,
+        // a box inside the planes), rows with gaps, and a row split by
+        // `done_to`; batches of every size up to five, stopping at `end`.
+        for (dims, lo, hi) in [
+            ([3usize, 4, 64], [0usize, 0, 0], [3usize, 4, 64]),
+            ([3, 4, 64], [1, 1, 0], [3, 4, 64]),
+            ([3, 4, 64], [0, 0, 32], [3, 4, 64]),
+            ([5, 2, 96], [0, 0, 0], [5, 2, 96]),
+        ] {
+            let strides = [hi[1] * (hi[2] - lo[2]) + 7, hi[2] - lo[2] + 3, 1];
+            let layout = RowLayout::of_box(&dims, &lo, &hi, &strides);
+            let all: Vec<(usize, usize)> = layout.iter().collect();
+            for cap in 1..=5 {
+                for end in [layout.src_end(), layout.src_end() - 1, 300] {
+                    let mut walk = RowWalk::new(&layout);
+                    let mut got = Vec::new();
+                    let mut dsts = [0usize; 5];
+                    while let Some((src, dst, len)) = walk.seg() {
+                        let n = walk.take_rows(end, &mut dsts[..cap]);
+                        if n == 0 {
+                            assert!(src + len > end, "{dims:?} {lo:?}: a whole row was refused");
+                            got.push((src, dst));
+                            walk.done_to(src + len);
+                            continue;
+                        }
+                        for (j, &d) in dsts[..n].iter().enumerate() {
+                            let s = src + j * layout.row_len();
+                            assert!(s + layout.row_len() <= end, "past the end");
+                            got.push((s, d));
+                        }
+                    }
+                    assert_eq!(got, all, "{dims:?} {lo:?}..{hi:?} cap {cap} end {end}");
+                }
+            }
+        }
+        // A row part left by `done_to` is not a whole row.
+        let layout = RowLayout::of_box(&[4, 10], &[1, 0], &[3, 10], &[12, 1]);
+        let mut walk = RowWalk::new(&layout);
+        walk.done_to(13);
+        assert_eq!(walk.take_rows(40, &mut [0; 4]), 0);
+        walk.done_to(20);
+        assert_eq!(walk.take_rows(40, &mut [0; 4]), 1);
+        assert_eq!(walk.seg(), None);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! | quantize + Lorenzo | ✓ | (scalar) | 8-lane, one call per tile at every `L` |
 //! | dequantize | ✓ | (scalar) | 8-lane `vcvtqq2pd` |
 //! | `L = 32` block encode | strip codec | `F ≤ 16` | `F ≤ 64`, one call per tile |
-//! | `L = 32` block decode | strip codec | `F ≤ 16`, fused | `F ≤ 64`, fused, one call per run |
+//! | `L = 32` block decode | strip codec | `F ≤ 16`, fused | `F ≤ 64`, fused, one call per batch of rows |
 //!
 //! The AVX2 tier leaves quantize/dequantize scalar on purpose: AVX2 has
 //! no exact `f64`↔`i64` vector converts, and an approximate one would
@@ -59,9 +59,13 @@
 //! round-trip through a scratch tile, which halves the decode path's L2
 //! traffic (16 bytes of `i64` per element, gone) — the host analogue of
 //! the paper's fused decompression kernel writing reconstructed data
-//! directly from shared memory. The AVX-512 tier decodes a whole run of
-//! blocks per call ([`decode_run32`], its span checked once up front);
-//! the AVX2 tier one block per call ([`decode_block32_to`]).
+//! directly from shared memory. The AVX-512 tier decodes a whole batch
+//! of rows per call ([`decode_rows32`]): rows of whole blocks that follow
+//! each other in the stream, each stored straight to its own place in
+//! the output, with the batch's Eq-2 span, fixed lengths and
+//! destinations checked once up front. A run of blocks into one
+//! contiguous slice ([`decode_run32`]) is its one-row case. The AVX2
+//! tier decodes one block per call ([`decode_block32_to`]).
 //!
 //! Every public function here is a drop-in for the scalar loop it
 //! replaces: same outputs for every input, only faster. The differential
@@ -344,6 +348,8 @@ pub fn encode_blocks32(resid: &[i64], fls: &[u8], out: &mut [u8]) {
 /// by [`dequantize_slice`], per block, in one kernel call for the whole
 /// run. Returns the run's Eq-2 span: the payload bytes it read.
 ///
+/// This is the one-row case of [`decode_rows32`].
+///
 /// # Panics
 /// Panics if the host lacks [`SimdLevel::Avx512`], if
 /// `out.len() != 32 · fls.len()`, if some `fls[k]` exceeds 64, or if
@@ -357,11 +363,52 @@ pub fn decode_run32<T: FloatData>(
     eb: f64,
     out: &mut [T],
 ) -> usize {
-    assert_eq!(detect_level(), SimdLevel::Avx512, "the host lacks avx512");
     assert_eq!(
         out.len(),
         32 * fls.len(),
         "run output length != 32 · blocks"
+    );
+    decode_rows32(fls, payload, lorenzo, eb, fls.len(), &[0], out)
+}
+
+/// Decode `dsts.len()` rows of `row_blocks` whole `L = 32` blocks each
+/// with the AVX-512 block kernel, fused with dequantization as in
+/// [`decode_run32`], in **one** kernel call. The rows' blocks follow
+/// each other in the stream: `fls` holds their fixed lengths row after
+/// row, and `payload` starts at the first row's first non-zero block.
+/// Row `r`'s `32 · row_blocks` elements go to `out[dsts[r]..]`, so the
+/// rows of a box land straight in their places in the caller's array.
+/// Returns the batch's Eq-2 span: the payload bytes it read.
+///
+/// # Panics
+/// Panics if the host lacks [`SimdLevel::Avx512`], if
+/// `fls.len() != dsts.len() · row_blocks`, if some row's destination
+/// range `dsts[r] + 32 · row_blocks` passes `out.len()`, if some
+/// `fls[k]` exceeds 64, or if `payload` is shorter than the batch's
+/// span. These checks, made once per call, keep the kernel's unchecked
+/// loads inside `payload` and its stores inside `out` whatever the bytes
+/// and destinations are.
+pub fn decode_rows32<T: FloatData>(
+    fls: &[u8],
+    payload: &[u8],
+    lorenzo: bool,
+    eb: f64,
+    row_blocks: usize,
+    dsts: &[usize],
+    out: &mut [T],
+) -> usize {
+    assert_eq!(detect_level(), SimdLevel::Avx512, "the host lacks avx512");
+    assert_eq!(
+        Some(fls.len()),
+        dsts.len().checked_mul(row_blocks),
+        "row blocks != rows · blocks per row"
+    );
+    let room = row_blocks
+        .checked_mul(32)
+        .and_then(|row| out.len().checked_sub(row));
+    assert!(
+        dsts.iter().all(|&d| room.is_some_and(|r| d <= r)),
+        "row destination past the output"
     );
     let (mut span, mut f_max) = (0usize, 0u8);
     for &f in fls {
@@ -374,25 +421,30 @@ pub fn decode_run32<T: FloatData>(
         .expect("invalid stream: payload shorter than the Eq-2 span of the requested blocks");
     #[cfg(target_arch = "x86_64")]
     // SAFETY: the host has the AVX-512 tier (asserted above), so the
-    // features; every `F ≤ 64` and `payload` is exactly the run's Eq-2
+    // features; every `F ≤ 64` and `payload` is exactly the batch's Eq-2
     // span (both checked above), so each block's sign load and masked
-    // plane loads stay inside it; `out` holds `32 · fls.len()` elements
-    // (asserted above); FloatData is sealed, so T::DTYPE faithfully tags
-    // the element type.
+    // plane loads stay inside it; `fls` holds `row_blocks` lengths per
+    // destination and each `dsts[r] + 32 · row_blocks ≤ out.len()` (both
+    // asserted above), so every row's stores stay inside `out`;
+    // FloatData is sealed, so T::DTYPE faithfully tags the element type.
     unsafe {
         match T::DTYPE {
-            DType::F32 => avx512_impl::decode_run32_f32(
+            DType::F32 => avx512_impl::decode_rows32_f32(
                 fls,
                 payload,
                 lorenzo,
                 eb,
+                row_blocks,
+                dsts,
                 std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<f32>(), out.len()),
             ),
-            DType::F64 => avx512_impl::decode_run32_f64(
+            DType::F64 => avx512_impl::decode_rows32_f64(
                 fls,
                 payload,
                 lorenzo,
                 eb,
+                row_blocks,
+                dsts,
                 std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<f64>(), out.len()),
             ),
         }
@@ -607,7 +659,7 @@ mod avx512_impl {
     /// bit transpose per chunk pair, then per group the magnitude chunks
     /// are gathered, byte-untransposed, sign-applied, and Lorenzo
     /// prefix-summed. `dec` and `bt` hold [`DEC_PLANES_IDX`] and
-    /// [`BT_IDX`], loaded once per run by the caller.
+    /// [`BT_IDX`], loaded once per call by the caller.
     ///
     /// # Safety
     /// Requires `avx512f`, `avx512dq`, `avx512bw`, `avx512vbmi`;
@@ -682,7 +734,7 @@ mod avx512_impl {
     /// rounds-of-four. Prefix sums stay below `32 · 2¹⁶ < 2²¹`, so `i32`
     /// arithmetic is exact (identical to the scalar `i64` decode).
     /// `dec` and `inter` hold [`DEC_PLANES_IDX`] and [`INTERLEAVE_IDX`],
-    /// loaded once per run by the caller.
+    /// loaded once per call by the caller.
     ///
     /// # Safety
     /// Requires `avx512f`, `avx512dq`, `avx512bw`, `avx512vbmi`;
@@ -728,31 +780,38 @@ mod avx512_impl {
         out
     }
 
-    /// Decode a run of `L = 32` blocks fused with dequantization: block
-    /// `k` has fixed length `fls[k]`, its payload follows the previous
-    /// non-zero block's in `payload`, and its 32 finished elements go to
-    /// `out + 32k`, eight at a time through `store` (`qᵢ · 2eb` in `f64`
-    /// lanes, narrowed by `store` where `E` is `f32`). A zero block is
-    /// four stores of `+0.0`, which is `dequantize(0)` for both element
-    /// types. The integers live in registers only.
+    /// Decode rows of `L = 32` blocks fused with dequantization: row `r`
+    /// is blocks `r·row_blocks ..` of `fls`, each block's payload follows
+    /// the previous non-zero block's in `payload`, and the row's block
+    /// `b` puts its 32 finished elements at `out + dsts[r] + 32b`, eight
+    /// at a time through `store` (`qᵢ · 2eb` in `f64` lanes, narrowed by
+    /// `store` where `E` is `f32`). A zero block is four stores of
+    /// `+0.0`, which is `dequantize(0)` for both element types. The
+    /// integers live in registers only; a run of whole blocks is the
+    /// one-row case (`dsts = [0]`).
     ///
     /// Always inlined, so it runs with its caller's target features.
     ///
     /// # Safety
     /// The caller enables `avx512f`, `avx512dq`, `avx512bw` and
-    /// `avx512vbmi`; every `fls[k] ≤ 64`; `payload.len()` is the run's
-    /// Eq-2 span (the sum of `4 + 4F` over its non-zero blocks), so every
-    /// block's loads stay inside `payload`; and `out` is valid for writes
-    /// of `32 · fls.len()` elements.
+    /// `avx512vbmi`; `fls.len() == dsts.len() · row_blocks`; every
+    /// `fls[k] ≤ 64`; `payload.len()` is the batch's Eq-2 span (the sum
+    /// of `4 + 4F` over its non-zero blocks), so every block's loads stay
+    /// inside `payload`; and `out + dsts[r]` is valid for writes of
+    /// `32 · row_blocks` elements for every `r`.
     #[inline(always)]
-    unsafe fn decode_run32<E>(
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn decode_rows32<E>(
         fls: &[u8],
         payload: &[u8],
         lorenzo: bool,
         eb: f64,
+        row_blocks: usize,
+        dsts: &[usize],
         out: *mut E,
         store: impl Fn(*mut E, __m512d),
     ) {
+        debug_assert_eq!(fls.len(), dsts.len() * row_blocks);
         debug_assert!(fls.iter().all(|&f| f <= 64));
         debug_assert_eq!(
             payload.len(),
@@ -760,64 +819,82 @@ mod avx512_impl {
                 .map(|&f| crate::encode::cmp_bytes_for(f, 32) as usize)
                 .sum::<usize>()
         );
+        if row_blocks == 0 {
+            return;
+        }
         let dec = _mm512_loadu_si512(DEC_PLANES_IDX.as_ptr() as *const _);
         let inter = _mm512_loadu_si512(INTERLEAVE_IDX.as_ptr() as *const _);
         let bt = _mm512_loadu_si512(BT_IDX.as_ptr() as *const _);
         let veb = _mm512_set1_pd(2.0 * eb);
         let zero = _mm512_setzero_pd();
         let mut block = payload.as_ptr();
-        for (k, &f) in fls.iter().enumerate() {
-            let dst = out.add(32 * k);
-            if f == 0 {
-                for g in 0..4 {
-                    store(dst.add(8 * g), zero);
+        for (&d, row) in dsts.iter().zip(fls.chunks_exact(row_blocks)) {
+            let row_out = out.add(d);
+            for (k, &f) in row.iter().enumerate() {
+                let dst = row_out.add(32 * k);
+                if f == 0 {
+                    for g in 0..4 {
+                        store(dst.add(8 * g), zero);
+                    }
+                    continue;
                 }
-                continue;
+                if f <= 16 {
+                    let halves = decode_block32_narrow(block, f, lorenzo, dec, inter);
+                    for (h, v) in halves.iter().enumerate() {
+                        let lo = _mm512_cvtepi32_pd(_mm512_castsi512_si256(*v));
+                        let hi = _mm512_cvtepi32_pd(_mm512_extracti64x4_epi64(*v, 1));
+                        store(dst.add(16 * h), _mm512_mul_pd(lo, veb));
+                        store(dst.add(16 * h + 8), _mm512_mul_pd(hi, veb));
+                    }
+                } else {
+                    let groups = decode_block32_groups(block, f, lorenzo, dec, bt);
+                    for (g, v) in groups.iter().enumerate() {
+                        store(dst.add(8 * g), _mm512_mul_pd(_mm512_cvtepi64_pd(*v), veb));
+                    }
+                }
+                block = block.add(4 + 4 * f as usize);
             }
-            if f <= 16 {
-                let halves = decode_block32_narrow(block, f, lorenzo, dec, inter);
-                for (h, v) in halves.iter().enumerate() {
-                    let lo = _mm512_cvtepi32_pd(_mm512_castsi512_si256(*v));
-                    let hi = _mm512_cvtepi32_pd(_mm512_extracti64x4_epi64(*v, 1));
-                    store(dst.add(16 * h), _mm512_mul_pd(lo, veb));
-                    store(dst.add(16 * h + 8), _mm512_mul_pd(hi, veb));
-                }
-            } else {
-                let groups = decode_block32_groups(block, f, lorenzo, dec, bt);
-                for (g, v) in groups.iter().enumerate() {
-                    store(dst.add(8 * g), _mm512_mul_pd(_mm512_cvtepi64_pd(*v), veb));
-                }
-            }
-            block = block.add(4 + 4 * f as usize);
         }
     }
 
-    macro_rules! decode_run32_of {
+    macro_rules! decode_rows32_of {
         ($name:ident, $elem:ty, $store:expr) => {
-            /// [`decode_run32`] into `$elem` elements.
+            /// [`decode_rows32`] into `$elem` elements.
             ///
             /// # Safety
             /// Requires `avx512f`, `avx512dq`, `avx512bw`, `avx512vbmi`;
-            /// every `fls[k] ≤ 64`, `payload.len()` is the run's Eq-2
-            /// span and `out.len() == 32 · fls.len()`.
+            /// `fls.len() == dsts.len() · row_blocks`, every
+            /// `fls[k] ≤ 64`, `payload.len()` is the batch's Eq-2 span
+            /// and every `dsts[r] + 32 · row_blocks ≤ out.len()`.
             #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vbmi")]
             pub unsafe fn $name(
                 fls: &[u8],
                 payload: &[u8],
                 lorenzo: bool,
                 eb: f64,
+                row_blocks: usize,
+                dsts: &[usize],
                 out: &mut [$elem],
             ) {
-                debug_assert_eq!(out.len(), 32 * fls.len());
-                decode_run32(fls, payload, lorenzo, eb, out.as_mut_ptr(), $store)
+                debug_assert!(dsts.iter().all(|&d| d + 32 * row_blocks <= out.len()));
+                decode_rows32(
+                    fls,
+                    payload,
+                    lorenzo,
+                    eb,
+                    row_blocks,
+                    dsts,
+                    out.as_mut_ptr(),
+                    $store,
+                )
             }
         };
     }
 
-    decode_run32_of!(decode_run32_f32, f32, |p: *mut f32, d: __m512d| {
+    decode_rows32_of!(decode_rows32_f32, f32, |p: *mut f32, d: __m512d| {
         _mm256_storeu_ps(p, _mm512_cvtpd_ps(d))
     });
-    decode_run32_of!(decode_run32_f64, f64, |p: *mut f64, d: __m512d| {
+    decode_rows32_of!(decode_rows32_f64, f64, |p: *mut f64, d: __m512d| {
         _mm512_storeu_pd(p, d)
     });
 

@@ -3,6 +3,11 @@
 //! `Criterion::benchmark_group`, `Bencher::iter`). No statistics engine,
 //! no plots: each benchmark warms up, runs timed samples, and prints one
 //! line per benchmark.
+//!
+//! As with criterion, the first command-line argument that does not
+//! start with `--` is a name filter (`cargo bench --bench components --
+//! rows_chunk64k`): only benchmarks whose full id (`group/name`)
+//! contains it run, and the others' closures are never called.
 
 use std::time::{Duration, Instant};
 
@@ -13,6 +18,8 @@ pub struct Criterion {
     sample_size: usize,
     warm_up_time: Duration,
     measurement_time: Duration,
+    /// Substring a benchmark's full id must contain to run.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -21,17 +28,38 @@ impl Default for Criterion {
             sample_size: 20,
             warm_up_time: Duration::from_millis(300),
             measurement_time: Duration::from_secs(1),
+            filter: None,
         }
     }
 }
 
 impl Criterion {
+    /// Take the name filter from the command line: the first argument
+    /// that does not start with `--` (cargo passes `--bench` itself).
+    pub fn configure_from_args(self) -> Self {
+        match std::env::args().skip(1).find(|a| !a.starts_with("--")) {
+            Some(filter) => self.with_filter(filter),
+            None => self,
+        }
+    }
+
+    /// Run only benchmarks whose full id contains `filter`.
+    pub fn with_filter(mut self, filter: impl Into<String>) -> Self {
+        self.filter = Some(filter.into());
+        self
+    }
+
+    /// Whether the benchmark `id` passes the name filter.
+    fn selects(&self, id: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| id.contains(f))
+    }
+
     /// Start a named group of benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         let name = name.into();
         println!("\n== {name} ==");
         BenchmarkGroup {
-            _parent: self,
+            parent: self,
             name,
             sample_size: 20,
             warm_up_time: Duration::from_millis(300),
@@ -44,8 +72,12 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
+        let id = id.into();
+        if !self.selects(&id) {
+            return self;
+        }
         run_one(
-            &id.into(),
+            &id,
             self.sample_size,
             self.warm_up_time,
             self.measurement_time,
@@ -63,7 +95,7 @@ impl Criterion {
 
 /// A group of related benchmarks sharing settings.
 pub struct BenchmarkGroup<'a> {
-    _parent: &'a mut Criterion,
+    parent: &'a mut Criterion,
     name: String,
     sample_size: usize,
     warm_up_time: Duration,
@@ -95,6 +127,9 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let full = format!("{}/{}", self.name, id.into());
+        if !self.parent.selects(&full) {
+            return self;
+        }
         run_one(
             &full,
             self.sample_size,
@@ -221,7 +256,7 @@ fn run_one<F>(
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $($target(&mut criterion);)+
         }
     };
@@ -250,5 +285,27 @@ mod tests {
         g.measurement_time(Duration::from_millis(20));
         g.bench_function("sum", |b| b.iter(|| (0..1000u64).sum::<u64>()));
         g.finish();
+    }
+
+    #[test]
+    fn filter_skips_non_matching_benchmarks() {
+        let mut c = Criterion::default().with_filter("chunk64k");
+        let mut ran = Vec::new();
+        let mut g = c.benchmark_group("shim");
+        g.sample_size(2);
+        g.warm_up_time(Duration::from_millis(1));
+        g.measurement_time(Duration::from_millis(2));
+        g.bench_function("rows_chunk64k", |b| {
+            ran.push("rows_chunk64k");
+            b.iter(|| 1u64)
+        });
+        g.bench_function("roundtrip_32k", |b| {
+            ran.push("roundtrip_32k");
+            b.iter(|| 1u64)
+        });
+        g.finish();
+        c.bench_function("chunk64k_alone", |_| ran.push("chunk64k_alone"));
+        c.bench_function("other", |_| ran.push("other"));
+        assert_eq!(ran, ["rows_chunk64k", "chunk64k_alone"]);
     }
 }
