@@ -11,13 +11,18 @@
 //! rows therefore run on real cuSZp streams — Small Hurricane, NYX and
 //! RTM fields cut into 16 384-element pieces at a 1e-3 relative bound —
 //! and time one pass over all pieces: estimator + encode, decode, and
-//! the decode-table build alone, with and without the two-symbol graft. Decodes reuse one caller-owned
-//! `DecodeTable`, as the hybrid stage's scratch does.
+//! the decode-table build alone, with and without the two-symbol graft.
+//! Decodes reuse one caller-owned `DecodeTable`, as the hybrid stage's
+//! scratch does. The encoder's steps have a row each too: the estimator
+//! over every piece, then the `Huffman4` histogram, code-length build
+//! (lengths and canonical codes) and bit writing over the pieces the
+//! estimator sends to `Huffman4`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cuszp_core::{fast, value_range, CuszpConfig};
 use cuszp_entropy::{
-    build_decode_table, decode_chunk, encode_chunk, select_mode, DecodeTable, Mode,
+    build_decode_table, decode_chunk, encode_chunk, huffman4_write, select_mode,
+    stride4_histograms, Codebook, DecodeTable, Mode,
 };
 use datasets::{generate_subset, DatasetId, Scale};
 use std::hint::black_box;
@@ -72,7 +77,56 @@ fn bench_store_sized_chunks(c: &mut Criterion) {
     let mut back = vec![0u8; raws.iter().map(Vec::len).max().unwrap_or(0)];
     let mut table = DecodeTable::new();
 
+    // The pieces `encode_chunk` codes as `Huffman4`, with each step's
+    // inputs precomputed so every row times its own step alone.
+    let h4: Vec<&[u8]> = raws
+        .iter()
+        .map(Vec::as_slice)
+        .filter(|raw| select_mode(raw) == Mode::Huffman4)
+        .collect();
+    let lanes: Vec<[[u32; 256]; 4]> = h4.iter().map(|raw| stride4_histograms(raw)).collect();
+    let freqs: Vec<[u32; 256]> = lanes
+        .iter()
+        .map(|l| std::array::from_fn(|b| l[0][b] + l[1][b] + l[2][b] + l[3][b]))
+        .collect();
+    let books: Vec<Codebook> = freqs.iter().map(Codebook::build).collect();
+    println!(
+        "chunk16k corpus: {} pieces, {} sent to huffman4",
+        raws.len(),
+        h4.len()
+    );
+
     let mut group = c.benchmark_group("entropy");
+    group.bench_function("chunk16k_select", |b| {
+        b.iter(|| {
+            for raw in &raws {
+                black_box(select_mode(black_box(raw)));
+            }
+        })
+    });
+    group.bench_function("chunk16k_histogram", |b| {
+        b.iter(|| {
+            for raw in &h4 {
+                black_box(stride4_histograms(black_box(raw)));
+            }
+        })
+    });
+    group.bench_function("chunk16k_code_lengths", |b| {
+        b.iter(|| {
+            for freq in &freqs {
+                black_box(Codebook::build(black_box(freq)));
+            }
+        })
+    });
+    group.bench_function("chunk16k_huffman4_write", |b| {
+        b.iter(|| {
+            for ((raw, lanes), book) in h4.iter().zip(&lanes).zip(&books) {
+                comp.clear();
+                assert!(huffman4_write(black_box(raw), lanes, book, &mut comp));
+            }
+            black_box(comp.len())
+        })
+    });
     group.bench_function("chunk16k_encode", |b| {
         b.iter(|| {
             for raw in &raws {

@@ -180,6 +180,23 @@ pub struct CompressedRef<'a> {
 }
 
 impl<'a> CompressedRef<'a> {
+    /// The element count a `CUSZP1` header declares, after only the
+    /// checks [`CompressedRef::parse`] makes first: the header's length
+    /// (`Truncated`) and the magic (`BadMagic`). The fixed-length table
+    /// is not summed, so a reader can match the count against an index
+    /// and leave the one full parse to its decode.
+    pub fn header_num_elements(bytes: &[u8]) -> Result<u64, FormatError> {
+        if bytes.len() < HEADER_BYTES {
+            return Err(FormatError::Truncated);
+        }
+        if bytes[..6] != MAGIC {
+            return Err(FormatError::BadMagic);
+        }
+        Ok(u64::from_le_bytes(
+            bytes[8..16].try_into().expect("len checked"),
+        ))
+    }
+
     /// Zero-copy deserialization: the same checks as
     /// [`Compressed::from_bytes`], but the fractions are slices into
     /// `bytes` instead of fresh allocations.

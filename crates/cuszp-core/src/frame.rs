@@ -38,6 +38,22 @@ impl<'a> FrameRef<'a> {
         }
     }
 
+    /// The element count the header of a frame of either format
+    /// declares, after only the header checks [`FrameRef::parse`] makes
+    /// first (length, magic), with no table walk: see
+    /// [`CompressedRef::header_num_elements`].
+    pub fn header_num_elements(bytes: &[u8]) -> Result<u64, FormatError> {
+        if !bytes.starts_with(&HYBRID_MAGIC) {
+            return CompressedRef::header_num_elements(bytes);
+        }
+        if bytes.len() < hybrid::HYBRID_HEADER_BYTES {
+            return Err(FormatError::Truncated);
+        }
+        Ok(u64::from_le_bytes(
+            bytes[10..18].try_into().expect("len checked"),
+        ))
+    }
+
     /// Element count of the original array.
     pub fn num_elements(&self) -> u64 {
         match self {

@@ -76,14 +76,14 @@ pub const DEFAULT_CHUNK_BLOCKS: usize = 256;
 /// Stream bytes per chunk that [`auto_chunk_blocks`] aims for. The
 /// entropy coders pay fixed per-chunk costs — a Huffman code-length
 /// build on encode, a 12-bit decode table on decode, the 128-byte lens
-/// table, `Huffman4`'s 12-byte stream-end header. On the `Huffman` and
-/// `Huffman4` chunks of 16 384-element pieces of the benchmark's Medium
-/// Hurricane/NYX/RTM fields (Intel Xeon, 2 vCPUs, shared host), the
-/// code-length build takes ~5 µs (down from ~10–12 µs with a full
-/// rescan per Kraft repair step). The decode table, built from the
-/// canonical tiling in whole 8-entry stores, takes ~2 µs with the
-/// two-symbol graft and ~1 µs without on the Small fields' pieces
-/// (the bench crate's `chunk16k_decode_table*` rows). So on highly
+/// table, `Huffman4`'s 12-byte stream-end header. On the `Huffman4`
+/// chunks of 16 384-element pieces of Small Hurricane/NYX/RTM fields
+/// (the bench crate's `chunk16k_*` rows; Intel Xeon, 2 vCPUs, shared
+/// host), the code build — lengths and canonical codes in one pass —
+/// takes ~3 µs (~7 µs as separate length and code passes, ~10–12 µs
+/// with a full rescan per Kraft repair step), and the decode table,
+/// built from the canonical tiling in whole 8-entry stores, ~2 µs with
+/// the two-symbol graft and ~1 µs without. So on highly
 /// compressible planes (where the cuSZp stream is 16–60× smaller than
 /// the floats) the default 256-block chunk leaves only a couple of KiB
 /// of coded work to amortize them over and table builds dominate the

@@ -28,10 +28,26 @@
 //! ## Bit-exact vector quantization (AVX-512)
 //!
 //! The scalar quantizer (`(d / 2eb).round() as i64`) spends most of its
-//! time in `f64::round` (round **half away from zero** has no direct x86
-//! instruction) and in the saturating float→int cast. The vector path
-//! reproduces both **bit-exactly**:
+//! time in the division, in `f64::round` (round **half away from zero**
+//! has no direct x86 instruction) and in the saturating float→int cast.
+//! The vector path reproduces all three **bit-exactly**:
 //!
+//! - *Division, by reciprocal*: the tile kernel first takes
+//!   `y = d · r` with `r = fl(1/2eb)` and `n = y` rounded to the nearest
+//!   integer, and keeps `n` for a vector whose every lane has
+//!   `|y − n| < ½ − 2⁻⁴⁹·|y|`. That is exact: with `u = 2⁻⁵³`, both
+//!   `x = fl(d/2eb)` and `y` are within `u` and `2u` of `d/2eb`
+//!   relative (one rounding, and the rounded reciprocal times one more),
+//!   so `|x − y| < 4u·|y| = 2⁻⁵¹·|y|`, a quarter of the margin. No
+//!   half-integer lies between `x` and `y`, so both round to `n`, and
+//!   `n` is not a tie, so half-away and half-even agree. The test also
+//!   sends every lane at or past 2⁴⁸ (the margin reaches ½) and every
+//!   NaN or infinite `y` to the division. A bound whose `r` is not a
+//!   normal number divides every vector (the kernel then multiplies by
+//!   NaN, which fails every lane's test); a subnormal `r` would in fact
+//!   still stay inside the margin. On real data almost no vector falls
+//!   back, and a multiply plus the test costs a fraction of
+//!   `vdivpd`'s 16-cycle throughput.
 //! - *Rounding, the tile kernel*: for a vector whose lanes all have
 //!   `|x| < 2⁵¹`, `q = vcvttpd2qq(x + copysign(0.5 − 2⁻⁵⁴, x))`. The
 //!   biased sum reaches the next integer exactly when the fraction is at
@@ -47,9 +63,11 @@
 //!   (matching Rust's `as i64`) but also for positive overflow and NaN;
 //!   two masked fix-ups restore `i64::MAX` / `0` for those lanes.
 //!
-//! `tests/simd_tiers.rs` pins both against the scalar oracle on exact
-//! `k + ½` ties, one ulp either side, the 2⁵¹/2⁵² boundaries,
-//! saturation, ±0, subnormals, NaN and ±∞.
+//! `tests/simd_tiers.rs` pins all of it against the scalar oracle on
+//! exact `k + ½` ties, one ulp either side, the 2⁵¹/2⁵² boundaries,
+//! saturation, ±0, subnormals, NaN and ±∞, and for bounds with an
+//! inexact reciprocal on `(k + ½)·2eb` ± 4 ulps, quotients at 2⁵¹ ± 1,
+//! and bounds whose reciprocal overflows or is subnormal.
 //!
 //! ## Fused block decode
 //!
@@ -932,16 +950,30 @@ mod avx512_impl {
     /// The largest double below ½ (`0.5 − 2⁻⁵⁴`).
     const HALF_BELOW: f64 = 0.499_999_999_999_999_94;
 
+    /// `2⁻⁴⁹`: how far, relative to `|y|`, a quotient taken by
+    /// reciprocal must sit from every half-integer for [`quantize_tile`]
+    /// to round it instead of dividing.
+    const RCP_MARGIN: f64 = 1.0 / 562_949_953_421_312.0;
+
     /// Quantize + Lorenzo `maxes.len()` whole blocks of `l` values, each
     /// 8-lane group loaded by `load`: `resid` receives the residuals,
     /// `maxes[b]` the OR of block `b`'s residual magnitudes (same top bit
     /// as their maximum).
     ///
-    /// A vector whose lanes all have `|x| < 2⁵¹` rounds half away from
-    /// zero as `trunc(x + copysign(0.5 − 2⁻⁵⁴, x))`: the biased sum never
-    /// crosses the next integer unless the fraction is at least ½, and it
-    /// never overflows the convert. Any other vector — a lane at or past
-    /// 2⁵¹, or NaN — takes [`round_to_i64`], which keeps `as i64`
+    /// A group first tries the quotient by reciprocal, `y = d · fl(1/2eb)`,
+    /// and rounds it to nearest (`vrndscalepd`). That is `round(d / 2eb)`
+    /// whenever every lane's `|y − n|`, `n` the nearest integer, is below
+    /// `½ − 2⁻⁴⁹·|y|` (see the module docs). A group with any other lane —
+    /// within that margin of a half-integer, at or past 2⁴⁸ (the margin
+    /// there reaches ½), non-finite, or any lane at all when `1/2eb` is
+    /// not a normal number (the reciprocal is then NaN) — divides
+    /// instead, exactly as the scalar quantizer does.
+    ///
+    /// A divided group whose lanes all have `|x| < 2⁵¹` rounds half away
+    /// from zero as `trunc(x + copysign(0.5 − 2⁻⁵⁴, x))`: the biased sum
+    /// never crosses the next integer unless the fraction is at least ½,
+    /// and it never overflows the convert. Any other group — a lane at or
+    /// past 2⁵¹, or NaN — takes [`round_to_i64`], which keeps `as i64`
     /// saturation and NaN → 0.
     ///
     /// Always inlined, so it runs with its caller's target features and
@@ -964,6 +996,12 @@ mod avx512_impl {
             l.is_multiple_of(8) && data.len() == l * maxes.len() && resid.len() == data.len()
         );
         let veb = _mm512_set1_pd(2.0 * eb);
+        // A NaN reciprocal fails every lane's margin test below, so a
+        // bound whose `1/2eb` is not normal divides every group.
+        let rcp = 1.0 / (2.0 * eb);
+        let vrcp = _mm512_set1_pd(if rcp.is_normal() { rcp } else { f64::NAN });
+        let margin = _mm512_set1_pd(RCP_MARGIN);
+        let one_half = _mm512_set1_pd(0.5);
         let absmask = _mm512_castsi512_pd(_mm512_set1_epi64(i64::MAX));
         let limit = _mm512_set1_pd(FAST_ROUND_LIMIT);
         let half = _mm512_set1_pd(HALF_BELOW);
@@ -975,13 +1013,22 @@ mod avx512_impl {
             let mut acc = zero;
             for g in 0..l / 8 {
                 let i = l * b + 8 * g;
-                let x = _mm512_div_pd(load(src.add(i)), veb);
-                let q = if _mm512_cmp_pd_mask(_mm512_and_pd(x, absmask), limit, _CMP_LT_OQ) == 0xFF
-                {
-                    let bias = _mm512_or_pd(half, _mm512_andnot_pd(absmask, x));
-                    _mm512_cvttpd_epi64(_mm512_add_pd(x, bias))
+                let d = load(src.add(i));
+                let y = _mm512_mul_pd(d, vrcp);
+                let n = _mm512_roundscale_pd(y, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+                let off = _mm512_and_pd(_mm512_sub_pd(y, n), absmask);
+                // ½ − 2⁻⁴⁹·|y|; NaN lanes fail the ordered compare.
+                let room = _mm512_fnmadd_pd(_mm512_and_pd(y, absmask), margin, one_half);
+                let q = if _mm512_cmp_pd_mask(off, room, _CMP_LT_OQ) == 0xFF {
+                    _mm512_cvttpd_epi64(n)
                 } else {
-                    round_to_i64(x)
+                    let x = _mm512_div_pd(d, veb);
+                    if _mm512_cmp_pd_mask(_mm512_and_pd(x, absmask), limit, _CMP_LT_OQ) == 0xFF {
+                        let bias = _mm512_or_pd(half, _mm512_andnot_pd(absmask, x));
+                        _mm512_cvttpd_epi64(_mm512_add_pd(x, bias))
+                    } else {
+                        round_to_i64(x)
+                    }
                 };
                 let v = if lorenzo {
                     // [prev₇, q₀ … q₆] — each lane's predecessor.

@@ -318,3 +318,157 @@ fn rounding_ties_and_saturation_all_tiers() {
         }
     }
 }
+
+/// `edges` spread over every lane position: the edges alone, then each
+/// edge after 0–7 ordinary values, so a vector mixes lanes the AVX-512
+/// quantizer rounds by reciprocal with lanes it must divide.
+fn in_every_lane(edges: &[f64], ordinary: f64) -> Vec<f64> {
+    let mut data = edges.to_vec();
+    for shift in 0..8 {
+        for &x in edges {
+            data.extend(std::iter::repeat_n(ordinary, shift));
+            data.push(x);
+        }
+    }
+    data
+}
+
+/// Compare every tier with the oracle on `data` and on its f32 form,
+/// with Lorenzo on and off.
+fn assert_quantizer_edges(data64: &[f64], data32: &[f32], eb: f64) {
+    for lorenzo in [false, true] {
+        let cfg = CuszpConfig {
+            lorenzo,
+            ..Default::default()
+        };
+        assert_tiers_match_ref(data64, eb, cfg).unwrap();
+        assert_tiers_match_ref(data32, eb, cfg).unwrap();
+    }
+}
+
+/// `x` and its `ulps` neighbours on each side.
+fn ulp_walk64(x: f64, ulps: usize) -> Vec<f64> {
+    let (mut up, mut down) = (x, x);
+    let mut v = vec![x];
+    for _ in 0..ulps {
+        (up, down) = (up.next_up(), down.next_down());
+        v.extend([up, down]);
+    }
+    v
+}
+
+fn ulp_walk32(x: f32, ulps: usize) -> Vec<f32> {
+    let (mut up, mut down) = (x, x);
+    let mut v = vec![x];
+    for _ in 0..ulps {
+        (up, down) = (up.next_up(), down.next_down());
+        v.extend([up, down]);
+    }
+    v
+}
+
+/// Bounds whose `1/(2eb)` is inexact, so a quotient taken by reciprocal
+/// can land an ulp or two from the divided one. For 0.325, 0.925 and
+/// 1.85 the product lands on the far side of a rounding tie from the
+/// quotient for some `(k + ½)·2eb` neighbours below, in f64 and in f32:
+/// only the division rounds those right.
+const INEXACT_EBS: [f64; 8] = [
+    0.01,
+    7.3e-3,
+    0.3,
+    0.325,
+    0.925,
+    1.85,
+    1.7e-5,
+    std::f64::consts::PI,
+];
+
+#[test]
+fn quantizer_half_integers_within_four_ulps_all_tiers() {
+    // `(k + ½)·2eb` and four ulps either side: the quotient sits on or
+    // next to a rounding tie, where only the division decides.
+    let ks = [
+        -1_000_003.0f64,
+        -4097.0,
+        -3.0,
+        -2.0,
+        -1.0,
+        0.0,
+        1.0,
+        2.0,
+        7.0,
+        1_000.0,
+        123_456.0,
+        4_194_303.0,
+    ];
+    for eb in INEXACT_EBS {
+        let two_eb = 2.0 * eb;
+        let edges64: Vec<f64> = ks
+            .iter()
+            .flat_map(|&k| ulp_walk64((k + 0.5) * two_eb, 4))
+            .collect();
+        let edges32: Vec<f64> = ks
+            .iter()
+            .flat_map(|&k| ulp_walk32(((k + 0.5) * two_eb) as f32, 4))
+            .map(f64::from)
+            .collect();
+        let data64 = in_every_lane(&edges64, 1.25 * two_eb);
+        let data32: Vec<f32> = in_every_lane(&edges32, 1.25 * two_eb)
+            .into_iter()
+            .map(|x| x as f32)
+            .collect();
+        assert_quantizer_edges(&data64, &data32, eb);
+    }
+}
+
+#[test]
+fn quantizer_quotients_at_two_to_the_51_all_tiers() {
+    // |d / 2eb| at 2⁵¹ and 2⁵¹ ± 1, both signs, with their neighbours:
+    // the reciprocal's margin covers every such lane, so these divide.
+    for eb in INEXACT_EBS {
+        let two_eb = 2.0 * eb;
+        let mut edges = Vec::new();
+        for q in [2f64.powi(51) - 1.0, 2f64.powi(51), 2f64.powi(51) + 1.0] {
+            for x in ulp_walk64(q * two_eb, 2) {
+                edges.extend([x, -x]);
+            }
+        }
+        let data64 = in_every_lane(&edges, 0.75 * two_eb);
+        let data32: Vec<f32> = data64.iter().map(|&x| x as f32).collect();
+        assert_quantizer_edges(&data64, &data32, eb);
+    }
+}
+
+#[test]
+fn quantizer_non_finite_lanes_all_tiers() {
+    for eb in INEXACT_EBS {
+        let edges = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN];
+        let data64 = in_every_lane(&edges, 3.3 * eb);
+        let data32: Vec<f32> = data64.iter().map(|&x| x as f32).collect();
+        assert_quantizer_edges(&data64, &data32, eb);
+    }
+}
+
+#[test]
+fn quantizer_bounds_with_a_non_normal_reciprocal_all_tiers() {
+    // `1/(2eb)` overflows to ∞ for a subnormal `2eb`, and is subnormal
+    // for `2eb` past 2¹⁰²²: every lane must divide.
+    let tiny = 1e-310f64;
+    assert!((1.0 / (2.0 * tiny)).is_infinite());
+    let huge = 5e307f64;
+    assert!((1.0 / (2.0 * huge)).is_subnormal());
+    for eb in [tiny, huge] {
+        let two_eb = 2.0 * eb;
+        let mut edges = Vec::new();
+        for k in [-3.0f64, -1.0, 0.0, 1.0, 2.0, 5.0] {
+            edges.extend(ulp_walk64((k + 0.5) * two_eb, 2));
+        }
+        edges.extend([0.0, -0.0, 1.0, -1.0, 1e-300, 3.5, f64::MAX, f64::MIN]);
+        let data64 = in_every_lane(&edges, 0.0);
+        let data32: Vec<f32> = [1.0f32, -1.0, 0.5, 3.25, 1e-30, -2e30, 0.0]
+            .into_iter()
+            .chain(data64.iter().map(|&x| x as f32))
+            .collect();
+        assert_quantizer_edges(&data64, &data32, eb);
+    }
+}

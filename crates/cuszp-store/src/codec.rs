@@ -102,6 +102,14 @@ pub trait ErrorBoundedCodec {
     fn encode(&self, data: &[f32], eb: f64, scratch: &mut CodecScratch, out: &mut Vec<u8>);
     /// Element count a frame declares (validating the frame on the way).
     fn num_elements(&self, stream: &[u8]) -> Result<usize, StoreError>;
+    /// Element count a frame's header declares, for a reader that checks
+    /// it against an index and then decodes: an implementation may check
+    /// only what reading the count needs, since every decode call
+    /// validates the whole frame. The provided method is
+    /// [`ErrorBoundedCodec::num_elements`].
+    fn declared_elements(&self, stream: &[u8]) -> Result<usize, StoreError> {
+        self.num_elements(stream)
+    }
     /// Decode blocks `blocks` into `out`; returns payload bytes read.
     fn decode_blocks(
         &self,
@@ -366,6 +374,16 @@ impl ErrorBoundedCodec for CuszpCodec {
     }
     fn num_elements(&self, stream: &[u8]) -> Result<usize, StoreError> {
         Ok(self.parse(stream)?.num_elements() as usize)
+    }
+    fn declared_elements(&self, stream: &[u8]) -> Result<usize, StoreError> {
+        // The header's count only, so a store read parses its frame once,
+        // in the decode.
+        let n = if self.hybrid {
+            FrameRef::header_num_elements(stream)
+        } else {
+            CompressedRef::header_num_elements(stream)
+        }?;
+        Ok(n as usize)
     }
     fn decode_blocks(
         &self,

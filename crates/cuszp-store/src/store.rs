@@ -534,7 +534,7 @@ impl<'a> Shard<'a> {
         // The frame's own element count must agree with the index before
         // any block range is derived from it — a self-consistent but
         // mismatched frame would otherwise trip decoder asserts.
-        if codec.num_elements(frame)? != chunk_n {
+        if codec.declared_elements(frame)? != chunk_n {
             return Err(StoreError::Corrupt("frame element count vs index"));
         }
         stats.chunks_touched += 1;
@@ -934,5 +934,44 @@ mod tests {
         let mut scratch = StoreScratch::new();
         let mut out = vec![0f32; 256];
         assert!(shard.read_all(&registry, &mut scratch, &mut out).is_err());
+    }
+
+    #[test]
+    fn declared_elements_reads_the_header_alone() {
+        // A read matches the header's count against the index and leaves
+        // the full parse to the decode: the count reads past a body fault
+        // that `num_elements` rejects, and a bad header is still typed.
+        let data: Vec<f32> = (0..4096).map(|i| (i as f32 * 0.01).sin()).collect();
+        let mut scratch = CodecScratch::new();
+        for (codec, magic) in [
+            (CuszpCodec::PLAIN, &b"CUSZP1"[..]),
+            (CuszpCodec::HYBRID, &b"CUSZPHY1"[..]),
+        ] {
+            let mut frame = Vec::new();
+            codec.encode(&data, 1e-3, &mut scratch, &mut frame);
+            assert!(frame.starts_with(magic), "{}", codec.name());
+            assert_eq!(codec.declared_elements(&frame), Ok(4096));
+            let mut long = frame.clone();
+            long.push(0);
+            assert!(codec.num_elements(&long).is_err());
+            assert_eq!(codec.declared_elements(&long), Ok(4096));
+            assert_eq!(
+                codec.declared_elements(&frame[..magic.len() + 4]),
+                Err(StoreError::Frame(FormatError::Truncated))
+            );
+            let mut bad = frame.clone();
+            bad[0] = b'X';
+            assert_eq!(
+                codec.declared_elements(&bad),
+                Err(StoreError::Frame(FormatError::BadMagic))
+            );
+        }
+        // A plain-only codec refuses a hybrid frame, as its parse does.
+        let mut frame = Vec::new();
+        CuszpCodec::HYBRID.encode(&data, 1e-3, &mut scratch, &mut frame);
+        assert_eq!(
+            CuszpCodec::PLAIN.declared_elements(&frame),
+            Err(StoreError::Frame(FormatError::BadMagic))
+        );
     }
 }
