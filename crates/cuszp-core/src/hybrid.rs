@@ -12,8 +12,9 @@
 //! re-coded by [`cuszp_entropy`]'s adaptive coder — passthrough,
 //! constant flush, or four-stream canonical Huffman (`Huffman4`),
 //! whichever the sampled estimator picks and the size check confirms.
-//! Decoders also read the PackBits `Rle` and one-stream `Huffman` chunks
-//! earlier encoders wrote, so old frames still open.
+//! Those three are the only modes a frame may hold: the retired mode
+//! bytes 2 and 3 (run-length and one-stream Huffman chunks, written only
+//! by early encoders) are rejected at parse like any unassigned byte.
 //!
 //! ## Frame layout (normative spec in `docs/FORMAT.md` §CUSZPHY1)
 //!
@@ -42,7 +43,7 @@
 //! tells them apart, and is the library's one place that does.
 //!
 //! Decoding is single-pass per chunk: entropy-decode into a scratch
-//! buffer (Huffman chunks build their decode table in a table the
+//! buffer (`Huffman4` chunks build their decode table in a table the
 //! scratch keeps), re-validate the chunk as a standalone stream
 //! (fixed-length bytes in range and the exact Eq-2 payload size), then
 //! run the fast row decoder over exactly the requested elements. A read
@@ -59,8 +60,7 @@ use crate::rows::{RowLayout, RowWalk};
 use crate::simd::resolve_level;
 pub use cuszp_entropy::Mode;
 use cuszp_entropy::{
-    decode_chunk, encode_chunk, select_mode, DecodeTable, ENCODE_SLACK_BYTES,
-    HUFFMAN4_HEADER_BYTES, HUFFMAN_TABLE_BYTES,
+    decode_chunk, encode_chunk, select_mode, DecodeTable, ENCODE_SLACK_BYTES, HUFFMAN4_HEADER_BYTES,
 };
 
 /// Magic bytes of the hybrid frame.
@@ -242,8 +242,7 @@ pub fn encode_append(
 /// or if `chunk_blocks` is zero, exceeds [`MAX_CHUNK_BLOCKS`], or its
 /// raw chunk size cannot be indexed by the table's `u32` fields — the
 /// same limits [`HybridRef::parse`] enforces, so every encoded frame
-/// parses. Also panics if `force` is the read-only [`Mode::Rle`] or
-/// [`Mode::Huffman`] and the stream has a non-empty chunk.
+/// parses.
 pub fn encode_with(
     r: &CompressedRef<'_>,
     chunk_blocks: usize,
@@ -418,17 +417,14 @@ impl<'a> HybridRef<'a> {
                         return Err(FormatError::Corrupt("constant chunk size"));
                     }
                 }
-                Mode::Rle | Mode::Huffman | Mode::Huffman4 => {
-                    if comp_len == 0 || comp_len >= raw_len {
+                Mode::Huffman4 => {
+                    if comp_len >= raw_len {
                         return Err(FormatError::Corrupt("coded chunk not smaller than raw"));
                     }
-                    // The Huffman forms carry a fixed header no valid
-                    // chunk can undercut; rejecting here keeps the
-                    // decode path's slicing trivially in range.
-                    if mode == Mode::Huffman && comp_len <= HUFFMAN_TABLE_BYTES as u64 {
-                        return Err(FormatError::Corrupt("huffman chunk below table size"));
-                    }
-                    if mode == Mode::Huffman4 && comp_len <= HUFFMAN4_HEADER_BYTES as u64 {
+                    // The fixed header no valid chunk can undercut;
+                    // rejecting here keeps the decode path's slicing
+                    // trivially in range.
+                    if comp_len <= HUFFMAN4_HEADER_BYTES as u64 {
                         return Err(FormatError::Corrupt("huffman4 chunk below header size"));
                     }
                 }
@@ -485,6 +481,9 @@ impl<'a> HybridRef<'a> {
     }
 
     /// Per-mode chunk counts, indexed by mode byte (benchmark reporting).
+    /// Slots 2 and 3, the retired mode bytes, are always 0; they stay so
+    /// that the five per-mode benchmark counters keep their wire-byte
+    /// positions.
     pub fn mode_histogram(&self) -> [usize; 5] {
         let mut h = [0usize; 5];
         for c in 0..self.num_chunks() {
@@ -726,15 +725,12 @@ mod tests {
         }
     }
 
-    /// The modes the encoder writes.
-    const WRITTEN: [Mode; 3] = [Mode::Pass, Mode::Constant, Mode::Huffman4];
-
     #[test]
     fn every_forced_mode_roundtrips() {
         let data = wave(50_000);
         let c = fast::compress(&data, 1e-3, CuszpConfig::default());
         let plain: Vec<f32> = fast::decompress(&c);
-        for mode in WRITTEN {
+        for mode in Mode::ALL {
             let bytes = frame(&data, 1e-3, DEFAULT_CHUNK_BLOCKS, Some(mode));
             let r = HybridRef::parse(&bytes).unwrap();
             let mut out = vec![0f32; data.len()];
@@ -747,7 +743,7 @@ mod tests {
     fn dirty_staging_buffer_decodes_like_a_fresh_one() {
         let big = frame(&wave(200_000), 1e-3, DEFAULT_CHUNK_BLOCKS, None);
         let data = wave(30_000);
-        for force in [None].into_iter().chain(WRITTEN.map(Some)) {
+        for force in [None].into_iter().chain(Mode::ALL.map(Some)) {
             let bytes = frame(&data, 1e-3, DEFAULT_CHUNK_BLOCKS, force);
             let r = HybridRef::parse(&bytes).unwrap();
             let nb = r.num_blocks();
@@ -986,11 +982,16 @@ mod tests {
             HybridRef::parse(&b),
             Err(FormatError::Corrupt("chunk count vs geometry"))
         );
-        // Unknown mode byte (4 = Huffman4 is valid as of this format
-        // revision; 5 is the first unassigned byte).
-        let mut b = good.clone();
-        b[HYBRID_HEADER_BYTES] = 5;
-        assert_eq!(HybridRef::parse(&b), Err(FormatError::UnknownHybridMode(5)));
+        // Unknown mode bytes: the retired 2 and 3, and 5, the first
+        // never assigned.
+        for mode in [2, 3, 5] {
+            let mut b = good.clone();
+            b[HYBRID_HEADER_BYTES] = mode;
+            assert_eq!(
+                HybridRef::parse(&b),
+                Err(FormatError::UnknownHybridMode(mode))
+            );
+        }
         // Truncated payload.
         assert_eq!(
             HybridRef::parse(&good[..good.len() - 1]),
@@ -1059,29 +1060,25 @@ mod tests {
     }
 
     #[test]
-    fn empty_coded_chunks_rejected() {
-        let b = raw_frame(32, 32, 256, &[(2, 0, 1)], &[]);
-        assert_eq!(
-            HybridRef::parse(&b),
-            Err(FormatError::Corrupt("coded chunk not smaller than raw"))
-        );
-    }
-
-    #[test]
-    fn huffman_chunks_below_their_headers_rejected() {
+    fn huffman4_chunks_below_their_header_rejected() {
         // L = 8 makes per-block worst-case raw large enough that a
         // sub-header comp_len still passes the smaller-than-raw check —
-        // the dedicated header floors must catch it.
-        let b = raw_frame(1600, 8, 256, &[(3, 100, 250)], &[0u8; 100]);
-        assert_eq!(
-            HybridRef::parse(&b),
-            Err(FormatError::Corrupt("huffman chunk below table size"))
-        );
-        let b = raw_frame(1600, 8, 256, &[(4, 140, 250)], &[0u8; 140]);
-        assert_eq!(
-            HybridRef::parse(&b),
-            Err(FormatError::Corrupt("huffman4 chunk below header size"))
-        );
+        // the dedicated header floor must catch it, down to an empty
+        // chunk.
+        for comp_len in [0u32, 140] {
+            let b = raw_frame(
+                1600,
+                8,
+                256,
+                &[(4, comp_len, 250)],
+                &vec![0u8; comp_len as usize],
+            );
+            assert_eq!(
+                HybridRef::parse(&b),
+                Err(FormatError::Corrupt("huffman4 chunk below header size")),
+                "comp_len {comp_len}"
+            );
+        }
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! the fingerprints below pin those bytes so they stay fixed now that
 //! one kernel set is left. Frames must invert to the plain stream for
 //! the adaptive estimator and every forced mode, and the encoder writes
-//! only `Pass`, `Constant` and `Huffman4`. On top of that, two
-//! compatibility directions are pinned with golden bytes:
+//! only `Pass`, `Constant` and `Huffman4`. On top of that, the retired
+//! mode bytes are pinned with golden bytes:
 //!
-//! * **old frames, new decoder** — PR-9-era frames (checked into
-//!   `tests/data/`) still parse and decode byte-for-byte; they hold the
-//!   only `Rle` and one-stream `Huffman` chunks left, since no encoder
-//!   writes those modes any more;
+//! * **old frames, new decoder** — an early encoder's frames (checked into
+//!   `tests/data/`) hold run-length (byte 2) and one-stream Huffman
+//!   (byte 3) chunks, modes no decoder reads any more; they fail typed
+//!   with `UnknownHybridMode` at parse, never a panic, and so does any
+//!   frame with either byte in its table;
 //! * **new frames, old mode set** — a frame carrying `Huffman4` chunks
 //!   misread under the previous mode ids yields a typed error, never a
 //!   panic, and truncation of such a frame is caught at every prefix.
@@ -20,26 +21,29 @@ use cuszp_core::hybrid::{
     self, HybridRef, HybridScratch, Mode, DEFAULT_CHUNK_BLOCKS, HYBRID_HEADER_BYTES,
     TABLE_ENTRY_BYTES,
 };
-use cuszp_core::{fast, CompressedRef, CuszpConfig};
+use cuszp_core::{fast, CompressedRef, CuszpConfig, FormatError};
 use cuszp_entropy::{encode_chunk, select_mode};
 use proptest::prelude::*;
 
-/// The plain `CUSZP1` stream both golden frames were encoded from.
-const PR9_PLAIN: &[u8] = include_bytes!("data/pr9_plain_stream.bin");
-
-/// PR-9-era golden frames and their mode tables as written (counts by
-/// mode byte): the adaptive frame holds twelve `Huffman` chunks, the
-/// forced-RLE frame nineteen `Rle` chunks.
-const GOLDEN: [(&[u8], [usize; 5]); 2] = [
+/// Golden frames an early encoder wrote, each with the mode byte of its
+/// first retired chunk and its chunk counts by mode byte as written: the
+/// adaptive frame holds twelve one-stream Huffman chunks (byte 3), the
+/// forced run-length frame nineteen run-length chunks (byte 2).
+const GOLDEN: [(&[u8], u8, [usize; 5]); 2] = [
     (
         include_bytes!("data/pr9_hybrid_frame.bin"),
+        3,
         [4, 4, 0, 12, 0],
     ),
     (
         include_bytes!("data/pr9_hybrid_frame_rle.bin"),
+        2,
         [1, 0, 19, 0, 0],
     ),
 ];
+
+/// The retired mode bytes: run-length and one-stream Huffman.
+const RETIRED_BYTES: [u8; 2] = [2, 3];
 
 /// Mode bytes the encoder writes: `Pass`, `Constant` and `Huffman4`.
 const WRITTEN_BYTES: [u8; 3] = [0, 1, 4];
@@ -98,23 +102,23 @@ proptest! {
         prop_assert_eq!(&back, &plain);
     }
 
-    /// The legacy `Rle` and `Huffman` chunks of the golden frames invert
-    /// to the golden plain stream, also through a scratch (staging buffer
-    /// and decode table) that a freshly encoded frame left dirty.
+    /// A `Huffman4` frame inverts to its plain stream also through a
+    /// scratch (staging buffer and decode table) that another freshly
+    /// encoded frame left dirty.
     #[test]
-    fn legacy_frames_invert_after_a_fresh_frame(
+    fn frames_invert_after_another_frame(
         data in proptest::collection::vec(-1.0e3f32..1.0e3, 1..3000),
         chunk_blocks in prop_oneof![Just(1usize), Just(3), Just(256)],
-        golden in 0..GOLDEN.len(),
     ) {
         let fresh = encode_frame(&compress_plain(&data, 0.01), chunk_blocks, None);
         let mut hs = HybridScratch::new();
         let mut back = Vec::new();
         let r = HybridRef::parse(&fresh).expect("own frame parses");
         hybrid::decode_stream_bytes(&r, &mut hs, &mut back).expect("own frame decodes");
-        let r = HybridRef::parse(GOLDEN[golden].0).expect("golden frame parses");
-        hybrid::decode_stream_bytes(&r, &mut hs, &mut back).expect("golden frame decodes");
-        prop_assert!(back == PR9_PLAIN, "golden frame {} diverged", golden);
+        let (frame, _) = huffman4_frame();
+        let r = HybridRef::parse(&frame).expect("own frame parses");
+        hybrid::decode_stream_bytes(&r, &mut hs, &mut back).expect("own frame decodes");
+        prop_assert!(back == huffman4_plain(), "huffman4 frame diverged");
     }
 
     /// The encoder writes only `Pass`, `Constant` and `Huffman4`: on
@@ -186,43 +190,58 @@ fn adaptive_huffman4_frames_invert() {
     );
 }
 
-/// PR-9-era golden frames decode unchanged: the adaptive frame and a
-/// forced-RLE frame, both written before the `Huffman4` mode existed,
-/// parse and invert byte-for-byte to the golden plain stream, and their
-/// mode tables read back exactly as written.
+/// The early encoder's golden frames no longer open: parsing fails with
+/// `UnknownHybridMode` at their first retired chunk. Their tables, read
+/// byte by byte, still hold the modes they were written with, so the
+/// rejection is not vacuous. (`tests/container_errors.rs` takes them
+/// through the other decode entry points.)
 #[test]
-fn pr9_golden_frames_decode_unchanged() {
-    let plain = PR9_PLAIN;
-    for (frame, want_hist) in GOLDEN {
-        let r = HybridRef::parse(frame).expect("golden frame parses");
+fn retired_mode_golden_frames_are_rejected() {
+    for (frame, first_retired, want_counts) in GOLDEN {
+        let mut counts = [0usize; 5];
+        let chunks = u32::from_le_bytes(frame[34..38].try_into().unwrap()) as usize;
+        for c in 0..chunks {
+            counts[usize::from(frame[HYBRID_HEADER_BYTES + c * TABLE_ENTRY_BYTES])] += 1;
+        }
+        assert_eq!(counts, want_counts, "golden frame's mode table as written");
+
         assert_eq!(
-            r.mode_histogram(),
-            want_hist,
-            "golden frame's mode table must read back as written"
+            HybridRef::parse(frame),
+            Err(FormatError::UnknownHybridMode(first_retired))
         );
-        let mut hs = HybridScratch::new();
-        let mut back = Vec::new();
-        hybrid::decode_stream_bytes(&r, &mut hs, &mut back).expect("golden frame decodes");
-        assert_eq!(
-            back, plain,
-            "golden frame must invert to the golden plain stream"
-        );
-        // The value path agrees with the plain first-stage decoder.
-        let plain_ref = CompressedRef::parse(plain).expect("golden plain stream parses");
-        let mut scratch = fast::Scratch::new();
-        let mut vals = vec![0f32; r.num_elements as usize];
-        hybrid::decode_into(&r, &mut hs, &mut scratch, &mut vals).expect("values decode");
-        let mut plain_vals = vec![0f32; r.num_elements as usize];
-        fast::decompress_into(plain_ref, &mut scratch, &mut plain_vals);
-        assert_eq!(vals, plain_vals);
     }
+}
+
+/// Either retired byte in any entry of a frame's table fails the frame
+/// at parse with `UnknownHybridMode`, whatever the other entries hold.
+#[test]
+fn retired_mode_bytes_are_rejected_in_any_entry() {
+    let (frame, _) = huffman4_frame();
+    let chunks = HybridRef::parse(&frame)
+        .expect("own frame parses")
+        .num_chunks();
+    for c in 0..chunks {
+        for byte in RETIRED_BYTES {
+            let mut warped = frame.clone();
+            warped[HYBRID_HEADER_BYTES + c * TABLE_ENTRY_BYTES] = byte;
+            assert_eq!(
+                HybridRef::parse(&warped),
+                Err(FormatError::UnknownHybridMode(byte)),
+                "chunk {c} relabelled {byte}"
+            );
+        }
+    }
+}
+
+/// The plain stream [`huffman4_frame`] codes.
+fn huffman4_plain() -> Vec<u8> {
+    compress_plain(&skewed_field(8_000), 1e-3)
 }
 
 /// Build a frame guaranteed to carry at least one `Huffman4` chunk and
 /// return it with the table index of that chunk.
 fn huffman4_frame() -> (Vec<u8>, usize) {
-    let data = skewed_field(8_000);
-    let plain = compress_plain(&data, 1e-3);
+    let plain = huffman4_plain();
     let frame = encode_frame(&plain, DEFAULT_CHUNK_BLOCKS, Some(Mode::Huffman4));
     let r = HybridRef::parse(&frame).expect("own frame parses");
     let hist = r.mode_histogram();
@@ -242,17 +261,14 @@ fn huffman4_frame() -> (Vec<u8>, usize) {
 /// PR-9 decoder would do with the new frames: its mode table rejects
 /// byte 4 at parse time (`UnknownHybridMode`), and even if a chunk's
 /// payload were reinterpreted under an old mode id the decode is caught.
+/// The retired ids fail at parse already
+/// (`retired_mode_bytes_are_rejected_in_any_entry`).
 #[test]
 fn huffman4_frames_fail_typed_under_old_mode_set() {
     let (frame, idx) = huffman4_frame();
     let mode_at = HYBRID_HEADER_BYTES + idx * TABLE_ENTRY_BYTES;
 
-    for old_mode in [
-        Mode::Pass.to_byte(),
-        Mode::Constant.to_byte(),
-        Mode::Rle.to_byte(),
-        Mode::Huffman.to_byte(),
-    ] {
+    for old_mode in [Mode::Pass.to_byte(), Mode::Constant.to_byte()] {
         let mut warped = frame.clone();
         warped[mode_at] = old_mode;
         let outcome = HybridRef::parse(&warped).map(|r| {

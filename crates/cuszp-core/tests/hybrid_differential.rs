@@ -7,9 +7,7 @@
 //! the plain `CUSZP1` stream byte for byte, so the second stage can
 //! never change what the lossy layer said. Corruption of any single
 //! byte, and truncation at any point, must yield a typed error (or a
-//! still-valid frame), never a panic. The `Rle` and one-stream `Huffman`
-//! chunks no encoder writes any more come from the PR-9 golden frames in
-//! `tests/data/`, read over arbitrary block ranges.
+//! still-valid frame), never a panic.
 
 use cuszp_core::hybrid::{self, HybridRef, HybridScratch, Mode};
 use cuszp_core::{fast, CuszpConfig};
@@ -38,14 +36,6 @@ fn force_strategy() -> impl Strategy<Value = Option<Mode>> {
         Just(Some(Mode::Huffman4)),
     ]
 }
-
-/// The plain `CUSZP1` stream the golden frames were encoded from, and
-/// the frames: the adaptive one holds `Huffman` chunks, the other `Rle`.
-const PR9_PLAIN: &[u8] = include_bytes!("data/pr9_plain_stream.bin");
-const PR9_FRAMES: [&[u8]; 2] = [
-    include_bytes!("data/pr9_hybrid_frame.bin"),
-    include_bytes!("data/pr9_hybrid_frame_rle.bin"),
-];
 
 /// Build (plain stream bytes, hybrid frame bytes) for one input.
 fn encode_pair(
@@ -115,17 +105,20 @@ proptest! {
         }
     }
 
-    /// Any block range of a golden frame, read through one reused
-    /// scratch, decodes to the same values as that range of the plain
-    /// stream: the `Rle` and `Huffman` decoders agree with the plain path
+    /// Any block range of a frame with `Huffman4` chunks, read through
+    /// one reused scratch, decodes to the same values as that range of
+    /// the plain stream: the `Huffman4` decoder agrees with the plain path
     /// on partial reads as well as on whole frames.
     #[test]
-    fn legacy_frames_decode_any_block_range(
-        golden in 0..PR9_FRAMES.len(),
+    fn huffman4_frames_decode_any_block_range(
         ranges in proptest::collection::vec((0..5000usize, 1..1200usize), 1..4),
     ) {
-        let r = HybridRef::parse(PR9_FRAMES[golden]).expect("golden frame parses");
-        let plain = cuszp_core::CompressedRef::parse(PR9_PLAIN).expect("golden plain parses");
+        let data: Vec<f32> = (0..40_000).map(|i| (i as f32 * 0.004).sin() * 8.0).collect();
+        let cfg = CuszpConfig::default();
+        let (plain, frame) = encode_pair(&data, 1e-3, cfg, 64, None);
+        let r = HybridRef::parse(&frame).expect("own frame parses");
+        prop_assert!(r.mode_histogram()[Mode::Huffman4.to_byte() as usize] > 0);
+        let plain = cuszp_core::CompressedRef::parse(&plain).expect("own plain parses");
         let mut scratch = fast::Scratch::new();
         let mut want = vec![0f32; r.num_elements as usize];
         fast::decompress_into(plain, &mut scratch, &mut want);
@@ -137,10 +130,10 @@ proptest! {
             let covered = want.len().min(b1 * l) - b0 * l;
             let mut got = vec![0f32; covered];
             hybrid::decode_blocks_into(&r, b0..b1, &mut hs, &mut scratch, &mut got)
-                .expect("golden frame decodes");
+                .expect("own frame decodes");
             prop_assert!(
                 got[..] == want[b0 * l..b0 * l + covered],
-                "golden frame {} blocks {}..{}", golden, b0, b1
+                "blocks {}..{}", b0, b1
             );
         }
     }

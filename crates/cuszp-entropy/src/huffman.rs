@@ -1,13 +1,11 @@
 //! Canonical, length-limited Huffman coding over bytes.
 //!
-//! Every Huffman chunk starts with a 128-byte packed-nibble code-length
-//! table (one 4-bit length per symbol, low nibble = even symbol); a
-//! one-stream `Huffman` chunk, which only earlier encoders wrote, follows
-//! it with one MSB-first bitstream, a `Huffman4` chunk with four (see
-//! `interleave.rs`). Lengths are capped at
-//! [`HUFFMAN_MAX_CODE_LEN`] = 12 bits so the decoder is a single lookup
-//! into a 4096-entry table — the table-driven decode the hybrid frame's
-//! throughput numbers depend on. Codes are *canonical*: the lengths fully
+//! A `Huffman4` chunk starts with a 128-byte packed-nibble code-length
+//! table (one 4-bit length per symbol, low nibble = even symbol),
+//! followed by four MSB-first bitstreams (see `interleave.rs`). Lengths
+//! are capped at [`HUFFMAN_MAX_CODE_LEN`] = 12 bits so the decoder is a
+//! single lookup into a 4096-entry table — the table-driven decode the
+//! hybrid frame's throughput numbers depend on. Codes are *canonical*: the lengths fully
 //! determine the codebook (assigned in `(length, symbol)` order), so the
 //! table is the entire header and encoder and decoder can never disagree
 //! on code values.
@@ -66,8 +64,8 @@
 //!   skewed chunks — short codes, exactly the ones the estimator routes
 //!   here — emit two bytes per table hit. One branchless refill buys
 //!   ≥ 56 bits, enough for four lookups, so the loop refills once per
-//!   four lookups. The same table drives the four interleaved streams of
-//!   [`crate::Mode::Huffman4`] (see `interleave.rs`).
+//!   four lookups; the loop itself, over the four interleaved streams of
+//!   [`crate::Mode::Huffman4`], is in `interleave.rs`.
 
 use crate::EntropyError;
 
@@ -165,8 +163,8 @@ impl CodeLengths {
     }
 }
 
-/// Unpack a 128-byte nibble table and validate the global invariants
-/// shared by the 1-way and 4-way chunk forms, in one pass over the bytes
+/// Unpack a 128-byte nibble table and validate the invariants every
+/// code must meet, in one pass over the bytes
 /// that also counts the symbols per length (the counting sort
 /// [`DecodeTable::build`] orders the codes with). An over-limit length
 /// is reported before an overfull Kraft sum.
@@ -388,181 +386,6 @@ impl WideWriter {
     pub(crate) fn end(&self) -> usize {
         self.bit.div_ceil(8)
     }
-}
-
-/// One MSB-first bit reader with word-at-a-time refill. `acc` holds
-/// `have` valid bits in its low positions; refill keeps `have` ≥ 12
-/// while input bytes remain, loading 32 bits at a time away from the
-/// tail.
-pub(crate) struct BitReader {
-    pub(crate) acc: u64,
-    pub(crate) have: u32,
-    pub(crate) next: usize,
-}
-
-impl BitReader {
-    /// Top up to ≥ 12 valid bits (best effort near the stream tail).
-    #[inline(always)]
-    pub(crate) fn refill(&mut self, bits: &[u8]) {
-        if self.have < HUFFMAN_MAX_CODE_LEN {
-            if self.next + 4 <= bits.len() {
-                let w = u32::from_be_bytes(
-                    bits[self.next..self.next + 4]
-                        .try_into()
-                        .expect("bounds checked"),
-                );
-                self.acc = (self.acc << 32) | u64::from(w);
-                self.next += 4;
-                self.have += 32;
-            } else {
-                while self.have < HUFFMAN_MAX_CODE_LEN && self.next < bits.len() {
-                    self.acc = (self.acc << 8) | u64::from(bits[self.next]);
-                    self.next += 1;
-                    self.have += 8;
-                }
-            }
-        }
-    }
-
-    /// The next 12 bits MSB-first (zero-extended past the stream end).
-    #[inline(always)]
-    pub(crate) fn peek(&self) -> usize {
-        if self.have >= HUFFMAN_MAX_CODE_LEN {
-            (self.acc >> (self.have - HUFFMAN_MAX_CODE_LEN)) as usize & (TABLE_SIZE - 1)
-        } else {
-            ((self.acc << (HUFFMAN_MAX_CODE_LEN - self.have)) as usize) & (TABLE_SIZE - 1)
-        }
-    }
-
-    /// End-of-stream validation shared by every stream form: all input
-    /// bytes consumed, less than one byte of slack, and the slack (the
-    /// encoder's final-byte padding) all zero.
-    pub(crate) fn finish(&self, bits: &[u8]) -> Result<(), EntropyError> {
-        if self.next != bits.len() || self.have >= 8 {
-            return Err(EntropyError("huffman trailing bytes"));
-        }
-        if self.have > 0 && self.acc & ((1u64 << self.have) - 1) != 0 {
-            return Err(EntropyError("huffman padding not zero"));
-        }
-        Ok(())
-    }
-}
-
-/// Decode a one-stream `Huffman` chunk into `out` (whose length is the
-/// chunk's recorded raw length). Every malformation — truncated table,
-/// over-limit or Kraft-overfull lengths, a bit pattern matching no code,
-/// a bitstream that ends early or carries unused bytes or non-zero
-/// padding — is a typed [`EntropyError`]. The decode table is built in
-/// `table`, whatever it held before.
-pub(crate) fn decode(
-    comp: &[u8],
-    out: &mut [u8],
-    table: &mut DecodeTable,
-) -> Result<(), EntropyError> {
-    if comp.len() < HUFFMAN_TABLE_BYTES {
-        return Err(EntropyError("huffman table truncated"));
-    }
-    let code = parse_lens_table(&comp[..HUFFMAN_TABLE_BYTES])?;
-    let bits = &comp[HUFFMAN_TABLE_BYTES..];
-    if out.is_empty() {
-        return if bits.is_empty() {
-            Ok(())
-        } else {
-            Err(EntropyError("huffman trailing bytes"))
-        };
-    }
-    if code.coded() == 0 {
-        return Err(EntropyError("huffman table empty"));
-    }
-    let tab = table.build(&code, out.len() >= DecodeTable::GRAFT_MIN_SYMBOLS);
-
-    // Fast path: branchless refill (Fabian Giesen's variant — one
-    // unconditional 8-byte big-endian load, accumulator kept
-    // left-aligned) and an unconditional two-byte store per lookup. The
-    // refill branch and the 1-vs-2-symbol branch are data-dependent and
-    // mispredict constantly in the careful loop below; here the only
-    // branches are the loop bounds (always-taken) and the rare invalid
-    // code. Entries consume `ltot` ≤ 12 bits whether they carry one
-    // symbol or two (a 1-symbol entry has `ltot == l1`), and a 1-symbol
-    // entry's second byte is dead weight the next store overwrites.
-    let n = out.len();
-    let mut acc: u64 = 0; // bits left-aligned: next bit is bit 63
-    let mut have: u32 = 0;
-    let mut next = 0usize;
-    let mut o = 0usize;
-    macro_rules! refill {
-        () => {{
-            let w = u64::from_be_bytes(bits[next..next + 8].try_into().expect("bounds checked"));
-            acc |= w >> have;
-            next += ((63 - have) >> 3) as usize;
-            have |= 56;
-        }};
-    }
-    macro_rules! lookup {
-        () => {{
-            let e = tab[(acc >> (64 - HUFFMAN_MAX_CODE_LEN)) as usize];
-            if e == 0 {
-                return Err(EntropyError("invalid huffman code"));
-            }
-            let ltot = (e >> 20) & 0x1F;
-            out[o] = e as u8;
-            out[o + 1] = (e >> 8) as u8;
-            o += 1 + ((e >> 25) & 1) as usize;
-            acc <<= ltot;
-            have -= ltot;
-        }};
-    }
-    // Wide rounds: a refill leaves ≥ 56 bits and a lookup consumes
-    // ≤ 12, so four lookups run per refill (before lookup j at least
-    // 56 − 12j ≥ 20 bits remain), and the next lookup's address no
-    // longer waits on a load. `o + 8 ≤ n` keeps all four two-byte
-    // stores in bounds (each lookup advances `o` by ≤ 2).
-    while o + 8 <= n && next + 8 <= bits.len() {
-        refill!();
-        lookup!();
-        lookup!();
-        lookup!();
-        lookup!();
-    }
-    while o + 1 < n && next + 8 <= bits.len() {
-        refill!();
-        lookup!();
-    }
-
-    // Careful tail: byte-accurate refill, exact end-of-stream checks.
-    // The left-aligned accumulator converts to the low-aligned reader
-    // exactly (same counted bits, same byte cursor, same consumed-bit
-    // total 8·next − have).
-    let mut br = BitReader {
-        acc: if have > 0 { acc >> (64 - have) } else { 0 },
-        have,
-        next,
-    };
-    while o < n {
-        br.refill(bits);
-        let e = tab[br.peek()];
-        if e == 0 {
-            return Err(EntropyError("invalid huffman code"));
-        }
-        let ltot = (e >> 20) & 0x1F;
-        if e & (1 << 25) != 0 && ltot <= br.have && o + 1 < n {
-            // Two symbols per lookup: output is sequential here, so both
-            // land directly.
-            out[o] = e as u8;
-            out[o + 1] = (e >> 8) as u8;
-            o += 2;
-            br.have -= ltot;
-        } else {
-            let l1 = (e >> 16) & 0xF;
-            if l1 > br.have {
-                return Err(EntropyError("huffman bitstream truncated"));
-            }
-            out[o] = e as u8;
-            o += 1;
-            br.have -= l1;
-        }
-    }
-    br.finish(bits)
 }
 
 impl Codebook {
@@ -1100,36 +923,6 @@ mod tests {
         );
         assert!(*table.build(&parsed(&half), true) == per_prefix_table(&half, true));
         assert!(*table.build(&parsed(&full), true) == per_prefix_table(&full, true));
-    }
-
-    #[test]
-    fn empty_bitstream_rules() {
-        let table = vec![0u8; HUFFMAN_TABLE_BYTES];
-        let mut none: [u8; 0] = [];
-        let mut tab = DecodeTable::new();
-        decode(&table, &mut none, &mut tab).unwrap();
-        let mut one = [0u8; 1];
-        assert_eq!(
-            decode(&table, &mut one, &mut tab),
-            Err(EntropyError("huffman table empty"))
-        );
-    }
-
-    #[test]
-    fn nonzero_padding_rejected() {
-        // Symbol 0 is `0` and symbol 1 is `10`: `0 10 0 0 10` is seven
-        // bits, so the final byte carries one bit of padding.
-        let mut comp = vec![0u8; HUFFMAN_TABLE_BYTES];
-        comp[0] = 1 | 2 << 4;
-        comp.push(0b0100_0100);
-        let mut back = [0u8; 5];
-        decode(&comp, &mut back, &mut DecodeTable::new()).unwrap();
-        assert_eq!(back, [0, 1, 0, 0, 1]);
-        comp[HUFFMAN_TABLE_BYTES] |= 1;
-        assert_eq!(
-            decode(&comp, &mut back, &mut DecodeTable::new()),
-            Err(EntropyError("huffman padding not zero"))
-        );
     }
 
     #[test]

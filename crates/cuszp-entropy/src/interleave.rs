@@ -1,6 +1,6 @@
 //! `Huffman4` — four interleaved canonical-Huffman bitstreams.
 //!
-//! The 1-way Huffman decoder is latency-bound, not throughput-bound: each
+//! A one-stream Huffman decoder is latency-bound, not throughput-bound: each
 //! table lookup's *address* depends on the bit position left by the
 //! previous lookup, so decode speed is one `L1-hit + shift` dependency
 //! chain, ~5–6 cycles per symbol no matter how wide the core is. The
@@ -21,7 +21,7 @@
 //! ## Chunk layout (`Mode::Huffman4`, wire byte 4)
 //!
 //! ```text
-//! [128 B packed-nibble code-length table]   — same table as Mode::Huffman
+//! [128 B packed-nibble code-length table]   — canonical code (huffman.rs)
 //! [3 × u32 LE: end0, end1, end2]            — byte offsets, relative to
 //!                                             the streams region, of the
 //!                                             ends of streams 0, 1, 2
@@ -29,11 +29,10 @@
 //! ```
 //!
 //! Stream `s` codes symbols `raw[i]` with `i % 4 == s`, each stream
-//! MSB-first with zero padding in its final partial byte, exactly like
-//! the 1-way bitstream. One shared code table covers all four streams —
-//! symbol statistics do not depend on `i % 4` — so the only overhead
-//! versus 1-way is the 12 offset bytes plus at most 3 extra partial-byte
-//! paddings.
+//! MSB-first with zero padding in its final partial byte. One shared
+//! code table covers all four streams — symbol statistics do not depend
+//! on `i % 4` — so the only overhead versus one stream is the 12 offset
+//! bytes plus at most 3 extra partial-byte paddings.
 //!
 //! ## Encoding
 //!
@@ -59,8 +58,8 @@
 //! frames fail with a typed [`EntropyError`] before any stream work.
 
 use crate::huffman::{
-    parse_lens_table, push_lens_table, BitReader, Codebook, DecodeTable, WideWriter,
-    HUFFMAN_TABLE_BYTES, WRITE_SLACK,
+    parse_lens_table, push_lens_table, Codebook, DecodeTable, WideWriter, HUFFMAN_TABLE_BYTES,
+    WRITE_SLACK,
 };
 use crate::{histogram, EntropyError};
 
@@ -220,7 +219,7 @@ pub(crate) fn decode(
     let streams: [&[u8]; HUFFMAN4_STREAMS] =
         std::array::from_fn(|s| &region[if s == 0 { 0 } else { ends[s - 1] }..ends[s]]);
 
-    // Per-stream state as scalar locals: an indexed `[BitReader; 4]`
+    // Per-stream state as scalar locals: an indexed array of readers
     // keeps the whole state in memory (the compiler cannot promote an
     // array that is re-indexed each round to registers), which chains
     // the four decoders through store-to-load forwarding and erases the
@@ -422,18 +421,27 @@ pub(crate) fn decode(
             while $rem > 0 {
                 step!($acc, $have, $next, $idx, $rem, $bits, &&$rem >= 2);
             }
-            let fin = BitReader {
-                acc: $acc,
-                have: $have,
-                next: $next,
-            };
-            fin.finish($bits)?;
+            finish($bits, $acc, $have, $next)?;
         }};
     }
     tail!(acc0, have0, next0, idx0, rem0, bits0);
     tail!(acc1, have1, next1, idx1, rem1, bits1);
     tail!(acc2, have2, next2, idx2, rem2, bits2);
     tail!(acc3, have3, next3, idx3, rem3, bits3);
+    Ok(())
+}
+
+/// End-of-stream validation for one bitstream whose reader holds `have`
+/// unconsumed bits in the low bits of `acc` and has read `bits` up to
+/// `next`: all input bytes consumed, less than one byte of slack, and the
+/// slack (the encoder's final-byte padding) all zero.
+fn finish(bits: &[u8], acc: u64, have: u32, next: usize) -> Result<(), EntropyError> {
+    if next != bits.len() || have >= 8 {
+        return Err(EntropyError("huffman trailing bytes"));
+    }
+    if have > 0 && acc & ((1u64 << have) - 1) != 0 {
+        return Err(EntropyError("huffman padding not zero"));
+    }
     Ok(())
 }
 
@@ -566,6 +574,27 @@ mod tests {
         // but a final code of trailing zeros could legally absorb it,
         // so just require that most streams reject.
         assert!(rejected >= 2, "only {rejected}/4 streams rejected");
+    }
+
+    #[test]
+    fn nonzero_padding_rejected() {
+        // Symbol 0 is `0` and symbol 1 is `10`. Five symbols put `0 10`
+        // (symbols 0 and 4) in stream 0, whose one byte carries five bits
+        // of padding, and one symbol in each other stream.
+        let mut comp = vec![0u8; HUFFMAN_TABLE_BYTES];
+        comp[0] = 1 | 2 << 4;
+        for end in [1u32, 2, 3] {
+            comp.extend_from_slice(&end.to_le_bytes());
+        }
+        comp.extend([0b0100_0000, 0b1000_0000, 0, 0]);
+        let mut back = [0u8; 5];
+        decode(&comp, &mut back, &mut DecodeTable::new()).unwrap();
+        assert_eq!(back, [0, 1, 0, 0, 1]);
+        comp[HUFFMAN4_HEADER_BYTES] |= 1;
+        assert_eq!(
+            decode(&comp, &mut back, &mut DecodeTable::new()),
+            Err(EntropyError("huffman padding not zero"))
+        );
     }
 
     #[test]

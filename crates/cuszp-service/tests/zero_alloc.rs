@@ -105,7 +105,7 @@ fn steady_state_request_loop_is_allocation_free() {
 #[test]
 fn hybrid_tenant_steady_state_is_allocation_free() {
     let _serial = serial();
-    // The CUSZPHY1 second stage (estimator, RLE, Huffman) writes only
+    // The CUSZPHY1 second stage (estimator, Huffman4) writes only
     // into the connection's pre-warmed staging buffers, so a hybrid
     // tenant keeps the same zero-heap-op contract. Redundant data forces
     // the entropy coders to actually run (the response is a raw hybrid

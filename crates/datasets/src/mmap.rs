@@ -83,7 +83,9 @@ impl<T: Copy + 'static> Deref for MappedSlice<T> {
     fn deref(&self) -> &[T] {
         match &self.backing {
             #[cfg(all(unix, target_endian = "little"))]
-            Backing::Mapped { addr, .. } => {
+            Backing::Mapped { addr, len } => {
+                debug_assert!(self.len * std::mem::size_of::<T>() <= *len);
+                debug_assert!((*addr as usize).is_multiple_of(std::mem::align_of::<T>()));
                 // SAFETY: `addr` is a live PROT_READ mapping of at least
                 // `len * size_of::<T>()` bytes (checked at construction),
                 // page-aligned (≥ align_of::<T>()), and unmapped only in
@@ -99,6 +101,7 @@ impl<T: Copy + 'static> Drop for MappedSlice<T> {
     fn drop(&mut self) {
         #[cfg(all(unix, target_endian = "little"))]
         if let Backing::Mapped { addr, len } = self.backing {
+            debug_assert!(addr != sys::MAP_FAILED);
             // SAFETY: exactly the region mmap returned, unmapped once.
             unsafe {
                 sys::munmap(addr, len);
@@ -140,6 +143,7 @@ fn try_map<T: Copy + 'static>(file: &File, bytes: usize) -> Option<MappedSlice<T
     if bytes == 0 {
         return None; // mmap(len = 0) is EINVAL; empty files use the fallback
     }
+    debug_assert!(bytes > 0);
     // SAFETY: fd is open for reading; len > 0; a failed mapping returns
     // MAP_FAILED, which is checked before use.
     let addr = unsafe {

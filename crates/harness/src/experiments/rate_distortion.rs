@@ -1,7 +1,7 @@
 //! Figs 17 & 18 — rate-distortion curves (PSNR and SSIM vs bit rate) for
 //! all four compressors over the six datasets, plus the `CUSZPHY1`
-//! hybrid second stage as a fifth curve (ROADMAP item 5: the sweep
-//! emits hybrid ratio and throughput per bound).
+//! hybrid second stage as a fifth curve (the sweep emits hybrid ratio
+//! and throughput per bound).
 //!
 //! Shape claims reproduced:
 //! * cuSZp and cuSZ trace the upper envelope (error-bounded prediction

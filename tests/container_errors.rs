@@ -13,9 +13,10 @@ mod raw_codec;
 
 use cuszp_repro::cuszp_core::{
     hybrid, Compressed, CompressedRef, Cuszp, CuszpConfig, DType, ErrorBound, FormatError,
+    FrameRef, HybridRef,
 };
 use cuszp_repro::cuszp_store::{
-    write_shard, CodecRegistry, CuszpCodec, Shard, StoreError, StoreScratch,
+    write_shard, ChunkEntry, CodecRegistry, CuszpCodec, Shard, ShardIndex, StoreError, StoreScratch,
 };
 use std::collections::BTreeSet;
 
@@ -126,16 +127,27 @@ fn every_format_error_variant_is_reachable_from_bytes() {
             .decompress_serialized::<f32>(&bad)
             .expect_err("unknown mode byte must fail"),
     ));
-    // Entropy: a constant chunk relabeled RLE — the table still
-    // validates (comp < raw), but the 1-byte payload is not a legal RLE
-    // stream, so decode fails typed inside the entropy coder.
-    let mut bad = hy;
-    assert_eq!(bad[hybrid::HYBRID_HEADER_BYTES], 1, "chunk 0 is constant");
-    bad[hybrid::HYBRID_HEADER_BYTES] = 2;
+    // Entropy: a skewed field's first `Huffman4` chunk with an
+    // all-ones code-length table, whose Kraft sum overflows — the frame
+    // table still validates, but decode fails typed inside the entropy
+    // coder.
+    let skewed: Vec<f32> = (0..100_000)
+        .map(|i| (i as f32 * 0.004).sin() * 8.0)
+        .collect();
+    let mut bad = hybrid_codec.compress_serialized(&skewed, ErrorBound::Abs(1e-3));
+    let r = HybridRef::parse(&bad).expect("own frame parses");
+    let c = (0..r.num_chunks())
+        .find(|&c| r.entry(c).0 == hybrid::Mode::Huffman4)
+        .expect("a skewed field codes a Huffman4 chunk");
+    let at = hybrid::HYBRID_HEADER_BYTES
+        + r.num_chunks() * hybrid::TABLE_ENTRY_BYTES
+        + (0..c).map(|k| r.entry(k).1 as usize).sum::<usize>();
+    // The chunk's first 128 bytes are its code-length nibbles.
+    bad[at..at + 128].fill(0x11);
     seen.insert(format_variant(
         &hybrid_codec
             .decompress_serialized::<f32>(&bad)
-            .expect_err("truncated rle chunk must fail"),
+            .expect_err("overfull code-length table must fail"),
     ));
 
     assert_eq!(
@@ -267,4 +279,71 @@ fn every_store_error_variant_is_reachable_from_bytes() {
         ],
         "every StoreError variant must be reachable from bytes"
     );
+}
+
+/// The golden `CUSZPHY1` frames an early encoder wrote, with the mode
+/// byte of the first chunk each holds in a retired mode: one-stream
+/// Huffman (3) and run-length (2).
+const RETIRED_GOLDEN: [(&[u8], u8); 2] = [
+    (
+        include_bytes!("../crates/cuszp-core/tests/data/pr9_hybrid_frame.bin"),
+        3,
+    ),
+    (
+        include_bytes!("../crates/cuszp-core/tests/data/pr9_hybrid_frame_rle.bin"),
+        2,
+    ),
+];
+
+/// Frames holding the retired mode bytes 2 and 3 fail typed with
+/// `UnknownHybridMode` on every path that decodes outside bytes — the
+/// hybrid and frame parsers, `decompress_serialized`, and a `CZH1` shard
+/// read from memory and from a mapped file — and none panics.
+#[test]
+fn retired_hybrid_modes_fail_typed_on_every_entry_point() {
+    let registry = CodecRegistry::with_defaults();
+    let mut scratch = StoreScratch::new();
+    for (frame, first_retired) in RETIRED_GOLDEN {
+        let want = FormatError::UnknownHybridMode(first_retired);
+        assert_eq!(HybridRef::parse(frame).unwrap_err(), want);
+        assert_eq!(FrameRef::parse(frame).unwrap_err(), want);
+        assert_eq!(
+            Cuszp::new()
+                .decompress_serialized::<f32>(frame)
+                .unwrap_err(),
+            want
+        );
+
+        // A one-chunk `CZH1` shard around the frame: the index is intact,
+        // so the frame fails at read time.
+        let n = u64::from_le_bytes(frame[10..18].try_into().unwrap()) as usize;
+        let mut shard = frame.to_vec();
+        ShardIndex {
+            shape: vec![n],
+            chunk_shape: vec![n],
+            dtype: DType::F32,
+            entries: vec![ChunkEntry {
+                offset: 0,
+                len: frame.len() as u64,
+                num_elements: n as u64,
+                format_id: *b"CZH1",
+            }],
+        }
+        .append_to(&mut shard);
+        let mut out = vec![0f32; n];
+        let path = std::env::temp_dir().join(format!(
+            "cuszp_retired_{first_retired}_{}.shard",
+            std::process::id()
+        ));
+        std::fs::write(&path, &shard).unwrap();
+        let mapped = Shard::open_path(&path);
+        std::fs::remove_file(&path).unwrap();
+        for opened in [Shard::open(&shard), mapped] {
+            let err = opened
+                .expect("index itself is intact")
+                .read_all(&registry, &mut scratch, &mut out)
+                .unwrap_err();
+            assert_eq!(err, StoreError::Frame(want.clone()));
+        }
+    }
 }
