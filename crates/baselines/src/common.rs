@@ -1,7 +1,8 @@
 //! The uniform compressor interface the experiment harness drives, plus
 //! the cuSZp adapter.
 
-use cuszp_core::{Cuszp, CuszpConfig};
+use crate::cuszp::{compress_kernel, decompress_kernel, DeviceCompressed};
+use cuszp_core::CuszpConfig;
 use gpu_sim::{DeviceBuffer, Gpu};
 use std::any::Any;
 
@@ -65,10 +66,10 @@ pub trait Compressor {
 }
 
 /// cuSZp exposed through the uniform interface (single fused kernel per
-/// direction; see `cuszp-core`).
+/// direction; see [`crate::cuszp`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CuszpAdapter {
-    codec: Cuszp,
+    config: CuszpConfig,
 }
 
 impl CuszpAdapter {
@@ -79,13 +80,12 @@ impl CuszpAdapter {
 
     /// Adapter with a custom configuration (ablations).
     pub fn with_config(config: CuszpConfig) -> Self {
-        CuszpAdapter {
-            codec: Cuszp::with_config(config),
-        }
+        config.validate();
+        CuszpAdapter { config }
     }
 }
 
-impl Stream for cuszp_core::DeviceCompressed {
+impl Stream for DeviceCompressed {
     fn stream_bytes(&self) -> u64 {
         self.stream_bytes()
     }
@@ -110,15 +110,15 @@ impl Compressor for CuszpAdapter {
         _shape: &[usize],
         eb: f64,
     ) -> Box<dyn Stream> {
-        Box::new(self.codec.compress_device(gpu, input, eb))
+        Box::new(compress_kernel(gpu, input, eb, self.config))
     }
 
     fn decompress(&self, gpu: &mut Gpu, stream: &dyn Stream) -> DeviceBuffer<f32> {
         let dc = stream
             .as_any()
-            .downcast_ref::<cuszp_core::DeviceCompressed>()
+            .downcast_ref::<DeviceCompressed>()
             .expect("stream produced by a different compressor");
-        self.codec.decompress_device(gpu, dc)
+        decompress_kernel(gpu, dc)
     }
 }
 

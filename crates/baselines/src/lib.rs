@@ -22,12 +22,15 @@
 //!   truncation to the exact rate budget. Single-kernel speed, but no
 //!   error bound and weak 1-D quality (Fig 17e).
 //!
-//! [`common`] defines the [`common::Compressor`] trait the experiment
-//! harness drives, plus the adapter exposing `cuszp-core` through the same
-//! interface.
+//! [`cuszp`] holds cuSZp itself on the same simulated device: the
+//! paper's single fused kernel per direction, byte-identical to
+//! `cuszp-core`'s host codec. [`common`] defines the
+//! [`common::Compressor`] trait the experiment harness drives, plus the
+//! adapter exposing [`cuszp`] through the same interface.
 
 pub mod common;
 pub mod cusz;
+pub mod cuszp;
 pub mod cuszx;
 pub mod cuzfp;
 

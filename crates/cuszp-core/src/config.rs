@@ -1,7 +1,5 @@
 //! Error-bound modes and compressor configuration (paper §2.1, §4).
 
-use serde::{Deserialize, Serialize};
-
 /// Default block length `L` — the reference cuSZp processes 32 values per
 //  thread, which also caps the compression ratio at `32·4 / 1 = 128`
 /// (Table 3's observed ceiling of 127.99).
@@ -16,7 +14,7 @@ pub const DEFAULT_BLOCK_LEN: usize = 32;
 /// range comes from the finite values alone. The bound guarantee itself
 /// only ever applies to finite elements — a NaN input quantizes to an
 /// integer like any other value and reconstructs as a finite number.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ErrorBound {
     /// Absolute bound δ: `|d_i − d'_i| ≤ δ`.
     Abs(f64),
@@ -138,7 +136,7 @@ impl std::str::FromStr for SimdLevel {
 
 /// Compressor configuration. The defaults reproduce the paper; the other
 /// knobs exist for the ablation experiments called out in DESIGN.md §5.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CuszpConfig {
     /// Block length `L`; must be a positive multiple of 8.
     pub block_len: usize,
@@ -149,9 +147,8 @@ pub struct CuszpConfig {
     /// default) defers to the `CUSZP_SIMD` environment variable, then to
     /// runtime detection; `Some(level)` takes precedence over both but is
     /// still clamped to what the host supports. Output bytes are
-    /// identical at every tier. Not serialized — dispatch is a property
-    /// of the running process, not of a stream.
-    #[serde(skip)]
+    /// identical at every tier. Dispatch is a property of the running
+    /// process, not of a stream, so no stream records it.
     pub simd: Option<SimdLevel>,
     /// Apply the lossless hybrid second stage ([`crate::hybrid`]) when
     /// serializing: the fixed-length stream is re-coded per chunk by the

@@ -2,10 +2,8 @@
 //! (float) and `-d` (double) code paths; this trait folds both into one
 //! generic pipeline.
 
-use serde::{Deserialize, Serialize};
-
 /// On-disk tag for the element type of a stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DType {
     /// IEEE-754 single precision.
     F32,
@@ -121,7 +119,9 @@ mod sealed {
 /// in `f64` arithmetic, with reconstruction rounding bounded by one ULP of
 /// the element type (see `verify::check_bound`). Sealed: implemented for
 /// `f32` and `f64` only.
-pub trait FloatData: gpu_sim::DeviceCopy + PartialEq + std::fmt::Debug + sealed::Sealed {
+pub trait FloatData:
+    Copy + Send + Sync + Default + 'static + PartialEq + std::fmt::Debug + sealed::Sealed
+{
     /// This type's stream tag.
     const DTYPE: DType;
     /// Widen to `f64` for quantization.

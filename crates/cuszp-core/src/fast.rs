@@ -81,8 +81,9 @@
 //! is sequential: blocks are independent once the offsets are known —
 //! the same argument the paper's GS step makes for the GPU — and that
 //! independence is spent on independent *work*: `cuszp-pipeline` runs
-//! one chunk per worker and `cuszp-service` one request per worker, each
-//! with its own [`Scratch`].
+//! one chunk per worker, and `cuszp-service` runs each request's codec on
+//! its connection's thread under an admission permit, each with its own
+//! [`Scratch`].
 
 use crate::bitshuffle::{byte_transpose8x8, transpose8x8};
 use crate::config::{CuszpConfig, SimdLevel};

@@ -16,7 +16,6 @@
 
 use crate::dtype::DType;
 use crate::encode::cmp_bytes_for;
-use serde::{Deserialize, Serialize};
 
 /// Magic bytes of the file serialization.
 pub const MAGIC: [u8; 6] = *b"CUSZP1";
@@ -24,7 +23,7 @@ pub const MAGIC: [u8; 6] = *b"CUSZP1";
 pub const HEADER_BYTES: usize = 6 + 1 + 1 + 8 + 4 + 8;
 
 /// A complete compressed stream plus the metadata needed to decode it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Compressed {
     /// Element count of the original array.
     pub num_elements: u64,

@@ -7,21 +7,21 @@
 //!    Lorenzo prediction inside each length-`L` block.
 //! 2. **Fixed-length Encoding** ([`encode`]) — sign bitmap + per-block bit
 //!    width `F` from the largest residual; all-zero blocks cost one byte.
-//! 3. **Global Synchronization** — a decoupled-lookback prefix sum over
-//!    per-block compressed sizes, run *inside* the same kernel
-//!    ([`kernels`], using `gpu-sim`'s [`gpu_sim::ScanState`]).
+//! 3. **Global Synchronization** — an exclusive prefix sum over per-block
+//!    compressed sizes (paper Eq 2) that places every block's payload.
 //! 4. **Block Bit-shuffle** ([`bitshuffle`]) — bit-plane transposition so
 //!    every output byte is built from uniform single-bit extracts.
 //!
-//! Both directions run as **one fused kernel** on the `gpu-sim` substrate
-//! ([`kernels::compress_kernel`] / [`kernels::decompress_kernel`]); a
-//! sequential reference codec ([`host_ref`]) produces byte-identical
-//! streams and anchors the property tests. The [`Cuszp`] host API routes
-//! through [`fast`], an optimized word-parallel codec that is
-//! byte-identical to `host_ref` but restructured as the GPU kernel's
-//! two-phase size-scan-then-write layout. The codec itself is
-//! sequential; parallelism comes from independent work — chunks in
-//! `cuszp-pipeline`, requests in `cuszp-service`.
+//! This crate is the host codec only. The [`Cuszp`] host API routes
+//! through [`fast`], an optimized word-parallel codec laid out as the GPU
+//! kernel's two-phase size-scan-then-write pass, byte-identical to the
+//! sequential reference codec ([`host_ref`]) that anchors the property
+//! tests. The paper's single fused device kernel per direction, with the
+//! prefix sum as an in-kernel decoupled lookback, lives in
+//! `baselines::cuszp` on the `gpu-sim` simulator and writes the same
+//! bytes. The codec itself is sequential; parallelism comes from
+//! independent work — chunks in `cuszp-pipeline`, requests in
+//! `cuszp-service`.
 //!
 //! ## Quick start
 //!
@@ -57,7 +57,6 @@ pub mod format;
 pub mod frame;
 pub mod host_ref;
 pub mod hybrid;
-pub mod kernels;
 pub mod quantize;
 pub mod rows;
 pub mod simd;
@@ -71,13 +70,7 @@ pub use fast::Scratch;
 pub use format::{Compressed, CompressedRef, FormatError};
 pub use frame::FrameRef;
 pub use hybrid::{HybridRef, HybridScratch};
-pub use kernels::{
-    compress_kernel, compressed_h2d, decompress_kernel, DeviceCompressed, STEP_BB, STEP_FE,
-    STEP_GS, STEP_QP,
-};
 pub use rows::RowLayout;
-
-use gpu_sim::{DeviceBuffer, Gpu};
 
 /// Value range (max − min) of a dataset — the REL bound denominator.
 ///
@@ -282,25 +275,6 @@ impl Cuszp {
             at += n;
         }
         out
-    }
-
-    /// Compress on the device in a single fused kernel. `eb` is absolute.
-    pub fn compress_device<T: FloatData>(
-        &self,
-        gpu: &mut Gpu,
-        input: &DeviceBuffer<T>,
-        eb: f64,
-    ) -> DeviceCompressed {
-        kernels::compress_kernel(gpu, input, eb, self.config)
-    }
-
-    /// Decompress on the device in a single fused kernel.
-    pub fn decompress_device<T: FloatData>(
-        &self,
-        gpu: &mut Gpu,
-        c: &DeviceCompressed,
-    ) -> DeviceBuffer<T> {
-        kernels::decompress_kernel(gpu, c)
     }
 }
 

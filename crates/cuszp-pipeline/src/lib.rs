@@ -16,9 +16,7 @@
 //!   once the pool falls behind, so peak memory is bounded by
 //!   `queue_depth + workers` chunks regardless of batch size.
 //! - **Per-stream counters** — every worker tracks chunks, bytes and busy
-//!   time; in device mode each worker owns its own simulated GPU
-//!   ([`gpu_sim::Gpu`]) and reports the simulated kernel seconds from its
-//!   timeline, plugging the pipeline into gpu-sim's profiler.
+//!   time.
 //!
 //! ```
 //! use cuszp_pipeline::{Pipeline, PipelineConfig};
@@ -35,7 +33,6 @@
 //! ```
 
 use cuszp_core::{fast, ChunkedCompressed, Compressed, CuszpConfig, ErrorBound, FloatData};
-use gpu_sim::{DeviceSpec, Gpu};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -59,10 +56,6 @@ pub struct PipelineConfig {
     pub chunk_elems: usize,
     /// Inner codec configuration (block length, Lorenzo).
     pub codec: CuszpConfig,
-    /// `Some(spec)`: each worker owns a simulated GPU of this model and
-    /// compresses with the fused device kernel, so per-stream stats carry
-    /// simulated kernel time. `None`: host reference codec.
-    pub device: Option<DeviceSpec>,
 }
 
 impl Default for PipelineConfig {
@@ -75,7 +68,6 @@ impl Default for PipelineConfig {
             queue_depth: 2 * workers,
             chunk_elems: 1 << 20,
             codec: CuszpConfig::default(),
-            device: None,
         }
     }
 }
@@ -167,7 +159,6 @@ impl<T: FloatData> Pipeline<T> {
         let in_flight = Arc::new(AtomicUsize::new(0));
         let worker_in_flight = Arc::clone(&in_flight);
         let codec = cfg.codec;
-        let device = cfg.device.clone();
         let pool = WorkerPool::new(cfg.workers, cfg.queue_depth, move |id, src| {
             worker_loop(
                 id,
@@ -175,7 +166,6 @@ impl<T: FloatData> Pipeline<T> {
                 done_tx.clone(),
                 Arc::clone(&worker_in_flight),
                 codec,
-                device.clone(),
             )
         });
         Pipeline {
@@ -283,11 +273,8 @@ fn worker_loop<T: FloatData>(
     tx: Sender<Done>,
     in_flight: Arc<AtomicUsize>,
     codec: CuszpConfig,
-    device: Option<DeviceSpec>,
 ) -> StreamStats {
     let mut stats = StreamStats::new(id);
-    // One simulated GPU per worker = one stream with its own timeline.
-    let mut gpu = device.map(Gpu::new);
     // Long-lived per-worker arena: after the first chunk warms it up, the
     // host codec's only allocations per chunk are the two output Vecs the
     // result owns — no intermediate buffer is ever reallocated.
@@ -297,16 +284,10 @@ fn worker_loop<T: FloatData>(
     while let Some(job) = src.next() {
         let t0 = Instant::now();
         let slice = &job.data[job.start..job.end];
-        let compressed = match gpu.as_mut() {
-            Some(gpu) => {
-                let input = gpu.h2d(slice);
-                cuszp_core::compress_kernel(gpu, &input, job.eb, codec).to_host(gpu)
-            }
-            // Workers are parallel across chunks; each runs the
-            // sequential fast codec (byte-identical to the host_ref
-            // oracle), reusing this worker's arena.
-            None => fast::compress_with(&mut scratch, slice, job.eb, codec),
-        };
+        // Workers are parallel across chunks; each runs the sequential
+        // fast codec (byte-identical to the host_ref oracle), reusing this
+        // worker's arena.
+        let compressed = fast::compress_with(&mut scratch, slice, job.eb, codec);
         stats.chunks += 1;
         stats.bytes_in += std::mem::size_of_val(slice) as u64;
         stats.bytes_out += compressed.stream_bytes();
@@ -321,9 +302,6 @@ fn worker_loop<T: FloatData>(
         if tx.send(done).is_err() {
             break; // collector gone; nothing left to report to
         }
-    }
-    if let Some(gpu) = gpu.as_ref() {
-        stats.sim_kernel_seconds = gpu.breakdown().total();
     }
     stats
 }
@@ -345,7 +323,6 @@ mod tests {
             queue_depth: 2,
             chunk_elems: 1000,
             codec: CuszpConfig::default(),
-            device: None,
         }
     }
 
@@ -388,7 +365,6 @@ mod tests {
             queue_depth: 1,
             chunk_elems: 100,
             codec: CuszpConfig::default(),
-            device: None,
         });
         pipe.submit("big", wavy(5_000, 0.3), ErrorBound::Abs(1e-3));
         let batch = pipe.finish();
@@ -439,31 +415,6 @@ mod tests {
         for (d, r) in data.iter().zip(&back) {
             assert!((d - r).abs() <= eb * (1.0 + 1e-6));
         }
-    }
-
-    #[test]
-    fn device_mode_collects_sim_kernel_time() {
-        let mut pipe = Pipeline::new(PipelineConfig {
-            workers: 2,
-            queue_depth: 2,
-            chunk_elems: 1024,
-            codec: CuszpConfig::default(),
-            device: Some(DeviceSpec::a100()),
-        });
-        let data = wavy(4096, 0.0);
-        pipe.submit("dev", data.clone(), ErrorBound::Abs(1e-3));
-        let batch = pipe.finish();
-        // Device streams are byte-identical to the host path, so the
-        // container still matches the sequential reference.
-        let reference = Cuszp::new().compress_chunked(&data, ErrorBound::Abs(1e-3), 1024);
-        assert_eq!(batch.fields[0].container, reference);
-        let sim: f64 = batch
-            .stats
-            .streams
-            .iter()
-            .map(|s| s.sim_kernel_seconds)
-            .sum();
-        assert!(sim > 0.0, "simulated kernel time recorded");
     }
 
     #[test]

@@ -20,9 +20,6 @@ pub struct StreamStats {
     pub bytes_out: u64,
     /// Wall-clock seconds spent compressing (excludes queue waits).
     pub busy_seconds: f64,
-    /// Simulated GPU seconds from this stream's `gpu_sim` timeline
-    /// (device mode only; 0 on the host path).
-    pub sim_kernel_seconds: f64,
 }
 
 impl StreamStats {
@@ -34,7 +31,6 @@ impl StreamStats {
             bytes_in: 0,
             bytes_out: 0,
             busy_seconds: 0.0,
-            sim_kernel_seconds: 0.0,
         }
     }
 

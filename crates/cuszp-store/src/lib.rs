@@ -38,10 +38,12 @@
 //! decoded values are identical at every tier.
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod codec;
 pub mod error;
 pub mod index;
+pub mod mmap;
 pub mod registry;
 pub mod store;
 

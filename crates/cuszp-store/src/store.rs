@@ -334,7 +334,7 @@ pub fn write_shard<T: ShardElement>(
 /// file mapping the shard owns ([`Shard::open_path`]).
 enum ShardBytes<'a> {
     Borrowed(&'a [u8]),
-    Mapped(datasets::mmap::MappedSlice<u8>),
+    Mapped(crate::mmap::MappedSlice<u8>),
 }
 
 impl ShardBytes<'_> {
@@ -381,7 +381,7 @@ impl<'a> Shard<'a> {
     /// copy-free read properties of [`Shard::open`] carry over
     /// unchanged. I/O failures surface as [`StoreError::Io`].
     pub fn open_path(path: &Path) -> Result<Shard<'static>, StoreError> {
-        let bytes = datasets::mmap::map_bytes(path)?;
+        let bytes = crate::mmap::map_bytes(path)?;
         let index = ShardIndex::parse(&bytes)?;
         Ok(Shard {
             bytes: ShardBytes::Mapped(bytes),

@@ -20,14 +20,13 @@
 //! the statistical character, not the byte count, is what the experiments
 //! depend on.
 
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod cesm;
 pub mod field;
 pub mod hacc;
 pub mod hurricane;
 pub mod io;
-pub mod mmap;
 pub mod nyx;
 pub mod qmcpack;
 pub mod registry;
@@ -35,5 +34,4 @@ pub mod rtm;
 pub mod spectral;
 
 pub use field::Field;
-pub use mmap::{map_f32_le, map_f64_le, MappedSlice};
 pub use registry::{generate, generate_subset, DatasetId, Scale};

@@ -60,7 +60,7 @@ pub fn run(ctx: &Ctx) {
         let gs_time = breakdown
             .steps
             .iter()
-            .find(|s| s.step == cuszp_core::STEP_GS)
+            .find(|s| s.step == baselines::cuszp::STEP_GS)
             .map(|s| s.time)
             .expect("GS step recorded");
         let gs_gbps = field.size_bytes() as f64 / gs_time / 1.0e9;

@@ -10,8 +10,9 @@
 use super::Ctx;
 use crate::report::{pct, Report};
 use baselines::common::CuszpAdapter;
+use baselines::cuszp::{STEP_BB, STEP_FE, STEP_GS, STEP_QP};
 use baselines::Compressor;
-use cuszp_core::{ErrorBound, STEP_BB, STEP_FE, STEP_GS, STEP_QP};
+use cuszp_core::ErrorBound;
 use datasets::{generate_subset, DatasetId};
 use gpu_sim::{DeviceSpec, Gpu};
 use serde::Serialize;

@@ -10,7 +10,9 @@
 //! `<file>.compx.cmp` / `<file>.compx.dec`, and prints the same summary
 //! the artifact's `compx temperature.f32 1e-4` produces.
 
+use baselines::cuszp::{compress_kernel, decompress_kernel};
 use cuszp_core::{Compressed, Cuszp, ErrorBound};
+use cuszp_store::mmap::map_f32_le;
 use gpu_sim::{DeviceSpec, Gpu};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -45,7 +47,7 @@ fn main() -> ExitCode {
     // buffered read where mapping is unavailable) and compressed straight
     // out of the page cache — the input-side analogue of the paper's
     // no-intermediate-buffer design.
-    let data = match datasets::mmap::map_f32_le(&path) {
+    let data = match map_f32_le(&path) {
         Ok(d) if !d.is_empty() => d,
         Ok(_) => {
             eprintln!("{}: empty file", path.display());
@@ -63,12 +65,12 @@ fn main() -> ExitCode {
     let mut gpu = Gpu::new(DeviceSpec::a100());
     let input = gpu.h2d(&data);
     gpu.reset_timeline();
-    let dc = codec.compress_device(&mut gpu, &input, eb);
+    let dc = compress_kernel(&mut gpu, &input, eb, codec.config);
     println!("CompX Compression Kernel finished!");
     let comp_gbps = gpu.end_to_end_throughput_gbps((data.len() * 4) as u64);
 
     gpu.reset_timeline();
-    let out = codec.decompress_device(&mut gpu, &dc);
+    let out = decompress_kernel(&mut gpu, &dc);
     println!("CompX Decompression Kernel finished!");
     let decomp_gbps = gpu.end_to_end_throughput_gbps((data.len() * 4) as u64);
     let restored = gpu.d2h(&out);

@@ -7,14 +7,15 @@
 //! cargo run --release --example qcat -- PlotSliceImage <data.f32> <d1> <d2> [d3] <slice> <out.ppm>
 //! ```
 
+use cuszp_store::mmap::{map_f32_le, MappedSlice};
 use std::path::Path;
 use std::process::ExitCode;
 
 // Zero-copy load: qcat inputs are often full-size SDRBench fields, and
 // every subcommand only reads them — a memory-mapped view avoids the
 // read-to-Vec copy entirely (with a transparent buffered-read fallback).
-fn load(path: &str) -> Result<datasets::MappedSlice<f32>, String> {
-    datasets::mmap::map_f32_le(Path::new(path)).map_err(|e| format!("{path}: {e}"))
+fn load(path: &str) -> Result<MappedSlice<f32>, String> {
+    map_f32_le(Path::new(path)).map_err(|e| format!("{path}: {e}"))
 }
 
 fn compare_data(orig: &str, recon: &str) -> Result<(), String> {

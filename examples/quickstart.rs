@@ -6,6 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use baselines::cuszp::{compress_kernel, decompress_kernel};
 use cuszp_core::{Cuszp, ErrorBound};
 use gpu_sim::{DeviceSpec, Gpu};
 
@@ -40,10 +41,10 @@ fn main() {
     let mut gpu = Gpu::new(DeviceSpec::a100());
     let input = gpu.h2d(&field.data);
     gpu.reset_timeline();
-    let dc = codec.compress_device(&mut gpu, &input, eb);
+    let dc = compress_kernel(&mut gpu, &input, eb, codec.config);
     let comp_gbps = gpu.end_to_end_throughput_gbps(field.size_bytes());
     gpu.reset_timeline();
-    let out = codec.decompress_device(&mut gpu, &dc);
+    let out = decompress_kernel(&mut gpu, &dc);
     let decomp_gbps = gpu.end_to_end_throughput_gbps(field.size_bytes());
     let device_restored = gpu.d2h(&out);
     println!(

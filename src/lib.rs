@@ -3,11 +3,13 @@
 //! Re-exports the workspace's public surface so examples and downstream
 //! users can depend on one crate:
 //!
-//! * [`cuszp_core`] — the cuSZp compressor (single fused kernel on the
-//!   simulated device, plus a host reference codec).
+//! * [`cuszp_core`] — the cuSZp host codec (word-parallel fast path plus
+//!   a sequential reference codec).
 //! * [`cuszp_pipeline`] — batched multi-stream compression with a bounded
 //!   submission queue and per-stream counters.
-//! * [`baselines`] — cuSZ-, cuSZx-, and cuZFP-like comparison compressors.
+//! * [`baselines`] — cuSZp's single fused kernel per direction on the
+//!   simulated device, and the cuSZ-, cuSZx-, and cuZFP-like comparison
+//!   compressors.
 //! * [`cuszp_store`] — block-granular random-access store: the
 //!   `ErrorBoundedCodec` trait, the runtime codec registry, and the
 //!   sharded chunk container with partial (`decode_blocks`) reads.

@@ -30,6 +30,7 @@ fn format_variant(e: &FormatError) -> &'static str {
         FormatError::Corrupt(_) => "Corrupt",
         FormatError::UnknownHybridMode(_) => "UnknownHybridMode",
         FormatError::Entropy(_) => "Entropy",
+        FormatError::LimitExceeded { .. } => "LimitExceeded",
         _ => "future",
     }
 }
@@ -149,6 +150,13 @@ fn every_format_error_variant_is_reachable_from_bytes() {
             .decompress_serialized::<f32>(&bad)
             .expect_err("overfull code-length table must fail"),
     ));
+    // LimitExceeded: a valid 200-element frame decoded under a caller
+    // ceiling of 199 elements — rejected before the output is allocated.
+    seen.insert(format_variant(
+        &Cuszp::new()
+            .decompress_serialized_bounded::<f32>(&good, 199)
+            .expect_err("a frame over the element limit must fail"),
+    ));
 
     assert_eq!(
         seen.into_iter().collect::<Vec<_>>(),
@@ -156,6 +164,7 @@ fn every_format_error_variant_is_reachable_from_bytes() {
             "BadMagic",
             "Corrupt",
             "Entropy",
+            "LimitExceeded",
             "Truncated",
             "UnknownHybridMode"
         ],

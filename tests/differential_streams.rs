@@ -5,20 +5,22 @@
 //! `device_host_equivalence.rs`, which sweeps the dataset generators in
 //! f32 only.
 
+use cuszp_repro::baselines::cuszp::compress_kernel;
 use cuszp_repro::cuszp_core::{host_ref, Cuszp, DType, ErrorBound, FloatData};
-use cuszp_repro::gpu_sim::{DeviceSpec, Gpu};
+use cuszp_repro::gpu_sim::{DeviceCopy, DeviceSpec, Gpu};
 use proptest::prelude::*;
 
 /// Compress on both paths and compare the serialized bytes.
-fn assert_identical_archives<T: FloatData>(data: &[T], eb: f64) -> Result<(), TestCaseError> {
+fn assert_identical_archives<T: FloatData + DeviceCopy>(
+    data: &[T],
+    eb: f64,
+) -> Result<(), TestCaseError> {
     let codec = Cuszp::new();
     let host_bytes = host_ref::compress(data, eb, codec.config).to_bytes();
 
     let mut gpu = Gpu::new(DeviceSpec::a100());
     let input = gpu.h2d(data);
-    let dev = codec
-        .compress_device(&mut gpu, &input, eb)
-        .to_host(&mut gpu);
+    let dev = compress_kernel(&mut gpu, &input, eb, codec.config).to_host(&mut gpu);
     let dev_bytes = dev.to_bytes();
 
     prop_assert_eq!(host_bytes, dev_bytes);
@@ -82,11 +84,7 @@ fn chunked_container_identical_across_paths() {
     let mut dev = cuszp_repro::cuszp_core::ChunkedCompressed::new();
     for chunk in data.chunks(1024) {
         let input = gpu.h2d(chunk);
-        dev.push(
-            codec
-                .compress_device(&mut gpu, &input, eb)
-                .to_host(&mut gpu),
-        );
+        dev.push(compress_kernel(&mut gpu, &input, eb, codec.config).to_host(&mut gpu));
     }
     assert_eq!(host.to_bytes(), dev.to_bytes());
 }
